@@ -109,9 +109,7 @@ def _cmd_simulate_tcspc(args):
     else:
         _print_record(result.fit.record())
     print(f"wrote {len(paths)} files to {args.out}")
-    if result.fit is not None and not result.fit.converged:
-        return EXIT_FIT
-    return EXIT_OK
+    return EXIT_FIT if result.fit is not None and not result.fit.converged else EXIT_OK
 
 
 def _cmd_simulate_de_sweep(args):
@@ -128,35 +126,36 @@ def _cmd_simulate_de_sweep(args):
     paths = write_de_sweep_artifacts(result, args.out)
     _print_record(result.fit.record())
     print(f"wrote {len(paths)} files to {args.out}")
-    if not result.fit.converged:
-        return EXIT_FIT
-    return EXIT_OK
+    return EXIT_OK if result.fit.converged else EXIT_FIT
+
+
+def _read_input(reader, path):
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_analyze(args):
+    if args.analysis == "de":
+        points = _read_input(read_de_sweep, args.sweep)
+        fit = fit_de(points, args.f_hz, weighted=args.weighted)
+        _print_record(fit.record())
+        return EXIT_OK if fit.converged else EXIT_FIT
+    hist = _read_input(read_histogram_csv, args.hist)
     if args.analysis == "g2":
-        hist = read_histogram_csv(args.hist)
         estimate = g2_zero(hist, args.rep_period_ps,
                            integration_halfwidth_ps=args.halfwidth_ps,
                            n_side_peaks=args.side_peaks)
         _print_record(estimate.record())
         return EXIT_OK
     if args.analysis == "lifetime":
-        hist = read_histogram_csv(args.hist)
         fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps, weighted=args.weighted)
         _print_record(fit.record())
         return EXIT_OK if fit.converged else EXIT_FIT
-    if args.analysis == "de":
-        points = read_de_sweep(args.sweep)
-        fit = fit_de(points, args.f_hz, weighted=args.weighted)
-        _print_record(fit.record())
-        return EXIT_OK if fit.converged else EXIT_FIT
-    if args.analysis == "irf":
-        hist = read_histogram_csv(args.hist)
-        fwhm, center = measure_irf(hist)
-        _print_record({"irf_fwhm_ps": fwhm, "irf_center_ps": center})
-        return EXIT_OK
-    raise ConfigError(f"unknown analysis {args.analysis!r}")
+    fwhm, center = measure_irf(hist)
+    _print_record({"irf_fwhm_ps": fwhm, "irf_center_ps": center})
+    return EXIT_OK
 
 
 def main(argv=None):

@@ -94,6 +94,8 @@ class Histogram:
             )
         if counts.size and counts.min() < 0:
             raise ValueError("counts must be nonnegative")
+        if self.n_starts < 0:
+            raise ValueError(f"n_starts must be >= 0, got {self.n_starts}")
         counts = counts.copy() if counts.flags.writeable else counts
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
@@ -219,8 +221,7 @@ def write_histogram_csv(hist, path):
 def read_histogram_csv(path, mode=Mode.ALL_STOPS):
     """Read a histogram CSV.  The collection mode is not stored on disk;
     `mode` only fills in the reconstructed config."""
-    n_starts = None
-    bin_width = None
+    header = {}
     rows = []
     with open(path, "r", newline="") as fh:
         header_seen = False
@@ -229,11 +230,7 @@ def read_histogram_csv(path, mode=Mode.ALL_STOPS):
             if not line:
                 continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if token.startswith("n_starts="):
-                        n_starts = int(token.split("=", 1)[1])
-                    elif token.startswith("bin_width_ps="):
-                        bin_width = int(token.split("=", 1)[1])
+                header.update(t.split("=", 1) for t in line[1:].split() if "=" in t)
                 continue
             if not header_seen:
                 if line.replace(" ", "") != HIST_CSV_HEADER:
@@ -252,8 +249,15 @@ def read_histogram_csv(path, mode=Mode.ALL_STOPS):
                 raise FormatError(f"{path}:{lineno}: non-integer field") from exc
     if not header_seen:
         raise FormatError(f"{path}: missing {HIST_CSV_HEADER!r} header")
-    if n_starts is None or bin_width is None:
-        raise FormatError(f"{path}: missing '# n_starts=<N> bin_width_ps=<w>' comment")
+    try:
+        n_starts, bin_width = int(header["n_starts"]), int(header["bin_width_ps"])
+    except KeyError:
+        raise FormatError(
+            f"{path}: missing '# n_starts=<N> bin_width_ps=<w>' comment") from None
+    except ValueError as exc:
+        raise FormatError(f"{path}: non-integer header value: {exc}") from exc
+    if bin_width <= 0:
+        raise FormatError(f"{path}: bin_width_ps must be > 0, got {bin_width}")
     if not rows:
         raise FormatError(f"{path}: histogram has no bins")
     starts = [r[0] for r in rows]

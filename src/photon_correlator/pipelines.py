@@ -13,7 +13,7 @@ the sync clock.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analysis import (
     DECalibrationPoint,
@@ -34,7 +34,8 @@ from .correlator import (
 )
 from .detectors import detect
 from .errors import ConfigError
-from .optics import attenuate, beamsplit
+# attenuate stays importable here: perfbench/traced.py wraps every layer by name
+from .optics import attenuate, beamsplit  # noqa: F401
 from .rng import derive_seed
 from .sources import (
     PoissonLaserModel,
@@ -256,8 +257,11 @@ def run_de_sweep(cfg, mu_values=None):
     """Laser -> programmable attenuator -> detector -> counter, per mu point.
 
     Each sweep point is an independent acquisition of
-    de_sweep.pulses_per_point pulses; the attenuator transmission for a
-    point is mu / source.mu, so every requested mu must be <= source.mu.
+    de_sweep.pulses_per_point pulses of the source.mu laser behind an
+    attenuator of transmission mu / source.mu, so every requested mu must
+    be <= source.mu.  The attenuated laser is sampled directly as
+    Poisson(mu) per pulse, which equals Bernoulli thinning of
+    Poisson(source.mu) by mu / source.mu.
     """
     if cfg.de_sweep is None:
         raise ConfigError("de_sweep: section required for simulate-de-sweep")
@@ -279,13 +283,10 @@ def run_de_sweep(cfg, mu_values=None):
     n_pulses = cfg.de_sweep.pulses_per_point
     points = []
     for i, mu in enumerate(mu_values):
-        stage = f"de.point{i}"
-        pulses = emit_laser_pulse_train(cfg.source, n_pulses,
-                                        derive_seed(cfg.seed, f"{stage}.source"))
-        attenuated = attenuate(pulses, mu / mu0 if mu0 > 0 else 0.0,
-                               derive_seed(cfg.seed, f"{stage}.attenuator"))
+        attenuated = emit_laser_pulse_train(replace(cfg.source, mu=mu), n_pulses,
+                                            derive_seed(cfg.seed, f"de.point{i}.source"))
         detections = detect(attenuated, detector_model,
-                            derive_seed(cfg.seed, f"{stage}.detector"),
+                            derive_seed(cfg.seed, f"de.point{i}.detector"),
                             channel=channel)
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
@@ -317,14 +318,7 @@ def write_de_sweep_artifacts(result, out_dir):
 
 def format_record(record):
     """Flat key=value text, one line per documented key."""
-    lines = []
-    for key, value in record.items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key}={_fmt_value(v)}" for key, v in record.items()) + "\n"
 
 
 def _write_record(record, out_dir, stem):

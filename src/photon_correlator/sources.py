@@ -156,9 +156,12 @@ def emit_laser_pulse_train(model, n_pulses, seed, channel=SOURCE_CHANNEL):
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     counts = rng.poisson(model.mu, n_pulses)
     emitting = np.nonzero(counts)[0]
-    photon_pulse = np.repeat(emitting, counts[emitting])
-    times = _pulse_times(photon_pulse, model.rep_rate_hz)
-    times = times[(times >= 0) & (times < duration)]
+    photons_per_pulse = counts[emitting]
+    del counts  # free the n_pulses-long array before the photon-length one
+    pulse_times = _pulse_times(emitting, model.rep_rate_hz)
+    del emitting
+    inside = np.searchsorted(pulse_times, duration)  # pulse times are sorted
+    times = np.repeat(pulse_times[:inside], photons_per_pulse[:inside])
     meta = {
         "source": "laser",
         "seed": str(seed),

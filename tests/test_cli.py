@@ -373,6 +373,28 @@ class TestAnalyze:
                      "--rep-period-ps", "1000"]) == 3
         assert "format error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["g2", "--hist", "{path}", "--rep-period-ps", "1000"],
+        ["lifetime", "--hist", "{path}"],
+        ["de", "--sweep", "{path}", "--f-hz", "100000"],
+        ["irf", "--hist", "{path}"],
+    ])
+    @pytest.mark.parametrize("unreadable", ["missing.csv", "."])
+    def test_unreadable_input_is_format_error(self, tmp_path, capsys, argv, unreadable):
+        path = str(tmp_path / unreadable)
+        code = main(["analyze"] + [a.format(path=path) for a in argv])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("format error: cannot read ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_bad_histogram_comment_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text("# n_starts=10 bin_width_ps=0\nbin_start_ps,count\n0,1\n")
+        assert main(["analyze", "g2", "--hist", str(path),
+                     "--rep-period-ps", "1000"]) == 3
+        assert "bin_width_ps must be > 0" in capsys.readouterr().err
+
     def test_degenerate_fit_exit_code(self, tmp_path, capsys):
         cfg = HistogramConfig(10, 0, 1000, Mode.ALL_STOPS)
         path = tmp_path / "flat.csv"

@@ -285,3 +285,31 @@ class TestHistogramCsv:
         path.write_text("# n_starts=1 bin_width_ps=10\nbin_start_ps,count\n0,-1\n")
         with pytest.raises(FormatError, match="nonnegative"):
             read_histogram_csv(path)
+
+    @pytest.mark.parametrize("comment, match", [
+        ("# n_starts=10 bin_width_ps=0", "bin_width_ps must be > 0"),
+        ("# n_starts=10 bin_width_ps=-10", "bin_width_ps must be > 0"),
+        ("# n_starts=ten bin_width_ps=10", "non-integer"),
+        ("# n_starts=10 bin_width_ps=1.5", "non-integer"),
+        ("# n_starts= bin_width_ps=10", "non-integer"),
+        ("# n_starts=-5 bin_width_ps=10", "n_starts must be >= 0"),
+    ])
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    def test_bad_comment_values(self, tmp_path, comment, match, n_rows):
+        path = tmp_path / "h.csv"
+        rows = "".join(f"{10 * i},1\n" for i in range(n_rows))
+        path.write_text(f"{comment}\nbin_start_ps,count\n{rows}")
+        with pytest.raises(FormatError, match=match):
+            read_histogram_csv(path)
+
+    def test_zero_starts_accepted(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# n_starts=0 bin_width_ps=10\nbin_start_ps,count\n0,0\n")
+        assert read_histogram_csv(path).n_starts == 0
+
+
+def test_histogram_rejects_negative_n_starts():
+    cfg = HistogramConfig(10, 0, 20)
+    with pytest.raises(ValueError, match="n_starts"):
+        Histogram(cfg, np.zeros(2, np.int64), -5)
+    assert Histogram(cfg, np.zeros(2, np.int64), 0).n_starts == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_correlator import (
     PoissonLaserModel,
@@ -12,6 +14,7 @@ from photon_correlator import (
     pulse_period_ps,
     solve_photon_stats,
 )
+from photon_correlator.rng import generator
 
 REP_82MHZ = 82e6
 
@@ -162,6 +165,38 @@ class TestLaserTrain:
         period = pulse_period_ps(1e5)
         nominal = np.rint(np.rint(s.times / period) * period).astype(np.int64)
         assert np.array_equal(s.times, nominal)
+
+
+def reference_laser_times(model, n_pulses, seed):
+    """The per-photon laser emission: repeat pulse indices up to photon
+    length, then compute every photon's timestamp."""
+    rng = generator(seed)
+    duration = int(np.rint(n_pulses * pulse_period_ps(model.rep_rate_hz)))
+    counts = rng.poisson(model.mu, n_pulses)
+    emitting = np.nonzero(counts)[0]
+    photon_pulse = np.repeat(emitting, counts[emitting])
+    times = np.rint(photon_pulse * pulse_period_ps(model.rep_rate_hz)).astype(np.int64)
+    return times[(times >= 0) & (times < duration)], duration
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu=st.floats(0.0, 20.0),
+    n_pulses=st.integers(0, 5000),
+    # integer periods (1e5, 1e9 Hz), the non-integer 82 MHz one, and
+    # sub-picosecond periods where rounding collides pulses with the window end
+    rep_rate_hz=st.one_of(st.sampled_from([1e5, 82e6, 1e9, 3e12]),
+                          st.floats(1e3, 5e12)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_laser_train_equals_per_photon_reference(mu, n_pulses, rep_rate_hz, seed):
+    model = PoissonLaserModel(rep_rate_hz, mu)
+    s = emit_laser_pulse_train(model, n_pulses, seed)
+    times, duration = reference_laser_times(model, n_pulses, seed)
+    assert s.duration_ps == duration
+    assert s.times.dtype == times.dtype
+    assert np.array_equal(s.times, times)
+    assert np.array_equal(s.channels, np.zeros(times.size, np.uint8))
 
 
 def test_clock_ticks_offset_and_window():
