@@ -57,7 +57,7 @@ from .sources import (
     pulse_period_ps,
     solve_photon_stats,
 )
-from .timetags import TagStream, TimeTag, filter_channel, merge_streams, read_tags, write_tags
+from .timetags import TagStream, filter_channel, merge_streams, read_tags, write_tags
 
 __version__ = "0.1.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "RunConfig",
     "SplitRatio",
     "TagStream",
-    "TimeTag",
     "attenuate",
     "beamsplit",
     "bias_lookup",

@@ -20,8 +20,9 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from .detectors import FWHM_PER_SIGMA, sigma_to_fwhm
-from .errors import AnalysisError, FormatError
+from .errors import AnalysisError
 from .nlsq import levenberg_marquardt
+from .timetags import read_csv_rows, write_csv_rows
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_PI = math.sqrt(math.pi)
@@ -100,72 +101,75 @@ class DECalibrationPoint:
     rate_hz: float
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if self.rate_hz < 0:
-            raise ValueError("rate_hz must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+        if not 0 <= self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be finite and >= 0, got {self.rate_hz}")
 
 
 # ---------------------------------------------------------------------------
 # g2(0) from peak areas
 
 
-def g2_zero(hist, rep_period_ps, integration_halfwidth_ps=None, n_side_peaks=20):
-    """Zero-delay peak area over the mean surrounding peak area.
+def side_peak_windows(config, rep_period_ps, integration_halfwidth_ps, n_side_peaks):
+    """Resolve the integration half-width and place the side-peak windows.
 
-    Side windows are placed at +/- k * rep_period_ps, nearest first
-    (negative before positive at each |k|), keeping the first
-    `n_side_peaks` that fit inside the histogram.  The default integration
-    half-width is half a period less one bin, so adjacent windows never
-    overlap.  Uncertainty is pure Poisson counting propagation,
-    g * sqrt(1/A0 + 1/sum(As)); a zero center area returns g2=0 with the
-    one-count upper bound 1/mean(As) as sigma.
+    The default half-width is half a period less one bin, so adjacent
+    windows never overlap.  Side windows are centered at +/- k *
+    rep_period_ps, nearest first (negative before positive at each |k|),
+    keeping the first `n_side_peaks` that fit inside the histogram range
+    of `config`.  Returns (halfwidth, centers).
     """
-    cfg = hist.config
-    if integration_halfwidth_ps is None:
-        integration_halfwidth_ps = rep_period_ps / 2.0 - cfg.bin_width_ps
-    if not 0 < integration_halfwidth_ps < rep_period_ps / 2.0:
+    halfwidth = integration_halfwidth_ps
+    if halfwidth is None:
+        halfwidth = rep_period_ps / 2.0 - config.bin_width_ps
+    if not 0 < halfwidth < rep_period_ps / 2.0:
         raise AnalysisError(
-            f"integration_halfwidth_ps must be in (0, rep_period/2), "
-            f"got {integration_halfwidth_ps}"
+            f"integration_halfwidth_ps must be in (0, rep_period/2), got {halfwidth}"
         )
     if n_side_peaks < 2:
         raise AnalysisError("n_side_peaks must be >= 2")
 
-    centers = hist.bin_centers()
+    def fits(center):
+        return (center - halfwidth >= config.range_min_ps
+                and center + halfwidth <= config.range_max_ps)
 
-    def window_area(peak_center):
-        lo = peak_center - integration_halfwidth_ps
-        hi = peak_center + integration_halfwidth_ps
-        if lo < cfg.range_min_ps or hi > cfg.range_max_ps:
-            return None
-        mask = np.abs(centers - peak_center) <= integration_halfwidth_ps
-        return int(hist.counts[mask].sum())
-
-    center_area = window_area(0.0)
-    if center_area is None:
+    if not fits(0.0):
         raise AnalysisError("zero-delay window falls outside the histogram range")
-
-    side_areas = []
+    centers = []
     k = 1
-    while len(side_areas) < n_side_peaks:
-        found = False
-        for sign in (-1, 1):
-            if len(side_areas) >= n_side_peaks:
-                break
-            area = window_area(sign * k * rep_period_ps)
-            if area is not None:
-                side_areas.append(area)
-                found = True
+    while len(centers) < n_side_peaks:
+        found = [c for c in (-k * rep_period_ps, k * rep_period_ps) if fits(c)]
         if not found:
             # window positions move monotonically outward, so nothing
             # further out can fit either
             raise AnalysisError(
-                f"histogram range only accommodates {len(side_areas)} side peaks, "
-                f"{n_side_peaks} requested"
+                f"histogram range [{config.range_min_ps}, {config.range_max_ps}) "
+                f"holds only {len(centers)} side-peak windows, but "
+                f"{n_side_peaks} side peaks were requested"
             )
+        centers.extend(found)
         k += 1
+    return halfwidth, centers[:n_side_peaks]
 
+
+def g2_zero(hist, rep_period_ps, integration_halfwidth_ps=None, n_side_peaks=20):
+    """Zero-delay peak area over the mean surrounding peak area.
+
+    Windows are placed by `side_peak_windows`.  Uncertainty is pure
+    Poisson counting propagation, g * sqrt(1/A0 + 1/sum(As)); a zero
+    center area returns g2=0 with the one-count upper bound 1/mean(As)
+    as sigma.
+    """
+    halfwidth, side_centers = side_peak_windows(
+        hist.config, rep_period_ps, integration_halfwidth_ps, n_side_peaks)
+    centers = hist.bin_centers()
+
+    def window_area(peak_center):
+        return int(hist.counts[np.abs(centers - peak_center) <= halfwidth].sum())
+
+    center_area = window_area(0.0)
+    side_areas = [window_area(c) for c in side_centers]
     total_side = sum(side_areas)
     if total_side == 0:
         raise AnalysisError("all side-peak windows are empty; cannot normalize")
@@ -179,6 +183,12 @@ def g2_zero(hist, rep_period_ps, integration_halfwidth_ps=None, n_side_peaks=20)
 
 # ---------------------------------------------------------------------------
 # peak width
+
+
+def _edge_baseline(y):
+    """Median of the outermost 10% of samples (at least one) on each side."""
+    n_edge = max(1, int(round(0.1 * y.size)))
+    return float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
 
 
 def peak_fwhm(hist, center_ps, search_halfwidth_ps):
@@ -196,10 +206,7 @@ def peak_fwhm(hist, center_ps, search_halfwidth_ps):
         raise AnalysisError("search window smaller than 5 bins")
     x = centers[mask]
     y = hist.counts[mask].astype(float)
-
-    n_edge = max(1, int(round(0.1 * x.size)))
-    baseline = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
-    y = y - baseline
+    y = y - _edge_baseline(y)
 
     i_max = int(np.argmax(y))
     if i_max == 0 or i_max == x.size - 1:
@@ -431,8 +438,7 @@ def measure_irf(hist):
     y = hist.counts.astype(float)
     if np.all(y == y[0]):
         raise AnalysisError("degenerate histogram: all bins equal")
-    n_edge = max(1, int(round(0.1 * y.size)))
-    baseline = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
+    baseline = _edge_baseline(y)
     i_max = int(np.argmax(y))
     amplitude = float(y[i_max]) - baseline
     if amplitude <= 0:
@@ -538,32 +544,9 @@ DE_CSV_HEADER = "mu,rate_hz"
 
 
 def write_de_sweep(points, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(DE_CSV_HEADER + "\n")
-        for p in points:
-            fh.write(f"{p.mu!r},{p.rate_hz!r}\n")
+    write_csv_rows(path, DE_CSV_HEADER, ((p.mu, p.rate_hz) for p in points))
 
 
 def read_de_sweep(path):
-    points = []
-    with open(path, "r", newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != DE_CSV_HEADER:
-                    raise FormatError(f"{path}:{lineno}: expected header {DE_CSV_HEADER!r}")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                points.append(DECalibrationPoint(float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if not header_seen:
-            raise FormatError(f"{path}: missing {DE_CSV_HEADER!r} header")
-    return points
+    return read_csv_rows(path, DE_CSV_HEADER,
+                         lambda fields: DECalibrationPoint(*map(float, fields)))[1]

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .analysis import fit_de, fit_lifetime, g2_zero, measure_irf, read_de_sweep
-from .config import load_config
+from .config import load_config, parse_float_list
 from .correlator import read_histogram_csv
 from .errors import AnalysisError, ConfigError, FormatError
 from .pipelines import (
@@ -49,7 +49,7 @@ def build_parser():
             "reverse start-stop lifetime run; writes histogram and fit record")
     p = add_sim("simulate-de-sweep",
                 "attenuation sweep of the calibration laser; writes sweep CSV and fit")
-    p.add_argument("--mu", default=None,
+    p.add_argument("--mu", default=None, type=parse_float_list,
                    help="comma-separated mean photon numbers, overriding the config")
 
     pa = sub.add_parser("analyze", help="offline analysis of recorded files")
@@ -114,15 +114,7 @@ def _cmd_simulate_tcspc(args):
 
 def _cmd_simulate_de_sweep(args):
     cfg = _load_run_config(args)
-    mu_values = None
-    if args.mu is not None:
-        try:
-            mu_values = tuple(float(x) for x in args.mu.replace(" ", "").split(",") if x)
-        except ValueError:
-            raise ConfigError(f"--mu: expected comma-separated numbers, got {args.mu!r}")
-        if not mu_values:
-            raise ConfigError("--mu: empty list")
-    result = run_de_sweep(cfg, mu_values)
+    result = run_de_sweep(cfg, args.mu)
     paths = write_de_sweep_artifacts(result, args.out)
     _print_record(result.fit.record())
     print(f"wrote {len(paths)} files to {args.out}")

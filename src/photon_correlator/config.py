@@ -31,7 +31,7 @@ use them; validation reports the full field path of any offending key.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .correlator import HistogramConfig, Mode
 from .detectors import DetectorModel
@@ -95,9 +95,7 @@ class RunConfig:
     de: DeSettings = DeSettings()
 
     def with_seed(self, seed):
-        fields = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        fields["seed"] = int(seed)
-        return RunConfig(**fields)
+        return replace(self, seed=int(seed))
 
     def detector(self, name, where):
         try:
@@ -166,13 +164,18 @@ class _Section:
         return self._convert(key, conv, default, False, "a boolean")
 
     def get_float_list(self, key, default=None):
-        def conv(v):
-            return tuple(float(x) for x in v.replace(" ", "").split(",") if x)
-        return self._convert(key, conv, default, False, "a comma-separated list")
+        return self._convert(key, parse_float_list, default, False,
+                             "a comma-separated list")
+
+
+def parse_float_list(text):
+    """'0.01, 0.1,1' -> (0.01, 0.1, 1.0); empty items are skipped."""
+    return tuple(float(x) for x in text.replace(" ", "").split(",") if x)
 
 
 def parse_config_text(text, origin="<config>"):
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
         parser.read_string(text, source=origin)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .timetags import TagStream
+from .timetags import TagStream, read_csv_rows, write_csv_rows
 
 
 class Mode(enum.Enum):
@@ -211,65 +211,38 @@ HIST_CSV_HEADER = "bin_start_ps,count"
 
 
 def write_histogram_csv(hist, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n_starts={hist.n_starts} bin_width_ps={hist.config.bin_width_ps}\n")
-        fh.write(HIST_CSV_HEADER + "\n")
-        for start, count in zip(hist.bin_starts(), hist.counts):
-            fh.write(f"{int(start)},{int(count)}\n")
+    write_csv_rows(path, HIST_CSV_HEADER,
+                   zip(hist.bin_starts().tolist(), hist.counts.tolist()),
+                   comment=f"n_starts={hist.n_starts} "
+                           f"bin_width_ps={hist.config.bin_width_ps}")
 
 
 def read_histogram_csv(path, mode=Mode.ALL_STOPS):
     """Read a histogram CSV.  The collection mode is not stored on disk;
     `mode` only fills in the reconstructed config."""
-    header = {}
-    rows = []
-    with open(path, "r", newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                header.update(t.split("=", 1) for t in line[1:].split() if "=" in t)
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != HIST_CSV_HEADER:
-                    raise FormatError(
-                        f"{path}:{lineno}: expected header {HIST_CSV_HEADER!r}, "
-                        f"got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer field") from exc
-    if not header_seen:
-        raise FormatError(f"{path}: missing {HIST_CSV_HEADER!r} header")
+    header, rows = read_csv_rows(path, HIST_CSV_HEADER)
     try:
-        n_starts, bin_width = int(header["n_starts"]), int(header["bin_width_ps"])
+        n_starts = int(np.int64(header["n_starts"]))
+        bin_width = int(np.int64(header["bin_width_ps"]))
     except KeyError:
         raise FormatError(
             f"{path}: missing '# n_starts=<N> bin_width_ps=<w>' comment") from None
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-integer header value: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(
+            f"{path}: non-integer or out-of-range header value: {exc}") from exc
     if bin_width <= 0:
         raise FormatError(f"{path}: bin_width_ps must be > 0, got {bin_width}")
-    if not rows:
+    if not len(rows):
         raise FormatError(f"{path}: histogram has no bins")
-    starts = [r[0] for r in rows]
+    starts = rows[:, 0].tolist()
     for prev, cur in zip(starts, starts[1:]):
         if cur != prev + bin_width:
             raise FormatError(
                 f"{path}: bins not contiguous at bin_start_ps={cur} "
                 f"(expected {prev + bin_width})"
             )
-    config = HistogramConfig(bin_width, starts[0], starts[-1] + bin_width, mode)
     try:
-        return Histogram(config, np.array([r[1] for r in rows], dtype=np.int64),
-                         n_starts)
+        config = HistogramConfig(bin_width, starts[0], starts[-1] + bin_width, mode)
+        return Histogram(config, rows[:, 1], n_starts)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

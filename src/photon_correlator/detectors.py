@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
 from .rng import generator
-from .timetags import TagStream
+from .timetags import TagStream, read_csv_rows, write_csv_rows
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # 2.3548
 
@@ -118,8 +117,9 @@ class BiasCurvePoint:
             raise ValueError(f"bias_fraction {self.bias_fraction} outside (0, 1)")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be >= 0")
+        if not 0 <= self.dark_rate_hz < math.inf:
+            raise ValueError(
+                f"dark_rate_hz must be finite and >= 0, got {self.dark_rate_hz}")
 
 
 def bias_lookup(curve, bias_fraction):
@@ -157,35 +157,10 @@ BIAS_CSV_HEADER = "bias_fraction,efficiency,dark_rate_hz"
 
 
 def write_bias_curve(curve, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(BIAS_CSV_HEADER + "\n")
-        for p in curve:
-            fh.write(f"{p.bias_fraction!r},{p.efficiency!r},{p.dark_rate_hz!r}\n")
+    write_csv_rows(path, BIAS_CSV_HEADER,
+                   ((p.bias_fraction, p.efficiency, p.dark_rate_hz) for p in curve))
 
 
 def read_bias_curve(path):
-    points = []
-    with open(path, "r", newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != BIAS_CSV_HEADER:
-                    raise FormatError(
-                        f"{path}:{lineno}: expected header {BIAS_CSV_HEADER!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                points.append(BiasCurvePoint(float(parts[0]), float(parts[1]),
-                                             float(parts[2])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        if not header_seen:
-            raise FormatError(f"{path}: missing {BIAS_CSV_HEADER!r} header")
-    return points
+    return read_csv_rows(path, BIAS_CSV_HEADER,
+                         lambda fields: BiasCurvePoint(*map(float, fields)))[1]

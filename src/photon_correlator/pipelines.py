@@ -21,6 +21,7 @@ from .analysis import (
     fit_lifetime,
     g2_zero,
     measure_irf,
+    side_peak_windows,
     write_de_sweep,
 )
 from .config import RunConfig
@@ -33,7 +34,7 @@ from .correlator import (
     write_histogram_csv,
 )
 from .detectors import detect
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
 # attenuate stays importable here: perfbench/traced.py wraps every layer by name
 from .optics import attenuate, beamsplit  # noqa: F401
 from .rng import derive_seed
@@ -68,32 +69,6 @@ def _hbt_correlator_config(cfg):
                                      Mode.ALL_STOPS)
 
 
-def _check_g2_window(corr_cfg, rep_period_ps, g2_settings):
-    """Fail before simulating if the histogram cannot hold the requested
-    side-peak windows."""
-    halfwidth = g2_settings.integration_halfwidth_ps
-    if halfwidth is None:
-        halfwidth = rep_period_ps / 2.0 - corr_cfg.bin_width_ps
-
-    def fits(center):
-        return (center - halfwidth >= corr_cfg.range_min_ps
-                and center + halfwidth <= corr_cfg.range_max_ps)
-
-    available = 0
-    k = 1
-    while available < g2_settings.n_side_peaks:
-        found = [s for s in (-1, 1) if fits(s * k * rep_period_ps)]
-        if not found:
-            raise ConfigError(
-                f"correlator range [{corr_cfg.range_min_ps}, "
-                f"{corr_cfg.range_max_ps}) holds only {available} side-peak "
-                f"windows but g2.n_side_peaks = {g2_settings.n_side_peaks}; "
-                f"widen the range or lower n_side_peaks"
-            )
-        available += len(found)
-        k += 1
-
-
 def _tcspc_correlator_config(cfg):
     if cfg.correlator is not None:
         return cfg.correlator
@@ -115,6 +90,7 @@ class HbtResult:
     stop_detections: object
     histogram: Histogram
     estimate: object
+    integration_halfwidth_ps: float
 
 
 def run_hbt(cfg):
@@ -126,7 +102,12 @@ def run_hbt(cfg):
         raise ConfigError("hbt: section required for simulate-hbt")
     corr_cfg = _hbt_correlator_config(cfg)
     rep_period = cfg.g2.rep_period_ps or pulse_period_ps(cfg.source.rep_rate_hz)
-    _check_g2_window(corr_cfg, rep_period, cfg.g2)
+    try:  # fail before simulating if the histogram cannot hold the windows
+        halfwidth, _ = side_peak_windows(corr_cfg, rep_period,
+                                         cfg.g2.integration_halfwidth_ps,
+                                         cfg.g2.n_side_peaks)
+    except AnalysisError as exc:
+        raise ConfigError(f"g2: {exc}") from exc
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
     arm_a, arm_b = beamsplit(source_stream, cfg.splitter,
                              derive_seed(cfg.seed, "splitter"))
@@ -139,10 +120,10 @@ def run_hbt(cfg):
                    derive_seed(cfg.seed, f"detector.{cfg.hbt.stop}"),
                    channel=_detector_channel(cfg, cfg.hbt.stop))
     hist = tac_histogram(starts, stops, corr_cfg)
-    estimate = g2_zero(hist, rep_period,
-                       integration_halfwidth_ps=cfg.g2.integration_halfwidth_ps,
+    estimate = g2_zero(hist, rep_period, integration_halfwidth_ps=halfwidth,
                        n_side_peaks=cfg.g2.n_side_peaks)
-    return HbtResult(cfg, corr_cfg, rep_period, starts, stops, hist, estimate)
+    return HbtResult(cfg, corr_cfg, rep_period, starts, stops, hist, estimate,
+                     halfwidth)
 
 
 def write_hbt_artifacts(result, out_dir):
@@ -164,9 +145,7 @@ def write_hbt_artifacts(result, out_dir):
         "g2": {
             "rep_period_ps": result.rep_period_ps,
             "n_side_peaks": cfg.g2.n_side_peaks,
-            "integration_halfwidth_ps": cfg.g2.integration_halfwidth_ps
-            if cfg.g2.integration_halfwidth_ps is not None
-            else result.rep_period_ps / 2.0 - result.correlator_config.bin_width_ps,
+            "integration_halfwidth_ps": result.integration_halfwidth_ps,
         },
     })
     return paths

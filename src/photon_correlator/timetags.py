@@ -15,9 +15,10 @@ Two interchange formats are supported:
   ``# duration_ps=<N>`` comment so the observation window survives a
   round trip; readers accept files without it and fall back to
   (last tag + 1).
-"""
 
-from dataclasses import dataclass
+`read_csv_rows` and `write_csv_rows` hold the CSV layout that every text
+format of the package (also histograms, DE sweeps, bias curves) shares.
+"""
 
 import numpy as np
 
@@ -28,17 +29,6 @@ TTAG_VERSION = 1
 CHANNEL_MAX = 255
 
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<i8")])
-
-
-@dataclass(frozen=True)
-class TimeTag:
-    """A single detection: detector/clock identity and time in ps from run origin."""
-
-    channel: int
-    t: int
-
-    def sort_key(self):
-        return (self.t, self.channel)
 
 
 class TagStream:
@@ -53,7 +43,11 @@ class TagStream:
     __slots__ = ("channels", "times", "duration_ps", "meta")
 
     def __init__(self, channels, times, duration_ps, meta=None, _validated=False):
-        channels = np.asarray(channels, dtype=np.uint8)
+        channels = np.asarray(channels)
+        if channels.dtype != np.uint8:
+            if channels.size and (channels.min() < 0 or channels.max() > CHANNEL_MAX):
+                raise ValueError(f"channel outside [0, {CHANNEL_MAX}]")
+            channels = channels.astype(np.uint8)
         times = np.asarray(times, dtype=np.int64)
         duration_ps = int(duration_ps)
         if channels.shape != times.shape or channels.ndim != 1:
@@ -67,8 +61,8 @@ class TagStream:
                     raise ValueError(
                         f"tag time {times[-1]} >= duration_ps={duration_ps}"
                     )
-        if duration_ps < 0:
-            raise ValueError("duration_ps must be >= 0")
+        if not 0 <= duration_ps < 2**63:
+            raise ValueError(f"duration_ps must be in [0, 2^63), got {duration_ps}")
         channels = channels.copy() if channels.flags.writeable else channels
         times = times.copy() if times.flags.writeable else times
         channels.setflags(write=False)
@@ -85,22 +79,11 @@ class TagStream:
     @classmethod
     def from_pairs(cls, pairs, duration_ps, meta=None):
         """Build a stream from an iterable of (channel, t) pairs (must be sorted)."""
-        pairs = list(pairs)
-        if any(not 0 <= p[0] <= CHANNEL_MAX for p in pairs):
-            raise ValueError(f"channel outside [0, {CHANNEL_MAX}]")
-        ch = np.array([p[0] for p in pairs], dtype=np.uint8)
-        t = np.array([p[1] for p in pairs], dtype=np.int64)
-        return cls(ch, t, duration_ps, meta)
+        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls(pairs[:, 0], pairs[:, 1], duration_ps, meta)
 
     def __len__(self):
         return int(self.times.size)
-
-    def __getitem__(self, i):
-        return TimeTag(int(self.channels[i]), int(self.times[i]))
-
-    def __iter__(self):
-        for c, t in zip(self.channels, self.times):
-            yield TimeTag(int(c), int(t))
 
     def __eq__(self, other):
         if not isinstance(other, TagStream):
@@ -172,23 +155,19 @@ def write_tags(stream, path, format=None):
     `format` is "binary", "csv", or None to infer from the file suffix
     (".csv" selects text, anything else binary).
     """
-    fmt = format or ("csv" if str(path).lower().endswith(".csv") else "binary")
-    if fmt == "binary":
-        _write_binary(stream, path)
-    elif fmt == "csv":
-        _write_csv(stream, path)
-    else:
-        raise ValueError(f"unknown timetag format {format!r}")
+    (_write_csv if _is_csv(path, format) else _write_binary)(stream, path)
 
 
 def read_tags(path, format=None):
     """Read a stream from `path` (same format selection as `write_tags`)."""
+    return (_read_csv if _is_csv(path, format) else _read_binary)(path)
+
+
+def _is_csv(path, format):
     fmt = format or ("csv" if str(path).lower().endswith(".csv") else "binary")
-    if fmt == "binary":
-        return _read_binary(path)
-    if fmt == "csv":
-        return _read_csv(path)
-    raise ValueError(f"unknown timetag format {format!r}")
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"unknown timetag format {format!r}")
+    return fmt == "csv"
 
 
 def _write_binary(stream, path):
@@ -237,53 +216,89 @@ def _read_binary(path):
     return stream
 
 
+CSV_HEADER = "channel,timestamp_ps"
+
+
 def _write_csv(stream, path):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# duration_ps={stream.duration_ps}\n")
-        fh.write("channel,timestamp_ps\n")
-        for c, t in zip(stream.channels, stream.times):
-            fh.write(f"{int(c)},{int(t)}\n")
+    write_csv_rows(path, CSV_HEADER,
+                   zip(stream.channels.tolist(), stream.times.tolist()),
+                   comment=f"duration_ps={stream.duration_ps}")
 
 
 def _read_csv(path):
-    duration = None
-    rows = []
-    with open(path, "r", newline="") as fh:
-        header_seen = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "duration_ps=" in line:
-                    try:
-                        duration = int(line.split("duration_ps=")[1].split()[0])
-                    except (IndexError, ValueError) as exc:
-                        raise FormatError(f"{path}:{lineno}: bad duration comment") from exc
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != "channel,timestamp_ps":
-                    raise FormatError(
-                        f"{path}:{lineno}: expected header 'channel,timestamp_ps', got {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                rows.append((int(parts[0]), int(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer field") from exc
-        if not header_seen:
-            raise FormatError(f"{path}: missing 'channel,timestamp_ps' header")
-    ch = np.array([r[0] for r in rows], dtype=np.int64)
-    t = np.array([r[1] for r in rows], dtype=np.int64)
-    if rows and (ch.min() < 0 or ch.max() > CHANNEL_MAX):
-        raise FormatError(f"{path}: channel outside [0, {CHANNEL_MAX}]")
-    if duration is None:
-        duration = int(t[-1]) + 1 if rows else 0
+    meta, rows = read_csv_rows(path, CSV_HEADER)
+    default = int(rows[-1, 1]) + 1 if len(rows) else 0
     try:
-        return TagStream(ch.astype(np.uint8), t, duration)
+        duration = int(meta.get("duration_ps", default))
+        return TagStream(rows[:, 0], rows[:, 1], duration)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_csv_rows(path, header, rows, comment=None):
+    """Write `rows` (tuples of ints or floats) as CSV under `header`,
+    preceded by a ``# comment`` line when one is given."""
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(line % row)
+
+
+def read_csv_rows(path, header, parse_row=None):
+    """Read a CSV file in the layout all text formats share.
+
+    The file is UTF-8.  Blank lines are skipped; ``#`` lines are comments
+    whose ``key=value`` tokens are collected into `meta`.  The first other
+    line must equal `header` (spaces ignored), and every later line must
+    have as many comma-separated fields as the header.  Each row becomes
+    ``parse_row(fields)``; without `parse_row` all fields are integers and
+    the rows come back as an (n, n_fields) int64 array.  Any malformed
+    line or value raises FormatError naming the path and line.
+
+    Returns (meta, rows).
+    """
+    n_fields = header.count(",") + 1
+    meta, cells, linenos = {}, [], []
+    header_seen = False
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    meta.update(t.split("=", 1) for t in line[1:].split() if "=" in t)
+                    continue
+                if not header_seen:
+                    if line.replace(" ", "") != header:
+                        raise ValueError(f"expected header {header!r}, got {line!r}")
+                    header_seen = True
+                    continue
+                fields = line.split(",")
+                if len(fields) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            cells.extend(fields)
+            linenos.append(lineno)
+    if not header_seen:
+        raise FormatError(f"{path}: missing {header!r} header")
+    # convert all rows at once; only a failure goes row by row to name the line
+    parse = parse_row or (lambda fields: np.array(fields, dtype=np.int64))
+    try:
+        if parse_row is None:
+            return meta, parse(cells).reshape(-1, n_fields)
+        return meta, [parse(cells[i:i + n_fields])
+                      for i in range(0, len(cells), n_fields)]
+    except (ValueError, OverflowError):
+        for i, lineno in enumerate(linenos):
+            try:
+                parse(cells[i * n_fields:(i + 1) * n_fields])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            except OverflowError as exc:
+                raise FormatError(f"{path}:{lineno}: value outside int64") from exc
+        raise

@@ -36,6 +36,7 @@ from photon_correlator.analysis import (
     fit_lifetime_xy,
     gaussian_jacobian,
     gaussian_model,
+    side_peak_windows,
 )
 from photon_correlator.nlsq import finite_difference_jacobian
 
@@ -98,6 +99,27 @@ class TestG2Zero:
         hist = self.comb(1, 1)
         with pytest.raises(AnalysisError, match="halfwidth"):
             g2_zero(hist, 1000, integration_halfwidth_ps=600)
+
+    def test_side_peak_windows_nearest_first(self):
+        cfg = HistogramConfig(10, -2500, 3500, Mode.ALL_STOPS)
+        halfwidth, centers = side_peak_windows(cfg, 1000, None, 4)
+        assert halfwidth == 1000 / 2.0 - 10
+        assert centers == [-1000, 1000, -2000, 2000]
+        # only +3000 fits at |k| = 3
+        assert side_peak_windows(cfg, 1000, 400, 5) == (400, [-1000, 1000, -2000,
+                                                              2000, 3000])
+        assert side_peak_windows(cfg, 1000, 400, 3)[1] == [-1000, 1000, -2000]
+
+    def test_side_peak_windows_rejects_bad_input(self):
+        cfg = HistogramConfig(10, -2500, 3500, Mode.ALL_STOPS)
+        with pytest.raises(AnalysisError, match="side-peak windows"):
+            side_peak_windows(cfg, 1000, 400, 6)
+        with pytest.raises(AnalysisError, match="halfwidth"):
+            side_peak_windows(cfg, 1000, 0, 2)
+        with pytest.raises(AnalysisError, match=">= 2"):
+            side_peak_windows(cfg, 1000, None, 1)
+        with pytest.raises(AnalysisError, match="zero-delay"):
+            side_peak_windows(HistogramConfig(10, 0, 5000), 1000, None, 2)
 
     def test_one_sided_histogram(self):
         # all side peaks on the positive side; the range only has to leave
@@ -483,6 +505,19 @@ class TestFitDe:
         path = tmp_path / "s.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(FormatError, match="header"):
+            read_de_sweep(path)
+
+    @pytest.mark.parametrize("mu, rate", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                          (1.0, float("nan")), (1.0, float("inf")),
+                                          (-1.0, 1.0), (1.0, -1.0)])
+    def test_point_rejects_non_finite_and_negative(self, mu, rate):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            DECalibrationPoint(mu, rate)
+
+    def test_sweep_csv_non_finite(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("mu,rate_hz\n0.1,5\n1e999,1\n")
+        with pytest.raises(FormatError, match=":3: mu must be finite"):
             read_de_sweep(path)
 
 

@@ -180,6 +180,21 @@ class TestSimulateHbt:
         assert not out.exists()
         assert "side-peak windows" in capsys.readouterr().err
 
+    def test_bad_halfwidth_fails_before_simulating(self, tmp_path, capsys):
+        # 7000 ps is above half the 82 MHz period (6098 ps)
+        cfg = write_cfg(tmp_path, HBT_CFG + "integration_halfwidth_ps = 7000\n")
+        out = tmp_path / "out"
+        assert main(["simulate-hbt", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "integration_halfwidth_ps" in capsys.readouterr().err
+
+    def test_effective_config_echoes_resolved_halfwidth(self, tmp_path):
+        cfg = write_cfg(tmp_path, HBT_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate-hbt", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "effective_config.cfg").read_text()
+        assert f"integration_halfwidth_ps = {1e12 / 82e6 / 2.0 - 32!r}" in text
+
 
 class TestSimulateTcspc:
     def test_lifetime_run(self, tmp_path, capsys):
@@ -251,6 +266,25 @@ class TestSimulateDeSweep:
         out = tmp_path / "out"
         assert main(["simulate-de-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["", ",", " , "])
+    def test_empty_mu_option_is_usage_error(self, tmp_path, capsys, mu):
+        cfg = write_cfg(tmp_path, DE_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate-de-sweep", "--config", cfg, "--out", str(out),
+                     "--mu", mu]) == 2
+        assert not out.exists()
+        assert "no mu values" in capsys.readouterr().err
+
+    def test_non_numeric_mu_option_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, DE_CFG)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-de-sweep", "--config", cfg, "--out", str(out),
+                  "--mu", "0.1,x"])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "--mu" in capsys.readouterr().err
 
     def test_mu_above_source_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, DE_CFG)
@@ -387,6 +421,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("format error: cannot read ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_non_utf8_histogram_is_format_error(self, tmp_path, capsys):
+        path = self.comb_csv(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"10510,\xff\n")
+        assert main(["analyze", "g2", "--hist", path,
+                     "--rep-period-ps", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ")
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("row", ["nan,1", "1,inf"])
+    def test_non_finite_sweep_is_format_error(self, tmp_path, capsys, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text(f"mu,rate_hz\n0.01,510\n0.1,600\n{row}\n10,5000\n")
+        assert main(["analyze", "de", "--sweep", str(path), "--f-hz", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("format error: ") and ":4: " in err
 
     def test_bad_histogram_comment_exit_code(self, tmp_path, capsys):
         path = tmp_path / "h.csv"

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from photon_correlator import (
@@ -166,3 +169,18 @@ def test_detector_name_restricted_to_filename_safe():
     bad = GOOD.replace("[detector.APD]", "[detector.A/PD]")
     with pytest.raises(ConfigError, match="detector name"):
         parse_config_text(bad)
+
+
+def test_readme_hbt_example_loads():
+    # the README's full HBT block, inline comments included, is meant to be
+    # copied as-is
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"A full HBT example:\s*```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config_text(block)
+    assert cfg.n_pulses == 10_000_000
+    assert isinstance(cfg.source, PulsedSourceModel)
+    assert cfg.splitter.transmission == 0.5
+    assert cfg.correlator.range_max_ps == 128_064
+    assert cfg.correlator.mode is Mode.ALL_STOPS
+    assert (cfg.hbt.start, cfg.hbt.stop) == ("APD", "SSPD")
+    assert cfg.g2.n_side_peaks == 20

@@ -293,6 +293,8 @@ class TestHistogramCsv:
         ("# n_starts=10 bin_width_ps=1.5", "non-integer"),
         ("# n_starts= bin_width_ps=10", "non-integer"),
         ("# n_starts=-5 bin_width_ps=10", "n_starts must be >= 0"),
+        ("# n_starts=10 bin_width_ps=99999999999999999999", "out-of-range"),
+        ("# n_starts=99999999999999999999 bin_width_ps=10", "out-of-range"),
     ])
     @pytest.mark.parametrize("n_rows", [1, 2])
     def test_bad_comment_values(self, tmp_path, comment, match, n_rows):
@@ -300,6 +302,13 @@ class TestHistogramCsv:
         rows = "".join(f"{10 * i},1\n" for i in range(n_rows))
         path.write_text(f"{comment}\nbin_start_ps,count\n{rows}")
         with pytest.raises(FormatError, match=match):
+            read_histogram_csv(path)
+
+    def test_count_above_int64(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("# n_starts=1 bin_width_ps=10\nbin_start_ps,count\n"
+                        "0,1\n10,99999999999999999999\n")
+        with pytest.raises(FormatError, match=r"h\.csv:4: value outside int64"):
             read_histogram_csv(path)
 
     def test_zero_starts_accepted(self, tmp_path):

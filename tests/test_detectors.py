@@ -174,3 +174,15 @@ class TestBiasCurve:
         from photon_correlator import FormatError
         with pytest.raises(FormatError, match="header"):
             read_bias_curve(path)
+
+    @pytest.mark.parametrize("dark", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_dark_rate_rejected(self, dark):
+        with pytest.raises(ValueError, match="dark_rate_hz must be finite"):
+            BiasCurvePoint(0.7, 0.1, dark)
+
+    def test_csv_non_finite_dark_rate(self, tmp_path):
+        path = tmp_path / "bias.csv"
+        path.write_text("bias_fraction,efficiency,dark_rate_hz\n0.7,0.1,nan\n")
+        from photon_correlator import FormatError
+        with pytest.raises(FormatError, match=":2: dark_rate_hz"):
+            read_bias_curve(path)

@@ -4,7 +4,6 @@ import pytest
 from photon_correlator import (
     FormatError,
     TagStream,
-    TimeTag,
     filter_channel,
     merge_streams,
     read_tags,
@@ -12,6 +11,10 @@ from photon_correlator import (
 )
 
 from conftest import random_stream
+
+
+def pairs(stream):
+    return list(zip(stream.channels.tolist(), stream.times.tolist()))
 
 
 def test_stream_rejects_unsorted_and_names_index():
@@ -49,7 +52,7 @@ def test_merge_channel_tie_break():
     a = TagStream.from_pairs([(0, 5)], 10)
     b = TagStream.from_pairs([(1, 5)], 10)
     merged = merge_streams([b, a])
-    assert [(t.channel, t.t) for t in merged] == [(0, 5), (1, 5)]
+    assert pairs(merged) == [(0, 5), (1, 5)]
 
 
 def test_merge_matches_concat_sort_oracle(rng):
@@ -85,7 +88,7 @@ def test_merge_meta_later_precedence():
 def test_filter_channel_basic():
     s = TagStream.from_pairs([(0, 1), (1, 2), (0, 3)], 10)
     f = filter_channel(s, 0)
-    assert [(t.channel, t.t) for t in f] == [(0, 1), (0, 3)]
+    assert pairs(f) == [(0, 1), (0, 3)]
     assert len(filter_channel(TagStream.empty(5), 0)) == 0
 
 
@@ -178,10 +181,6 @@ def test_round_trip_many_random_streams(tmp_path):
         assert read_tags(path) == s
 
 
-def test_timetag_sort_key():
-    assert TimeTag(3, 7).sort_key() == (7, 3)
-
-
 def test_meta_excluded_from_equality():
     a = TagStream.from_pairs([(0, 1)], 10, meta={"x": "1"})
     b = TagStream.from_pairs([(0, 1)], 10, meta={"x": "2"})
@@ -192,3 +191,37 @@ def test_arrays_are_read_only(rng):
     s = random_stream(rng, 10, 1000)
     with pytest.raises(ValueError):
         s.times[0] = 0
+
+
+def test_stream_rejects_out_of_range_channel_array():
+    # a channel above 255 must not wrap (300 would become 44 as uint8)
+    with pytest.raises(ValueError, match="channel outside"):
+        TagStream(np.array([300]), [1], 10)
+    with pytest.raises(ValueError, match="channel outside"):
+        TagStream(np.array([-1]), [1], 10)
+
+
+def test_csv_channel_out_of_range(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_text("channel,timestamp_ps\n300,1\n")
+    with pytest.raises(FormatError, match="channel outside"):
+        read_tags(path)
+
+
+def test_csv_timestamp_above_int64(tmp_path):
+    path = tmp_path / "tags.csv"
+    path.write_text("channel,timestamp_ps\n0,1\n\n0,99999999999999999999\n")
+    with pytest.raises(FormatError, match=r"tags\.csv:4: value outside int64"):
+        read_tags(path)
+
+
+@pytest.mark.parametrize("duration, match", [
+    ("soon", "soon"),
+    ("-1", "duration_ps must be in"),
+    ("99999999999999999999", "duration_ps must be in"),
+])
+def test_csv_bad_duration_comment(tmp_path, duration, match):
+    path = tmp_path / "tags.csv"
+    path.write_text(f"# duration_ps={duration}\nchannel,timestamp_ps\n")
+    with pytest.raises(FormatError, match=match):
+        read_tags(path)
