@@ -11,6 +11,7 @@ from .analysis import (
     DECalibrationPoint,
     DEFit,
     G2Estimate,
+    IrfFit,
     LifetimeFit,
     de_model,
     decay_model,
@@ -72,6 +73,7 @@ __all__ = [
     "G2Estimate",
     "Histogram",
     "HistogramConfig",
+    "IrfFit",
     "LifetimeFit",
     "Mode",
     "PoissonLaserModel",

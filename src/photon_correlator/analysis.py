@@ -15,6 +15,7 @@ for 1/max(count, 1) Poisson weighting.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import erfc, erfcx
@@ -73,6 +74,16 @@ class LifetimeFit:
             "converged": self.converged,
             "iterations": self.iterations,
         }
+
+
+class IrfFit(NamedTuple):
+    """Gaussian IRF fit; unpacks as (fwhm_ps, center_ps)."""
+
+    irf_fwhm_ps: float
+    irf_center_ps: float
+
+    def record(self):
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -431,8 +442,8 @@ def gaussian_jacobian(t_ps, amplitude, center_ps, sigma_ps, baseline):
 def measure_irf(hist):
     """Gaussian least-squares fit of a single-peak histogram.
 
-    Returns (fwhm_ps, center_ps).  Raises AnalysisError when the fit does
-    not converge or collapses to a non-peak.
+    Returns an IrfFit (fwhm_ps, center_ps).  Raises AnalysisError when the
+    fit does not converge or collapses to a non-peak.
     """
     x = hist.bin_centers()
     y = hist.counts.astype(float)
@@ -463,7 +474,7 @@ def measure_irf(hist):
     amp_fit, center_fit, sigma_fit = res.params[0], res.params[1], abs(res.params[2])
     if not res.converged or amp_fit <= 0 or sigma_fit <= 0:
         raise AnalysisError("Gaussian IRF fit failed to converge on a peak")
-    return sigma_to_fwhm(float(sigma_fit)), float(center_fit)
+    return IrfFit(sigma_to_fwhm(float(sigma_fit)), float(center_fit))
 
 
 # ---------------------------------------------------------------------------

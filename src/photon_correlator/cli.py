@@ -7,6 +7,7 @@ cannot use).
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .analysis import fit_de, fit_lifetime, g2_zero, measure_irf, read_de_sweep
 from .config import load_config, parse_float_list
@@ -79,11 +80,12 @@ def build_parser():
 
 
 def _load_run_config(args):
+    """The --config file with the --seed and --mu overrides applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
         cfg = cfg.with_seed(args.seed)
+    if getattr(args, "mu", None) is not None and cfg.de_sweep is not None:
+        cfg = replace(cfg, de_sweep=replace(cfg.de_sweep, mu_values=args.mu))
     return cfg
 
 
@@ -91,34 +93,21 @@ def _print_record(record):
     sys.stdout.write(format_record(record))
 
 
-def _cmd_simulate_hbt(args):
-    cfg = _load_run_config(args)
-    result = run_hbt(cfg)
-    paths = write_hbt_artifacts(result, args.out)
-    _print_record(result.estimate.record())
+SIMULATIONS = {
+    "simulate-hbt": (run_hbt, write_hbt_artifacts),
+    "simulate-tcspc": (run_tcspc, write_tcspc_artifacts),
+    "simulate-de-sweep": (run_de_sweep, write_de_sweep_artifacts),
+}
+
+
+def _cmd_simulate(args):
+    run, write = SIMULATIONS[args.command]
+    result = run(_load_run_config(args))
+    paths = write(result, args.out)
+    record = result.record()
+    _print_record(record)
     print(f"wrote {len(paths)} files to {args.out}")
-    return EXIT_OK
-
-
-def _cmd_simulate_tcspc(args):
-    cfg = _load_run_config(args)
-    result = run_tcspc(cfg)
-    paths = write_tcspc_artifacts(result, args.out)
-    if result.irf is not None:
-        _print_record({"irf_fwhm_ps": result.irf[0], "irf_center_ps": result.irf[1]})
-    else:
-        _print_record(result.fit.record())
-    print(f"wrote {len(paths)} files to {args.out}")
-    return EXIT_FIT if result.fit is not None and not result.fit.converged else EXIT_OK
-
-
-def _cmd_simulate_de_sweep(args):
-    cfg = _load_run_config(args)
-    result = run_de_sweep(cfg, args.mu)
-    paths = write_de_sweep_artifacts(result, args.out)
-    _print_record(result.fit.record())
-    print(f"wrote {len(paths)} files to {args.out}")
-    return EXIT_OK if result.fit.converged else EXIT_FIT
+    return EXIT_OK if record.get("converged", True) else EXIT_FIT
 
 
 def _read_input(reader, path):
@@ -145,22 +134,16 @@ def _cmd_analyze(args):
         fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps, weighted=args.weighted)
         _print_record(fit.record())
         return EXIT_OK if fit.converged else EXIT_FIT
-    fwhm, center = measure_irf(hist)
-    _print_record({"irf_fwhm_ps": fwhm, "irf_center_ps": center})
+    _print_record(measure_irf(hist).record())
     return EXIT_OK
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate-hbt": _cmd_simulate_hbt,
-        "simulate-tcspc": _cmd_simulate_tcspc,
-        "simulate-de-sweep": _cmd_simulate_de_sweep,
-        "analyze": _cmd_analyze,
-    }
+    handler = _cmd_analyze if args.command == "analyze" else _cmd_simulate
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,17 +27,25 @@ Example::
     stop = SSPD
 
 Sections beyond [run] and [source] are required only by the commands that
-use them; validation reports the full field path of any offending key.
+use them.  Each section is read into the dataclass it configures: a key
+names a field, its value is parsed by the field's type, a field without
+default is a required key, and a key or section that names nothing is an
+error.  Every error reports the full path of the offending key.
+`format_config` writes a config back in the same layout.
 """
 
 import configparser
-from dataclasses import dataclass, field, replace
+import enum
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_args
 
 from .correlator import HistogramConfig, Mode
 from .detectors import DetectorModel
 from .errors import ConfigError
 from .optics import SplitRatio
 from .sources import PoissonLaserModel, PulsedSourceModel, solve_photon_stats
+
+DEFAULT_BIN_WIDTH_PS = 32
 
 
 @dataclass(frozen=True)
@@ -52,12 +60,22 @@ class TcspcSettings:
     clock_delay_ps: int | None = None
     analysis: str = "lifetime"  # "lifetime" or "irf"
 
+    def __post_init__(self):
+        if self.analysis not in ("lifetime", "irf"):
+            raise ConfigError(
+                f"tcspc.analysis: expected 'lifetime' or 'irf', got {self.analysis!r}"
+            )
+
 
 @dataclass(frozen=True)
 class DeSweepSettings:
     detector: str
-    mu_values: tuple = ()
+    mu_values: tuple = field(default=(), metadata={"key": "mu"})
     pulses_per_point: int = 1_000_000
+
+    def __post_init__(self):
+        if self.pulses_per_point <= 0:
+            raise ConfigError("de_sweep.pulses_per_point: must be > 0")
 
 
 @dataclass(frozen=True)
@@ -65,6 +83,10 @@ class G2Settings:
     n_side_peaks: int = 20
     integration_halfwidth_ps: float | None = None
     rep_period_ps: float | None = None
+
+    def __post_init__(self):
+        if self.n_side_peaks < 2:
+            raise ConfigError("g2.n_side_peaks: must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -94,6 +116,19 @@ class RunConfig:
     lifetime: LifetimeSettings = LifetimeSettings()
     de: DeSettings = DeSettings()
 
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"run.seed: must be in [0, 2^64), got {self.seed}")
+        if self.n_pulses < 0:
+            raise ConfigError("run.n_pulses: must be >= 0")
+        if self.hbt is not None:
+            self.detector(self.hbt.start, "hbt.start")
+            self.detector(self.hbt.stop, "hbt.stop")
+        if self.tcspc is not None:
+            self.detector(self.tcspc.detector, "tcspc.detector")
+        if self.de_sweep is not None:
+            self.detector(self.de_sweep.detector, "de_sweep.detector")
+
     def with_seed(self, seed):
         return replace(self, seed=int(seed))
 
@@ -107,70 +142,92 @@ class RunConfig:
             ) from None
 
 
-class _Section:
-    """A config section with typed, path-reporting accessors."""
-
-    def __init__(self, parser, name):
-        self.name = name
-        self._data = dict(parser[name]) if parser.has_section(name) else None
-
-    @property
-    def present(self):
-        return self._data is not None
-
-    def keys(self):
-        return set(self._data or {})
-
-    def raw(self, key, default=None):
-        if self._data is None:
-            return default
-        return self._data.get(key, default)
-
-    def _convert(self, key, conv, default, required, kind):
-        value = self.raw(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"{self.name}.{key}: required key missing")
-            return default
-        try:
-            return conv(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"{self.name}.{key}: expected {kind}, got {value!r}"
-            ) from None
-
-    def get_float(self, key, default=None, required=False):
-        return self._convert(key, float, default, required, "a number")
-
-    def get_int(self, key, default=None, required=False):
-        def conv(v):
-            f = float(v)
-            if f != int(f):
-                raise ValueError
-            return int(f)
-        return self._convert(key, conv, default, required, "an integer")
-
-    def get_str(self, key, default=None, required=False):
-        return self._convert(key, str, default, required, "a string")
-
-    def get_bool(self, key, default=False):
-        def conv(v):
-            s = v.strip().lower()
-            if s in ("true", "1", "yes", "on"):
-                return True
-            if s in ("false", "0", "no", "off"):
-                return False
-            raise ValueError
-        return self._convert(key, conv, default, False, "a boolean")
-
-    def get_float_list(self, key, default=None):
-        return self._convert(key, parse_float_list, default, False,
-                             "a comma-separated list")
+# [section] -> the settings class it configures, kept in the RunConfig field
+# of the same name
+_SETTINGS = {
+    "splitter": SplitRatio,
+    "hbt": HbtSettings,
+    "tcspc": TcspcSettings,
+    "de_sweep": DeSweepSettings,
+    "g2": G2Settings,
+    "lifetime": LifetimeSettings,
+    "de": DeSettings,
+}
 
 
 def parse_float_list(text):
     """'0.01, 0.1,1' -> (0.01, 0.1, 1.0); empty items are skipped."""
     return tuple(float(x) for x in text.replace(" ", "").split(",") if x)
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)  # also accepts 1e6
+        if not value.is_integer():
+            raise
+        return int(value)
+
+
+# field type -> (parser of the value text, what the text must be)
+_PARSERS = {
+    int: (_parse_int, "an integer"),
+    float: (float, "a number"),
+    bool: (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+           "a boolean"),
+    str: (str, "a string"),
+    tuple: (parse_float_list, "a comma-separated list"),
+    Mode: (Mode.parse, "FIRST_STOP or ALL_STOPS"),
+}
+
+
+def _checked(where, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError reported as a ConfigError at `where`."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+class _Section:
+    """The keys of one config section, each taken once and parsed by type."""
+
+    def __init__(self, name, raw):
+        self.name = name
+        self.raw = dict(raw)
+
+    def take(self, key, kind, default=MISSING):
+        if key not in self.raw:
+            if default is MISSING:
+                raise ConfigError(f"{self.name}.{key}: required key missing")
+            return default
+        text = self.raw.pop(key)
+        parse, what = _PARSERS[kind]
+        try:
+            return parse(text)
+        except (KeyError, ValueError):
+            raise ConfigError(
+                f"{self.name}.{key}: expected {what}, got {text!r}"
+            ) from None
+
+    def build(self, cls, **given):
+        """A `cls` whose fields not in `given` come from the keys of the same
+        name (or of the field's metadata "key"); keys left over are errors."""
+        for f in fields(cls):
+            if f.name not in given:
+                kind = next(t for t in get_args(f.type) or (f.type,)
+                            if t is not type(None))
+                given[f.name] = self.take(f.metadata.get("key", f.name), kind,
+                                          f.default)
+        self.done()
+        return _checked(self.name, cls, **given)
+
+    def done(self):
+        if self.raw:
+            raise ConfigError(f"{self.name}.{next(iter(self.raw))}: unknown key")
 
 
 def parse_config_text(text, origin="<config>"):
@@ -181,113 +238,35 @@ def parse_config_text(text, origin="<config>"):
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
+    sections = {name: _Section(name, parser[name]) for name in parser.sections()}
 
-    run = _Section(parser, "run")
-    if not run.present:
+    run = sections.pop("run", None)
+    if run is None:
         raise ConfigError("run: section missing")
-    seed = run.get_int("seed", required=True)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"run.seed: must be in [0, 2^64), got {seed}")
-    n_pulses = run.get_int("n_pulses", required=True)
-    if n_pulses < 0:
-        raise ConfigError("run.n_pulses: must be >= 0")
-
-    source = _parse_source(_Section(parser, "source"))
+    seed = run.take("seed", int)
+    n_pulses = run.take("n_pulses", int)
+    run.done()
+    if "source" not in sections:
+        raise ConfigError("source: section missing (exactly one source block required)")
+    source = _parse_source(sections.pop("source"))
 
     detectors = {}
-    for section in parser.sections():
-        if not section.startswith("detector."):
-            continue
+    for section in [s for s in sections if s.startswith("detector.")]:
         name = section.split(".", 1)[1]
         # names become output file names (detections_<NAME>.ttag)
         if not name or not all(c.isalnum() or c in "_-" for c in name):
             raise ConfigError(
                 f"{section}: detector name must be nonempty [A-Za-z0-9_-]"
             )
-        sec = _Section(parser, section)
-        try:
-            detectors[name] = DetectorModel(
-                name=name,
-                efficiency=sec.get_float("efficiency", required=True),
-                dark_rate_hz=sec.get_float("dark_rate_hz", 0.0),
-                jitter_fwhm_ps=sec.get_float("jitter_fwhm_ps", 0.0),
-                dead_time_ps=sec.get_int("dead_time_ps", 0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-
-    splitter = SplitRatio(0.5)
-    split_sec = _Section(parser, "splitter")
-    if split_sec.present:
-        try:
-            splitter = SplitRatio(split_sec.get_float("transmission", required=True))
-        except ValueError as exc:
-            raise ConfigError(f"splitter.transmission: {exc}") from exc
-
-    correlator = _parse_correlator(_Section(parser, "correlator"))
-
-    hbt = None
-    hbt_sec = _Section(parser, "hbt")
-    if hbt_sec.present:
-        hbt = HbtSettings(
-            start=hbt_sec.get_str("start", required=True),
-            stop=hbt_sec.get_str("stop", required=True),
-        )
-
-    tcspc = None
-    tcspc_sec = _Section(parser, "tcspc")
-    if tcspc_sec.present:
-        analysis = tcspc_sec.get_str("analysis", "lifetime")
-        if analysis not in ("lifetime", "irf"):
-            raise ConfigError(
-                f"tcspc.analysis: expected 'lifetime' or 'irf', got {analysis!r}"
-            )
-        tcspc = TcspcSettings(
-            detector=tcspc_sec.get_str("detector", required=True),
-            clock_delay_ps=tcspc_sec.get_int("clock_delay_ps", None),
-            analysis=analysis,
-        )
-
-    de_sweep = None
-    sweep_sec = _Section(parser, "de_sweep")
-    if sweep_sec.present:
-        pulses = sweep_sec.get_int("pulses_per_point", 1_000_000)
-        if pulses <= 0:
-            raise ConfigError("de_sweep.pulses_per_point: must be > 0")
-        de_sweep = DeSweepSettings(
-            detector=sweep_sec.get_str("detector", required=True),
-            mu_values=sweep_sec.get_float_list("mu", ()),
-            pulses_per_point=pulses,
-        )
-
-    g2_sec = _Section(parser, "g2")
-    g2 = G2Settings(
-        n_side_peaks=g2_sec.get_int("n_side_peaks", 20),
-        integration_halfwidth_ps=g2_sec.get_float("integration_halfwidth_ps", None),
-        rep_period_ps=g2_sec.get_float("rep_period_ps", None),
-    )
-    if g2.n_side_peaks < 2:
-        raise ConfigError("g2.n_side_peaks: must be >= 2")
-
-    life_sec = _Section(parser, "lifetime")
-    lifetime = LifetimeSettings(
-        fix_sigma_ps=life_sec.get_float("fix_sigma_ps", None),
-        weighted=life_sec.get_bool("weighted", False),
-    )
-
-    de_sec = _Section(parser, "de")
-    de = DeSettings(
-        f_hz=de_sec.get_float("f_hz", None),
-        weighted=de_sec.get_bool("weighted", False),
-    )
-
-    cfg = RunConfig(
-        seed=seed, n_pulses=n_pulses, source=source, detectors=detectors,
-        splitter=splitter, correlator=correlator, hbt=hbt, tcspc=tcspc,
-        de_sweep=de_sweep, g2=g2, lifetime=lifetime, de=de,
-    )
-    _check_references(cfg)
-    return cfg
+        detectors[name] = sections.pop(section).build(DetectorModel, name=name)
+    correlator = (_parse_correlator(sections.pop("correlator"))
+                  if "correlator" in sections else None)
+    settings = {name: sections.pop(name).build(cls)
+                for name, cls in _SETTINGS.items() if name in sections}
+    if sections:
+        raise ConfigError(f"{next(iter(sections))}: unknown section")
+    return RunConfig(seed, n_pulses, source, detectors, correlator=correlator,
+                     **settings)
 
 
 def load_config(path):
@@ -300,86 +279,78 @@ def load_config(path):
 
 
 def _parse_source(sec):
-    if not sec.present:
-        raise ConfigError("source: section missing (exactly one source block required)")
-    kind = sec.get_str("type", required=True)
-    if kind == "dot":
-        rep = sec.get_float("rep_rate_hz", required=True)
-        lifetime = sec.get_float("lifetime_ps", required=True)
-        wavelength = sec.get_float("wavelength_nm", 902.0)
-        explicit = {"p0", "p1", "p2"} & sec.keys()
-        derived = {"g2_target", "mean_n"} & sec.keys()
-        if explicit and derived:
-            raise ConfigError(
-                "source: give either p0/p1/p2 or g2_target+mean_n, not both"
-            )
-        if explicit:
-            dist = (
-                sec.get_float("p0", required=True),
-                sec.get_float("p1", required=True),
-                sec.get_float("p2", required=True),
-            )
-        elif derived:
-            try:
-                dist = solve_photon_stats(
-                    sec.get_float("g2_target", required=True),
-                    sec.get_float("mean_n", required=True),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"source: {exc}") from exc
-        else:
-            raise ConfigError("source: photon statistics missing "
-                              "(p0/p1/p2 or g2_target+mean_n)")
-        try:
-            return PulsedSourceModel(rep, lifetime, dist, wavelength)
-        except ValueError as exc:
-            raise ConfigError(f"source: {exc}") from exc
+    """[source] is the laser's fields, or the dot's with its photon statistics
+    given as p0/p1/p2 or as g2_target + mean_n."""
+    kind = sec.take("type", str)
     if kind == "laser":
-        try:
-            return PoissonLaserModel(
-                rep_rate_hz=sec.get_float("rep_rate_hz", required=True),
-                mu=sec.get_float("mu", required=True),
-                wavelength_nm=sec.get_float("wavelength_nm", 1550.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"source: {exc}") from exc
-    raise ConfigError(f"source.type: expected 'dot' or 'laser', got {kind!r}")
+        return sec.build(PoissonLaserModel)
+    if kind != "dot":
+        raise ConfigError(f"source.type: expected 'dot' or 'laser', got {kind!r}")
+    explicit = {"p0", "p1", "p2"} & sec.raw.keys()
+    derived = {"g2_target", "mean_n"} & sec.raw.keys()
+    if explicit and derived:
+        raise ConfigError("source: give either p0/p1/p2 or g2_target+mean_n, not both")
+    if explicit:
+        dist = tuple(sec.take(key, float) for key in ("p0", "p1", "p2"))
+    elif derived:
+        g2_target, mean_n = sec.take("g2_target", float), sec.take("mean_n", float)
+        dist = _checked("source", solve_photon_stats, g2_target, mean_n)
+    else:
+        raise ConfigError("source: photon statistics missing "
+                          "(p0/p1/p2 or g2_target+mean_n)")
+    return sec.build(PulsedSourceModel, photon_dist=dist)
 
 
 def _parse_correlator(sec):
-    if not sec.present:
-        return None
-    bin_width = sec.get_int("bin_width_ps", 32)
-    try:
-        mode = Mode.parse(sec.get_str("mode", "ALL_STOPS"))
-    except ValueError as exc:
-        raise ConfigError(f"correlator.mode: {exc}") from exc
-    halfwidth = sec.get_int("range_halfwidth_ps", None)
-    rmin = sec.get_int("range_min_ps", None)
-    rmax = sec.get_int("range_max_ps", None)
-    try:
-        if halfwidth is not None:
-            if rmin is not None or rmax is not None:
-                raise ConfigError(
-                    "correlator: give range_halfwidth_ps or range_min_ps/"
-                    "range_max_ps, not both"
-                )
-            return HistogramConfig.symmetric(halfwidth, bin_width, mode)
-        if rmin is None or rmax is None:
-            raise ConfigError(
-                "correlator: need range_halfwidth_ps or both range_min_ps "
-                "and range_max_ps"
-            )
-        return HistogramConfig(bin_width, rmin, rmax, mode)
-    except ValueError as exc:
-        raise ConfigError(f"correlator: {exc}") from exc
+    """[correlator] gives its range as range_min_ps/range_max_ps, or as
+    range_halfwidth_ps for a symmetric window."""
+    bin_width = sec.take("bin_width_ps", int, DEFAULT_BIN_WIDTH_PS)
+    halfwidth = sec.take("range_halfwidth_ps", int, None)
+    if halfwidth is None:
+        return sec.build(HistogramConfig, bin_width_ps=bin_width)
+    if {"range_min_ps", "range_max_ps"} & sec.raw.keys():
+        raise ConfigError("correlator: give range_halfwidth_ps or range_min_ps/"
+                          "range_max_ps, not both")
+    mode = sec.take("mode", Mode, Mode.ALL_STOPS)
+    sec.done()
+    return _checked("correlator", HistogramConfig.symmetric, halfwidth, bin_width, mode)
 
 
-def _check_references(cfg):
-    if cfg.hbt is not None:
-        cfg.detector(cfg.hbt.start, "hbt.start")
-        cfg.detector(cfg.hbt.stop, "hbt.stop")
-    if cfg.tcspc is not None:
-        cfg.detector(cfg.tcspc.detector, "tcspc.detector")
-    if cfg.de_sweep is not None:
-        cfg.detector(cfg.de_sweep.detector, "de_sweep.detector")
+def format_value(value):
+    """Config and record value text; floats by repr, so they read back exactly."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    if isinstance(value, enum.Enum):
+        return value.name
+    return str(value)
+
+
+def _section_text(name, settings, skip=(), **first):
+    """`[name]`, the `first` keys, then a key for each field of `settings`
+    not in `skip`; a None field is unset and left out."""
+    lines = [f"[{name}]"] + [f"{key} = {format_value(v)}" for key, v in first.items()]
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.name not in skip and value is not None:
+            lines.append(f"{f.metadata.get('key', f.name)} = {format_value(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def format_config(cfg):
+    """INI text of every section of `cfg`; parse_config_text reads it back
+    to an equal config."""
+    source = cfg.source
+    kind = {PulsedSourceModel: "dot", PoissonLaserModel: "laser"}[type(source)]
+    stats = dict(zip(("p0", "p1", "p2"), getattr(source, "photon_dist", ())))
+    parts = [f"[run]\nseed = {cfg.seed}\nn_pulses = {cfg.n_pulses}\n",
+             _section_text("source", source, ("photon_dist",), type=kind, **stats)]
+    parts += [_section_text(f"detector.{name}", model, ("name",))
+              for name, model in sorted(cfg.detectors.items())]
+    for name in ("correlator", *_SETTINGS):
+        if getattr(cfg, name) is not None:
+            parts.append(_section_text(name, getattr(cfg, name)))
+    return "\n".join(parts)

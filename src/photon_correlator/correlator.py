@@ -63,6 +63,8 @@ class HistogramConfig:
     def symmetric(cls, halfwidth_ps, bin_width_ps, mode=Mode.ALL_STOPS):
         """A [-H, +H) window with H rounded up to a whole number of bins."""
         bin_width_ps = int(bin_width_ps)
+        if bin_width_ps <= 0:
+            raise ValueError("bin_width_ps must be > 0")
         half_bins = -(-int(halfwidth_ps) // bin_width_ps)
         h = half_bins * bin_width_ps
         return cls(bin_width_ps, -h, h, mode)

@@ -43,8 +43,8 @@ class DetectorModel:
 
     name: str
     efficiency: float
-    dark_rate_hz: float
-    jitter_fwhm_ps: float
+    dark_rate_hz: float = 0.0
+    jitter_fwhm_ps: float = 0.0
     dead_time_ps: int = 0
 
     def __post_init__(self):

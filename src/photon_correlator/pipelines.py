@@ -6,6 +6,11 @@ from the single top-level seed through stage-name-hashed sub-seeds
 rerunning a command with the same seed reproduces every output file byte
 for byte, and adding a stage never perturbs the draws of existing ones.
 
+Each recipe returns, as `result.config`, the config it ran with every
+default it resolved filled in (correlator, g2 windows, clock delay, DE
+drive frequency); the effective_config.cfg written from it reruns to the
+same data.
+
 Detector output channels are assigned from the alphabetical order of the
 configured detector names (1, 2, ...); channel 0 is the source and 255
 the sync clock.
@@ -24,7 +29,7 @@ from .analysis import (
     side_peak_windows,
     write_de_sweep,
 )
-from .config import RunConfig
+from .config import DEFAULT_BIN_WIDTH_PS, RunConfig, format_config, format_value
 from .correlator import (
     Histogram,
     HistogramConfig,
@@ -48,10 +53,10 @@ from .sources import (
 )
 from .timetags import write_tags
 
-DEFAULT_BIN_WIDTH_PS = 32
-
 
 def _emit_source(cfg, n_pulses, seed):
+    # the emit_* names are looked up in this module at call time, where
+    # perfbench/traced.py wraps them
     if isinstance(cfg.source, PulsedSourceModel):
         return emit_dot_pulse_train(cfg.source, n_pulses, seed)
     return emit_laser_pulse_train(cfg.source, n_pulses, seed)
@@ -84,13 +89,13 @@ def _tcspc_correlator_config(cfg):
 @dataclass(frozen=True)
 class HbtResult:
     config: RunConfig
-    correlator_config: HistogramConfig
-    rep_period_ps: float
     start_detections: object
     stop_detections: object
     histogram: Histogram
     estimate: object
-    integration_halfwidth_ps: float
+
+    def record(self):
+        return self.estimate.record()
 
 
 def run_hbt(cfg):
@@ -108,6 +113,9 @@ def run_hbt(cfg):
                                          cfg.g2.n_side_peaks)
     except AnalysisError as exc:
         raise ConfigError(f"g2: {exc}") from exc
+    cfg = replace(cfg, correlator=corr_cfg,
+                  g2=replace(cfg.g2, rep_period_ps=rep_period,
+                             integration_halfwidth_ps=halfwidth))
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
     arm_a, arm_b = beamsplit(source_stream, cfg.splitter,
                              derive_seed(cfg.seed, "splitter"))
@@ -122,8 +130,7 @@ def run_hbt(cfg):
     hist = tac_histogram(starts, stops, corr_cfg)
     estimate = g2_zero(hist, rep_period, integration_halfwidth_ps=halfwidth,
                        n_side_peaks=cfg.g2.n_side_peaks)
-    return HbtResult(cfg, corr_cfg, rep_period, starts, stops, hist, estimate,
-                     halfwidth)
+    return HbtResult(cfg, starts, stops, hist, estimate)
 
 
 def write_hbt_artifacts(result, out_dir):
@@ -139,15 +146,8 @@ def write_hbt_artifacts(result, out_dir):
         paths[f"timetags_{label}"] = path
     paths["histogram"] = os.path.join(out_dir, "histogram.csv")
     write_histogram_csv(result.histogram, paths["histogram"])
-    paths.update(_write_record(result.estimate.record(), out_dir, "g2"))
-    paths["config"] = _write_effective_config(cfg, out_dir, extra={
-        "correlator": _correlator_lines(result.correlator_config),
-        "g2": {
-            "rep_period_ps": result.rep_period_ps,
-            "n_side_peaks": cfg.g2.n_side_peaks,
-            "integration_halfwidth_ps": result.integration_halfwidth_ps,
-        },
-    })
+    paths.update(_write_record(result.record(), out_dir, "g2"))
+    paths["config"] = _write_effective_config(cfg, out_dir)
     return paths
 
 
@@ -158,11 +158,11 @@ def write_hbt_artifacts(result, out_dir):
 @dataclass(frozen=True)
 class TcspcResult:
     config: RunConfig
-    correlator_config: HistogramConfig
-    clock_delay_ps: int
     histogram: Histogram
-    fit: object          # LifetimeFit for analysis=lifetime, else None
-    irf: tuple | None    # (fwhm_ps, center_ps) for analysis=irf
+    fit: object  # LifetimeFit for analysis=lifetime, IrfFit for analysis=irf
+
+    def record(self):
+        return self.fit.record()
 
 
 def run_tcspc(cfg):
@@ -178,6 +178,8 @@ def run_tcspc(cfg):
     clock_delay = cfg.tcspc.clock_delay_ps
     if clock_delay is None:
         clock_delay = int(round(period / 2.0))
+    cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg),
+                  tcspc=replace(cfg.tcspc, clock_delay_ps=clock_delay))
     detector_model = cfg.detector(cfg.tcspc.detector, "tcspc.detector")
 
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
@@ -186,17 +188,14 @@ def run_tcspc(cfg):
                         channel=_detector_channel(cfg, cfg.tcspc.detector))
     clock = emit_clock_ticks(cfg.source.rep_rate_hz, cfg.n_pulses,
                              offset_ps=clock_delay)
-    corr_cfg = _tcspc_correlator_config(cfg)
-    hist = reverse_start_stop(detections, clock, corr_cfg,
+    hist = reverse_start_stop(detections, clock, cfg.correlator,
                               remap_period_ps=int(round(period)))
-    fit = None
-    irf = None
     if cfg.tcspc.analysis == "irf":
-        irf = measure_irf(hist)
+        fit = measure_irf(hist)
     else:
         fit = fit_lifetime(hist, fix_sigma=cfg.lifetime.fix_sigma_ps,
                            weighted=cfg.lifetime.weighted)
-    return TcspcResult(cfg, corr_cfg, clock_delay, hist, fit, irf)
+    return TcspcResult(cfg, hist, fit)
 
 
 def write_tcspc_artifacts(result, out_dir):
@@ -204,19 +203,9 @@ def write_tcspc_artifacts(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     paths = {"histogram": os.path.join(out_dir, "histogram.csv")}
     write_histogram_csv(result.histogram, paths["histogram"])
-    if result.irf is not None:
-        record = {"irf_fwhm_ps": result.irf[0], "irf_center_ps": result.irf[1]}
-        paths.update(_write_record(record, out_dir, "irf"))
-    else:
-        paths.update(_write_record(result.fit.record(), out_dir, "lifetime"))
-    paths["config"] = _write_effective_config(cfg, out_dir, extra={
-        "correlator": _correlator_lines(result.correlator_config),
-        "tcspc": {
-            "detector": cfg.tcspc.detector,
-            "clock_delay_ps": result.clock_delay_ps,
-            "analysis": cfg.tcspc.analysis,
-        },
-    })
+    # the record is named after the analysis: lifetime.* or irf.*
+    paths.update(_write_record(result.record(), out_dir, cfg.tcspc.analysis))
+    paths["config"] = _write_effective_config(cfg, out_dir)
     return paths
 
 
@@ -227,12 +216,14 @@ def write_tcspc_artifacts(result, out_dir):
 @dataclass(frozen=True)
 class DeSweepResult:
     config: RunConfig
-    f_hz: float
     points: tuple
     fit: object
 
+    def record(self):
+        return self.fit.record()
 
-def run_de_sweep(cfg, mu_values=None):
+
+def run_de_sweep(cfg):
     """Laser -> programmable attenuator -> detector -> counter, per mu point.
 
     Each sweep point is an independent acquisition of
@@ -246,7 +237,7 @@ def run_de_sweep(cfg, mu_values=None):
         raise ConfigError("de_sweep: section required for simulate-de-sweep")
     if not isinstance(cfg.source, PoissonLaserModel):
         raise ConfigError("source.type: de sweep requires the laser source")
-    mu_values = tuple(mu_values if mu_values is not None else cfg.de_sweep.mu_values)
+    mu_values = cfg.de_sweep.mu_values
     if not mu_values:
         raise ConfigError("de_sweep.mu: no mu values given (config key or --mu)")
     mu0 = cfg.source.mu
@@ -257,6 +248,7 @@ def run_de_sweep(cfg, mu_values=None):
             raise ConfigError(
                 f"de_sweep.mu: {mu} exceeds the unattenuated source mu {mu0}"
             )
+    cfg = replace(cfg, de=replace(cfg.de, f_hz=cfg.de.f_hz or cfg.source.rep_rate_hz))
     detector_model = cfg.detector(cfg.de_sweep.detector, "de_sweep.detector")
     channel = _detector_channel(cfg, cfg.de_sweep.detector)
     n_pulses = cfg.de_sweep.pulses_per_point
@@ -269,25 +261,16 @@ def run_de_sweep(cfg, mu_values=None):
                             channel=channel)
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
-    f_hz = cfg.de.f_hz or cfg.source.rep_rate_hz
-    fit = fit_de(points, f_hz, weighted=cfg.de.weighted)
-    return DeSweepResult(cfg, f_hz, tuple(points), fit)
+    fit = fit_de(points, cfg.de.f_hz, weighted=cfg.de.weighted)
+    return DeSweepResult(cfg, tuple(points), fit)
 
 
 def write_de_sweep_artifacts(result, out_dir):
-    cfg = result.config
     os.makedirs(out_dir, exist_ok=True)
     paths = {"sweep": os.path.join(out_dir, "sweep.csv")}
     write_de_sweep(result.points, paths["sweep"])
-    paths.update(_write_record(result.fit.record(), out_dir, "de_fit"))
-    paths["config"] = _write_effective_config(cfg, out_dir, extra={
-        "de_sweep": {
-            "detector": cfg.de_sweep.detector,
-            "mu": ",".join(repr(p.mu) for p in result.points),
-            "pulses_per_point": cfg.de_sweep.pulses_per_point,
-        },
-        "de": {"f_hz": result.f_hz, "weighted": cfg.de.weighted},
-    })
+    paths.update(_write_record(result.record(), out_dir, "de_fit"))
+    paths["config"] = _write_effective_config(result.config, out_dir)
     return paths
 
 
@@ -297,7 +280,7 @@ def write_de_sweep_artifacts(result, out_dir):
 
 def format_record(record):
     """Flat key=value text, one line per documented key."""
-    return "\n".join(f"{key}={_fmt_value(v)}" for key, v in record.items()) + "\n"
+    return "\n".join(f"{key}={format_value(v)}" for key, v in record.items()) + "\n"
 
 
 def _write_record(record, out_dir, stem):
@@ -311,72 +294,8 @@ def _write_record(record, out_dir, stem):
     return {f"{stem}_txt": txt, f"{stem}_json": js}
 
 
-def _correlator_lines(corr_cfg):
-    return {
-        "bin_width_ps": corr_cfg.bin_width_ps,
-        "range_min_ps": corr_cfg.range_min_ps,
-        "range_max_ps": corr_cfg.range_max_ps,
-        "mode": corr_cfg.mode.name,
-    }
-
-
-def _fmt_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def effective_config_text(cfg, extra=None):
-    """Render the resolved configuration (defaults applied) as INI text."""
-    sections = {"run": {"seed": cfg.seed, "n_pulses": cfg.n_pulses}}
-    src = cfg.source
-    if isinstance(src, PulsedSourceModel):
-        p0, p1, p2 = src.photon_dist
-        sections["source"] = {
-            "type": "dot",
-            "rep_rate_hz": src.rep_rate_hz,
-            "lifetime_ps": src.lifetime_ps,
-            "p0": p0, "p1": p1, "p2": p2,
-            "wavelength_nm": src.wavelength_nm,
-        }
-    else:
-        sections["source"] = {
-            "type": "laser",
-            "rep_rate_hz": src.rep_rate_hz,
-            "mu": src.mu,
-            "wavelength_nm": src.wavelength_nm,
-        }
-    sections["splitter"] = {"transmission": cfg.splitter.transmission}
-    for name in sorted(cfg.detectors):
-        det = cfg.detectors[name]
-        sections[f"detector.{name}"] = {
-            "efficiency": det.efficiency,
-            "dark_rate_hz": det.dark_rate_hz,
-            "jitter_fwhm_ps": det.jitter_fwhm_ps,
-            "dead_time_ps": det.dead_time_ps,
-        }
-    if cfg.hbt is not None:
-        sections["hbt"] = {"start": cfg.hbt.start, "stop": cfg.hbt.stop}
-    if cfg.lifetime.fix_sigma_ps is not None or cfg.lifetime.weighted:
-        sections["lifetime"] = {}
-        if cfg.lifetime.fix_sigma_ps is not None:
-            sections["lifetime"]["fix_sigma_ps"] = cfg.lifetime.fix_sigma_ps
-        sections["lifetime"]["weighted"] = cfg.lifetime.weighted
-    for name, values in (extra or {}).items():
-        sections.setdefault(name, {}).update(values)
-    out = []
-    for name, values in sections.items():
-        out.append(f"[{name}]")
-        for key, value in values.items():
-            out.append(f"{key} = {_fmt_value(value)}")
-        out.append("")
-    return "\n".join(out)
-
-
-def _write_effective_config(cfg, out_dir, extra=None):
+def _write_effective_config(cfg, out_dir):
     path = os.path.join(out_dir, "effective_config.cfg")
     with open(path, "w", newline="") as fh:
-        fh.write(effective_config_text(cfg, extra))
+        fh.write(format_config(cfg))
     return path

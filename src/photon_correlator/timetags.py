@@ -38,6 +38,10 @@ class TagStream:
     kept read-only; `meta` holds free-form annotations (seed, wavelength,
     source description) that are *not* serialized and are excluded from
     equality.
+
+    The stream takes ownership of the arrays it is given: an input that
+    already has the right dtype is not copied but made read-only in
+    place, so the caller can no longer write to it.
     """
 
     __slots__ = ("channels", "times", "duration_ps", "meta")
@@ -63,8 +67,6 @@ class TagStream:
                     )
         if not 0 <= duration_ps < 2**63:
             raise ValueError(f"duration_ps must be in [0, 2^63), got {duration_ps}")
-        channels = channels.copy() if channels.flags.writeable else channels
-        times = times.copy() if times.flags.writeable else times
         channels.setflags(write=False)
         times.setflags(write=False)
         self.channels = channels
@@ -172,6 +174,9 @@ def _is_csv(path, format):
 
 def _write_binary(stream, path):
     n_channels = int(np.unique(stream.channels).size)
+    if n_channels > CHANNEL_MAX:
+        raise ValueError(f"TTAG1 stores the channel count in one byte, so at most "
+                         f"{CHANNEL_MAX} distinct channels; stream has {n_channels}")
     header = (
         TTAG_MAGIC
         + TTAG_VERSION.to_bytes(2, "little")

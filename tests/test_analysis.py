@@ -11,6 +11,7 @@ from photon_correlator import (
     FormatError,
     Histogram,
     HistogramConfig,
+    IrfFit,
     Mode,
     PoissonLaserModel,
     PulsedSourceModel,
@@ -401,6 +402,13 @@ class TestMeasureIrf:
         fwhm, center = measure_irf(hist)
         assert fwhm == pytest.approx(170.0, rel=1e-3)
         assert center == pytest.approx(6000.0, abs=1.0)
+
+    def test_returns_irf_fit_with_record(self):
+        fit = measure_irf(self.gaussian_histogram())
+        assert isinstance(fit, IrfFit)
+        assert fit.record() == {"irf_fwhm_ps": fit.irf_fwhm_ps,
+                                "irf_center_ps": fit.irf_center_ps}
+        assert tuple(fit) == (fit.irf_fwhm_ps, fit.irf_center_ps)
 
     def test_delta_peak_is_narrow(self):
         cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)

@@ -15,7 +15,8 @@ from photon_correlator import (
     write_de_sweep,
     write_histogram_csv,
 )
-from photon_correlator.cli import main
+from photon_correlator.cli import SIMULATIONS, _load_run_config, build_parser, main
+from photon_correlator.config import load_config
 
 HBT_CFG = """
 [run]
@@ -453,6 +454,38 @@ class TestAnalyze:
         write_histogram_csv(Histogram(cfg, np.full(100, 9, np.int64), 900), path)
         assert main(["analyze", "lifetime", "--hist", str(path)]) == 4
         assert "analysis error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, extra", [
+    ("simulate-hbt", HBT_CFG, []),
+    ("simulate-tcspc", TCSPC_CFG, []),
+    ("simulate-tcspc", TCSPC_CFG.replace("[tcspc]\n", "[tcspc]\nanalysis = irf\n")
+     .replace("lifetime_ps = 370", "lifetime_ps = 0"), []),
+    ("simulate-de-sweep", DE_CFG, ["--mu", "0.05,0.5,5"]),
+], ids=["hbt", "tcspc", "tcspc-irf", "de-sweep"])
+def test_effective_config_reloads_to_the_run_config(tmp_path, command, text, extra):
+    argv = [command, "--config", write_cfg(tmp_path, text), "--out",
+            str(tmp_path / "out"), *extra]
+    assert main(argv) == 0
+    effective = tmp_path / "out" / "effective_config.cfg"
+    run, _ = SIMULATIONS[command]
+    assert load_config(effective) == run(_load_run_config(build_parser().parse_args(argv))).config
+    # rerunning from the echo, without the command-line overrides, gives the
+    # same files, the echo included
+    assert main([command, "--config", str(effective), "--out", str(tmp_path / "rerun")]) == 0
+    assert dir_digest(tmp_path / "out") == dir_digest(tmp_path / "rerun")
+
+
+@pytest.mark.parametrize("section, key", [("detector.SSPD", "dead_tme_ps"),
+                                          ("tcspc", "clock_dealy_ps")])
+def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
+    text = TCSPC_CFG.replace(f"[{section}]\n", f"[{section}]\n{key} = 10000\n")
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"config error: {section}.{key}: unknown key\n"
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):

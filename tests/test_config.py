@@ -10,6 +10,11 @@ from photon_correlator import (
     PulsedSourceModel,
     parse_config_text,
 )
+from photon_correlator.config import format_config
+
+import test_acceptance
+import test_cli
+import test_pipelines
 
 GOOD = """
 [run]
@@ -46,6 +51,40 @@ mode = ALL_STOPS
 start = APD
 stop = SSPD
 """
+
+
+# every section kind, GOOD's dot source included
+FULL = GOOD + """
+[tcspc]
+detector = SSPD
+
+[de_sweep]
+detector = SSPD
+mu = 0.01, 0.1
+
+[g2]
+n_side_peaks = 20
+
+[lifetime]
+weighted = true
+
+[de]
+f_hz = 1e5
+"""
+
+LASER = """
+[run]
+seed = 1
+n_pulses = 10
+
+[source]
+type = laser
+rep_rate_hz = 100e3
+mu = 10
+"""
+
+MIN_MAX = GOOD.replace("range_halfwidth_ps = 48780",
+                       "range_min_ps = -320\nrange_max_ps = 320")
 
 
 def test_parses_full_config():
@@ -172,10 +211,12 @@ def test_detector_name_restricted_to_filename_safe():
 
 
 def test_readme_hbt_example_loads():
-    # the README's full HBT block, inline comments included, is meant to be
-    # copied as-is
+    # the README's INI blocks, inline comments included, are meant to be
+    # copied as-is: the full HBT block, then the TCSPC, DE-sweep and laser
+    # blocks added to it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"A full HBT example:\s*```ini\n(.*?)```", readme, re.S).group(1)
+    tcspc, de, laser = re.findall(r"```ini\n(.*?)```", readme, re.S)[1:4]
     cfg = parse_config_text(block)
     assert cfg.n_pulses == 10_000_000
     assert isinstance(cfg.source, PulsedSourceModel)
@@ -184,3 +225,85 @@ def test_readme_hbt_example_loads():
     assert cfg.correlator.mode is Mode.ALL_STOPS
     assert (cfg.hbt.start, cfg.hbt.stop) == ("APD", "SSPD")
     assert cfg.g2.n_side_peaks == 20
+
+    cfg = parse_config_text(block + tcspc)
+    assert (cfg.tcspc.detector, cfg.tcspc.analysis) == ("SSPD", "lifetime")
+    assert cfg.tcspc.clock_delay_ps is None and cfg.lifetime.fix_sigma_ps is None
+
+    assert laser.startswith("[source]\n")
+    laser_hbt = re.sub(r"\[source\]\n.*?\n\n", laser + "\n", block, flags=re.S)
+    cfg = parse_config_text(laser_hbt + de)
+    assert cfg.source == PoissonLaserModel(100e3, 10.0, 1550.0)
+    assert cfg.de_sweep.detector == "SSPD"
+    assert cfg.de_sweep.mu_values == (0.001, 0.01, 0.1, 1.0, 10.0)
+    assert cfg.de_sweep.pulses_per_point == 1_000_000
+    assert cfg.de.f_hz is None and not cfg.de.weighted
+
+
+@pytest.mark.parametrize("text, section, key", [
+    (FULL, "run", "n_pulse"),
+    (FULL, "source", "lifetime"),
+    (LASER, "source", "lifetime_ps"),
+    (FULL, "splitter", "transmision"),
+    (FULL, "detector.APD", "dead_tme_ps"),
+    (FULL, "correlator", "range_halfwidth"),
+    (MIN_MAX, "correlator", "range_maximum_ps"),
+    (FULL, "hbt", "strat"),
+    (FULL, "tcspc", "clock_dealy_ps"),
+    (FULL, "de_sweep", "pulses"),
+    (FULL, "g2", "n_side_peak"),
+    (FULL, "lifetime", "fix_sigma"),
+    (FULL, "de", "fhz"),
+])
+def test_unknown_key_is_rejected(text, section, key):
+    bad = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 10000\n")
+    assert bad != text
+    with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: unknown key"):
+        parse_config_text(bad)
+
+
+def test_unknown_section_is_rejected():
+    with pytest.raises(ConfigError, match=r"^tcpsc: unknown section"):
+        parse_config_text(FULL + "\n[tcpsc]\ndetector = SSPD\n")
+
+
+def test_integer_keys_are_exact():
+    big = 2**64 - 1  # above 2^53, where a float would round it
+    assert parse_config_text(LASER.replace("seed = 1", f"seed = {big}")).seed == big
+    assert parse_config_text(LASER.replace("n_pulses = 10", "n_pulses = 1e3")).n_pulses == 1000
+    for bad in ("inf", "nan", "1.5"):
+        with pytest.raises(ConfigError, match="run.seed: expected an integer"):
+            parse_config_text(LASER.replace("seed = 1", f"seed = {bad}"))
+
+
+def test_correlator_zero_bin_width():
+    bad = GOOD.replace("bin_width_ps = 32", "bin_width_ps = 0")
+    with pytest.raises(ConfigError, match="correlator: bin_width_ps must be > 0"):
+        parse_config_text(bad)
+
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+ROUND_TRIP = {
+    "GOOD": GOOD,
+    "FULL": FULL,
+    "LASER": LASER,
+    "MIN_MAX": MIN_MAX,
+    "cli.HBT_CFG": test_cli.HBT_CFG,
+    "cli.TCSPC_CFG": test_cli.TCSPC_CFG,
+    "cli.DE_CFG": test_cli.DE_CFG,
+    "pipelines.DE_CFG": test_pipelines.DE_CFG,
+    "acceptance.PAPER_HBT_CFG": test_acceptance.PAPER_HBT_CFG,
+    "acceptance.SMALL_TCSPC": test_acceptance.SMALL_TCSPC,
+    "acceptance.DE_SWEEP_CFG": test_acceptance.DE_SWEEP_CFG,
+    **{f"perfbench.{p.stem}": p.read_text() for p in PERFBENCH_CONFIGS.glob("*.cfg")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP))
+def test_format_config_round_trips(name):
+    cfg = parse_config_text(ROUND_TRIP[name])
+    text = format_config(cfg)
+    assert parse_config_text(text) == cfg
+    for section in ("run", "source", "splitter", "g2", "lifetime", "de",
+                    *(f"detector.{d}" for d in cfg.detectors)):
+        assert f"[{section}]\n" in text

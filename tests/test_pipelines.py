@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,5 +124,6 @@ def test_de_sweep_emits_only_attenuated_photons(monkeypatch):
 
 def test_de_sweep_rejects_mu_above_source():
     cfg = pc.parse_config_text(DE_CFG)
+    cfg = replace(cfg, de_sweep=replace(cfg.de_sweep, mu_values=(1.0, 10.5)))
     with pytest.raises(pc.ConfigError, match="exceeds"):
-        pipelines.run_de_sweep(cfg, (1.0, 10.5))
+        pipelines.run_de_sweep(cfg)

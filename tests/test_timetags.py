@@ -193,6 +193,18 @@ def test_arrays_are_read_only(rng):
         s.times[0] = 0
 
 
+def test_stream_takes_ownership_of_its_arrays():
+    channels = np.zeros(3, np.uint8)
+    times = np.array([1, 2, 3], np.int64)
+    s = TagStream(channels, times, 10)
+    # no copy: the stream keeps the given arrays and freezes them
+    assert np.shares_memory(s.channels, channels)
+    assert np.shares_memory(s.times, times)
+    assert not channels.flags.writeable and not times.flags.writeable
+    with pytest.raises(ValueError):
+        times[0] = 0
+
+
 def test_stream_rejects_out_of_range_channel_array():
     # a channel above 255 must not wrap (300 would become 44 as uint8)
     with pytest.raises(ValueError, match="channel outside"):
@@ -225,3 +237,13 @@ def test_csv_bad_duration_comment(tmp_path, duration, match):
     path.write_text(f"# duration_ps={duration}\nchannel,timestamp_ps\n")
     with pytest.raises(FormatError, match=match):
         read_tags(path)
+
+
+def test_binary_rejects_more_channels_than_the_count_byte_holds(tmp_path):
+    stream = TagStream(np.arange(256, dtype=np.uint8), np.arange(256), 1000)
+    with pytest.raises(ValueError, match="one byte.*at most 255"):
+        write_tags(stream, tmp_path / "c.ttag")
+    # 255 channels still fit
+    write_tags(TagStream(np.arange(255, dtype=np.uint8), np.arange(255), 1000),
+               tmp_path / "ok.ttag")
+    assert len(read_tags(tmp_path / "ok.ttag")) == 255
