@@ -14,7 +14,7 @@ for 1/max(count, 1) Poisson weighting.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,17 +63,8 @@ class LifetimeFit:
     iterations: int
 
     def record(self):
-        return {
-            "tau_ps": self.tau_ps,
-            "sigma_ps": self.irf_fwhm_ps / FWHM_PER_SIGMA,
-            "irf_fwhm_ps": self.irf_fwhm_ps,
-            "amplitude": self.amplitude,
-            "t0_ps": self.t0_ps,
-            "background": self.background,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return {"tau_ps": self.tau_ps, "sigma_ps": self.irf_fwhm_ps / FWHM_PER_SIGMA,
+                **asdict(self)}
 
 
 class IrfFit(NamedTuple):
@@ -96,14 +87,7 @@ class DEFit:
     iterations: int
 
     def record(self):
-        return {
-            "eta": self.eta,
-            "dark_rate_hz": self.dark_rate_hz,
-            "f_hz": self.f_hz,
-            "residual_rms": self.residual_rms,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

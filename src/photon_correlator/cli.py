@@ -89,8 +89,10 @@ def _load_run_config(args):
     return cfg
 
 
-def _print_record(record):
+def _report(record):
+    """Print `record`; the exit code is 4 when it says the fit did not converge."""
     sys.stdout.write(format_record(record))
+    return EXIT_OK if record.get("converged", True) else EXIT_FIT
 
 
 SIMULATIONS = {
@@ -104,10 +106,9 @@ def _cmd_simulate(args):
     run, write = SIMULATIONS[args.command]
     result = run(_load_run_config(args))
     paths = write(result, args.out)
-    record = result.record()
-    _print_record(record)
+    code = _report(result.record())
     print(f"wrote {len(paths)} files to {args.out}")
-    return EXIT_OK if record.get("converged", True) else EXIT_FIT
+    return code
 
 
 def _read_input(reader, path):
@@ -121,21 +122,17 @@ def _cmd_analyze(args):
     if args.analysis == "de":
         points = _read_input(read_de_sweep, args.sweep)
         fit = fit_de(points, args.f_hz, weighted=args.weighted)
-        _print_record(fit.record())
-        return EXIT_OK if fit.converged else EXIT_FIT
+        return _report(fit.record())
     hist = _read_input(read_histogram_csv, args.hist)
     if args.analysis == "g2":
         estimate = g2_zero(hist, args.rep_period_ps,
                            integration_halfwidth_ps=args.halfwidth_ps,
                            n_side_peaks=args.side_peaks)
-        _print_record(estimate.record())
-        return EXIT_OK
+        return _report(estimate.record())
     if args.analysis == "lifetime":
         fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps, weighted=args.weighted)
-        _print_record(fit.record())
-        return EXIT_OK if fit.converged else EXIT_FIT
-    _print_record(measure_irf(hist).record())
-    return EXIT_OK
+        return _report(fit.record())
+    return _report(measure_irf(hist).record())
 
 
 def main(argv=None):

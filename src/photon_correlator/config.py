@@ -43,7 +43,8 @@ from .correlator import HistogramConfig, Mode
 from .detectors import DetectorModel
 from .errors import ConfigError
 from .optics import SplitRatio
-from .sources import PoissonLaserModel, PulsedSourceModel, solve_photon_stats
+from .sources import (PoissonLaserModel, PulsedSourceModel, pulse_period_ps,
+                      solve_photon_stats)
 
 DEFAULT_BIN_WIDTH_PS = 32
 
@@ -121,6 +122,11 @@ class RunConfig:
             raise ConfigError(f"run.seed: must be in [0, 2^64), got {self.seed}")
         if self.n_pulses < 0:
             raise ConfigError("run.n_pulses: must be >= 0")
+        period = pulse_period_ps(self.source.rep_rate_hz)
+        for key, n in (("run.n_pulses", self.n_pulses), ("de_sweep.pulses_per_point",
+                       getattr(self.de_sweep, "pulses_per_point", 0))):
+            if not n * period < 2**63:  # timestamps are int64 picoseconds
+                raise ConfigError(f"{key}: {n} pulses of {period} ps reach 2^63 ps")
         if self.hbt is not None:
             self.detector(self.hbt.start, "hbt.start")
             self.detector(self.hbt.stop, "hbt.stop")

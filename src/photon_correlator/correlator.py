@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .timetags import TagStream, read_csv_rows, write_csv_rows
+from .timetags import read_csv_rows, write_csv_rows
 
 
 class Mode(enum.Enum):
@@ -173,9 +173,7 @@ def tac_histogram_chunked(starts, stops, config, n_chunks):
     bounds = np.linspace(0, len(starts), n_chunks + 1).astype(int)
     result = None
     for a, b in zip(bounds[:-1], bounds[1:]):
-        chunk = TagStream(starts.channels[a:b], starts.times[a:b],
-                          starts.duration_ps, starts.meta, _validated=True)
-        hist = tac_histogram(chunk, stops, config)
+        hist = tac_histogram(starts.subset(slice(a, b)), stops, config)
         result = hist if result is None else merge_histograms(result, hist)
     return result
 

@@ -50,10 +50,10 @@ class DetectorModel:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"{self.name}: efficiency outside [0, 1]")
-        if self.dark_rate_hz < 0:
-            raise ValueError(f"{self.name}: dark_rate_hz must be >= 0")
-        if self.jitter_fwhm_ps < 0:
-            raise ValueError(f"{self.name}: jitter_fwhm_ps must be >= 0")
+        if not 0 <= self.dark_rate_hz < math.inf:
+            raise ValueError(f"{self.name}: dark_rate_hz must be finite and >= 0")
+        if not 0 <= self.jitter_fwhm_ps < math.inf:
+            raise ValueError(f"{self.name}: jitter_fwhm_ps must be finite and >= 0")
         if self.dead_time_ps < 0:
             raise ValueError(f"{self.name}: dead_time_ps must be >= 0")
 
@@ -84,10 +84,7 @@ def detect(photons, model, seed, channel=1):
     if model.dead_time_ps > 0:
         times = _apply_dead_time(times, int(model.dead_time_ps))
 
-    meta = dict(photons.meta)
-    meta["detector"] = model.name
-    return TagStream(np.full(times.size, channel, np.uint8), times, duration,
-                     meta, _validated=True)
+    return TagStream.single_channel(times, duration, channel)
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):

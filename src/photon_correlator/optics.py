@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import generator
-from .timetags import TagStream
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,7 @@ def beamsplit(stream, ratio, seed):
     """
     rng = generator(seed)
     to_b = rng.random(len(stream)) < ratio.transmission
-    arm_a = TagStream(stream.channels[~to_b], stream.times[~to_b],
-                      stream.duration_ps, stream.meta, _validated=True)
-    arm_b = TagStream(stream.channels[to_b], stream.times[to_b],
-                      stream.duration_ps, stream.meta, _validated=True)
-    return arm_a, arm_b
+    return stream.subset(~to_b), stream.subset(to_b)
 
 
 def attenuate(stream, transmission, seed):
@@ -46,5 +41,4 @@ def attenuate(stream, transmission, seed):
         raise ValueError(f"transmission {transmission} outside [0, 1]")
     rng = generator(seed)
     keep = rng.random(len(stream)) < transmission
-    return TagStream(stream.channels[keep], stream.times[keep],
-                     stream.duration_ps, stream.meta, _validated=True)
+    return stream.subset(keep)

@@ -62,8 +62,13 @@ def _emit_source(cfg, n_pulses, seed):
     return emit_laser_pulse_train(cfg.source, n_pulses, seed)
 
 
-def _detector_channel(cfg, name):
-    return sorted(cfg.detectors).index(name) + 1
+def _detect(cfg, photons, name, stage=None):
+    """`photons` as detector `name` records them, seeded from `stage`
+    (default "detector.<name>"); `detect` is looked up here at call time,
+    like the emit_* names."""
+    return detect(photons, cfg.detectors[name],
+                  derive_seed(cfg.seed, stage or f"detector.{name}"),
+                  channel=sorted(cfg.detectors).index(name) + 1)
 
 
 def _hbt_correlator_config(cfg):
@@ -119,14 +124,8 @@ def run_hbt(cfg):
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
     arm_a, arm_b = beamsplit(source_stream, cfg.splitter,
                              derive_seed(cfg.seed, "splitter"))
-    start_model = cfg.detector(cfg.hbt.start, "hbt.start")
-    stop_model = cfg.detector(cfg.hbt.stop, "hbt.stop")
-    starts = detect(arm_a, start_model,
-                    derive_seed(cfg.seed, f"detector.{cfg.hbt.start}"),
-                    channel=_detector_channel(cfg, cfg.hbt.start))
-    stops = detect(arm_b, stop_model,
-                   derive_seed(cfg.seed, f"detector.{cfg.hbt.stop}"),
-                   channel=_detector_channel(cfg, cfg.hbt.stop))
+    starts = _detect(cfg, arm_a, cfg.hbt.start)
+    stops = _detect(cfg, arm_b, cfg.hbt.stop)
     hist = tac_histogram(starts, stops, corr_cfg)
     estimate = g2_zero(hist, rep_period, integration_halfwidth_ps=halfwidth,
                        n_side_peaks=cfg.g2.n_side_peaks)
@@ -180,12 +179,8 @@ def run_tcspc(cfg):
         clock_delay = int(round(period / 2.0))
     cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg),
                   tcspc=replace(cfg.tcspc, clock_delay_ps=clock_delay))
-    detector_model = cfg.detector(cfg.tcspc.detector, "tcspc.detector")
-
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
-    detections = detect(source_stream, detector_model,
-                        derive_seed(cfg.seed, f"detector.{cfg.tcspc.detector}"),
-                        channel=_detector_channel(cfg, cfg.tcspc.detector))
+    detections = _detect(cfg, source_stream, cfg.tcspc.detector)
     clock = emit_clock_ticks(cfg.source.rep_rate_hz, cfg.n_pulses,
                              offset_ps=clock_delay)
     hist = reverse_start_stop(detections, clock, cfg.correlator,
@@ -242,23 +237,20 @@ def run_de_sweep(cfg):
         raise ConfigError("de_sweep.mu: no mu values given (config key or --mu)")
     mu0 = cfg.source.mu
     for mu in mu_values:
-        if mu < 0:
-            raise ConfigError(f"de_sweep.mu: negative value {mu}")
+        if not mu >= 0:  # also NaN
+            raise ConfigError(f"de_sweep.mu: {mu} is not a number >= 0")
         if mu > mu0 * (1 + 1e-12):
             raise ConfigError(
                 f"de_sweep.mu: {mu} exceeds the unattenuated source mu {mu0}"
             )
     cfg = replace(cfg, de=replace(cfg.de, f_hz=cfg.de.f_hz or cfg.source.rep_rate_hz))
-    detector_model = cfg.detector(cfg.de_sweep.detector, "de_sweep.detector")
-    channel = _detector_channel(cfg, cfg.de_sweep.detector)
     n_pulses = cfg.de_sweep.pulses_per_point
     points = []
     for i, mu in enumerate(mu_values):
         attenuated = emit_laser_pulse_train(replace(cfg.source, mu=mu), n_pulses,
                                             derive_seed(cfg.seed, f"de.point{i}.source"))
-        detections = detect(attenuated, detector_model,
-                            derive_seed(cfg.seed, f"de.point{i}.detector"),
-                            channel=channel)
+        detections = _detect(cfg, attenuated, cfg.de_sweep.detector,
+                             f"de.point{i}.detector")
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
     fit = fit_de(points, cfg.de.f_hz, weighted=cfg.de.weighted)

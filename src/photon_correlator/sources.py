@@ -15,6 +15,7 @@ remaining acquisition time) are dropped so streams always satisfy
 0 <= t < duration_ps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class PulsedSourceModel:
     wavelength_nm: float = 902.0
 
     def __post_init__(self):
-        if self.rep_rate_hz <= 0:
-            raise ValueError("rep_rate_hz must be > 0")
-        if self.lifetime_ps < 0:
-            raise ValueError("lifetime_ps must be >= 0")
+        if not 0 < self.rep_rate_hz < math.inf:
+            raise ValueError("rep_rate_hz must be finite and > 0")
+        if not 0 <= self.lifetime_ps < math.inf:
+            raise ValueError("lifetime_ps must be finite and >= 0")
         p = self.photon_dist
         if len(p) != 3:
             raise ValueError("photon_dist must be (p0, p1, p2)")
@@ -72,10 +73,10 @@ class PoissonLaserModel:
     wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.rep_rate_hz <= 0:
-            raise ValueError("rep_rate_hz must be > 0")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 < self.rep_rate_hz < math.inf:
+            raise ValueError("rep_rate_hz must be finite and > 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and >= 0")
 
 
 def solve_photon_stats(g2_target, mean_n):
@@ -116,7 +117,27 @@ def _train_duration_ps(n_pulses, rep_rate_hz):
     return int(np.rint(n_pulses * pulse_period_ps(rep_rate_hz)))
 
 
-def emit_dot_pulse_train(model, n_pulses, seed, channel=SOURCE_CHANNEL):
+def _source_stream(counts, rep_rate_hz, duration, delays=None):
+    """The source stream of a train with per-pulse photon `counts`: each
+    photon at its pulse time, plus its entry of `delays` when given.
+
+    `counts` is dropped before the photon-length arrays are made, so pass
+    it as a temporary where it is the largest array of the run.
+    """
+    emitting = np.nonzero(counts)[0]
+    per_pulse = counts[emitting]
+    del counts
+    pulse_times = _pulse_times(emitting, rep_rate_hz)
+    del emitting
+    times = np.repeat(pulse_times, per_pulse)
+    if delays is not None:
+        times += delays
+        times.sort()
+    times = times[:np.searchsorted(times, duration)]  # times are >= 0 and sorted
+    return TagStream.single_channel(times, duration, SOURCE_CHANNEL)
+
+
+def emit_dot_pulse_train(model, n_pulses, seed):
     """Emit the quantum-dot photon stream for `n_pulses` pump pulses.
 
     Pulse k fires at round(k * 1e12 / rep_rate_hz); its photon count is
@@ -130,48 +151,24 @@ def emit_dot_pulse_train(model, n_pulses, seed, channel=SOURCE_CHANNEL):
     p0, p1, _ = model.photon_dist
     u = rng.random(n_pulses)
     counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-    emitting = np.nonzero(counts)[0]
-    photon_pulse = np.repeat(emitting, counts[emitting])
-    n_photons = photon_pulse.size
+    del u
+    delays = 0
     if model.lifetime_ps > 0:
-        delays = np.rint(-model.lifetime_ps * np.log1p(-rng.random(n_photons)))
-    else:
-        delays = np.zeros(n_photons)
-    times = _pulse_times(photon_pulse, model.rep_rate_hz) + delays.astype(np.int64)
-    times = np.sort(times[(times >= 0) & (times < duration)])
-    meta = {
-        "source": "dot",
-        "seed": str(seed),
-        "wavelength_nm": str(model.wavelength_nm),
-    }
-    return TagStream(np.full(times.size, channel, np.uint8), times, duration, meta,
-                     _validated=True)
+        u = rng.random(int(counts.sum()))
+        delays = np.rint(-model.lifetime_ps * np.log1p(-u)).astype(np.int64)
+    return _source_stream(counts, model.rep_rate_hz, duration, delays)
 
 
-def emit_laser_pulse_train(model, n_pulses, seed, channel=SOURCE_CHANNEL):
+def emit_laser_pulse_train(model, n_pulses, seed):
     """Emit the Poissonian laser stream; all photons of a pulse share its timestamp."""
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
-    counts = rng.poisson(model.mu, n_pulses)
-    emitting = np.nonzero(counts)[0]
-    photons_per_pulse = counts[emitting]
-    del counts  # free the n_pulses-long array before the photon-length one
-    pulse_times = _pulse_times(emitting, model.rep_rate_hz)
-    del emitting
-    inside = np.searchsorted(pulse_times, duration)  # pulse times are sorted
-    times = np.repeat(pulse_times[:inside], photons_per_pulse[:inside])
-    meta = {
-        "source": "laser",
-        "seed": str(seed),
-        "wavelength_nm": str(model.wavelength_nm),
-    }
-    return TagStream(np.full(times.size, channel, np.uint8), times, duration, meta,
-                     _validated=True)
+    return _source_stream(rng.poisson(model.mu, n_pulses), model.rep_rate_hz, duration)
 
 
-def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0, channel=CLOCK_CHANNEL):
+def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
     """The sync photodiode: one jitterless tick per pump pulse, plus a fixed delay.
 
     Ticks shifted past the acquisition window are dropped; a negative
@@ -183,5 +180,4 @@ def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0, channel=CLOCK_CHANNEL):
     times = _pulse_times(np.arange(n_pulses, dtype=np.int64), rep_rate_hz)
     times = times + int(offset_ps)
     times = times[(times >= 0) & (times < duration)]
-    return TagStream(np.full(times.size, channel, np.uint8), times, duration,
-                     {"source": "clock"}, _validated=True)
+    return TagStream.single_channel(times, duration, CLOCK_CHANNEL)

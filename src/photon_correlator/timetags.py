@@ -32,21 +32,21 @@ _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<i8")])
 
 
 class TagStream:
-    """An ordered sequence of time tags over a fixed observation window.
-
-    Internally two parallel numpy arrays (uint8 channels, int64 times) are
-    kept read-only; `meta` holds free-form annotations (seed, wavelength,
-    source description) that are *not* serialized and are excluded from
-    equality.
+    """An ordered sequence of time tags over a fixed observation window:
+    two parallel read-only numpy arrays (uint8 channels, int64 times) and
+    the window length.
 
     The stream takes ownership of the arrays it is given: an input that
     already has the right dtype is not copied but made read-only in
-    place, so the caller can no longer write to it.
+    place, so the caller can no longer write to it.  Only this module
+    skips the O(n) order check, for streams sorted by construction
+    (`subset`, `single_channel`, `merge_streams`); the window is checked
+    on every stream.
     """
 
-    __slots__ = ("channels", "times", "duration_ps", "meta")
+    __slots__ = ("channels", "times", "duration_ps")
 
-    def __init__(self, channels, times, duration_ps, meta=None, _validated=False):
+    def __init__(self, channels, times, duration_ps, _validated=False):
         channels = np.asarray(channels)
         if channels.dtype != np.uint8:
             if channels.size and (channels.min() < 0 or channels.max() > CHANNEL_MAX):
@@ -58,13 +58,11 @@ class TagStream:
             raise ValueError("channels and times must be 1-d arrays of equal length")
         if not _validated:
             _validate_sorted(channels, times)
-            if times.size:
-                if times[0] < 0:
-                    raise ValueError(f"tag time {times[0]} < 0")
-                if times[-1] >= duration_ps:
-                    raise ValueError(
-                        f"tag time {times[-1]} >= duration_ps={duration_ps}"
-                    )
+        if times.size:
+            if times[0] < 0:
+                raise ValueError(f"tag time {times[0]} < 0")
+            if times[-1] >= duration_ps:
+                raise ValueError(f"tag time {times[-1]} >= duration_ps={duration_ps}")
         if not 0 <= duration_ps < 2**63:
             raise ValueError(f"duration_ps must be in [0, 2^63), got {duration_ps}")
         channels.setflags(write=False)
@@ -72,17 +70,29 @@ class TagStream:
         self.channels = channels
         self.times = times
         self.duration_ps = duration_ps
-        self.meta = dict(meta) if meta else {}
 
     @classmethod
-    def empty(cls, duration_ps=0, meta=None):
-        return cls(np.empty(0, np.uint8), np.empty(0, np.int64), duration_ps, meta)
+    def empty(cls, duration_ps=0):
+        return cls(np.empty(0, np.uint8), np.empty(0, np.int64), duration_ps)
 
     @classmethod
-    def from_pairs(cls, pairs, duration_ps, meta=None):
+    def from_pairs(cls, pairs, duration_ps):
         """Build a stream from an iterable of (channel, t) pairs (must be sorted)."""
         pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        return cls(pairs[:, 0], pairs[:, 1], duration_ps, meta)
+        return cls(pairs[:, 0], pairs[:, 1], duration_ps)
+
+    @classmethod
+    def single_channel(cls, sorted_times, duration_ps, channel):
+        """All tags on `channel`; `sorted_times` must be sorted, which is not
+        checked again."""
+        return cls(np.full(sorted_times.size, channel, np.uint8), sorted_times,
+                   duration_ps, _validated=True)
+
+    def subset(self, index):
+        """The tags a boolean mask or a slice selects, in order, over the same
+        window; a subsequence of a sorted stream is sorted."""
+        return TagStream(self.channels[index], self.times[index], self.duration_ps,
+                         _validated=True)
 
     def __len__(self):
         return int(self.times.size)
@@ -97,10 +107,7 @@ class TagStream:
         )
 
     def __repr__(self):
-        return (
-            f"TagStream({len(self)} tags, duration_ps={self.duration_ps}, "
-            f"meta={self.meta!r})"
-        )
+        return f"TagStream({len(self)} tags, duration_ps={self.duration_ps})"
 
 
 def _validate_sorted(channels, times):
@@ -119,9 +126,8 @@ def _validate_sorted(channels, times):
 def merge_streams(streams):
     """Merge sorted streams into one sorted stream.
 
-    All inputs must share the same duration_ps; meta dicts are merged with
-    later inputs taking precedence.  The (t, channel) tie-break keeps the
-    result independent of input order.
+    All inputs must share the same duration_ps.  The (t, channel)
+    tie-break keeps the result independent of input order.
     """
     streams = list(streams)
     if not streams:
@@ -136,19 +142,12 @@ def merge_streams(streams):
     channels = np.concatenate([s.channels for s in streams])
     times = np.concatenate([s.times for s in streams])
     order = np.lexsort((channels, times))
-    meta = {}
-    for s in streams:
-        meta.update(s.meta)
-    return TagStream(channels[order], times[order], duration, meta, _validated=True)
+    return TagStream(channels[order], times[order], duration, _validated=True)
 
 
 def filter_channel(stream, channel):
-    """Keep only tags on `channel`, preserving order, duration, and meta."""
-    mask = stream.channels == channel
-    return TagStream(
-        stream.channels[mask], stream.times[mask], stream.duration_ps,
-        stream.meta, _validated=True,
-    )
+    """Keep only tags on `channel`, preserving order and duration."""
+    return stream.subset(stream.channels == channel)
 
 
 def write_tags(stream, path, format=None):

@@ -492,3 +492,44 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["simulate-hbt", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+CONFIGS = {"simulate-tcspc": TCSPC_CFG, "simulate-de-sweep": DE_CFG}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, section, line", [
+    ("simulate-tcspc", "source", "rep_rate_hz = 82e6"),
+    ("simulate-tcspc", "source", "lifetime_ps = 370"),
+    ("simulate-tcspc", "detector.SSPD", "dark_rate_hz = 100"),
+    ("simulate-tcspc", "detector.SSPD", "jitter_fwhm_ps = 170"),
+    ("simulate-de-sweep", "source", "rep_rate_hz = 100e3"),
+    ("simulate-de-sweep", "source", "mu = 10"),
+    ("simulate-de-sweep", "de_sweep", "mu = 0.01,0.1,1,10"),
+])
+def test_non_finite_parameter_is_config_error(tmp_path, capsys, command, section,
+                                              line, value):
+    key, text = line.split(" = ")[0], CONFIGS[command]
+    assert text.count(f"\n{line}\n") == 1
+    text = text.replace(f"\n{line}\n", f"\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}") and key in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, line, new, where", [
+    ("simulate-tcspc", "rep_rate_hz = 82e6", "rep_rate_hz = 1e-300", "run.n_pulses"),
+    ("simulate-tcspc", "n_pulses = 300000", "n_pulses = 1e15", "run.n_pulses"),
+    ("simulate-de-sweep", "pulses_per_point = 100000", "pulses_per_point = 1e12",
+     "de_sweep.pulses_per_point"),
+])
+def test_run_longer_than_int64_picoseconds_is_config_error(tmp_path, capsys, command,
+                                                           line, new, where):
+    out = tmp_path / "out"
+    text = CONFIGS[command].replace(line, new)
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"config error: {where}: ")

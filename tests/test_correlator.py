@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from photon_correlator import (
@@ -229,6 +231,45 @@ class TestMergeHistograms:
         other = Histogram(HistogramConfig(10, 0, 200), np.zeros(20, np.int64), 0)
         with pytest.raises(ValueError, match="config mismatch"):
             merge_histograms(self.histo([0] * 10, 0), other)
+
+
+def brute_force_counts(start_times, stop_times, config):
+    """O(n*m) reference for both collection modes, in plain Python."""
+    lo, hi, width = config.range_min_ps, config.range_max_ps, config.bin_width_ps
+    counts = [0] * config.n_bins
+    if config.mode is Mode.ALL_STOPS:
+        for s in start_times:
+            for t in stop_times:
+                if lo <= t - s < hi:
+                    counts[(t - s - lo) // width] += 1
+        return counts
+    consumed = [False] * len(stop_times)
+    for s in sorted(start_times):
+        # the earliest unconsumed stop at or after s + lo counts if it is
+        # before s + hi
+        free = [j for j, t in enumerate(stop_times) if not consumed[j] and t >= s + lo]
+        if free:
+            j = min(free, key=lambda j: stop_times[j])
+            if stop_times[j] < s + hi:
+                consumed[j] = True
+                counts[(stop_times[j] - s - lo) // width] += 1
+    return counts
+
+
+TAG_TIMES = st.lists(st.integers(0, 60), max_size=40).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(starts=TAG_TIMES, stops=TAG_TIMES, mode=st.sampled_from(Mode),
+       bin_width=st.integers(1, 5), range_min=st.integers(-30, 10),
+       n_bins=st.integers(1, 12))
+def test_tac_histogram_matches_brute_force(starts, stops, mode, bin_width,
+                                           range_min, n_bins):
+    config = HistogramConfig(bin_width, range_min, range_min + n_bins * bin_width,
+                             mode)
+    hist = tac_histogram(stream(starts, 61), stream(stops, 61), config)
+    assert hist.counts.tolist() == brute_force_counts(starts, stops, config)
+    assert hist.n_starts == len(starts)
 
 
 def test_chunked_equals_single_pass(rng):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_correlator import (
     BiasCurvePoint,
@@ -54,6 +56,32 @@ def test_dead_time_forced_example():
     photons = TagStream.from_pairs([(0, 0), (0, 5_000), (0, 12_000)], 10**6)
     out = detect(photons, ideal(dead_time_ps=10_000), seed=1)
     assert list(out.times) == [0, 12_000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.integers(0, 999), max_size=60),
+       dead_time=st.integers(1, 50))
+def test_dead_time_matches_greedy_reference(times, dead_time):
+    times = sorted(times)
+    kept = []  # accept a tag when the last accepted one is a dead time back
+    for t in times:
+        if not kept or t - kept[-1] >= dead_time:
+            kept.append(t)
+    photons = TagStream.from_pairs([(0, t) for t in times], 1000)
+    out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
+    assert out.times.tolist() == kept
+
+
+@pytest.mark.parametrize("rate_tau", [0.1, 1.0])
+def test_dead_time_rate_matches_muller(rng, rate_tau):
+    # non-paralyzable dead time on Poisson input R: the observed rate is
+    # R/(1+R*tau) (J. W. Mueller, Nucl. Instrum. Methods 112, 47, 1973), and
+    # the count variance of the renewal process is N/(1+R*tau)^2
+    rate, duration = 1e6, 2 * 10**11  # 1 MHz over 0.2 s
+    photons = poisson_stream(rng, rate, duration)
+    out = detect(photons, ideal(dead_time_ps=int(rate_tau / rate * 1e12)), seed=5)
+    expected = rate * duration * 1e-12 / (1 + rate_tau)
+    assert abs(len(out) - expected) < 5 * math.sqrt(expected) / (1 + rate_tau)
 
 
 def test_dark_counts_poisson():

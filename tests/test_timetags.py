@@ -79,12 +79,6 @@ def test_merge_duration_mismatch():
         merge_streams([])
 
 
-def test_merge_meta_later_precedence():
-    a = TagStream.empty(10, meta={"k": "a", "only_a": "1"})
-    b = TagStream.empty(10, meta={"k": "b"})
-    assert merge_streams([a, b]).meta == {"k": "b", "only_a": "1"}
-
-
 def test_filter_channel_basic():
     s = TagStream.from_pairs([(0, 1), (1, 2), (0, 3)], 10)
     f = filter_channel(s, 0)
@@ -181,10 +175,22 @@ def test_round_trip_many_random_streams(tmp_path):
         assert read_tags(path) == s
 
 
-def test_meta_excluded_from_equality():
-    a = TagStream.from_pairs([(0, 1)], 10, meta={"x": "1"})
-    b = TagStream.from_pairs([(0, 1)], 10, meta={"x": "2"})
-    assert a == b
+def test_subset_by_mask_and_slice(rng):
+    s = random_stream(rng, 1000, 10**6)
+    mask = s.channels != 1
+    assert s.subset(mask) == TagStream(s.channels[mask], s.times[mask], 10**6)
+    assert s.subset(slice(100, 200)) == TagStream(s.channels[100:200],
+                                                  s.times[100:200], 10**6)
+    assert len(s.subset(slice(0, 0))) == 0
+
+
+def test_single_channel_stream_checks_the_window():
+    s = TagStream.single_channel(np.array([0, 4, 4, 9]), 10, 7)
+    assert pairs(s) == [(7, 0), (7, 4), (7, 4), (7, 9)]
+    with pytest.raises(ValueError, match="duration_ps=10"):
+        TagStream.single_channel(np.array([3, 10]), 10, 7)
+    with pytest.raises(ValueError, match="< 0"):
+        TagStream.single_channel(np.array([-1, 3]), 10, 7)
 
 
 def test_arrays_are_read_only(rng):
