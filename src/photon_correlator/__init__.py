@@ -33,7 +33,6 @@ from .correlator import (
     read_histogram_csv,
     reverse_start_stop,
     tac_histogram,
-    tac_histogram_chunked,
     write_histogram_csv,
 )
 from .detectors import (
@@ -58,7 +57,7 @@ from .sources import (
     pulse_period_ps,
     solve_photon_stats,
 )
-from .timetags import TagStream, filter_channel, merge_streams, read_tags, write_tags
+from .timetags import TagStream, read_tags, write_tags
 
 __version__ = "0.1.0"
 
@@ -92,7 +91,6 @@ __all__ = [
     "emit_clock_ticks",
     "emit_dot_pulse_train",
     "emit_laser_pulse_train",
-    "filter_channel",
     "fit_de",
     "fit_lifetime",
     "fwhm_to_sigma",
@@ -100,7 +98,6 @@ __all__ = [
     "load_config",
     "measure_irf",
     "merge_histograms",
-    "merge_streams",
     "parse_config_text",
     "peak_fwhm",
     "pulse_period_ps",
@@ -112,7 +109,6 @@ __all__ = [
     "sigma_to_fwhm",
     "solve_photon_stats",
     "tac_histogram",
-    "tac_histogram_chunked",
     "write_bias_curve",
     "write_de_sweep",
     "write_histogram_csv",

@@ -309,7 +309,8 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
 
 def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     """Spec'd initialization: peak bin, max count, early-bin median
-    background, 1/e crossing for tau, bin width (or the fixed value) for sigma."""
+    background, 1/e crossing for tau, bin width (or the fixed value) for
+    sigma.  Returns [amplitude, t0, tau, background, sigma]."""
     i_peak = int(np.argmax(y))
     amplitude = float(y[i_peak])
     n_early = max(1, int(round(0.1 * y.size)))
@@ -323,18 +324,13 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     if tau is None or tau <= 0:
         tau = max((x[-1] - x[i_peak]) / 3.0, bin_width)
     sigma = fix_sigma_ps if fix_sigma_ps is not None else float(bin_width)
-    return {
-        "amplitude": amplitude,
-        "t0_ps": float(x[i_peak]),
-        "tau_ps": float(tau),
-        "background": background,
-        "sigma_ps": float(sigma),
-    }
+    return [amplitude, float(x[i_peak]), float(tau), background, float(sigma)]
 
 
-def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, init=None, weighted=False,
-                    max_iter=200):
+def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False, max_iter=200):
     """Fit `decay_model` to (x, y) samples; see `fit_lifetime`."""
+    if fix_sigma is not None and not 0 <= fix_sigma < math.inf:
+        raise AnalysisError(f"fix_sigma must be finite and >= 0, got {fix_sigma}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 5:
@@ -345,9 +341,6 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, init=None, weighted=Fals
         raise AnalysisError("need at least 20 nonzero bins to fit a decay")
 
     guess = _decay_initial_guess(x, y, bin_width_ps, fix_sigma)
-    if init:
-        guess.update({k: float(v) for k, v in init.items()})
-
     w = 1.0 / np.sqrt(np.maximum(y, 1.0)) if weighted else np.ones_like(y)
     free_sigma = fix_sigma is None
 
@@ -371,9 +364,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, init=None, weighted=Fals
             cols.append(full[:, 1] * sign)
         return np.column_stack(cols) * w[:, None]
 
-    p0 = [guess["amplitude"], guess["t0_ps"], guess["tau_ps"], guess["background"]]
-    if free_sigma:
-        p0.append(guess["sigma_ps"])
+    p0 = guess if free_sigma else guess[:4]
     res = levenberg_marquardt(residual, jacobian, p0, max_iter=max_iter)
     a, t0, tau, b, sig = unpack(res.params)
     return LifetimeFit(
@@ -388,7 +379,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, init=None, weighted=Fals
     )
 
 
-def fit_lifetime(hist, fix_sigma=None, init=None, weighted=False, max_iter=200):
+def fit_lifetime(hist, fix_sigma=None, weighted=False, max_iter=200):
     """Least-squares fit of the convolved decay model to a histogram.
 
     Free parameters are amplitude, onset t0, lifetime tau, and flat
@@ -398,7 +389,7 @@ def fit_lifetime(hist, fix_sigma=None, init=None, weighted=False, max_iter=200):
     """
     return fit_lifetime_xy(hist.bin_centers(), hist.counts.astype(float),
                            hist.config.bin_width_ps, fix_sigma=fix_sigma,
-                           init=init, weighted=weighted, max_iter=max_iter)
+                           weighted=weighted, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +491,8 @@ def fit_de(points, f_hz, weighted=False, max_iter=200):
         )
     if np.all(rate == rate[0]):
         raise AnalysisError("degenerate sweep: all rates equal")
-    if f_hz <= 0:
-        raise AnalysisError("f_hz must be > 0")
+    if not 0 < f_hz < math.inf:
+        raise AnalysisError(f"f_hz must be finite and > 0, got {f_hz}")
 
     d0 = float(rate.min())
     i_max = int(np.argmax(rate))

@@ -36,6 +36,7 @@ error.  Every error reports the full path of the offending key.
 
 import configparser
 import enum
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_args
 
@@ -58,7 +59,6 @@ class HbtSettings:
 @dataclass(frozen=True)
 class TcspcSettings:
     detector: str
-    clock_delay_ps: int | None = None
     analysis: str = "lifetime"  # "lifetime" or "irf"
 
     def __post_init__(self):
@@ -83,7 +83,6 @@ class DeSweepSettings:
 class G2Settings:
     n_side_peaks: int = 20
     integration_halfwidth_ps: float | None = None
-    rep_period_ps: float | None = None
 
     def __post_init__(self):
         if self.n_side_peaks < 2:
@@ -95,10 +94,14 @@ class LifetimeSettings:
     fix_sigma_ps: float | None = None
     weighted: bool = False
 
+    def __post_init__(self):
+        if self.fix_sigma_ps is not None and not 0 <= self.fix_sigma_ps < math.inf:
+            raise ConfigError("lifetime.fix_sigma_ps: must be finite and >= 0, "
+                              f"got {self.fix_sigma_ps}")
+
 
 @dataclass(frozen=True)
 class DeSettings:
-    f_hz: float | None = None
     weighted: bool = False
 
 
@@ -120,13 +123,26 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"run.seed: must be in [0, 2^64), got {self.seed}")
-        if self.n_pulses < 0:
-            raise ConfigError("run.n_pulses: must be >= 0")
+        if self.n_pulses <= 0:
+            raise ConfigError("run.n_pulses: must be > 0")
         period = pulse_period_ps(self.source.rep_rate_hz)
-        for key, n in (("run.n_pulses", self.n_pulses), ("de_sweep.pulses_per_point",
-                       getattr(self.de_sweep, "pulses_per_point", 0))):
-            if not n * period < 2**63:  # timestamps are int64 picoseconds
-                raise ConfigError(f"{key}: {n} pulses of {period} ps reach 2^63 ps")
+        runs = {"run.n_pulses": self.n_pulses}
+        if self.de_sweep is not None:
+            runs["de_sweep.pulses_per_point"] = self.de_sweep.pulses_per_point
+        for key, n in runs.items():
+            # timestamps are int64 picoseconds; a run spans at least one of them
+            if not 1 <= n * period < 2**63:
+                raise ConfigError(f"{key}: {n} pulses of {period} ps last outside "
+                                  "[1, 2^63) ps")
+        # numpy's Poisson sampler rejects means above ~9.2e18; 2^62 leaves margin
+        if not getattr(self.source, "mu", 0) < 2**62:
+            raise ConfigError(f"source.mu: {self.source.mu} photons per pulse "
+                              "reach 2^62")
+        longest_s = max(runs.values()) * period * 1e-12
+        for name, model in sorted(self.detectors.items()):
+            if not model.dark_rate_hz * longest_s < 2**62:
+                raise ConfigError(f"detector.{name}.dark_rate_hz: {model.dark_rate_hz} "
+                                  f"Hz over {longest_s} s reaches 2^62 dark counts")
         if self.hbt is not None:
             self.detector(self.hbt.start, "hbt.start")
             self.detector(self.hbt.stop, "hbt.stop")

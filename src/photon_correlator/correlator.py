@@ -160,24 +160,6 @@ def tac_histogram(starts, stops, config):
     return Histogram(config, counts, int(start_times.size))
 
 
-def tac_histogram_chunked(starts, stops, config, n_chunks):
-    """Partition the start stream, correlate each chunk, and merge.
-
-    Only valid in ALL_STOPS mode, where each start's contribution is
-    independent; FIRST_STOP consumption makes chunking order-dependent.
-    """
-    if config.mode is not Mode.ALL_STOPS:
-        raise ValueError("chunked correlation requires ALL_STOPS mode")
-    if n_chunks < 1:
-        raise ValueError("n_chunks must be >= 1")
-    bounds = np.linspace(0, len(starts), n_chunks + 1).astype(int)
-    result = None
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        hist = tac_histogram(starts.subset(slice(a, b)), stops, config)
-        result = hist if result is None else merge_histograms(result, hist)
-    return result
-
-
 def reverse_start_stop(detector, clock, config, remap_period_ps=None):
     """Reverse start-stop correlation: detector tag starts, next clock tick stops.
 

@@ -49,13 +49,13 @@ class DetectorModel:
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"{self.name}: efficiency outside [0, 1]")
+            raise ValueError("efficiency outside [0, 1]")
         if not 0 <= self.dark_rate_hz < math.inf:
-            raise ValueError(f"{self.name}: dark_rate_hz must be finite and >= 0")
+            raise ValueError("dark_rate_hz must be finite and >= 0")
         if not 0 <= self.jitter_fwhm_ps < math.inf:
-            raise ValueError(f"{self.name}: jitter_fwhm_ps must be finite and >= 0")
+            raise ValueError("jitter_fwhm_ps must be finite and >= 0")
         if self.dead_time_ps < 0:
-            raise ValueError(f"{self.name}: dead_time_ps must be >= 0")
+            raise ValueError("dead_time_ps must be >= 0")
 
     @property
     def jitter_sigma_ps(self):

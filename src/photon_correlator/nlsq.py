@@ -77,18 +77,3 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200, step_tol=1e-8,
     rms = float(np.sqrt(cost / max(r.size, 1)))
     return LeastSquaresResult(x, converged, n_iter, rms, cost)
 
-
-def finite_difference_jacobian(fn, x, rel_step=1e-6):
-    """Central-difference Jacobian of fn (vector valued) at x; the independent
-    cross-check for analytic Jacobians."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(fn(x), dtype=float)
-    J = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        h = rel_step * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        J[:, i] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
-    return J

@@ -7,9 +7,10 @@ rerunning a command with the same seed reproduces every output file byte
 for byte, and adding a stage never perturbs the draws of existing ones.
 
 Each recipe returns, as `result.config`, the config it ran with every
-default it resolved filled in (correlator, g2 windows, clock delay, DE
-drive frequency); the effective_config.cfg written from it reruns to the
-same data.
+default it resolved filled in (correlator range, g2 integration
+half-width); the effective_config.cfg written from it reruns to the same
+data.  The g2 comb period, the sync-clock delay and the DE drive
+frequency are not config keys: each follows from source.rep_rate_hz.
 
 Detector output channels are assigned from the alphabetical order of the
 configured detector names (1, 2, ...); channel 0 is the source and 255
@@ -111,7 +112,7 @@ def run_hbt(cfg):
     if cfg.hbt is None:
         raise ConfigError("hbt: section required for simulate-hbt")
     corr_cfg = _hbt_correlator_config(cfg)
-    rep_period = cfg.g2.rep_period_ps or pulse_period_ps(cfg.source.rep_rate_hz)
+    rep_period = pulse_period_ps(cfg.source.rep_rate_hz)
     try:  # fail before simulating if the histogram cannot hold the windows
         halfwidth, _ = side_peak_windows(corr_cfg, rep_period,
                                          cfg.g2.integration_halfwidth_ps,
@@ -119,8 +120,7 @@ def run_hbt(cfg):
     except AnalysisError as exc:
         raise ConfigError(f"g2: {exc}") from exc
     cfg = replace(cfg, correlator=corr_cfg,
-                  g2=replace(cfg.g2, rep_period_ps=rep_period,
-                             integration_halfwidth_ps=halfwidth))
+                  g2=replace(cfg.g2, integration_halfwidth_ps=halfwidth))
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
     arm_a, arm_b = beamsplit(source_stream, cfg.splitter,
                              derive_seed(cfg.seed, "splitter"))
@@ -167,22 +167,18 @@ class TcspcResult:
 def run_tcspc(cfg):
     """Source -> detector -> reverse start-stop vs the sync clock -> fit.
 
-    The clock photodiode ticks once per pump pulse, offset by
-    clock_delay_ps (default: half a period, which centers the decay in
-    the remapped time-after-excitation histogram).
+    The clock photodiode ticks once per pump pulse, half a period late,
+    which centers the decay in the remapped time-after-excitation
+    histogram.
     """
     if cfg.tcspc is None:
         raise ConfigError("tcspc: section required for simulate-tcspc")
     period = pulse_period_ps(cfg.source.rep_rate_hz)
-    clock_delay = cfg.tcspc.clock_delay_ps
-    if clock_delay is None:
-        clock_delay = int(round(period / 2.0))
-    cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg),
-                  tcspc=replace(cfg.tcspc, clock_delay_ps=clock_delay))
+    cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg))
     source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
     detections = _detect(cfg, source_stream, cfg.tcspc.detector)
     clock = emit_clock_ticks(cfg.source.rep_rate_hz, cfg.n_pulses,
-                             offset_ps=clock_delay)
+                             offset_ps=int(round(period / 2.0)))
     hist = reverse_start_stop(detections, clock, cfg.correlator,
                               remap_period_ps=int(round(period)))
     if cfg.tcspc.analysis == "irf":
@@ -243,7 +239,6 @@ def run_de_sweep(cfg):
             raise ConfigError(
                 f"de_sweep.mu: {mu} exceeds the unattenuated source mu {mu0}"
             )
-    cfg = replace(cfg, de=replace(cfg.de, f_hz=cfg.de.f_hz or cfg.source.rep_rate_hz))
     n_pulses = cfg.de_sweep.pulses_per_point
     points = []
     for i, mu in enumerate(mu_values):
@@ -253,7 +248,7 @@ def run_de_sweep(cfg):
                              f"de.point{i}.detector")
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
-    fit = fit_de(points, cfg.de.f_hz, weighted=cfg.de.weighted)
+    fit = fit_de(points, cfg.source.rep_rate_hz, weighted=cfg.de.weighted)
     return DeSweepResult(cfg, tuple(points), fit)
 
 

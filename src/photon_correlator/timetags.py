@@ -3,8 +3,8 @@
 Every timing quantity in the package is carried as an integer number of
 picoseconds (no floating-point timestamps anywhere), so multi-second runs
 at tens of MHz never accumulate rounding drift.  A stream is sorted by
-(t, channel); the channel tie-break makes merges deterministic and hence
-every seeded Monte Carlo run reproducible.
+(t, channel); the channel tie-break fixes the order of simultaneous tags
+and hence keeps every seeded Monte Carlo run reproducible.
 
 Two interchange formats are supported:
 
@@ -38,10 +38,9 @@ class TagStream:
 
     The stream takes ownership of the arrays it is given: an input that
     already has the right dtype is not copied but made read-only in
-    place, so the caller can no longer write to it.  Only this module
-    skips the O(n) order check, for streams sorted by construction
-    (`subset`, `single_channel`, `merge_streams`); the window is checked
-    on every stream.
+    place, so the caller can no longer write to it.  Only `subset` and
+    `single_channel`, whose streams are sorted by construction, skip the
+    O(n) order check; the window is checked on every stream.
     """
 
     __slots__ = ("channels", "times", "duration_ps")
@@ -70,16 +69,6 @@ class TagStream:
         self.channels = channels
         self.times = times
         self.duration_ps = duration_ps
-
-    @classmethod
-    def empty(cls, duration_ps=0):
-        return cls(np.empty(0, np.uint8), np.empty(0, np.int64), duration_ps)
-
-    @classmethod
-    def from_pairs(cls, pairs, duration_ps):
-        """Build a stream from an iterable of (channel, t) pairs (must be sorted)."""
-        pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        return cls(pairs[:, 0], pairs[:, 1], duration_ps)
 
     @classmethod
     def single_channel(cls, sorted_times, duration_ps, channel):
@@ -121,33 +110,6 @@ def _validate_sorted(channels, times):
             f"tags not sorted by (t, channel): violation at index {idx} "
             f"(t={int(times[idx])}, channel={int(channels[idx])})"
         )
-
-
-def merge_streams(streams):
-    """Merge sorted streams into one sorted stream.
-
-    All inputs must share the same duration_ps.  The (t, channel)
-    tie-break keeps the result independent of input order.
-    """
-    streams = list(streams)
-    if not streams:
-        raise ValueError("merge_streams requires at least one stream")
-    duration = streams[0].duration_ps
-    for i, s in enumerate(streams):
-        if s.duration_ps != duration:
-            raise ValueError(
-                f"duration mismatch: stream 0 has {duration} ps, "
-                f"stream {i} has {s.duration_ps} ps"
-            )
-    channels = np.concatenate([s.channels for s in streams])
-    times = np.concatenate([s.times for s in streams])
-    order = np.lexsort((channels, times))
-    return TagStream(channels[order], times[order], duration, _validated=True)
-
-
-def filter_channel(stream, channel):
-    """Keep only tags on `channel`, preserving order and duration."""
-    return stream.subset(stream.channels == channel)
 
 
 def write_tags(stream, path, format=None):

@@ -1,7 +1,19 @@
+import functools
+
 import numpy as np
 import pytest
 
-from photon_correlator import TagStream
+from photon_correlator import TagStream, merge_histograms, tac_histogram
+
+
+def from_pairs(pairs, duration_ps):
+    """A stream from (channel, t) pairs, which must be sorted."""
+    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return TagStream(pairs[:, 0], pairs[:, 1], duration_ps)
+
+
+def empty_stream(duration_ps=0):
+    return TagStream(np.empty(0, np.uint8), np.empty(0, np.int64), duration_ps)
 
 
 def random_stream(rng, n_tags, duration_ps, n_channels=3):
@@ -19,6 +31,31 @@ def poisson_stream(rng, rate_hz, duration_ps, channel=0, t_min=0, t_max=None):
     n = rng.poisson(rate_hz * span_s)
     times = np.sort(rng.integers(t_min, t_max, n))
     return TagStream(np.full(n, channel, np.uint8), times, duration_ps)
+
+
+def chunked_histogram(starts, stops, config, n_chunks):
+    """`tac_histogram` of `n_chunks` consecutive slices of the starts, summed
+    with `merge_histograms`; equal to a single pass in ALL_STOPS mode."""
+    bounds = np.linspace(0, len(starts), n_chunks + 1).astype(int)
+    return functools.reduce(merge_histograms, (
+        tac_histogram(starts.subset(slice(a, b)), stops, config)
+        for a, b in zip(bounds[:-1], bounds[1:])))
+
+
+def finite_difference_jacobian(fn, x, rel_step=1e-6):
+    """Central-difference Jacobian of fn (vector valued) at x; the independent
+    cross-check for analytic Jacobians."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(fn(x), dtype=float)
+    J = np.empty((f0.size, x.size))
+    for i in range(x.size):
+        h = rel_step * max(abs(x[i]), 1.0)
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        J[:, i] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2.0 * h)
+    return J
 
 
 @pytest.fixture

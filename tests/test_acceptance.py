@@ -29,15 +29,14 @@ from photon_correlator import (
     read_tags,
     solve_photon_stats,
     tac_histogram,
-    tac_histogram_chunked,
     write_tags,
 )
 from photon_correlator.analysis import de_model, de_model_jacobian
 from photon_correlator.cli import main
-from photon_correlator.nlsq import finite_difference_jacobian
 from photon_correlator.pipelines import run_de_sweep, run_hbt, run_tcspc
 
-from conftest import poisson_stream, random_stream
+from conftest import (chunked_histogram, finite_difference_jacobian, poisson_stream,
+                      random_stream)
 from test_analysis import convolution_oracle, relative_jacobian_error
 
 REP_HZ = 82e6
@@ -343,7 +342,7 @@ def test_criterion_6c_chunked_correlation():
         stops = poisson_stream(rng, 5e7, 10**8)
         single = tac_histogram(starts, stops, cfg)
         for n_chunks in (2, 7, 32):
-            chunked = tac_histogram_chunked(starts, stops, cfg, n_chunks)
+            chunked = chunked_histogram(starts, stops, cfg, n_chunks)
             ok = ok and np.array_equal(chunked.counts, single.counts)
             ok = ok and chunked.n_starts == single.n_starts
     report("6c (chunked correlation equals single pass)", ok,

@@ -39,7 +39,8 @@ from photon_correlator.analysis import (
     gaussian_model,
     side_peak_windows,
 )
-from photon_correlator.nlsq import finite_difference_jacobian
+
+from conftest import finite_difference_jacobian
 
 
 def spike_histogram(rep_period=1000, bin_width=10, n_periods=11, spikes=None):
@@ -252,6 +253,15 @@ def relative_jacobian_error(J_analytic, J_fd):
     return float(np.max(np.abs(J_analytic - J_fd) / scale))
 
 
+def test_finite_difference_jacobian_on_polynomial():
+    def fn(p):
+        return np.array([p[0] ** 2 + 3 * p[1], p[0] * p[1]])
+
+    J = finite_difference_jacobian(fn, np.array([2.0, 5.0]))
+    expected = np.array([[4.0, 3.0], [5.0, 2.0]])
+    assert np.allclose(J, expected, rtol=1e-7)
+
+
 class TestJacobians:
     """Central differences have nothing left to resolve 30+ sigma into a
     Gaussian tail, so each grid covers the support of its model."""
@@ -378,13 +388,6 @@ class TestFitLifetime:
         assert b.tau_ps == pytest.approx(a.tau_ps, rel=1e-6)
         assert b.t0_ps == pytest.approx(a.t0_ps, rel=1e-6)
 
-    def test_explicit_init_override(self):
-        cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
-        x = cfg.bin_centers()
-        y = decay_model(x, 370.0, 72.2, 5000.0, 2000.0, 7.0)
-        fit = fit_lifetime_xy(x, y, 32, init={"tau_ps": 500.0, "t0_ps": 1900.0})
-        assert fit.converged
-        assert fit.tau_ps == pytest.approx(370.0, rel=1e-4)
 
 
 class TestMeasureIrf:

@@ -494,7 +494,8 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-CONFIGS = {"simulate-tcspc": TCSPC_CFG, "simulate-de-sweep": DE_CFG}
+CONFIGS = {"simulate-hbt": HBT_CFG, "simulate-tcspc": TCSPC_CFG,
+           "simulate-de-sweep": DE_CFG}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -518,6 +519,8 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, command, section
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {section}") and key in err
     assert len(err.strip().splitlines()) == 1
+    if section.startswith("detector."):  # the section is named once
+        assert err == f"config error: {section}: {key} must be finite and >= 0\n"
 
 
 @pytest.mark.parametrize("command, line, new, where", [
@@ -525,6 +528,13 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, command, section
     ("simulate-tcspc", "n_pulses = 300000", "n_pulses = 1e15", "run.n_pulses"),
     ("simulate-de-sweep", "pulses_per_point = 100000", "pulses_per_point = 1e12",
      "de_sweep.pulses_per_point"),
+    # an empty run, or a Poisson mean numpy cannot draw
+    ("simulate-tcspc", "dark_rate_hz = 100", "dark_rate_hz = 1e300",
+     "detector.SSPD.dark_rate_hz"),
+    ("simulate-de-sweep", "mu = 10", "mu = 1e300", "source.mu"),
+    ("simulate-hbt", "n_pulses = 100000", "n_pulses = 0", "run.n_pulses"),
+    ("simulate-tcspc", "n_pulses = 300000", "n_pulses = 0", "run.n_pulses"),
+    ("simulate-tcspc", "rep_rate_hz = 82e6", "rep_rate_hz = 1e300", "run.n_pulses"),
 ])
 def test_run_longer_than_int64_picoseconds_is_config_error(tmp_path, capsys, command,
                                                            line, new, where):
@@ -533,3 +543,33 @@ def test_run_longer_than_int64_picoseconds_is_config_error(tmp_path, capsys, com
     assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"config error: {where}: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_fixed_sigma_in_config_fails_before_simulating(tmp_path, capsys, value):
+    text = TCSPC_CFG + f"\n[lifetime]\nfix_sigma_ps = {value}\n"
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lifetime.fix_sigma_ps: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["de", "--sweep", "{sweep}", "--f-hz", "nan"],
+    ["de", "--sweep", "{sweep}", "--f-hz", "inf"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "nan"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "-1"],
+], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative"])
+def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
+    cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
+    counts = np.rint(decay_model(cfg.bin_centers(), 370.0, 72.2, 50_000.0, 2000.0, 5.0))
+    hist = tmp_path / "decay.csv"
+    write_histogram_csv(Histogram(cfg, counts.astype(np.int64), 10**6), hist)
+    assert main(["analyze"] + [a.format(sweep=sweep, hist=hist) for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and len(err.splitlines()) == 1

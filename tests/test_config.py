@@ -69,7 +69,6 @@ n_side_peaks = 20
 weighted = true
 
 [de]
-f_hz = 1e5
 """
 
 LASER = """
@@ -228,7 +227,7 @@ def test_readme_hbt_example_loads():
 
     cfg = parse_config_text(block + tcspc)
     assert (cfg.tcspc.detector, cfg.tcspc.analysis) == ("SSPD", "lifetime")
-    assert cfg.tcspc.clock_delay_ps is None and cfg.lifetime.fix_sigma_ps is None
+    assert cfg.lifetime.fix_sigma_ps is None
 
     assert laser.startswith("[source]\n")
     laser_hbt = re.sub(r"\[source\]\n.*?\n\n", laser + "\n", block, flags=re.S)
@@ -237,7 +236,7 @@ def test_readme_hbt_example_loads():
     assert cfg.de_sweep.detector == "SSPD"
     assert cfg.de_sweep.mu_values == (0.001, 0.01, 0.1, 1.0, 10.0)
     assert cfg.de_sweep.pulses_per_point == 1_000_000
-    assert cfg.de.f_hz is None and not cfg.de.weighted
+    assert not cfg.de.weighted
 
 
 @pytest.mark.parametrize("text, section, key", [
@@ -254,6 +253,10 @@ def test_readme_hbt_example_loads():
     (FULL, "g2", "n_side_peak"),
     (FULL, "lifetime", "fix_sigma"),
     (FULL, "de", "fhz"),
+    # values that follow from source.rep_rate_hz are not keys
+    (FULL, "g2", "rep_period_ps"),
+    (FULL, "de", "f_hz"),
+    (FULL, "tcspc", "clock_delay_ps"),
 ])
 def test_unknown_key_is_rejected(text, section, key):
     bad = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 10000\n")

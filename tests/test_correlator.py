@@ -21,11 +21,10 @@ from photon_correlator import (
     read_histogram_csv,
     reverse_start_stop,
     tac_histogram,
-    tac_histogram_chunked,
     write_histogram_csv,
 )
 
-from conftest import poisson_stream
+from conftest import chunked_histogram, empty_stream, poisson_stream
 
 
 def stream(times, duration=None, channel=0):
@@ -172,7 +171,7 @@ class TestReverseStartStop:
     def test_empty_clock(self):
         cfg = HistogramConfig(10, 0, 100, Mode.FIRST_STOP)
         with pytest.raises(ValueError, match="clock"):
-            reverse_start_stop(stream([5], duration=10), TagStream.empty(10), cfg)
+            reverse_start_stop(stream([5], duration=10), empty_stream(10), cfg)
 
     def test_detector_tag_after_last_tick_uncounted(self):
         cfg = HistogramConfig(10, 0, 1000, Mode.FIRST_STOP)
@@ -278,16 +277,9 @@ def test_chunked_equals_single_pass(rng):
     cfg = HistogramConfig(64, -6400, 6400, Mode.ALL_STOPS)
     single = tac_histogram(starts, stops, cfg)
     for n_chunks in (1, 3, 16):
-        chunked = tac_histogram_chunked(starts, stops, cfg, n_chunks)
+        chunked = chunked_histogram(starts, stops, cfg, n_chunks)
         assert np.array_equal(chunked.counts, single.counts)
         assert chunked.n_starts == single.n_starts
-
-
-def test_chunked_rejects_first_stop(rng):
-    cfg = HistogramConfig(64, -6400, 6400, Mode.FIRST_STOP)
-    s = poisson_stream(rng, 1e6, 10**7)
-    with pytest.raises(ValueError, match="ALL_STOPS"):
-        tac_histogram_chunked(s, s, cfg, 2)
 
 
 class TestHistogramCsv:

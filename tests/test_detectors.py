@@ -17,7 +17,7 @@ from photon_correlator import (
     write_bias_curve,
 )
 
-from conftest import poisson_stream, random_stream
+from conftest import empty_stream, from_pairs, poisson_stream, random_stream
 
 
 def ideal(name="det", **kw):
@@ -49,11 +49,11 @@ def test_detect_blind_detector_is_silent(rng):
 
 def test_detect_requires_duration():
     with pytest.raises(ValueError, match="duration"):
-        detect(TagStream.empty(0), ideal(), seed=1)
+        detect(empty_stream(0), ideal(), seed=1)
 
 
 def test_dead_time_forced_example():
-    photons = TagStream.from_pairs([(0, 0), (0, 5_000), (0, 12_000)], 10**6)
+    photons = from_pairs([(0, 0), (0, 5_000), (0, 12_000)], 10**6)
     out = detect(photons, ideal(dead_time_ps=10_000), seed=1)
     assert list(out.times) == [0, 12_000]
 
@@ -67,7 +67,7 @@ def test_dead_time_matches_greedy_reference(times, dead_time):
     for t in times:
         if not kept or t - kept[-1] >= dead_time:
             kept.append(t)
-    photons = TagStream.from_pairs([(0, t) for t in times], 1000)
+    photons = from_pairs([(0, t) for t in times], 1000)
     out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
     assert out.times.tolist() == kept
 
@@ -86,7 +86,7 @@ def test_dead_time_rate_matches_muller(rng, rate_tau):
 
 def test_dark_counts_poisson():
     # photon-free 1 s run at 100 Hz dark rate: 100 +/- 30 tags
-    empty = TagStream.empty(10**12)
+    empty = empty_stream(10**12)
     out = detect(empty, ideal(efficiency=0.0, dark_rate_hz=100.0), seed=3)
     assert abs(len(out) - 100) <= 30
 
@@ -137,7 +137,7 @@ def test_jitter_calibration_fwhm():
 def test_darks_are_jittered_and_clamped():
     # all mass at the window edge: jitter would push tags outside, the
     # clamp keeps every tag inside [0, duration)
-    empty = TagStream.empty(1000)
+    empty = empty_stream(1000)
     out = detect(empty, ideal(efficiency=0.0, dark_rate_hz=1e13,
                               jitter_fwhm_ps=5000.0), seed=11)
     assert len(out) > 0

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from photon_correlator.nlsq import (
-    LeastSquaresResult,
-    finite_difference_jacobian,
-    levenberg_marquardt,
-)
+from photon_correlator.nlsq import LeastSquaresResult, levenberg_marquardt
 
 
 def test_linear_model_one_step():
@@ -87,15 +83,6 @@ def test_backs_away_from_invalid_region():
     res = levenberg_marquardt(residual, lambda p: np.array([[1.0]]), [0.5])
     assert res.converged
     assert res.params[0] == pytest.approx(2.0, rel=1e-8)
-
-
-def test_finite_difference_jacobian_on_polynomial():
-    def fn(p):
-        return np.array([p[0] ** 2 + 3 * p[1], p[0] * p[1]])
-
-    J = finite_difference_jacobian(fn, np.array([2.0, 5.0]))
-    expected = np.array([[4.0, 3.0], [5.0, 2.0]])
-    assert np.allclose(J, expected, rtol=1e-7)
 
 
 def test_result_shape():

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from photon_correlator import (
-    FormatError,
-    TagStream,
-    filter_channel,
-    merge_streams,
-    read_tags,
-    write_tags,
-)
+from photon_correlator import FormatError, TagStream, read_tags, write_tags
 
-from conftest import random_stream
+from conftest import empty_stream, from_pairs, random_stream
 
 
 def pairs(stream):
@@ -19,77 +12,27 @@ def pairs(stream):
 
 def test_stream_rejects_unsorted_and_names_index():
     with pytest.raises(ValueError, match="index 2"):
-        TagStream.from_pairs([(0, 10), (0, 20), (0, 15)], duration_ps=100)
+        from_pairs([(0, 10), (0, 20), (0, 15)], duration_ps=100)
 
 
 def test_stream_rejects_equal_time_channel_inversion():
     with pytest.raises(ValueError, match="not sorted"):
-        TagStream.from_pairs([(1, 10), (0, 10)], duration_ps=100)
+        from_pairs([(1, 10), (0, 10)], duration_ps=100)
     # ascending channel at equal time is fine
-    s = TagStream.from_pairs([(0, 10), (1, 10)], duration_ps=100)
+    s = from_pairs([(0, 10), (1, 10)], duration_ps=100)
     assert len(s) == 2
 
 
 def test_stream_rejects_out_of_window_tags():
     with pytest.raises(ValueError, match=">= duration"):
-        TagStream.from_pairs([(0, 100)], duration_ps=100)
+        from_pairs([(0, 100)], duration_ps=100)
     with pytest.raises(ValueError, match="< 0"):
         TagStream(np.array([0], np.uint8), np.array([-1], np.int64), 100)
 
 
 def test_stream_rejects_bad_channel():
     with pytest.raises(ValueError, match="channel"):
-        TagStream.from_pairs([(300, 10)], duration_ps=100)
-
-
-def test_merge_empty_streams():
-    merged = merge_streams([TagStream.empty(50), TagStream.empty(50)])
-    assert len(merged) == 0
-    assert merged.duration_ps == 50
-
-
-def test_merge_channel_tie_break():
-    a = TagStream.from_pairs([(0, 5)], 10)
-    b = TagStream.from_pairs([(1, 5)], 10)
-    merged = merge_streams([b, a])
-    assert pairs(merged) == [(0, 5), (1, 5)]
-
-
-def test_merge_matches_concat_sort_oracle(rng):
-    streams = [random_stream(rng, 10_000, 10**9) for _ in range(2)]
-    merged = merge_streams(streams)
-    oracle = sorted(
-        [(int(t), int(c)) for s in streams for c, t in zip(s.channels, s.times)]
-    )
-    assert [(int(t), int(c)) for c, t in zip(merged.channels, merged.times)] == oracle
-
-
-def test_merge_associative_commutative(rng):
-    a, b, c = (random_stream(rng, 500, 10**6) for _ in range(3))
-    ab_c = merge_streams([merge_streams([a, b]), c])
-    a_bc = merge_streams([a, merge_streams([b, c])])
-    cba = merge_streams([c, b, a])
-    assert ab_c == a_bc == cba
-
-
-def test_merge_duration_mismatch():
-    with pytest.raises(ValueError, match="duration mismatch"):
-        merge_streams([TagStream.empty(10), TagStream.empty(20)])
-    with pytest.raises(ValueError, match="at least one"):
-        merge_streams([])
-
-
-def test_filter_channel_basic():
-    s = TagStream.from_pairs([(0, 1), (1, 2), (0, 3)], 10)
-    f = filter_channel(s, 0)
-    assert pairs(f) == [(0, 1), (0, 3)]
-    assert len(filter_channel(TagStream.empty(5), 0)) == 0
-
-
-def test_filter_channel_partition_counts(rng):
-    s = random_stream(rng, 5000, 10**7, n_channels=4)
-    total = sum(len(filter_channel(s, c)) for c in range(4))
-    assert total == len(s)
+        from_pairs([(300, 10)], duration_ps=100)
 
 
 def test_binary_round_trip_random(rng, tmp_path):
@@ -100,7 +43,7 @@ def test_binary_round_trip_random(rng, tmp_path):
 
 
 def test_binary_round_trip_empty(tmp_path):
-    s = TagStream.empty(12345)
+    s = empty_stream(12345)
     path = tmp_path / "empty.ttag"
     write_tags(s, path)
     back = read_tags(path)
@@ -140,7 +83,7 @@ def test_binary_truncated_record(rng, tmp_path):
 
 
 def test_binary_unsorted_content(tmp_path):
-    good = TagStream.from_pairs([(0, 10), (0, 20)], 100)
+    good = from_pairs([(0, 10), (0, 20)], 100)
     path = tmp_path / "unsorted.ttag"
     write_tags(good, path)
     raw = bytearray(path.read_bytes())
