@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .detectors import FWHM_PER_SIGMA, sigma_to_fwhm
 from .errors import AnalysisError
@@ -253,6 +252,10 @@ def decay_model(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
         signal = np.where(u > 0, np.exp(-np.clip(u, 0, None) / tau_ps), 0.0)
         signal = np.where(u == 0, 0.5, signal) * amplitude
     else:
+        # imported here: only the lifetime fit needs scipy, which takes a
+        # noticeable share of every command's start-up
+        from scipy.special import erfc, erfcx
+
         z = (sigma_ps / tau_ps - u / sigma_ps) / _SQRT2
         signal = np.empty_like(u)
         pos = z >= 0

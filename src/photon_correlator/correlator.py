@@ -119,6 +119,19 @@ def _bin_delays(delays, config):
     return np.bincount(idx, minlength=config.n_bins).astype(np.int64)
 
 
+def _check_int64_range(start_times, config):
+    """Reject a range that would wrap start + range_min or start + range_max."""
+    if start_times.size == 0:
+        return
+    info = np.iinfo(np.int64)
+    if (int(start_times[0]) + config.range_min_ps < info.min
+            or int(start_times[-1]) + config.range_max_ps > info.max):
+        raise ValueError(
+            f"histogram range [{config.range_min_ps}, {config.range_max_ps}) ps "
+            f"overflows int64 for starts in [{int(start_times[0])}, "
+            f"{int(start_times[-1])}] ps")
+
+
 def tac_histogram(starts, stops, config):
     """Histogram stop-minus-start delays in the configured mode.
 
@@ -127,6 +140,7 @@ def tac_histogram(starts, stops, config):
     """
     start_times = starts.times
     stop_times = stops.times
+    _check_int64_range(start_times, config)
     if config.mode is Mode.ALL_STOPS:
         lo = np.searchsorted(stop_times, start_times + config.range_min_ps, "left")
         hi = np.searchsorted(stop_times, start_times + config.range_max_ps, "left")
@@ -140,24 +154,49 @@ def tac_histogram(starts, stops, config):
             delays = stop_times[flat] - np.repeat(start_times, per_start)
             counts = _bin_delays(delays, config)
         return Histogram(config, counts, int(start_times.size))
+    return Histogram(config, _first_stop_counts(start_times, stop_times, config),
+                     int(start_times.size))
 
-    # FIRST_STOP: single forward pass; a stop below start+range_min can
-    # never serve any later start either, so the scan pointer only advances.
-    counts = np.zeros(config.n_bins, dtype=np.int64)
-    stop_list = stop_times.tolist()
-    n_stops = len(stop_list)
-    j = 0
-    rmin = config.range_min_ps
-    rmax = config.range_max_ps
-    width = config.bin_width_ps
-    for s in start_times.tolist():
-        lo_t = s + rmin
-        while j < n_stops and stop_list[j] < lo_t:
-            j += 1
-        if j < n_stops and stop_list[j] - s < rmax:
-            counts[(stop_list[j] - s - rmin) // width] += 1
-            j += 1
-    return Histogram(config, counts, int(start_times.size))
+
+def _first_stop_counts(start_times, stop_times, config):
+    """FIRST_STOP counts, without a loop over the starts.
+
+    Each start, in order, takes the earliest unconsumed stop at or after
+    start + range_min, if that stop is before start + range_max.  Call the
+    first stop at or after start + range_min the start's candidate.  A
+    start whose candidate is missing or not before start + range_max never
+    counts, since any stop it could take is later still.  Later starts have
+    candidates no earlier than its own, so it affects none of them, and
+    such starts are dropped.  For the rest, with candidate c_k and e_k the
+    first stop at or after s_k + range_max, every stop an earlier start
+    consumed lies before e_k, so the scan pointer after start k is
+
+        j_k = min(max(j_{k-1}, c_k) + 1, e_k),    j_{-1} = 0,
+
+    and start k counts stop j_k - 1 unless j_k = max(j_{k-1}, c_k).  Each
+    step clamps x + 1 into [c_k + 1, e_k]; clamps compose into clamps, so
+    every j_k comes from a prefix scan by doubling.
+    """
+    n_stops = stop_times.size
+    if n_stops == 0:
+        return np.zeros(config.n_bins, dtype=np.int64)
+    cand = np.searchsorted(stop_times, start_times + config.range_min_ps, "left")
+    cand_time = stop_times[np.minimum(cand, n_stops - 1)]
+    in_range = (cand < n_stops) & (cand_time < start_times + config.range_max_ps)
+    s = start_times[in_range]
+    cand = cand[in_range]
+    # after the pass with a given step, entry k holds the clamps of starts
+    # max(0, k - 2*step + 1) .. k composed, as x -> clip(x + their count, lo, hi)
+    lo = cand + 1
+    hi = np.searchsorted(stop_times, s + config.range_max_ps, "left")
+    step = 1
+    while step < s.size:
+        lo[step:], hi[step:] = (np.clip(lo[:-step] + step, lo[step:], hi[step:]),
+                                np.clip(hi[:-step] + step, lo[step:], hi[step:]))
+        step *= 2
+    j = np.clip(np.arange(1, s.size + 1), lo, hi)
+    counted = j > np.maximum(np.concatenate(([0], j[:-1])), cand)
+    return _bin_delays(stop_times[j[counted] - 1] - s[counted], config)
 
 
 def reverse_start_stop(detector, clock, config, remap_period_ps=None):

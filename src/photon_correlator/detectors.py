@@ -6,7 +6,9 @@ module would record, applying in order:
 1. Bernoulli thinning with the system detection efficiency,
 2. dark counts from a homogeneous Poisson process over the run,
 3. Gaussian timing jitter (sigma = FWHM / 2.3548) on every tag, darks
-   included, clamped into [0, duration),
+   included, clamped into [0, duration).  The clamp is an edge artefact:
+   a tag that jitter pushes outside the window is recorded at 0 or
+   duration - 1, so counts pile up in the first and last picosecond,
 4. re-sort,
 5. non-paralyzable dead time: any tag closer than dead_time_ps to the
    last accepted tag is dropped (arrivals during dead time do not extend it).
@@ -88,17 +90,36 @@ def detect(photons, model, seed, channel=1):
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):
-    """Non-paralyzable dead-time filter on a sorted int64 array."""
+    """Non-paralyzable dead-time filter on a sorted int64 array.
+
+    A tag at least a dead time after the tag before it is accepted whatever
+    was accepted earlier, so such tags (and the first tag) open runs of
+    close tags, each run starting from an accepted anchor.  A close tag less
+    than a dead time after its run's anchor is dropped.  The rest, the late
+    tags, are filtered greedily among themselves: from an accepted late tag
+    the next accepted one is the first late tag a dead time on, also when
+    that tag is in a later run, since every anchor is more than a dead time
+    after the tags before it.  The scan steps only over accepted late tags.
+    """
     if sorted_times.size == 0:
         return sorted_times
-    out = []
-    append = out.append
-    last = None
-    for t in sorted_times.tolist():
-        if last is None or t - last >= dead_time_ps:
-            append(t)
-            last = t
-    return np.asarray(out, dtype=np.int64)
+    keep = np.empty(sorted_times.size, dtype=bool)
+    keep[0] = True
+    np.greater_equal(np.diff(sorted_times), dead_time_ps, out=keep[1:])
+    # the times are sorted, so a running maximum of the anchor times gives
+    # each tag the anchor of its run
+    anchor = np.maximum.accumulate(np.where(keep, sorted_times, sorted_times[0]))
+    late = np.flatnonzero(sorted_times - anchor >= dead_time_ps)
+    late_times = sorted_times[late]
+    # first late tag at or after t + dead time, without forming t + dead time
+    following = np.searchsorted(late_times - dead_time_ps, late_times)
+    accepted = np.zeros(late.size, dtype=bool)
+    i = 0
+    while i < late.size:
+        accepted[i] = True
+        i = following.item(i)
+    keep[late[accepted]] = True
+    return sorted_times[keep]
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,11 @@ def _tcspc_correlator_config(cfg):
         return cfg.correlator
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     span = int(period // DEFAULT_BIN_WIDTH_PS) * DEFAULT_BIN_WIDTH_PS
+    if span == 0:
+        raise ConfigError(
+            f"source.rep_rate_hz: the pulse period ({period:g} ps) is shorter than "
+            f"one {DEFAULT_BIN_WIDTH_PS} ps bin, so the default TCSPC window is "
+            f"empty; give the [correlator] range")
     return HistogramConfig(DEFAULT_BIN_WIDTH_PS, 0, span, Mode.FIRST_STOP)
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,17 @@ class TestSimulateTcspc:
         assert record["converged"] is True
         assert record["tau_ps"] == pytest.approx(370.0, rel=0.05)
         assert (out / "histogram.csv").exists()
+
+    def test_period_shorter_than_a_bin_is_config_error(self, tmp_path, capsys):
+        # the default window spans whole 32 ps bins of one pulse period
+        text = TCSPC_CFG.replace("rep_rate_hz = 82e6", "rep_rate_hz = 1e11")
+        out = tmp_path / "out"
+        assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: source.rep_rate_hz: ")
+        assert len(err.splitlines()) == 1
 
     def test_irf_run(self, tmp_path):
         cfg_text = TCSPC_CFG.replace(
@@ -573,3 +588,44 @@ def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     assert main(["analyze"] + [a.format(sweep=sweep, hist=hist) for a in argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
+
+
+SCIPY_GATE = """
+import sys
+from photon_correlator.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+    assert "scipy" not in sys.modules, argv
+
+d = sys.argv[1]
+assert "scipy" not in sys.modules
+run("simulate-hbt", "--config", d + "/hbt.cfg", "--out", d + "/hbt")
+run("simulate-de-sweep", "--config", d + "/de.cfg", "--out", d + "/de")
+run("analyze", "g2", "--hist", d + "/hbt/histogram.csv", "--rep-period-ps", "12195",
+    "--side-peaks", "10")
+run("analyze", "de", "--sweep", d + "/de/sweep.csv", "--f-hz", "100000")
+print("--- lifetime")
+assert main(["analyze", "lifetime", "--hist", d + "/decay.csv"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_only_the_lifetime_fit_loads_scipy(tmp_path, capsys):
+    # scipy takes a large share of every command's start-up
+    write_cfg(tmp_path, HBT_CFG, "hbt.cfg")
+    write_cfg(tmp_path, DE_CFG, "de.cfg")
+    cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
+    counts = np.rint(decay_model(cfg.bin_centers(), 370.0, 72.2, 50_000.0, 2000.0, 5.0))
+    write_histogram_csv(Histogram(cfg, counts.astype(np.int64), 10**6),
+                        tmp_path / "decay.csv")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GATE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lifetime = proc.stdout.split("--- lifetime\n")[1]
+    assert main(["analyze", "lifetime", "--hist", str(tmp_path / "decay.csv")]) == 0
+    assert capsys.readouterr().out == lifetime

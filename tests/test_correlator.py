@@ -271,6 +271,66 @@ def test_tac_histogram_matches_brute_force(starts, stops, mode, bin_width,
     assert hist.n_starts == len(starts)
 
 
+def first_stop_scan(start_times, stop_times, config):
+    """FIRST_STOP in one forward pass of a stop pointer over every start, in
+    plain Python: a stop below start + range_min can serve no later start
+    either, so the pointer only advances."""
+    counts = [0] * config.n_bins
+    lo, hi, width = config.range_min_ps, config.range_max_ps, config.bin_width_ps
+    j = 0
+    for s in start_times:
+        while j < len(stop_times) and stop_times[j] < s + lo:
+            j += 1
+        if j < len(stop_times) and stop_times[j] - s < hi:
+            counts[(stop_times[j] - s - lo) // width] += 1
+            j += 1
+    return counts
+
+
+def with_duplicates(rng, times, share):
+    """`times` plus repeats of a random `share` of them, sorted."""
+    repeats = rng.choice(times, int(share * times.size))
+    return np.sort(np.concatenate([times, repeats]))
+
+
+@pytest.mark.parametrize("n_starts, n_stops, range_min, range_max", [
+    (300_000, 15_000, -128_064, 128_064),  # dense starts, sparse stops
+    (15_000, 300_000, -128_064, 128_064),  # sparse starts, dense stops
+    (200_000, 200_000, -400_000, -100_000),  # both dense, a negative range
+], ids=["dense-starts", "dense-stops", "negative-range"])
+def test_first_stop_matches_scan_at_scale(n_starts, n_stops, range_min, range_max):
+    # the dense-starts case has the rates of the hardware-TAC HBT: ~8 MHz of
+    # APD starts and ~0.4 MHz of stops
+    rng = np.random.default_rng(n_starts + n_stops)
+    duration = 4 * 10**10
+    start_times = with_duplicates(rng, np.sort(rng.integers(0, duration, n_starts)), 0.01)
+    stop_times = with_duplicates(rng, np.sort(rng.integers(0, duration, n_stops)), 0.01)
+    config = HistogramConfig(32, range_min, range_max, Mode.FIRST_STOP)
+    hist = tac_histogram(stream(start_times, duration), stream(stop_times, duration),
+                         config)
+    expected = first_stop_scan(start_times.tolist(), stop_times.tolist(), config)
+    assert hist.total_counts > 1000
+    assert hist.counts.tolist() == expected
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("range_min, range_max", [
+    (0, 2**63 - 1),  # last start + range_max above int64
+    (-2**63 - 10, -2**63),  # first start + range_min below int64
+])
+def test_range_beyond_int64_is_rejected(mode, range_min, range_max):
+    config = HistogramConfig(range_max - range_min, range_min, range_max, mode)
+    with pytest.raises(ValueError, match=r"range \[.*\) ps overflows int64"):
+        tac_histogram(stream([5, 10]), stream([7]), config)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_range_up_to_int64_max_is_accepted(mode):
+    config = HistogramConfig(1, 2**63 - 12, 2**63 - 11, mode)
+    hist = tac_histogram(stream([5, 10]), stream([7]), config)
+    assert hist.total_counts == 0 and hist.n_starts == 2
+
+
 def test_chunked_equals_single_pass(rng):
     starts = poisson_stream(rng, 5e7, 10**8)
     stops = poisson_stream(rng, 8e7, 10**8)

@@ -84,6 +84,29 @@ def test_dead_time_rate_matches_muller(rng, rate_tau):
     assert abs(len(out) - expected) < 5 * math.sqrt(expected) / (1 + rate_tau)
 
 
+def greedy_dead_time(sorted_times, dead_time_ps):
+    """Non-paralyzable dead time in one plain-Python pass over every tag."""
+    kept = []
+    for t in sorted_times:
+        if not kept or t - kept[-1] >= dead_time_ps:
+            kept.append(t)
+    return kept
+
+
+@pytest.mark.parametrize("rate_tau", [0.08, 1.0, 5.0])
+def test_dead_time_matches_greedy_scan_at_scale(rate_tau):
+    # 300k tags, 1 % of them repeated exactly; R*tau = 0.08 is the APD of the
+    # hardware-TAC HBT
+    rng = np.random.default_rng(int(rate_tau * 100))
+    n, dead_time = 300_000, 10_000
+    duration = int(n * dead_time / rate_tau)
+    times = np.sort(rng.integers(0, duration, n))
+    times = np.sort(np.concatenate([times, rng.choice(times, n // 100)]))
+    photons = TagStream(np.zeros(times.size, np.uint8), times, duration)
+    out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
+    assert out.times.tolist() == greedy_dead_time(times.tolist(), dead_time)
+
+
 def test_dark_counts_poisson():
     # photon-free 1 s run at 100 Hz dark rate: 100 +/- 30 tags
     empty = empty_stream(10**12)
