@@ -53,6 +53,9 @@ class HistogramConfig:
             raise ValueError("bin_width_ps must be > 0")
         if self.range_max_ps <= self.range_min_ps:
             raise ValueError("range_max_ps must be > range_min_ps")
+        if not (-2**63 <= self.range_min_ps and self.range_max_ps <= 2**63 - 1):
+            raise ValueError(f"range [{self.range_min_ps}, {self.range_max_ps}) ps "
+                             f"leaves int64")
         if (self.range_max_ps - self.range_min_ps) % self.bin_width_ps:
             raise ValueError(
                 f"range span {self.range_max_ps - self.range_min_ps} not divisible "
@@ -120,12 +123,9 @@ def _bin_delays(delays, config):
 
 
 def _check_int64_range(start_times, config):
-    """Reject a range that would wrap start + range_min or start + range_max."""
-    if start_times.size == 0:
-        return
-    info = np.iinfo(np.int64)
-    if (int(start_times[0]) + config.range_min_ps < info.min
-            or int(start_times[-1]) + config.range_max_ps > info.max):
+    """Reject a range that would wrap start + range_max; start + range_min
+    cannot wrap, as starts are >= 0 and range_min_ps >= -2^63."""
+    if start_times.size and int(start_times[-1]) + config.range_max_ps > 2**63 - 1:
         raise ValueError(
             f"histogram range [{config.range_min_ps}, {config.range_max_ps}) ps "
             f"overflows int64 for starts in [{int(start_times[0])}, "

@@ -86,7 +86,7 @@ def detect(photons, model, seed, channel=1):
     if model.dead_time_ps > 0:
         times = _apply_dead_time(times, int(model.dead_time_ps))
 
-    return TagStream.single_channel(times, duration, channel)
+    return TagStream(times, duration, channel)
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):

@@ -10,6 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+STEP_TOL = 1e-8  # relative step size that counts as converged
+LAM0 = 1e-3  # initial damping
+LAM_FACTOR = 10.0  # damping grows by this on a rejected step, shrinks on success
+LAM_MAX = 1e14  # damping above this without an accepted step ends the fit
+
 
 @dataclass
 class LeastSquaresResult:
@@ -20,17 +25,16 @@ class LeastSquaresResult:
     cost: float
 
 
-def levenberg_marquardt(residual, jacobian, x0, max_iter=200, step_tol=1e-8,
-                        lam0=1e-3, lam_factor=10.0, lam_max=1e14):
+def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
     """Minimize sum(residual(x)**2).
 
     `residual(x)` returns the residual vector, `jacobian(x)` its Jacobian
     (n_residuals x n_params).  Convergence is declared when the accepted
-    step satisfies ||dx|| <= step_tol * (step_tol + ||x||), or when the
+    step satisfies ||dx|| <= STEP_TOL * (STEP_TOL + ||x||), or when the
     cost falls 24 orders of magnitude below its initial value (an exact
     fit; a parameter with no residual left to constrain it, e.g. a
     Gaussian width collapsing onto a single hot bin, may otherwise drift
-    forever).  Hitting `max_iter`, or damping escalating past `lam_max`
+    forever).  Hitting `max_iter`, or damping escalating past `LAM_MAX`
     without improvement, returns converged=False with the best parameters
     found.  Non-finite trial costs are treated as rejected steps, so the
     solver backs away from invalid parameter regions on its own.
@@ -41,7 +45,7 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200, step_tol=1e-8,
     if not np.isfinite(cost):
         raise ValueError("residual is not finite at the initial parameters")
     cost_floor = 1e-24 * cost
-    lam = lam0
+    lam = LAM0
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
@@ -51,12 +55,12 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200, step_tol=1e-8,
         d = np.diag(H).copy()
         d[d <= 0] = 1.0
         accepted = False
-        while lam <= lam_max:
+        while lam <= LAM_MAX:
             A = H + lam * np.diag(d)
             try:
                 step = np.linalg.solve(A, -g)
             except np.linalg.LinAlgError:
-                lam *= lam_factor
+                lam *= LAM_FACTOR
                 continue
             x_new = x + step
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -65,11 +69,11 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200, step_tol=1e-8,
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
                 break
-            lam *= lam_factor
+            lam *= LAM_FACTOR
         if not accepted:
             break
-        lam = max(lam / lam_factor, 1e-12)
-        small = np.linalg.norm(step) <= step_tol * (step_tol + np.linalg.norm(x_new))
+        lam = max(lam / LAM_FACTOR, 1e-12)
+        small = np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x_new))
         x, r, cost = x_new, r_new, cost_new
         if small or cost <= cost_floor:
             converged = True

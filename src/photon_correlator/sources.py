@@ -134,7 +134,7 @@ def _source_stream(counts, rep_rate_hz, duration, delays=None):
         times += delays
         times.sort()
     times = times[:np.searchsorted(times, duration)]  # times are >= 0 and sorted
-    return TagStream.single_channel(times, duration, SOURCE_CHANNEL)
+    return TagStream(times, duration, SOURCE_CHANNEL)
 
 
 def emit_dot_pulse_train(model, n_pulses, seed):
@@ -180,4 +180,4 @@ def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
     times = _pulse_times(np.arange(n_pulses, dtype=np.int64), rep_rate_hz)
     times = times + int(offset_ps)
     times = times[(times >= 0) & (times < duration)]
-    return TagStream.single_channel(times, duration, CLOCK_CHANNEL)
+    return TagStream(times, duration, CLOCK_CHANNEL)

@@ -2,23 +2,30 @@
 
 Every timing quantity in the package is carried as an integer number of
 picoseconds (no floating-point timestamps anywhere), so multi-second runs
-at tens of MHz never accumulate rounding drift.  A stream is sorted by
-(t, channel); the channel tie-break fixes the order of simultaneous tags
-and hence keeps every seeded Monte Carlo run reproducible.
+at tens of MHz never accumulate rounding drift.  A stream is one
+detector's (or the sync photodiode's) tags: sorted times on one channel,
+as each feeds its own TAC input.
 
-Two interchange formats are supported:
+A timetag file likewise holds one channel.  Two interchange formats are
+supported:
 
 * Binary "TTAG1": magic ``TTAG``, u16 version (=1), i64 duration_ps,
-  u8 channel count, then 9-byte records (u8 channel, i64 t), all
-  little-endian, records sorted.
+  u8 channel count (1, or 0 for a file without tags), then 9-byte records
+  (u8 channel, i64 t), all little-endian, records sorted.
 * Text: CSV with header ``channel,timestamp_ps``.  Our writer prepends a
   ``# duration_ps=<N>`` comment so the observation window survives a
   round trip; readers accept files without it and fall back to
   (last tag + 1).
 
+Readers reject a file whose tags span more than one channel; a file
+without tags reads as channel 0.
+
 `read_csv_rows` and `write_csv_rows` hold the CSV layout that every text
 format of the package (also histograms, DE sweeps, bias curves) shares.
 """
+
+import itertools
+import operator
 
 import numpy as np
 
@@ -32,31 +39,30 @@ _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<i8")])
 
 
 class TagStream:
-    """An ordered sequence of time tags over a fixed observation window:
-    two parallel read-only numpy arrays (uint8 channels, int64 times) and
-    the window length.
+    """One channel's time tags over a fixed observation window: a sorted,
+    read-only int64 array of times, the window length and the channel.
 
-    The stream takes ownership of the arrays it is given: an input that
-    already has the right dtype is not copied but made read-only in
-    place, so the caller can no longer write to it.  Only `subset` and
-    `single_channel`, whose streams are sorted by construction, skip the
-    O(n) order check; the window is checked on every stream.
+    Every stream is built here, and every stream is checked: times must be
+    non-decreasing and lie in [0, duration_ps).  The stream takes ownership
+    of the array it is given: an int64 input is not copied but made
+    read-only in place, so the caller can no longer write to it.
     """
 
-    __slots__ = ("channels", "times", "duration_ps")
+    __slots__ = ("times", "duration_ps", "channel")
 
-    def __init__(self, channels, times, duration_ps, _validated=False):
-        channels = np.asarray(channels)
-        if channels.dtype != np.uint8:
-            if channels.size and (channels.min() < 0 or channels.max() > CHANNEL_MAX):
-                raise ValueError(f"channel outside [0, {CHANNEL_MAX}]")
-            channels = channels.astype(np.uint8)
+    def __init__(self, times, duration_ps, channel):
         times = np.asarray(times, dtype=np.int64)
         duration_ps = int(duration_ps)
-        if channels.shape != times.shape or channels.ndim != 1:
-            raise ValueError("channels and times must be 1-d arrays of equal length")
-        if not _validated:
-            _validate_sorted(channels, times)
+        channel = operator.index(channel)
+        if times.ndim != 1:
+            raise ValueError("times must be a 1-d array")
+        if not 0 <= channel <= CHANNEL_MAX:
+            raise ValueError(f"channel outside [0, {CHANNEL_MAX}]: {channel}")
+        unsorted = times[1:] < times[:-1]
+        if unsorted.any():
+            idx = int(np.argmax(unsorted)) + 1
+            raise ValueError(f"tags not sorted: violation at index {idx} "
+                             f"(t={int(times[idx])})")
         if times.size:
             if times[0] < 0:
                 raise ValueError(f"tag time {times[0]} < 0")
@@ -64,24 +70,15 @@ class TagStream:
                 raise ValueError(f"tag time {times[-1]} >= duration_ps={duration_ps}")
         if not 0 <= duration_ps < 2**63:
             raise ValueError(f"duration_ps must be in [0, 2^63), got {duration_ps}")
-        channels.setflags(write=False)
         times.setflags(write=False)
-        self.channels = channels
         self.times = times
         self.duration_ps = duration_ps
-
-    @classmethod
-    def single_channel(cls, sorted_times, duration_ps, channel):
-        """All tags on `channel`; `sorted_times` must be sorted, which is not
-        checked again."""
-        return cls(np.full(sorted_times.size, channel, np.uint8), sorted_times,
-                   duration_ps, _validated=True)
+        self.channel = channel
 
     def subset(self, index):
-        """The tags a boolean mask or a slice selects, in order, over the same
-        window; a subsequence of a sorted stream is sorted."""
-        return TagStream(self.channels[index], self.times[index], self.duration_ps,
-                         _validated=True)
+        """The tags a boolean mask or a slice selects, in order, on the same
+        channel and window."""
+        return TagStream(self.times[index], self.duration_ps, self.channel)
 
     def __len__(self):
         return int(self.times.size)
@@ -91,25 +88,13 @@ class TagStream:
             return NotImplemented
         return (
             self.duration_ps == other.duration_ps
-            and np.array_equal(self.channels, other.channels)
+            and self.channel == other.channel
             and np.array_equal(self.times, other.times)
         )
 
     def __repr__(self):
-        return f"TagStream({len(self)} tags, duration_ps={self.duration_ps})"
-
-
-def _validate_sorted(channels, times):
-    if times.size < 2:
-        return
-    dt = np.diff(times)
-    bad = (dt < 0) | ((dt == 0) & (np.diff(channels.astype(np.int16)) < 0))
-    if bad.any():
-        idx = int(np.argmax(bad)) + 1
-        raise ValueError(
-            f"tags not sorted by (t, channel): violation at index {idx} "
-            f"(t={int(times[idx])}, channel={int(channels[idx])})"
-        )
+        return (f"TagStream({len(self)} tags, duration_ps={self.duration_ps}, "
+                f"channel={self.channel})")
 
 
 def write_tags(stream, path, format=None):
@@ -134,18 +119,14 @@ def _is_csv(path, format):
 
 
 def _write_binary(stream, path):
-    n_channels = int(np.unique(stream.channels).size)
-    if n_channels > CHANNEL_MAX:
-        raise ValueError(f"TTAG1 stores the channel count in one byte, so at most "
-                         f"{CHANNEL_MAX} distinct channels; stream has {n_channels}")
     header = (
         TTAG_MAGIC
         + TTAG_VERSION.to_bytes(2, "little")
         + int(stream.duration_ps).to_bytes(8, "little", signed=True)
-        + n_channels.to_bytes(1, "little")
+        + min(len(stream), 1).to_bytes(1, "little")
     )
     records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["channel"] = stream.channels
+    records["channel"] = stream.channel
     records["t"] = stream.times
     with open(path, "wb") as fh:
         fh.write(header)
@@ -163,23 +144,30 @@ def _read_binary(path):
     if version != TTAG_VERSION:
         raise FormatError(f"{path}: unsupported TTAG version {version}")
     duration = int.from_bytes(raw[6:14], "little", signed=True)
-    n_channels = raw[14]
     body = raw[15:]
     if len(body) % _RECORD_DTYPE.itemsize:
         raise FormatError(
             f"{path}: truncated record ({len(body)} bytes is not a multiple of 9)"
         )
     records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    channel = _file_channel(path, records["channel"])
+    if raw[14] != min(records.size, 1):
+        raise FormatError(f"{path}: header says {raw[14]} channels, "
+                          f"records hold {min(records.size, 1)}")
     try:
-        stream = TagStream(records["channel"], records["t"], duration)
+        return TagStream(records["t"], duration, channel)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if int(np.unique(stream.channels).size) != n_channels:
-        raise FormatError(
-            f"{path}: header says {n_channels} channels, records contain "
-            f"{int(np.unique(stream.channels).size)}"
-        )
-    return stream
+
+
+def _file_channel(path, channels):
+    """The one channel all tags of a file carry; 0 for a file without tags."""
+    if not channels.size:
+        return 0
+    if (channels != channels[0]).any():
+        raise FormatError(f"{path}: tags on more than one channel; "
+                          f"a timetag file holds one channel")
+    return int(channels[0])
 
 
 CSV_HEADER = "channel,timestamp_ps"
@@ -187,16 +175,17 @@ CSV_HEADER = "channel,timestamp_ps"
 
 def _write_csv(stream, path):
     write_csv_rows(path, CSV_HEADER,
-                   zip(stream.channels.tolist(), stream.times.tolist()),
+                   zip(itertools.repeat(stream.channel), stream.times.tolist()),
                    comment=f"duration_ps={stream.duration_ps}")
 
 
 def _read_csv(path):
     meta, rows = read_csv_rows(path, CSV_HEADER)
+    channel = _file_channel(path, rows[:, 0])
     default = int(rows[-1, 1]) + 1 if len(rows) else 0
     try:
         duration = int(meta.get("duration_ps", default))
-        return TagStream(rows[:, 0], rows[:, 1], duration)
+        return TagStream(rows[:, 1], duration, channel)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -6,22 +6,14 @@ import pytest
 from photon_correlator import TagStream, merge_histograms, tac_histogram
 
 
-def from_pairs(pairs, duration_ps):
-    """A stream from (channel, t) pairs, which must be sorted."""
-    pairs = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-    return TagStream(pairs[:, 0], pairs[:, 1], duration_ps)
-
-
 def empty_stream(duration_ps=0):
-    return TagStream(np.empty(0, np.uint8), np.empty(0, np.int64), duration_ps)
+    return TagStream(np.empty(0, np.int64), duration_ps, 0)
 
 
-def random_stream(rng, n_tags, duration_ps, n_channels=3):
+def random_stream(rng, n_tags, duration_ps, channel=0):
     """A sorted random stream for property tests."""
     times = np.sort(rng.integers(0, duration_ps, n_tags))
-    channels = rng.integers(0, n_channels, n_tags)
-    order = np.lexsort((channels, times))
-    return TagStream(channels[order].astype(np.uint8), times[order], duration_ps)
+    return TagStream(times, duration_ps, channel)
 
 
 def poisson_stream(rng, rate_hz, duration_ps, channel=0, t_min=0, t_max=None):
@@ -30,7 +22,7 @@ def poisson_stream(rng, rate_hz, duration_ps, channel=0, t_min=0, t_max=None):
     span_s = (t_max - t_min) * 1e-12
     n = rng.poisson(rate_hz * span_s)
     times = np.sort(rng.integers(t_min, t_max, n))
-    return TagStream(np.full(n, channel, np.uint8), times, duration_ps)
+    return TagStream(times, duration_ps, channel)
 
 
 def chunked_histogram(starts, stops, config, n_chunks):

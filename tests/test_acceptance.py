@@ -355,7 +355,7 @@ def test_criterion_6d_dead_time_invariant():
     for _ in range(1000):
         n = int(rng.integers(0, 300))
         duration = int(rng.integers(5_000, 5_000_000))
-        photons = random_stream(rng, n, duration, n_channels=1)
+        photons = random_stream(rng, n, duration)
         model = DetectorModel(
             "rnd",
             efficiency=float(rng.uniform(0.05, 1.0)),
@@ -376,8 +376,7 @@ def test_criterion_6e_serialization_round_trip(tmp_path):
     failures = 0
     for i in range(1000):
         stream = random_stream(rng, int(rng.integers(0, 200)),
-                               int(rng.integers(1, 10**9)),
-                               n_channels=int(rng.integers(1, 6)))
+                               int(rng.integers(1, 10**9)))
         fmt = "csv" if i % 2 else "binary"
         path = tmp_path / f"round.{'csv' if i % 2 else 'ttag'}"
         write_tags(stream, path, format=fmt)

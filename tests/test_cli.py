@@ -211,6 +211,18 @@ class TestSimulateTcspc:
         assert record["tau_ps"] == pytest.approx(370.0, rel=0.05)
         assert (out / "histogram.csv").exists()
 
+    def test_correlator_range_outside_int64_is_config_error(self, tmp_path, capsys):
+        text = TCSPC_CFG + ("\n[correlator]\nbin_width_ps = 10\n"
+                            "range_min_ps = -9223372036854775818\n"
+                            "range_max_ps = -9223372036854775808\n")
+        out = tmp_path / "out"
+        assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: correlator: range [-9223372036854775818, "
+            "-9223372036854775808) ps leaves int64\n")
+
     def test_period_shorter_than_a_bin_is_config_error(self, tmp_path, capsys):
         # the default window spans whole 32 ps bins of one pulse period
         text = TCSPC_CFG.replace("rep_rate_hz = 82e6", "rep_rate_hz = 1e11")

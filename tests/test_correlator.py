@@ -30,7 +30,7 @@ from conftest import chunked_histogram, empty_stream, poisson_stream
 def stream(times, duration=None, channel=0):
     times = np.asarray(times, dtype=np.int64)
     duration = duration or (int(times[-1]) + 1 if times.size else 1)
-    return TagStream(np.full(times.size, channel, np.uint8), times, duration)
+    return TagStream(times, duration, channel)
 
 
 class TestHistogramConfig:
@@ -41,6 +41,21 @@ class TestHistogramConfig:
             HistogramConfig(10, 100, 100)
         with pytest.raises(ValueError, match="divisible"):
             HistogramConfig(32, 0, 100)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-2**63 - 10, -2**63),
+        (2**63 - 10, 2**63),
+        (-2**63 - 10, 2**63 + 10),
+    ])
+    def test_range_must_fit_int64(self, lo, hi):
+        with pytest.raises(ValueError, match=rf"range \[{lo}, {hi}\) ps leaves int64"):
+            HistogramConfig(10, lo, hi)
+
+    def test_range_at_the_int64_edges(self):
+        low = HistogramConfig(10, -2**63, -2**63 + 20)
+        assert low.bin_starts().tolist() == [-2**63, -2**63 + 10]
+        high = HistogramConfig(1, 2**63 - 3, 2**63 - 1)
+        assert high.bin_starts().tolist() == [2**63 - 3, 2**63 - 2]
 
     def test_symmetric_rounds_up_to_bins(self):
         cfg = HistogramConfig.symmetric(48_780, 32)
@@ -314,12 +329,10 @@ def test_first_stop_matches_scan_at_scale(n_starts, n_stops, range_min, range_ma
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("range_min, range_max", [
-    (0, 2**63 - 1),  # last start + range_max above int64
-    (-2**63 - 10, -2**63),  # first start + range_min below int64
-])
-def test_range_beyond_int64_is_rejected(mode, range_min, range_max):
-    config = HistogramConfig(range_max - range_min, range_min, range_max, mode)
+def test_range_beyond_int64_is_rejected(mode):
+    # last start + range_max above int64; a range_min below int64 is a
+    # HistogramConfig error (TestHistogramConfig.test_range_must_fit_int64)
+    config = HistogramConfig(2**63 - 1, 0, 2**63 - 1, mode)
     with pytest.raises(ValueError, match=r"range \[.*\) ps overflows int64"):
         tac_histogram(stream([5, 10]), stream([7]), config)
 
@@ -340,6 +353,41 @@ def test_chunked_equals_single_pass(rng):
         chunked = chunked_histogram(starts, stops, cfg, n_chunks)
         assert np.array_equal(chunked.counts, single.counts)
         assert chunked.n_starts == single.n_starts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_coates_corrected_first_stop_matches_all_stops(seed):
+    """Coates (J. Phys. E 1, 878, 1968): FIRST_STOP records each start's
+    first stop only, so bin i sees only the starts with no stop in bins
+    j < i, and the stops per start in bin i are estimated by
+    lambda_i = -ln(1 - C_i / (N - sum_{j<i} C_j)).  ALL_STOPS counts every
+    stop, so A_i / N estimates the same lambda_i.
+    """
+    rng = np.random.default_rng(seed)
+    n, spacing, bin_width, n_bins = 20_000, 1_000_000, 10_000, 20
+    duration = n * spacing
+    # 1 us apart, so 200 ns windows never overlap: each start sees its
+    # first stop in window; 1e7 stops/s is 0.1 per bin, 2 per window
+    starts = TagStream(np.arange(n, dtype=np.int64) * spacing, duration, 1)
+    stops = poisson_stream(rng, 1e7, duration, channel=2)
+    first = tac_histogram(starts, stops,
+                          HistogramConfig(bin_width, 0, n_bins * bin_width,
+                                          Mode.FIRST_STOP)).counts
+    every = tac_histogram(starts, stops,
+                          HistogramConfig(bin_width, 0, n_bins * bin_width,
+                                          Mode.ALL_STOPS)).counts
+
+    # uncorrected pile-up: FIRST_STOP decays as exp(-0.1 i), ALL_STOPS is flat
+    assert first[-1] / first[0] == pytest.approx(math.exp(-1.9), abs=0.05)
+    assert every[-1] / every[0] == pytest.approx(1.0, abs=0.15)
+
+    at_risk = n - np.concatenate([[0], np.cumsum(first)[:-1]])
+    p = first / at_risk
+    coates = -np.log1p(-p)
+    var_coates = p / ((1 - p) * at_risk)  # delta method on the binomial p
+    z = (coates - every / n) / np.sqrt(var_coates + every / n**2)
+    assert np.abs(z).max() < 5
+    assert abs(coates.sum() - 2.0) < 5 * math.sqrt(var_coates.sum())
 
 
 class TestHistogramCsv:
@@ -402,6 +450,14 @@ class TestHistogramCsv:
         path.write_text("# n_starts=1 bin_width_ps=10\nbin_start_ps,count\n"
                         "0,1\n10,99999999999999999999\n")
         with pytest.raises(FormatError, match=r"h\.csv:4: value outside int64"):
+            read_histogram_csv(path)
+
+    def test_last_bin_past_int64(self, tmp_path):
+        path = tmp_path / "h.csv"
+        last = 2**63 - 5  # a valid bin start whose bin ends past int64
+        path.write_text(f"# n_starts=1 bin_width_ps=10\nbin_start_ps,count\n"
+                        f"{last - 10},1\n{last},2\n")
+        with pytest.raises(FormatError, match=r"h\.csv: range .* leaves int64"):
             read_histogram_csv(path)
 
     def test_zero_starts_accepted(self, tmp_path):

@@ -17,7 +17,7 @@ from photon_correlator import (
     write_bias_curve,
 )
 
-from conftest import empty_stream, from_pairs, poisson_stream, random_stream
+from conftest import empty_stream, poisson_stream, random_stream
 
 
 def ideal(name="det", **kw):
@@ -53,7 +53,7 @@ def test_detect_requires_duration():
 
 
 def test_dead_time_forced_example():
-    photons = from_pairs([(0, 0), (0, 5_000), (0, 12_000)], 10**6)
+    photons = TagStream([0, 5_000, 12_000], 10**6, 0)
     out = detect(photons, ideal(dead_time_ps=10_000), seed=1)
     assert list(out.times) == [0, 12_000]
 
@@ -67,7 +67,7 @@ def test_dead_time_matches_greedy_reference(times, dead_time):
     for t in times:
         if not kept or t - kept[-1] >= dead_time:
             kept.append(t)
-    photons = from_pairs([(0, t) for t in times], 1000)
+    photons = TagStream(times, 1000, 0)
     out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
     assert out.times.tolist() == kept
 
@@ -102,7 +102,7 @@ def test_dead_time_matches_greedy_scan_at_scale(rate_tau):
     duration = int(n * dead_time / rate_tau)
     times = np.sort(rng.integers(0, duration, n))
     times = np.sort(np.concatenate([times, rng.choice(times, n // 100)]))
-    photons = TagStream(np.zeros(times.size, np.uint8), times, duration)
+    photons = TagStream(times, duration, 0)
     out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
     assert out.times.tolist() == greedy_dead_time(times.tolist(), dead_time)
 
@@ -119,7 +119,7 @@ def test_dead_time_invariant_random_runs():
     for i in range(100):
         n = int(rng.integers(0, 400))
         duration = int(rng.integers(10_000, 10**7))
-        photons = random_stream(rng, n, duration, n_channels=1)
+        photons = random_stream(rng, n, duration)
         model = ideal(
             efficiency=float(rng.uniform(0.2, 1.0)),
             dark_rate_hz=float(rng.uniform(0, 1e6)),
@@ -148,7 +148,7 @@ def test_jitter_calibration_fwhm():
     n = 100_000
     spacing = 1_000_000
     times = np.arange(n, dtype=np.int64) * spacing + 500_000
-    photons = TagStream(np.zeros(n, np.uint8), times, int(n * spacing + 10**6))
+    photons = TagStream(times, int(n * spacing + 10**6), 0)
     model = ideal(jitter_fwhm_ps=170.0)
     out = detect(photons, model, seed=5)
     assert len(out) == n
@@ -169,7 +169,7 @@ def test_darks_are_jittered_and_clamped():
 
 
 def test_detect_deterministic(rng):
-    photons = random_stream(rng, 10_000, 10**9, n_channels=1)
+    photons = random_stream(rng, 10_000, 10**9)
     model = ideal(efficiency=0.5, dark_rate_hz=5000.0, jitter_fwhm_ps=300.0,
                   dead_time_ps=2000)
     a = detect(photons, model, seed=21)

@@ -196,7 +196,7 @@ def test_laser_train_equals_per_photon_reference(mu, n_pulses, rep_rate_hz, seed
     assert s.duration_ps == duration
     assert s.times.dtype == times.dtype
     assert np.array_equal(s.times, times)
-    assert np.array_equal(s.channels, np.zeros(times.size, np.uint8))
+    assert s.channel == 0
 
 
 def test_clock_ticks_offset_and_window():

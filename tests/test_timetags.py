@@ -3,40 +3,38 @@ import pytest
 
 from photon_correlator import FormatError, TagStream, read_tags, write_tags
 
-from conftest import empty_stream, from_pairs, random_stream
+from conftest import empty_stream, random_stream
 
 
-def pairs(stream):
-    return list(zip(stream.channels.tolist(), stream.times.tolist()))
+def ttag1_bytes(duration_ps, count_byte, records):
+    """A TTAG1 file built by hand from (channel, t) records."""
+    body = np.array(records, dtype=[("channel", "u1"), ("t", "<i8")]).tobytes()
+    return (b"TTAG" + (1).to_bytes(2, "little") + duration_ps.to_bytes(8, "little")
+            + bytes([count_byte]) + body)
 
 
 def test_stream_rejects_unsorted_and_names_index():
     with pytest.raises(ValueError, match="index 2"):
-        from_pairs([(0, 10), (0, 20), (0, 15)], duration_ps=100)
-
-
-def test_stream_rejects_equal_time_channel_inversion():
-    with pytest.raises(ValueError, match="not sorted"):
-        from_pairs([(1, 10), (0, 10)], duration_ps=100)
-    # ascending channel at equal time is fine
-    s = from_pairs([(0, 10), (1, 10)], duration_ps=100)
-    assert len(s) == 2
+        TagStream([10, 20, 15], 100, 0)
 
 
 def test_stream_rejects_out_of_window_tags():
     with pytest.raises(ValueError, match=">= duration"):
-        from_pairs([(0, 100)], duration_ps=100)
+        TagStream([100], 100, 0)
     with pytest.raises(ValueError, match="< 0"):
-        TagStream(np.array([0], np.uint8), np.array([-1], np.int64), 100)
+        TagStream(np.array([-1], np.int64), 100, 0)
 
 
-def test_stream_rejects_bad_channel():
-    with pytest.raises(ValueError, match="channel"):
-        from_pairs([(300, 10)], duration_ps=100)
+@pytest.mark.parametrize("channel", [256, 300, -1])
+def test_stream_rejects_out_of_range_channel(channel):
+    # a channel above 255 must not wrap (300 would become 44 as uint8)
+    with pytest.raises(ValueError, match="channel outside"):
+        TagStream([1], 10, channel)
+    TagStream([1], 10, 255)
 
 
 def test_binary_round_trip_random(rng, tmp_path):
-    s = random_stream(rng, 100_000, 10**10)
+    s = random_stream(rng, 100_000, 10**10, channel=200)
     path = tmp_path / "tags.ttag"
     write_tags(s, path)
     assert read_tags(path) == s
@@ -49,10 +47,11 @@ def test_binary_round_trip_empty(tmp_path):
     back = read_tags(path)
     assert back == s
     assert back.duration_ps == 12345
+    assert path.read_bytes()[14] == 0
 
 
 def test_csv_round_trip(rng, tmp_path):
-    s = random_stream(rng, 1000, 10**8)
+    s = random_stream(rng, 1000, 10**8, channel=3)
     path = tmp_path / "tags.csv"
     write_tags(s, path)
     assert read_tags(path) == s
@@ -83,7 +82,7 @@ def test_binary_truncated_record(rng, tmp_path):
 
 
 def test_binary_unsorted_content(tmp_path):
-    good = from_pairs([(0, 10), (0, 20)], 100)
+    good = TagStream([10, 20], 100, 0)
     path = tmp_path / "unsorted.ttag"
     write_tags(good, path)
     raw = bytearray(path.read_bytes())
@@ -103,7 +102,7 @@ def test_csv_bad_header(tmp_path):
 
 def test_csv_without_duration_comment(tmp_path):
     path = tmp_path / "plain.csv"
-    path.write_text("channel,timestamp_ps\n0,5\n1,9\n")
+    path.write_text("channel,timestamp_ps\n1,5\n1,9\n")
     s = read_tags(path)
     assert s.duration_ps == 10
     assert len(s) == 2
@@ -119,21 +118,25 @@ def test_round_trip_many_random_streams(tmp_path):
 
 
 def test_subset_by_mask_and_slice(rng):
-    s = random_stream(rng, 1000, 10**6)
-    mask = s.channels != 1
-    assert s.subset(mask) == TagStream(s.channels[mask], s.times[mask], 10**6)
-    assert s.subset(slice(100, 200)) == TagStream(s.channels[100:200],
-                                                  s.times[100:200], 10**6)
+    s = random_stream(rng, 1000, 10**6, channel=7)
+    mask = s.times % 3 != 0
+    assert s.subset(mask) == TagStream(s.times[mask], 10**6, 7)
+    assert s.subset(slice(100, 200)) == TagStream(s.times[100:200], 10**6, 7)
+    assert s.subset(slice(0, 0)).channel == 7
     assert len(s.subset(slice(0, 0))) == 0
 
 
-def test_single_channel_stream_checks_the_window():
-    s = TagStream.single_channel(np.array([0, 4, 4, 9]), 10, 7)
-    assert pairs(s) == [(7, 0), (7, 4), (7, 4), (7, 9)]
+def test_stream_keeps_equal_times_and_checks_the_window():
+    s = TagStream(np.array([0, 4, 4, 9]), 10, 7)
+    assert s.times.tolist() == [0, 4, 4, 9] and s.channel == 7
     with pytest.raises(ValueError, match="duration_ps=10"):
-        TagStream.single_channel(np.array([3, 10]), 10, 7)
+        TagStream(np.array([3, 10]), 10, 7)
     with pytest.raises(ValueError, match="< 0"):
-        TagStream.single_channel(np.array([-1, 3]), 10, 7)
+        TagStream(np.array([-1, 3]), 10, 7)
+
+
+def test_streams_on_different_channels_differ():
+    assert TagStream([1, 2], 10, 1) != TagStream([1, 2], 10, 2)
 
 
 def test_arrays_are_read_only(rng):
@@ -142,24 +145,14 @@ def test_arrays_are_read_only(rng):
         s.times[0] = 0
 
 
-def test_stream_takes_ownership_of_its_arrays():
-    channels = np.zeros(3, np.uint8)
+def test_stream_takes_ownership_of_its_array():
     times = np.array([1, 2, 3], np.int64)
-    s = TagStream(channels, times, 10)
-    # no copy: the stream keeps the given arrays and freezes them
-    assert np.shares_memory(s.channels, channels)
+    s = TagStream(times, 10, 0)
+    # no copy: the stream keeps the given array and freezes it
     assert np.shares_memory(s.times, times)
-    assert not channels.flags.writeable and not times.flags.writeable
+    assert not times.flags.writeable
     with pytest.raises(ValueError):
         times[0] = 0
-
-
-def test_stream_rejects_out_of_range_channel_array():
-    # a channel above 255 must not wrap (300 would become 44 as uint8)
-    with pytest.raises(ValueError, match="channel outside"):
-        TagStream(np.array([300]), [1], 10)
-    with pytest.raises(ValueError, match="channel outside"):
-        TagStream(np.array([-1]), [1], 10)
 
 
 def test_csv_channel_out_of_range(tmp_path):
@@ -188,11 +181,51 @@ def test_csv_bad_duration_comment(tmp_path, duration, match):
         read_tags(path)
 
 
-def test_binary_rejects_more_channels_than_the_count_byte_holds(tmp_path):
-    stream = TagStream(np.arange(256, dtype=np.uint8), np.arange(256), 1000)
-    with pytest.raises(ValueError, match="one byte.*at most 255"):
-        write_tags(stream, tmp_path / "c.ttag")
-    # 255 channels still fit
-    write_tags(TagStream(np.arange(255, dtype=np.uint8), np.arange(255), 1000),
-               tmp_path / "ok.ttag")
-    assert len(read_tags(tmp_path / "ok.ttag")) == 255
+def test_binary_file_holds_the_stream_channel(tmp_path):
+    path = tmp_path / "c.ttag"
+    write_tags(TagStream([3, 8], 10, 5), path)
+    assert path.read_bytes() == ttag1_bytes(10, 1, [(5, 3), (5, 8)])
+
+
+def test_binary_two_channels_is_a_format_error(tmp_path):
+    path = tmp_path / "two.ttag"
+    path.write_bytes(ttag1_bytes(100, 2, [(1, 10), (2, 20)]))
+    with pytest.raises(FormatError, match=r"two\.ttag: tags on more than one channel"):
+        read_tags(path)
+
+
+def test_csv_two_channels_is_a_format_error(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("channel,timestamp_ps\n0,5\n1,9\n")
+    with pytest.raises(FormatError, match=r"two\.csv: tags on more than one channel"):
+        read_tags(path)
+
+
+@pytest.mark.parametrize("count_byte, records", [
+    (0, [(4, 10)]),
+    (2, [(4, 10), (4, 20)]),
+    (1, []),
+])
+def test_binary_count_byte_must_match_records(tmp_path, count_byte, records):
+    path = tmp_path / "count.ttag"
+    path.write_bytes(ttag1_bytes(100, count_byte, records))
+    with pytest.raises(FormatError, match=r"count\.ttag: header says"):
+        read_tags(path)
+
+
+@pytest.mark.parametrize("name, content", [
+    ("empty.ttag", ttag1_bytes(50, 0, [])),
+    ("empty.csv", b"# duration_ps=50\nchannel,timestamp_ps\n"),
+])
+def test_empty_file_reads_as_channel_zero(tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert read_tags(path) == TagStream([], 50, 0)
+
+
+@pytest.mark.parametrize("suffix", [".ttag", ".csv"])
+def test_empty_stream_channel_is_not_stored(tmp_path, suffix):
+    # only records carry the channel, so an empty stream comes back on 0
+    path = tmp_path / f"empty{suffix}"
+    write_tags(TagStream([], 50, 9), path)
+    assert read_tags(path) == TagStream([], 50, 0)
