@@ -55,6 +55,12 @@ class HbtSettings:
     start: str
     stop: str
 
+    def __post_init__(self):
+        # one detector's stage would draw both arms' darks at the same times
+        if self.start == self.stop:
+            raise ConfigError(f"hbt.stop: the start and stop detectors must differ, "
+                              f"both are {self.start!r}")
+
 
 @dataclass(frozen=True)
 class TcspcSettings:
@@ -134,11 +140,13 @@ class RunConfig:
             if not 1 <= n * period < 2**63:
                 raise ConfigError(f"{key}: {n} pulses of {period} ps last outside "
                                   "[1, 2^63) ps")
-        # numpy's Poisson sampler rejects means above ~9.2e18; 2^62 leaves margin
-        if not getattr(self.source, "mu", 0) < 2**62:
-            raise ConfigError(f"source.mu: {self.source.mu} photons per pulse "
-                              "reach 2^62")
-        longest_s = max(runs.values()) * period * 1e-12
+        # numpy's Poisson sampler rejects means above ~9.2e18; 2^62 leaves
+        # margin for the photons of a run and for its dark counts
+        longest = max(runs.values())
+        if not getattr(self.source, "mu", 0) * longest < 2**62:
+            raise ConfigError(f"source.mu: {self.source.mu} photons per pulse over "
+                              f"{longest} pulses reach 2^62 photons")
+        longest_s = longest * period * 1e-12
         for name, model in sorted(self.detectors.items()):
             if not model.dark_rate_hz * longest_s < 2**62:
                 raise ConfigError(f"detector.{name}.dark_rate_hz: {model.dark_rate_hz} "

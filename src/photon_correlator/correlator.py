@@ -27,6 +27,10 @@ from .errors import FormatError
 from .timetags import read_csv_rows, write_csv_rows
 
 
+# 2^24 bins of int64 counts take 128 MiB; a paper HBT window has 8004
+MAX_BINS = 2**24
+
+
 class Mode(enum.Enum):
     FIRST_STOP = "first_stop"
     ALL_STOPS = "all_stops"
@@ -61,6 +65,9 @@ class HistogramConfig:
                 f"range span {self.range_max_ps - self.range_min_ps} not divisible "
                 f"by bin_width_ps={self.bin_width_ps}"
             )
+        if self.n_bins > MAX_BINS:
+            raise ValueError(f"range [{self.range_min_ps}, {self.range_max_ps}) ps "
+                             f"holds {self.n_bins} bins, more than {MAX_BINS}")
 
     @classmethod
     def symmetric(cls, halfwidth_ps, bin_width_ps, mode=Mode.ALL_STOPS):

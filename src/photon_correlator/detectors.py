@@ -1,17 +1,22 @@
 """Realistic single-photon detector response.
 
-`detect` turns an ideal photon-arrival stream into the timetags a counting
-module would record, applying in order:
+One back end, `_record`, turns the times of the photons a detector
+detects into the timetags its counting module records, applying in order:
 
-1. Bernoulli thinning with the system detection efficiency,
-2. dark counts from a homogeneous Poisson process over the run,
-3. Gaussian timing jitter (sigma = FWHM / 2.3548) on every tag, darks
+1. dark counts from a homogeneous Poisson process over the run,
+2. Gaussian timing jitter (sigma = FWHM / 2.3548) on every tag, darks
    included, clamped into [0, duration).  The clamp is an edge artefact:
    a tag that jitter pushes outside the window is recorded at 0 or
    duration - 1, so counts pile up in the first and last picosecond,
-4. re-sort,
-5. non-paralyzable dead time: any tag closer than dead_time_ps to the
+3. sort,
+4. non-paralyzable dead time: any tag closer than dead_time_ps to the
    last accepted tag is dropped (arrivals during dead time do not extend it).
+
+`detect` feeds it a photon stream thinned by the system detection
+efficiency (Bernoulli per photon), drawing both from one generator.  The
+recipes in `pipelines` feed it the detected photons they draw directly
+from the source (`sources.sample_detected`), with the detector stage's
+own generator.
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -69,24 +74,28 @@ def detect(photons, model, seed, channel=1):
     if photons.duration_ps <= 0:
         raise ValueError("detect requires a stream with duration_ps > 0")
     rng = generator(seed)
-    duration = photons.duration_ps
-
     kept = photons.times[rng.random(len(photons)) < model.efficiency]
+    return _record(kept, model, photons.duration_ps, rng, channel)
 
-    n_dark = rng.poisson(model.dark_rate_hz * duration * 1e-12)
-    dark = rng.integers(0, duration, n_dark, dtype=np.int64)
-    times = np.concatenate([kept, dark])
+
+def _record(signal_times, model, duration_ps, rng, channel):
+    """The tags `model` records over [0, duration_ps) when it detects photons
+    at `signal_times` (int64, any order): darks, jitter, clamp, sort and
+    dead time, drawn from `rng`."""
+    n_dark = rng.poisson(model.dark_rate_hz * duration_ps * 1e-12)
+    dark = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
+    times = np.concatenate([signal_times, dark])
 
     if model.jitter_fwhm_ps > 0:
         times = np.rint(times + rng.normal(0.0, model.jitter_sigma_ps, times.size)
                         ).astype(np.int64)
-    times = np.clip(times, 0, duration - 1)
+    times = np.clip(times, 0, duration_ps - 1)
     times.sort()
 
     if model.dead_time_ps > 0:
         times = _apply_dead_time(times, int(model.dead_time_ps))
 
-    return TagStream(times, duration, channel)
+    return TagStream(times, duration_ps, channel)
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):

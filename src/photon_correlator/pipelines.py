@@ -1,10 +1,19 @@
 """Reproducible experiment recipes tying simulation to analysis.
 
 Each recipe is a pure function of its RunConfig: all randomness flows
-from the single top-level seed through stage-name-hashed sub-seeds
-("source", "splitter", "detector.<NAME>", "de.point<i>.<stage>", ...), so
+from the single top-level seed through stage-name-hashed sub-seeds, so
 rerunning a command with the same seed reproduces every output file byte
 for byte, and adding a stage never perturbs the draws of existing ones.
+The stages are "source" and "detector.<NAME>" for each detector an HBT
+or TCSPC run uses, and "de.point<i>.source" and "de.point<i>.detector"
+for sweep point i.
+
+A recipe never makes the source's photon stream: its source stage draws
+only the photons each detector detects (`sources.sample_detected`, with
+the beamsplitter, attenuator and efficiency folded into one fate per
+photon), and each detector stage draws that detector's darks and jitter
+(`detectors._record`).  The photon-level stages (`emit_*_pulse_train`,
+`beamsplit`, `attenuate`, `detect`) give the same tags in distribution.
 
 Each recipe returns, as `result.config`, the config it ran with every
 default it resolved filled in (correlator range, g2 integration
@@ -39,37 +48,40 @@ from .correlator import (
     tac_histogram,
     write_histogram_csv,
 )
-from .detectors import detect
+# detect, attenuate, beamsplit and the emit_*_pulse_train functions are not
+# called here but stay importable: perfbench/traced.py wraps every layer by
+# its name in this module
+from .detectors import _record, detect  # noqa: F401
 from .errors import AnalysisError, ConfigError
-# attenuate stays importable here: perfbench/traced.py wraps every layer by name
 from .optics import attenuate, beamsplit  # noqa: F401
-from .rng import derive_seed
-from .sources import (
+from .rng import derive_seed, generator
+from .sources import (  # noqa: F401
     PoissonLaserModel,
-    PulsedSourceModel,
     emit_clock_ticks,
     emit_dot_pulse_train,
     emit_laser_pulse_train,
     pulse_period_ps,
+    sample_detected,
 )
 from .timetags import write_tags
 
 
-def _emit_source(cfg, n_pulses, seed):
-    # the emit_* names are looked up in this module at call time, where
-    # perfbench/traced.py wraps them
-    if isinstance(cfg.source, PulsedSourceModel):
-        return emit_dot_pulse_train(cfg.source, n_pulses, seed)
-    return emit_laser_pulse_train(cfg.source, n_pulses, seed)
+def _acquire(cfg, source, n_pulses, source_stage, arms):
+    """The tags each detector arm records over `n_pulses` pulses of `source`.
 
-
-def _detect(cfg, photons, name, stage=None):
-    """`photons` as detector `name` records them, seeded from `stage`
-    (default "detector.<name>"); `detect` is looked up here at call time,
-    like the emit_* names."""
-    return detect(photons, cfg.detectors[name],
-                  derive_seed(cfg.seed, stage or f"detector.{name}"),
-                  channel=sorted(cfg.detectors).index(name) + 1)
+    `arms` holds one (detector name, probability that a source photon
+    reaches that detector, detector stage) triple per arm.  The photons
+    are drawn from `source_stage`, each detector's darks and jitter from
+    its own stage.
+    """
+    models = [cfg.detectors[name] for name, _, _ in arms]
+    duration, signals = sample_detected(
+        source, n_pulses, [reach * model.efficiency
+                           for (_, reach, _), model in zip(arms, models)],
+        derive_seed(cfg.seed, source_stage))
+    return [_record(times, model, duration, generator(derive_seed(cfg.seed, stage)),
+                    sorted(cfg.detectors).index(name) + 1)
+            for times, model, (name, _, stage) in zip(signals, models, arms)]
 
 
 def _hbt_correlator_config(cfg):
@@ -112,7 +124,8 @@ class HbtResult:
 def run_hbt(cfg):
     """Source -> beamsplitter -> two detectors -> TAC histogram -> g2(0).
 
-    Arm A feeds the start detector, arm B the stop detector.
+    Arm A feeds the start detector, arm B (splitter.transmission) the stop
+    detector.
     """
     if cfg.hbt is None:
         raise ConfigError("hbt: section required for simulate-hbt")
@@ -126,11 +139,9 @@ def run_hbt(cfg):
         raise ConfigError(f"g2: {exc}") from exc
     cfg = replace(cfg, correlator=corr_cfg,
                   g2=replace(cfg.g2, integration_halfwidth_ps=halfwidth))
-    source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
-    arm_a, arm_b = beamsplit(source_stream, cfg.splitter,
-                             derive_seed(cfg.seed, "splitter"))
-    starts = _detect(cfg, arm_a, cfg.hbt.start)
-    stops = _detect(cfg, arm_b, cfg.hbt.stop)
+    start, stop, to_b = cfg.hbt.start, cfg.hbt.stop, cfg.splitter.transmission
+    starts, stops = _acquire(cfg, cfg.source, cfg.n_pulses, "source", [
+        (start, 1.0 - to_b, f"detector.{start}"), (stop, to_b, f"detector.{stop}")])
     hist = tac_histogram(starts, stops, corr_cfg)
     estimate = g2_zero(hist, rep_period, integration_halfwidth_ps=halfwidth,
                        n_side_peaks=cfg.g2.n_side_peaks)
@@ -180,8 +191,9 @@ def run_tcspc(cfg):
         raise ConfigError("tcspc: section required for simulate-tcspc")
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg))
-    source_stream = _emit_source(cfg, cfg.n_pulses, derive_seed(cfg.seed, "source"))
-    detections = _detect(cfg, source_stream, cfg.tcspc.detector)
+    name = cfg.tcspc.detector
+    detections, = _acquire(cfg, cfg.source, cfg.n_pulses, "source",
+                           [(name, 1.0, f"detector.{name}")])
     clock = emit_clock_ticks(cfg.source.rep_rate_hz, cfg.n_pulses,
                              offset_ps=int(round(period / 2.0)))
     hist = reverse_start_stop(detections, clock, cfg.correlator,
@@ -225,9 +237,9 @@ def run_de_sweep(cfg):
     Each sweep point is an independent acquisition of
     de_sweep.pulses_per_point pulses of the source.mu laser behind an
     attenuator of transmission mu / source.mu, so every requested mu must
-    be <= source.mu.  The attenuated laser is sampled directly as
-    Poisson(mu) per pulse, which equals Bernoulli thinning of
-    Poisson(source.mu) by mu / source.mu.
+    be <= source.mu.  The point draws its detections directly as
+    Poisson(mu * efficiency) per pulse, which equals Bernoulli thinning of
+    Poisson(source.mu) by the attenuator and then by the detector.
     """
     if cfg.de_sweep is None:
         raise ConfigError("de_sweep: section required for simulate-de-sweep")
@@ -247,10 +259,9 @@ def run_de_sweep(cfg):
     n_pulses = cfg.de_sweep.pulses_per_point
     points = []
     for i, mu in enumerate(mu_values):
-        attenuated = emit_laser_pulse_train(replace(cfg.source, mu=mu), n_pulses,
-                                            derive_seed(cfg.seed, f"de.point{i}.source"))
-        detections = _detect(cfg, attenuated, cfg.de_sweep.detector,
-                             f"de.point{i}.detector")
+        detections, = _acquire(cfg, replace(cfg.source, mu=mu), n_pulses,
+                               f"de.point{i}.source",
+                               [(cfg.de_sweep.detector, 1.0, f"de.point{i}.detector")])
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
     fit = fit_de(points, cfg.source.rep_rate_hz, weighted=cfg.de.weighted)

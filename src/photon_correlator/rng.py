@@ -1,7 +1,7 @@
 """Deterministic per-stage seed derivation.
 
 A run has a single top-level 64-bit seed; every random stage (source,
-splitter, each detector, each sweep point) draws from its own generator
+each detector, each sweep point) draws from its own generator
 seeded by hashing (master seed, stage name).  Adding a stage therefore
 never perturbs the random numbers any existing stage sees.
 """

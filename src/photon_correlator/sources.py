@@ -13,6 +13,12 @@ to integer picoseconds as the last step.  Photons falling past the end of
 the observation window (possible only for delays longer than the
 remaining acquisition time) are dropped so streams always satisfy
 0 <= t < duration_ps.
+
+`sample_detected` draws, for each detector arm, only the photons that
+arm detects, without making the source stream: the routing, attenuation
+and efficiency stages between source and detector are independent
+per-photon Bernoulli trials, so they fold into one fate per photon
+(Poisson colouring and thinning; Kingman, *Poisson Processes*, 1993).
 """
 
 import math
@@ -137,6 +143,22 @@ def _source_stream(counts, rep_rate_hz, duration, delays=None):
     return TagStream(times, duration, SOURCE_CHANNEL)
 
 
+def _dot_photon_counts(model, n_pulses, rng):
+    """Photons per pulse (int8), from one uniform per pulse by inverse CDF."""
+    p0, p1, _ = model.photon_dist
+    u = rng.random(n_pulses)
+    return (u >= p0).astype(np.int8) + (u >= p0 + p1)
+
+
+def _emission_delays(model, n_photons, rng):
+    """Exponential(lifetime_ps) delays in whole ps, by inverse CDF; 0 when
+    the lifetime is 0."""
+    if model.lifetime_ps == 0:
+        return 0
+    u = rng.random(n_photons)
+    return np.rint(-model.lifetime_ps * np.log1p(-u)).astype(np.int64)
+
+
 def emit_dot_pulse_train(model, n_pulses, seed):
     """Emit the quantum-dot photon stream for `n_pulses` pump pulses.
 
@@ -148,14 +170,8 @@ def emit_dot_pulse_train(model, n_pulses, seed):
         raise ValueError("n_pulses must be >= 0")
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
-    p0, p1, _ = model.photon_dist
-    u = rng.random(n_pulses)
-    counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-    del u
-    delays = 0
-    if model.lifetime_ps > 0:
-        u = rng.random(int(counts.sum()))
-        delays = np.rint(-model.lifetime_ps * np.log1p(-u)).astype(np.int64)
+    counts = _dot_photon_counts(model, n_pulses, rng)
+    delays = _emission_delays(model, int(counts.sum()), rng)
     return _source_stream(counts, model.rep_rate_hz, duration, delays)
 
 
@@ -166,6 +182,43 @@ def emit_laser_pulse_train(model, n_pulses, seed):
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     return _source_stream(rng.poisson(model.mu, n_pulses), model.rep_rate_hz, duration)
+
+
+def sample_detected(model, n_pulses, probabilities, seed):
+    """Times of the photons each arm detects over `n_pulses` pulses of `model`.
+
+    A source photon is detected in arm i with probability probabilities[i]
+    and lost otherwise (the probabilities sum to at most 1).  Returns
+    (duration_ps, arms): one int64 array per arm, in no particular order,
+    of the times in [0, duration_ps) that emit_*_pulse_train would give
+    those photons.
+
+    The laser's detections in arm i are Poisson(n_pulses * mu * p_i) in
+    total, each in an independent uniformly drawn pulse, so the cost is
+    that of the detections.  The dot draws one photon number per pulse and
+    one fate per photon, so the two photons of a pulse can be detected in
+    both arms, as g2(0) needs; only detected photons get an emission delay.
+    """
+    rng = generator(seed)
+    duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
+    if isinstance(model, PoissonLaserModel):
+        arms = [_pulse_times(rng.integers(0, n_pulses,
+                                          rng.poisson(n_pulses * model.mu * p)),
+                             model.rep_rate_hz)
+                for p in probabilities]
+    else:
+        counts = _dot_photon_counts(model, n_pulses, rng)
+        emitting = np.flatnonzero(counts)
+        photon_pulses = np.repeat(emitting, counts[emitting])
+        del counts, emitting
+        fates = np.searchsorted(np.cumsum(probabilities),
+                                rng.random(photon_pulses.size), side="right")
+        arms = []
+        for i in range(len(probabilities)):
+            pulses = photon_pulses[fates == i]
+            arms.append(_pulse_times(pulses, model.rep_rate_hz)
+                        + _emission_delays(model, pulses.size, rng))
+    return duration, [times[times < duration] for times in arms]
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):

@@ -6,7 +6,9 @@ so reruns within one session are free.
 """
 
 import hashlib
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,3 +429,36 @@ def test_criterion_7_determinism(tmp_path):
         ok = ok and identical
         details.append(f"{name}: {'identical' if identical else 'DIFFER'}")
     report("7 (determinism)", ok, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's workloads pass the benchmark's own output checks
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench_oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles",
+                                                  BENCH / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    return oracles
+
+
+@pytest.mark.parametrize("workload, command", [
+    ("hbt_tac", "simulate-hbt"),
+    ("tcspc_lifetime", "simulate-tcspc"),
+    ("de_sweep", "simulate-de-sweep"),
+])
+def test_benchmark_workload_passes_its_oracle(tmp_path, bench_oracles, workload,
+                                              command):
+    """Each perfbench config at full scale, through the CLI, judged by
+    perfbench/oracles.check_<workload> at the config's own seed."""
+    cfg_path = BENCH / "configs" / f"{workload}.cfg"
+    out = tmp_path / workload
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    check = getattr(bench_oracles, f"check_{workload}")
+    problems = check(pc.load_config(cfg_path), out)
+    report(f"benchmark {workload}", not problems, "; ".join(problems) or "oracle passed")

@@ -200,6 +200,18 @@ class TestSimulateHbt:
         text = (out / "effective_config.cfg").read_text()
         assert f"integration_halfwidth_ps = {1e12 / 82e6 / 2.0 - 32!r}" in text
 
+    def test_hbt_start_and_stop_on_one_detector_is_config_error(self, tmp_path,
+                                                                 capsys):
+        # both arms would draw their dark counts from one detector stage
+        text = HBT_CFG.replace("stop = SSPD", "stop = APD")
+        out = tmp_path / "out"
+        assert main(["simulate-hbt", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: hbt.stop: the start and stop detectors must differ, "
+            "both are 'APD'\n")
+
 
 class TestSimulateTcspc:
     def test_lifetime_run(self, tmp_path, capsys):
@@ -222,6 +234,18 @@ class TestSimulateTcspc:
         assert capsys.readouterr().err == (
             "config error: correlator: range [-9223372036854775818, "
             "-9223372036854775808) ps leaves int64\n")
+
+    def test_correlator_with_too_many_bins_is_config_error(self, tmp_path, capsys):
+        text = TCSPC_CFG + ("\n[correlator]\nbin_width_ps = 1\n"
+                            "range_min_ps = -1e18\nrange_max_ps = 1e18\n")
+        out = tmp_path / "out"
+        assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: correlator: range [-1000000000000000000, "
+            "1000000000000000000) ps holds 2000000000000000000 bins, more than "
+            "16777216\n")
 
     def test_period_shorter_than_a_bin_is_config_error(self, tmp_path, capsys):
         # the default window spans whole 32 ps bins of one pulse period
@@ -559,6 +583,8 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, command, section
     ("simulate-tcspc", "dark_rate_hz = 100", "dark_rate_hz = 1e300",
      "detector.SSPD.dark_rate_hz"),
     ("simulate-de-sweep", "mu = 10", "mu = 1e300", "source.mu"),
+    # below 2^62 per pulse, but not over the run's 1e5 pulses
+    ("simulate-de-sweep", "mu = 10", "mu = 1e14", "source.mu"),
     ("simulate-hbt", "n_pulses = 100000", "n_pulses = 0", "run.n_pulses"),
     ("simulate-tcspc", "n_pulses = 300000", "n_pulses = 0", "run.n_pulses"),
     ("simulate-tcspc", "rep_rate_hz = 82e6", "rep_rate_hz = 1e300", "run.n_pulses"),

@@ -23,6 +23,7 @@ from photon_correlator import (
     tac_histogram,
     write_histogram_csv,
 )
+from photon_correlator.correlator import MAX_BINS
 
 from conftest import chunked_histogram, empty_stream, poisson_stream
 
@@ -56,6 +57,12 @@ class TestHistogramConfig:
         assert low.bin_starts().tolist() == [-2**63, -2**63 + 10]
         high = HistogramConfig(1, 2**63 - 3, 2**63 - 1)
         assert high.bin_starts().tolist() == [2**63 - 3, 2**63 - 2]
+
+    def test_bin_count_is_bounded(self):
+        assert HistogramConfig(1, 0, MAX_BINS).n_bins == MAX_BINS
+        with pytest.raises(ValueError, match=rf"\[0, {MAX_BINS + 1}\) ps holds "
+                                             rf"{MAX_BINS + 1} bins, more than {MAX_BINS}"):
+            HistogramConfig(1, 0, MAX_BINS + 1)
 
     def test_symmetric_rounds_up_to_bins(self):
         cfg = HistogramConfig.symmetric(48_780, 32)

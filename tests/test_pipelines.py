@@ -14,8 +14,8 @@ from photon_correlator import (
     emit_laser_pulse_train,
     pulse_period_ps,
 )
-from photon_correlator import pipelines
-from photon_correlator.rng import derive_seed
+from photon_correlator import pipelines, sources
+from photon_correlator.rng import derive_seed, generator
 
 REP_HZ = 1e5
 MU0 = 10.0
@@ -44,9 +44,9 @@ pulses_per_point = 100000
 """
 
 
-def per_pulse_counts(stream, n_pulses):
+def per_pulse_counts(stream, n_pulses, rep_hz=REP_HZ):
     """Photons per pulse; laser photons sit exactly on their pulse time."""
-    pulse_idx = np.rint(stream.times / pulse_period_ps(REP_HZ)).astype(np.int64)
+    pulse_idx = np.rint(stream.times / pulse_period_ps(rep_hz)).astype(np.int64)
     return np.bincount(pulse_idx, minlength=n_pulses)
 
 
@@ -86,40 +86,133 @@ def test_direct_poisson_matches_thinned_laser(transmission):
     assert abs(n_old - n_new) <= 4 * math.sqrt(n_old + n_new)
 
 
-def test_de_sweep_emits_only_attenuated_photons(monkeypatch):
-    cfg = pc.parse_config_text(DE_CFG)
-    emitted, detected, stages = [], [], []
+HBT_CFG = """
+[run]
+seed = 8
+n_pulses = {n_pulses}
 
-    def counting_emit(model, n_pulses, seed, **kwargs):
-        stream = emit_laser_pulse_train(model, n_pulses, seed, **kwargs)
-        emitted.append(len(stream))
-        return stream
+[source]
+{source}
 
-    def counting_detect(photons, model, seed, **kwargs):
-        detected.append(len(photons))
-        return detect(photons, model, seed, **kwargs)
+[splitter]
+transmission = 0.5
+
+[detector.APD]
+efficiency = {eta_a}
+dark_rate_hz = {dark}
+jitter_fwhm_ps = {jitter}
+dead_time_ps = {dead}
+
+[detector.SSPD]
+efficiency = {eta_b}
+dark_rate_hz = {dark}
+jitter_fwhm_ps = {jitter}
+dead_time_ps = {dead}
+
+[hbt]
+start = APD
+stop = SSPD
+
+[g2]
+n_side_peaks = 4
+"""
+
+LASER = "type = laser\nrep_rate_hz = 82e6\nmu = 0.5"
+DOT = "type = dot\nrep_rate_hz = 82e6\nlifetime_ps = 0\np0 = 0.5\np1 = 0.3\np2 = 0.2"
+IDEAL = dict(dark=0, jitter=0, dead=0)
+
+
+def joint_counts(starts, stops, n_pulses, rep_hz):
+    """How many pulses had (a, b) detections in the start and stop arms, for
+    a, b in 0, 1, 2+, as a flat array of 9; tags sit on their pulse times."""
+    a, b = (np.minimum(per_pulse_counts(s, n_pulses, rep_hz), 2) for s in (starts, stops))
+    return np.bincount(3 * a + b, minlength=9)
+
+
+@pytest.mark.parametrize("source, eta_a, eta_b", [(LASER, 0.6, 0.5), (DOT, 0.9, 0.9)],
+                         ids=["laser", "dot"])
+def test_detected_photons_match_the_photon_path(source, eta_a, eta_b):
+    """run_hbt draws each arm's detections directly; the joint per-pulse
+    (start, stop) counts must match emit -> beamsplit -> detect, including
+    the (1, 1) coincidences of two-photon dot pulses that g2(0) measures."""
+    n_pulses = 200_000
+    cfg = pc.parse_config_text(HBT_CFG.format(n_pulses=n_pulses, source=source,
+                                              eta_a=eta_a, eta_b=eta_b, **IDEAL))
+    result = pipelines.run_hbt(cfg)
+    new = joint_counts(result.start_detections, result.stop_detections, n_pulses,
+                       cfg.source.rep_rate_hz)
+
+    emit = (pc.emit_laser_pulse_train if isinstance(cfg.source, PoissonLaserModel)
+            else pc.emit_dot_pulse_train)
+    arm_a, arm_b = pc.beamsplit(emit(cfg.source, n_pulses, seed=21), cfg.splitter,
+                                seed=22)
+    old = joint_counts(detect(arm_a, cfg.detectors["APD"], seed=23),
+                       detect(arm_b, cfg.detectors["SSPD"], seed=24), n_pulses,
+                       cfg.source.rep_rate_hz)
+
+    assert new[4] > 1000 and old[4] > 1000  # the (1, 1) cell
+    order = np.argsort(-(new + old), kind="stable")  # rare cells last, then pooled
+    assert chi2_contingency(pooled_table(new[order], old[order]))[1] > 0.01
+
+
+class CountingGenerator:
+    """A numpy Generator that adds the number of variates of each draw to `tally`."""
+
+    def __init__(self, rng, tally):
+        self._rng, self._tally = rng, tally
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self._tally.append(np.size(out))
+            return out
+        return counted
+
+
+def laser_hbt_tags(result):
+    return len(result.start_detections) + len(result.stop_detections)
+
+
+def de_sweep_tags(result):
+    duration_s = result.config.de_sweep.pulses_per_point / result.config.source.rep_rate_hz
+    return sum(round(p.rate_hz * duration_s) for p in result.points)
+
+
+@pytest.mark.parametrize("recipe, text, tags, stages", [
+    (pipelines.run_hbt,
+     HBT_CFG.format(n_pulses=200_000, source=LASER, eta_a=0.38, eta_b=0.02,
+                    dark=20_000, jitter=170, dead=10_000),
+     laser_hbt_tags, ["detector.APD", "detector.SSPD", "source"]),
+    (pipelines.run_de_sweep, DE_CFG, de_sweep_tags,
+     sorted(f"de.point{i}.{stage}" for i in range(6) for stage in ("source", "detector"))),
+], ids=["hbt", "de_sweep"])
+def test_laser_recipes_draw_in_proportion_to_detections(monkeypatch, recipe, text,
+                                                        tags, stages):
+    """No variate per pulse or per lost photon: a laser recipe draws a few
+    per recorded tag (signal or dark) plus one Poisson total per stage, and
+    only from the source and detector stages."""
+    tally, seen = [], []
+
+    def counting_generator(seed):
+        return CountingGenerator(generator(seed), tally)
 
     def recording_derive_seed(seed, stage):
-        stages.append(stage)
+        seen.append(stage)
         return derive_seed(seed, stage)
 
-    monkeypatch.setattr(pipelines, "emit_laser_pulse_train", counting_emit)
-    monkeypatch.setattr(pipelines, "detect", counting_detect)
+    for module in (pipelines, sources):
+        monkeypatch.setattr(module, "generator", counting_generator)
     monkeypatch.setattr(pipelines, "derive_seed", recording_derive_seed)
-    result = pipelines.run_de_sweep(cfg)
+    cfg = pc.parse_config_text(text)
+    result = recipe(cfg)
 
-    mu_values = cfg.de_sweep.mu_values
-    expected = sum(mu_values) * cfg.de_sweep.pulses_per_point
-    bound = expected + 5 * math.sqrt(expected)
-    assert len(emitted) == len(detected) == len(mu_values)
-    assert sum(emitted) <= bound
-    assert sum(detected) <= bound
-
-    # the points draw from the source and detector stages only
-    assert sorted(stages) == sorted(
-        f"de.point{i}.{stage}"
-        for i in range(len(mu_values)) for stage in ("source", "detector"))
-    assert len(result.points) == len(mu_values)
+    assert sorted(seen) == stages
+    n_tags = tags(result)
+    # per tag: its pulse index or dark time, and its jitter; dead time may
+    # drop a few percent of the tags that were drawn
+    assert 0 < sum(tally) <= 3 * n_tags + 2 * len(stages)
 
 
 def test_de_sweep_rejects_mu_above_source():

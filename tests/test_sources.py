@@ -15,6 +15,7 @@ from photon_correlator import (
     solve_photon_stats,
 )
 from photon_correlator.rng import generator
+from photon_correlator.sources import sample_detected
 
 REP_82MHZ = 82e6
 
@@ -197,6 +198,34 @@ def test_laser_train_equals_per_photon_reference(mu, n_pulses, rep_rate_hz, seed
     assert s.times.dtype == times.dtype
     assert np.array_equal(s.times, times)
     assert s.channel == 0
+
+
+class TestSampleDetected:
+    def test_dot_fates_and_delays(self):
+        n = 200_000
+        duration, (a, b) = sample_detected(dot_model((0.0, 1.0, 0.0)), n, [0.3, 0.2],
+                                           seed=5)
+        assert duration == round(n * pulse_period_ps(REP_82MHZ))
+        for arm, p in ((a, 0.3), (b, 0.2)):
+            assert abs(arm.size - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+            delays = delays_from_pulses(np.sort(arm))
+            assert delays.min() >= 0
+            assert abs(delays.mean() - 370.0) <= 5 * 370.0 / math.sqrt(arm.size)
+
+    def test_photons_past_the_run_are_dropped(self):
+        # a lifetime of half the run pushes many delays past its end
+        model = dot_model((0.0, 1.0, 0.0), lifetime_ps=6e6)
+        duration, (times,) = sample_detected(model, 1000, [1.0], seed=6)
+        assert 0 < times.size < 1000 and times.max() < duration
+
+    def test_laser_detections_are_poisson_on_pulse_times(self):
+        n, mu, p = 100_000, 2.0, 0.05
+        duration, (times,) = sample_detected(PoissonLaserModel(REP_82MHZ, mu), n, [p],
+                                             seed=7)
+        assert abs(times.size - n * mu * p) <= 5 * math.sqrt(n * mu * p)
+        pulse = np.rint(times / pulse_period_ps(REP_82MHZ))
+        assert np.array_equal(times, np.rint(pulse * pulse_period_ps(REP_82MHZ)))
+        assert times.min() >= 0 and times.max() < duration
 
 
 def test_clock_ticks_offset_and_window():
