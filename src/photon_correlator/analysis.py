@@ -231,15 +231,104 @@ def peak_fwhm(hist, center_ps, search_halfwidth_ps):
 # exponential decay convolved with a Gaussian IRF
 
 
+# Chebyshev coefficients of P(x) = log(erfcx(z) / t) in x = 2t - 1, with
+# t = 2 / (2 + z): 80 Chebyshev-Gauss nodes of P evaluated by mpmath at 40
+# significant digits, rounded to double and truncated after 28 terms
+# (the first one dropped is 5e-20).  The leading one is rounded up by one
+# ulp, so that the sum at z = 0 rounds to erfcx(0) = 1 exactly.
+_ERFCX_CHEB = (
+    -1.3026537197817092,
+    0.6419697923564902,
+    0.019476473204185836,
+    -0.009561514786808632,
+    -0.0009465953444820369,
+    0.00036683949785276145,
+    4.252332480690777e-05,
+    -2.0278578112534242e-05,
+    -1.6242900046470256e-06,
+    1.3036558355805232e-06,
+    1.5626441722066142e-08,
+    -8.523809591492654e-08,
+    6.5290544390988515e-09,
+    5.059343495551469e-09,
+    -9.91364156493033e-10,
+    -2.273651222931836e-10,
+    9.646791102015527e-11,
+    2.3940380830391146e-12,
+    -6.886027526497553e-12,
+    8.944879273090725e-13,
+    3.130921399342958e-13,
+    -1.1270822361367252e-13,
+    3.810905255189232e-16,
+    7.106097613609237e-15,
+    -1.5230282014571043e-15,
+    -9.457494571291233e-17,
+    1.210237189224279e-16,
+    -2.816663087747177e-17,
+)
+
+
+def _erfcx(z):
+    """Scaled complementary error function exp(z^2) * erfc(z) for z >= 0.
+
+    erfcx(z) = t * exp(P(t)), t = 2 / (2 + z), with P summed by Clenshaw's
+    recurrence in 4t - 2 (the erfccheb form of Press et al., Numerical
+    Recipes, 3rd ed., sec. 6.2.2).  z^2 is never formed, so nothing can
+    overflow; erfcx(inf) = 0 and NaN passes through.
+    """
+    t = 2.0 / (2.0 + z)
+    y = 4.0 * t - 2.0
+    d = dd = 0.0
+    for c in _ERFCX_CHEB[:0:-1]:
+        d, dd = y * d - dd + c, d
+    return t * np.exp(0.5 * (_ERFCX_CHEB[0] + y * d) - dd)
+
+
+def _erfc_negative(z):
+    """erfc(z) = 2 - exp(-z^2) * erfcx(-z) for z <= 0; erfc(-30) is 2 in
+    double precision, so z is held there to keep z^2 finite."""
+    z = np.maximum(z, -30.0)
+    return 2.0 - np.exp(-z * z) * _erfcx(-z)
+
+
+def _unit_decay(u, tau_ps, sigma_ps):
+    """Unit-amplitude decay at offsets u = t - t0 for sigma_ps > 0.
+
+    Returns (S, a, z, g, g * w) with a = sigma/tau, w = u/sigma, the erfc
+    argument z = (a - w)/sqrt(2) and the Gaussian factor g = exp(-w^2/2),
+    all finite for every finite sigma > 0.  u/sigma overflows only for
+    sigma below |u|/1.8e308, where g is 0 and erfc(z) is 0 or 2, so holding
+    w within +/-1e300 changes no value and keeps z finite.  g is evaluated
+    at |w| <= 40, beyond which it is 0 in double precision anyway.
+    """
+    with np.errstate(over="ignore"):
+        w = np.clip(u / sigma_ps, -1e300, 1e300)
+    a = sigma_ps / tau_ps
+    z = (a - w) / _SQRT2
+    w = np.clip(w, -40.0, 40.0)
+    g = np.exp(-0.5 * w * w)
+    S = np.empty_like(u)
+    pos = z >= 0
+    S[pos] = 0.5 * _erfcx(z[pos]) * g[pos]
+    neg = ~pos
+    if neg.any():  # then u/tau > a^2, so a^2 is finite
+        S[neg] = 0.5 * np.exp(0.5 * a * a - u[neg] / tau_ps) * _erfc_negative(z[neg])
+    return S, a, z, g, g * w
+
+
 def decay_model(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     """Expected counts for an exponential decay convolved with a Gaussian IRF.
 
     m(t) = B + (A/2) * exp(s^2/(2 tau^2) - u/tau) * erfc((s/tau - u/s)/sqrt(2)),
     u = t - t0.  Evaluated in a scaled-complementary form,
-    (A/2) * erfcx(z) * exp(-u^2/(2 s^2)) for z >= 0, so the exp(s^2/(2 tau^2))
-    factor can never overflow.  As sigma -> 0 this reduces to a one-sided
-    exponential; at exactly u = 0 with sigma = 0 the erfc(0) = 1 convention
-    gives B + A/2.
+    (A/2) * erfcx(z) * exp(-(u/s)^2/2) for z >= 0, so the exp(s^2/(2 tau^2))
+    factor can never overflow, and finite for every finite sigma >= 0.
+    erfcx is computed in numpy (`_erfcx`) as t * exp(P(t)), t = 2/(2+z),
+    with P a 28-term Chebyshev series (the erfccheb form of Numerical
+    Recipes, 3rd ed., sec. 6.2.2) whose coefficients were computed offline
+    with mpmath at 40 digits; erfc(z) for z < 0 is 2 - exp(-z^2) * erfcx(-z).
+    As sigma -> 0 this reduces to a one-sided exponential; at exactly u = 0
+    with sigma = 0 the erfc(0) = 1 convention gives B + A/2.
     """
     if tau_ps <= 0:
         raise ValueError("tau_ps must be > 0")
@@ -252,19 +341,7 @@ def decay_model(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
         signal = np.where(u > 0, np.exp(-np.clip(u, 0, None) / tau_ps), 0.0)
         signal = np.where(u == 0, 0.5, signal) * amplitude
     else:
-        # imported here: only the lifetime fit needs scipy, which takes a
-        # noticeable share of every command's start-up
-        from scipy.special import erfc, erfcx
-
-        z = (sigma_ps / tau_ps - u / sigma_ps) / _SQRT2
-        signal = np.empty_like(u)
-        pos = z >= 0
-        signal[pos] = erfcx(z[pos]) * np.exp(-u[pos] ** 2 / (2.0 * sigma_ps**2))
-        signal[~pos] = (
-            np.exp(sigma_ps**2 / (2.0 * tau_ps**2) - u[~pos] / tau_ps)
-            * erfc(z[~pos])
-        )
-        signal *= 0.5 * amplitude
+        signal = _unit_decay(u, tau_ps, sigma_ps)[0] * amplitude
     out = background + signal
     return float(out[0]) if scalar else out
 
@@ -273,9 +350,11 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     """Analytic partial derivatives of `decay_model`.
 
     Returns an (n, 5) array with columns in signature order
-    (tau_ps, sigma_ps, amplitude, t0_ps, background).  Uses
-    dS/dtheta = S * dp/dtheta - (A/sqrt(pi)) * exp(-u^2/(2 s^2)) * dz/dtheta
-    with p the exponent and z the erfc argument, both factors overflow-safe.
+    (tau_ps, sigma_ps, amplitude, t0_ps, background).  With S the
+    unit-amplitude signal and K = exp(-(u/s)^2/2)/sqrt(pi),
+    dS/dtheta = S * dp/dtheta - K * dz/dtheta for p the exponent and z the
+    erfc argument, rearranged so that no factor overflows and 0 * inf
+    cannot occur: the columns are finite for every finite sigma >= 0.
     For sigma_ps = 0 the sigma column is zero (the one-sided limit is not
     differentiable in sigma) and the remaining columns differentiate the
     plain exponential.
@@ -283,30 +362,22 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     t = np.atleast_1d(np.asarray(t_ps, dtype=float))
     u = t - t0_ps
     J = np.zeros((t.size, 5))
+    J[:, 4] = 1.0
     if sigma_ps == 0:
         decay = np.where(u > 0, np.exp(-np.clip(u, 0, None) / tau_ps), 0.0)
         S = amplitude * decay
         J[:, 0] = S * u / tau_ps**2
         J[:, 2] = decay
         J[:, 3] = S / tau_ps
-        J[:, 4] = 1.0
         return J
-    S = decay_model(t, tau_ps, sigma_ps, amplitude, t0_ps, 0.0)
-    K = (amplitude / _SQRT_PI) * np.exp(-(u**2) / (2.0 * sigma_ps**2))
-    dp_dtau = -sigma_ps**2 / tau_ps**3 + u / tau_ps**2
-    dz_dtau = -sigma_ps / (_SQRT2 * tau_ps**2)
-    dp_dsig = sigma_ps / tau_ps**2
-    dz_dsig = (1.0 / tau_ps + u / sigma_ps**2) / _SQRT2
-    dp_dt0 = 1.0 / tau_ps
-    dz_dt0 = 1.0 / (_SQRT2 * sigma_ps)
-    J[:, 0] = S * dp_dtau - K * dz_dtau
-    J[:, 1] = S * dp_dsig - K * dz_dsig
-    if amplitude != 0:
-        J[:, 2] = S / amplitude
-    else:
-        J[:, 2] = decay_model(t, tau_ps, sigma_ps, 1.0, t0_ps, 0.0)
-    J[:, 3] = S * dp_dt0 - K * dz_dt0
-    J[:, 4] = 1.0
+    S, a, z, g, gw = _unit_decay(u, tau_ps, sigma_ps)
+    K = g / _SQRT_PI
+    # dp/dtau = -sqrt(2) a z / tau and dz/dtau = -a / (sqrt(2) tau)
+    J[:, 0] = (a / tau_ps) * ((K - 2.0 * z * S) / _SQRT2) * amplitude
+    J[:, 1] = ((a * S - K / _SQRT2) / tau_ps
+               - gw / (_SQRT2 * _SQRT_PI * sigma_ps)) * amplitude
+    J[:, 2] = S
+    J[:, 3] = (S / tau_ps - K / (_SQRT2 * sigma_ps)) * amplitude
     return J
 
 

@@ -6,9 +6,12 @@ step criterion.  Fits in this package have <= 5 parameters, so solving
 the scaled normal equations directly is both fast and accurate enough.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import AnalysisError
 
 STEP_TOL = 1e-8  # relative step size that counts as converged
 LAM0 = 1e-3  # initial damping
@@ -37,33 +40,42 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
     forever).  Hitting `max_iter`, or damping escalating past `LAM_MAX`
     without improvement, returns converged=False with the best parameters
     found.  Non-finite trial costs are treated as rejected steps, so the
-    solver backs away from invalid parameter regions on its own.
+    solver backs away from invalid parameter regions on its own.  Normal
+    equations (J^T J, J^T r) that are not finite also end the fit with
+    converged=False; at `x0`, where there is no result yet, they or a
+    non-finite cost raise AnalysisError.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
-    cost = float(r @ r)
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
     if not np.isfinite(cost):
-        raise ValueError("residual is not finite at the initial parameters")
+        raise AnalysisError("fit residual is not finite at the initial parameters")
     cost_floor = 1e-24 * cost
     lam = LAM0
     n_iter = 0
     converged = False
     for n_iter in range(1, max_iter + 1):
         J = np.asarray(jacobian(x), dtype=float)
-        g = J.T @ r
-        H = J.T @ J
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = J.T @ r
+            H = J.T @ J
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            if n_iter == 1:
+                raise AnalysisError(
+                    "fit normal equations are not finite at the initial parameters")
+            break
         d = np.diag(H).copy()
         d[d <= 0] = 1.0
         accepted = False
         while lam <= LAM_MAX:
-            A = H + lam * np.diag(d)
-            try:
-                step = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= LAM_FACTOR
-                continue
-            x_new = x + step
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    step = np.linalg.solve(H + lam * np.diag(d), -g)
+                except np.linalg.LinAlgError:
+                    lam *= LAM_FACTOR
+                    continue
+                x_new = x + step
                 r_new = np.asarray(residual(x_new), dtype=float)
                 cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
@@ -73,7 +85,8 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
         if not accepted:
             break
         lam = max(lam / LAM_FACTOR, 1e-12)
-        small = np.linalg.norm(step) <= STEP_TOL * (STEP_TOL + np.linalg.norm(x_new))
+        # hypot, unlike sqrt(x @ x), cannot overflow for components above 1e154
+        small = math.hypot(*step) <= STEP_TOL * (STEP_TOL + math.hypot(*x_new))
         x, r, cost = x_new, r_new, cost_new
         if small or cost <= cost_floor:
             converged = True

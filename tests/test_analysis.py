@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfcx as scipy_erfcx
 
 from photon_correlator import (
     AnalysisError,
@@ -33,6 +36,8 @@ from photon_correlator import (
     write_de_sweep,
 )
 from photon_correlator.analysis import (
+    _erfc_negative,
+    _erfcx,
     de_model_jacobian,
     fit_lifetime_xy,
     gaussian_jacobian,
@@ -243,6 +248,47 @@ class TestDecayModel:
             decay_model(0.0, -1.0, 10.0, 1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             decay_model(0.0, 100.0, -1.0, 1.0, 0.0, 0.0)
+
+
+class TestSpecialFunctions:
+    """The numpy erfcx and the z < 0 erfc built on it, against scipy and the
+    standard library."""
+
+    def test_erfcx_matches_scipy(self):
+        z = np.concatenate([np.linspace(0.0, 1e-3, 1001), np.linspace(0.0, 30.0, 30_001),
+                            np.logspace(-300, 300, 6001)])
+        want = scipy_erfcx(z)
+        assert np.max(np.abs(_erfcx(z) - want) / want) < 2e-15
+
+    def test_erfc_of_negative_argument_matches_stdlib(self):
+        z = np.concatenate([np.linspace(-30.0, 0.0, 30_001), -np.logspace(-300, 1, 3001)])
+        want = np.array([math.erfc(v) for v in z])
+        assert np.max(np.abs(_erfc_negative(z) - want) / want) < 2e-15
+
+    def test_special_values(self):
+        assert _erfcx(np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
+        assert np.isnan(_erfcx(np.array([np.nan]))).all()
+        assert _erfc_negative(np.array([0.0, -np.inf])).tolist() == [1.0, 2.0]
+        assert np.isnan(_erfc_negative(np.array([np.nan]))).all()
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.one_of(st.floats(1e-3, 1e12), log_uniform(-3, 12)),
+       sigma=st.one_of(st.just(0.0), st.floats(1e-300, 1e300), log_uniform(-300, 300)),
+       amplitude=st.floats(0.0, 1e6),
+       u=st.lists(st.one_of(st.floats(-1e12, 1e12), log_uniform(-300, 12),
+                            log_uniform(-300, 12).map(lambda v: -v)),
+                  min_size=1, max_size=16))
+def test_decay_model_is_finite_for_every_finite_sigma(tau, sigma, amplitude, u):
+    # warnings are errors in this suite, so this also checks there are none
+    t = np.array(u)
+    signal = decay_model(t, tau, sigma, amplitude, 0.0, 0.0)
+    assert np.all(np.isfinite(signal)) and np.all(signal >= 0)
+    assert np.all(np.isfinite(decay_model_jacobian(t, tau, sigma, amplitude, 0.0, 0.0)))
 
 
 def relative_jacobian_error(J_analytic, J_fd):

@@ -83,6 +83,11 @@ jitter_fwhm_ps = 170
 detector = SSPD
 """
 
+# a lifetime-free dot: the TCSPC histogram is the detector's IRF
+TCSPC_IRF_CFG = TCSPC_CFG.replace("[tcspc]\ndetector = SSPD",
+                                  "[tcspc]\ndetector = SSPD\nanalysis = irf",
+                                  ).replace("lifetime_ps = 370", "lifetime_ps = 0")
+
 DE_CFG = """
 [run]
 seed = 5
@@ -259,11 +264,7 @@ class TestSimulateTcspc:
         assert len(err.splitlines()) == 1
 
     def test_irf_run(self, tmp_path):
-        cfg_text = TCSPC_CFG.replace(
-            "[tcspc]\ndetector = SSPD",
-            "[tcspc]\ndetector = SSPD\nanalysis = irf",
-        ).replace("lifetime_ps = 370", "lifetime_ps = 0")
-        cfg = write_cfg(tmp_path, cfg_text)
+        cfg = write_cfg(tmp_path, TCSPC_IRF_CFG)
         out = tmp_path / "out"
         assert main(["simulate-tcspc", "--config", cfg, "--out", str(out)]) == 0
         record = json.loads((out / "irf.json").read_text())
@@ -510,8 +511,7 @@ class TestAnalyze:
 @pytest.mark.parametrize("command, text, extra", [
     ("simulate-hbt", HBT_CFG, []),
     ("simulate-tcspc", TCSPC_CFG, []),
-    ("simulate-tcspc", TCSPC_CFG.replace("[tcspc]\n", "[tcspc]\nanalysis = irf\n")
-     .replace("lifetime_ps = 370", "lifetime_ps = 0"), []),
+    ("simulate-tcspc", TCSPC_IRF_CFG, []),
     ("simulate-de-sweep", DE_CFG, ["--mu", "0.05,0.5,5"]),
 ], ids=["hbt", "tcspc", "tcspc-irf", "de-sweep"])
 def test_effective_config_reloads_to_the_run_config(tmp_path, command, text, extra):
@@ -610,59 +610,99 @@ def test_bad_fixed_sigma_in_config_fails_before_simulating(tmp_path, capsys, val
     assert len(err.splitlines()) == 1
 
 
+def write_decay_csv(path):
+    cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
+    counts = np.rint(decay_model(cfg.bin_centers(), 370.0, 72.2, 50_000.0, 2000.0, 5.0))
+    write_histogram_csv(Histogram(cfg, counts.astype(np.int64), 10**6), path)
+
+
+# the last three fit settings leave a fit's start point with a residual or
+# normal equations that are not finite
 @pytest.mark.parametrize("argv", [
     ["de", "--sweep", "{sweep}", "--f-hz", "nan"],
     ["de", "--sweep", "{sweep}", "--f-hz", "inf"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "nan"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "-1"],
-], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative"])
+    ["de", "--sweep", "{huge_sweep}", "--f-hz", "100000"],
+    ["de", "--sweep", "{sweep}", "--f-hz", "1e300"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e-200"],
+], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative",
+        "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200"])
 def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
-    cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
-    counts = np.rint(decay_model(cfg.bin_centers(), 370.0, 72.2, 50_000.0, 2000.0, 5.0))
+    huge_sweep = tmp_path / "huge.csv"
+    huge_sweep.write_text("mu,rate_hz\n0.01,1e200\n0.1,2e200\n1,5e200\n10,9e200\n")
     hist = tmp_path / "decay.csv"
-    write_histogram_csv(Histogram(cfg, counts.astype(np.int64), 10**6), hist)
-    assert main(["analyze"] + [a.format(sweep=sweep, hist=hist) for a in argv]) == 4
+    write_decay_csv(hist)
+    paths = {"sweep": sweep, "huge_sweep": huge_sweep, "hist": hist}
+    assert main(["analyze"] + [a.format(**paths) for a in argv]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("sigma", ["1e-100", "1e160", "1e300"])
+def test_extreme_fixed_sigma_fits_quietly(tmp_path, capsys, sigma):
+    # each of these once raised OverflowError or a RuntimeWarning
+    hist = tmp_path / "decay.csv"
+    write_decay_csv(hist)
+    assert main(["analyze", "lifetime", "--hist", str(hist),
+                 "--fix-sigma-ps", sigma]) in (0, 4)
+    out, err = capsys.readouterr()
+    assert err == "" and "\nconverged=" in out
+
+
+def test_fit_without_finite_start_after_simulating_is_analysis_error(tmp_path, capsys):
+    text = TCSPC_CFG + "\n[lifetime]\nfix_sigma_ps = 1e-200\n"
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 4
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
 
 
 SCIPY_GATE = """
 import sys
+d, mode = sys.argv[1], sys.argv[2]
+if mode == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 from photon_correlator.cli import main
 
 def run(*argv):
     assert main(list(argv)) == 0, argv
-    assert "scipy" not in sys.modules, argv
+    assert sys.modules.get("scipy") is None, argv
 
-d = sys.argv[1]
-assert "scipy" not in sys.modules
-run("simulate-hbt", "--config", d + "/hbt.cfg", "--out", d + "/hbt")
-run("simulate-de-sweep", "--config", d + "/de.cfg", "--out", d + "/de")
-run("analyze", "g2", "--hist", d + "/hbt/histogram.csv", "--rep-period-ps", "12195",
+assert sys.modules.get("scipy") is None
+out = d + "/" + mode
+run("simulate-hbt", "--config", d + "/hbt.cfg", "--out", out + "/hbt")
+run("simulate-de-sweep", "--config", d + "/de.cfg", "--out", out + "/de")
+run("simulate-tcspc", "--config", d + "/tcspc.cfg", "--out", out + "/tcspc")
+run("simulate-tcspc", "--config", d + "/irf.cfg", "--out", out + "/irf")
+run("analyze", "g2", "--hist", out + "/hbt/histogram.csv", "--rep-period-ps", "12195",
     "--side-peaks", "10")
-run("analyze", "de", "--sweep", d + "/de/sweep.csv", "--f-hz", "100000")
+run("analyze", "de", "--sweep", out + "/de/sweep.csv", "--f-hz", "100000")
+run("analyze", "irf", "--hist", out + "/irf/histogram.csv")
 print("--- lifetime")
-assert main(["analyze", "lifetime", "--hist", d + "/decay.csv"]) == 0
-assert "scipy" in sys.modules
+run("analyze", "lifetime", "--hist", d + "/decay.csv")
 """
 
 
-def test_only_the_lifetime_fit_loads_scipy(tmp_path, capsys):
-    # scipy takes a large share of every command's start-up
+@pytest.mark.parametrize("mode", ["unloaded", "blocked"])
+def test_no_command_loads_scipy(tmp_path, capsys, mode):
+    # numpy is the only run-time dependency; "blocked" makes a stray scipy
+    # import fail instead of merely loading it
     write_cfg(tmp_path, HBT_CFG, "hbt.cfg")
     write_cfg(tmp_path, DE_CFG, "de.cfg")
-    cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
-    counts = np.rint(decay_model(cfg.bin_centers(), 370.0, 72.2, 50_000.0, 2000.0, 5.0))
-    write_histogram_csv(Histogram(cfg, counts.astype(np.int64), 10**6),
-                        tmp_path / "decay.csv")
+    write_cfg(tmp_path, TCSPC_CFG, "tcspc.cfg")
+    write_cfg(tmp_path, TCSPC_IRF_CFG, "irf.cfg")
+    write_decay_csv(tmp_path / "decay.csv")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", SCIPY_GATE, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_GATE, str(tmp_path), mode],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lifetime = proc.stdout.split("--- lifetime\n")[1]
     assert main(["analyze", "lifetime", "--hist", str(tmp_path / "decay.csv")]) == 0

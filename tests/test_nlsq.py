@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from photon_correlator.errors import AnalysisError
 from photon_correlator.nlsq import LeastSquaresResult, levenberg_marquardt
 
 
@@ -67,8 +68,41 @@ def test_max_iter_reports_non_convergence():
 
 
 def test_non_finite_start_rejected():
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(AnalysisError, match="not finite"):
         levenberg_marquardt(lambda p: np.array([np.nan]), lambda p: np.eye(1), [1.0])
+
+
+def test_start_cost_that_overflows_rejected():
+    with pytest.raises(AnalysisError, match="residual is not finite"):
+        levenberg_marquardt(lambda p: np.full(2, 1e200), lambda p: np.ones((2, 1)), [1.0])
+
+
+def test_start_normal_equations_that_overflow_rejected():
+    with pytest.raises(AnalysisError, match="normal equations are not finite"):
+        levenberg_marquardt(lambda p: p - 2.0, lambda p: np.array([[1e200]]), [0.5])
+
+
+def test_normal_equations_that_overflow_later_end_the_fit():
+    def jacobian(p):
+        return np.array([[1.0 if p[0] == 0.5 else 1e200]])
+
+    res = levenberg_marquardt(lambda p: p - 2.0, jacobian, [0.5])
+    assert not res.converged
+    assert res.iterations == 2
+    assert res.params[0] == pytest.approx(2.0, rel=1e-2)
+
+
+def test_converges_with_parameters_beyond_1e154():
+    # the squared norm of the step and of the parameters overflows here
+    t = np.linspace(0, 1, 10)
+    y = 4.0 * t
+
+    def residual(p):
+        return p[0] * 1e-160 * t - y
+
+    res = levenberg_marquardt(residual, lambda p: 1e-160 * t[:, None], [1e160])
+    assert res.converged
+    assert res.params[0] == pytest.approx(4e160, rel=1e-8)
 
 
 def test_backs_away_from_invalid_region():
