@@ -570,7 +570,10 @@ def fit_de(points, f_hz, weighted=False, max_iter=200):
 
     d0 = float(rate.min())
     i_max = int(np.argmax(rate))
-    eta0 = (rate[i_max] - d0) / (f_hz * mu[i_max]) if mu[i_max] > 0 else 0.5
+    # in Python floats, where a product past the float range is inf without
+    # an overflow warning, and the start then takes the floor below
+    eta0 = ((rate[i_max] - d0) / (float(f_hz) * float(mu[i_max])) if mu[i_max] > 0
+            else 0.5)
     eta0 = min(max(eta0, 1e-12), 1.0)
 
     w = 1.0 / np.sqrt(np.maximum(rate, 1.0)) if weighted else np.ones_like(rate)

@@ -61,8 +61,8 @@ class DetectorModel:
             raise ValueError("dark_rate_hz must be finite and >= 0")
         if not 0 <= self.jitter_fwhm_ps < math.inf:
             raise ValueError("jitter_fwhm_ps must be finite and >= 0")
-        if self.dead_time_ps < 0:
-            raise ValueError("dead_time_ps must be >= 0")
+        if not 0 <= self.dead_time_ps < 2**63:
+            raise ValueError("dead_time_ps must be in [0, 2^63)")
 
     @property
     def jitter_sigma_ps(self):
@@ -87,9 +87,12 @@ def _record(signal_times, model, duration_ps, rng, channel):
     times = np.concatenate([signal_times, dark])
 
     if model.jitter_fwhm_ps > 0:
-        times = np.rint(times + rng.normal(0.0, model.jitter_sigma_ps, times.size)
-                        ).astype(np.int64)
-    times = np.clip(times, 0, duration_ps - 1)
+        times = np.rint(times + rng.normal(0.0, model.jitter_sigma_ps, times.size))
+        # clamped in float first, as a time outside int64 has no cast: 0 and
+        # 2^63 cast exactly to uint64, and the clip below brings every time
+        # into the window, where the uint64 and int64 bits agree
+        times = np.clip(times, 0.0, 2.0**63, out=times).astype(np.uint64)
+    times = np.clip(times, 0, duration_ps - 1).view(np.int64)
     times.sort()
 
     if model.dead_time_ps > 0:

@@ -12,8 +12,9 @@ A recipe never makes the source's photon stream: its source stage draws
 only the photons each detector detects (`sources.sample_detected`, with
 the beamsplitter, attenuator and efficiency folded into one fate per
 photon), and each detector stage draws that detector's darks and jitter
-(`detectors._record`).  The photon-level stages (`emit_*_pulse_train`,
-`beamsplit`, `attenuate`, `detect`) give the same tags in distribution.
+(`detectors._record`).  The photon-level path gives the same tags in
+distribution: `emit_*_pulse_train` (the same sampler with one arm that
+detects every photon), then `beamsplit`, `attenuate` and `detect`.
 
 Each recipe returns, as `result.config`, the config it ran with every
 default it resolved filled in (correlator range, g2 integration

@@ -14,11 +14,13 @@ the observation window (possible only for delays longer than the
 remaining acquisition time) are dropped so streams always satisfy
 0 <= t < duration_ps.
 
-`sample_detected` draws, for each detector arm, only the photons that
-arm detects, without making the source stream: the routing, attenuation
-and efficiency stages between source and detector are independent
-per-photon Bernoulli trials, so they fold into one fate per photon
-(Poisson colouring and thinning; Kingman, *Poisson Processes*, 1993).
+`sample_detected` is the one sampler.  It draws, for each detector arm,
+only the photons that arm detects, without making the source stream: the
+routing, attenuation and efficiency stages between source and detector
+are independent per-photon Bernoulli trials, so they fold into one fate
+per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
+1993).  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
+sampler with one arm that detects every photon: the source stream.
 """
 
 import math
@@ -57,17 +59,6 @@ class PulsedSourceModel:
                 raise ValueError(f"p{i}={pi} outside [0, 1]")
         if abs(sum(p) - 1.0) > _PROB_SUM_TOL:
             raise ValueError(f"photon_dist sums to {sum(p)!r}, expected 1")
-
-    @property
-    def mean_n(self):
-        return self.photon_dist[1] + 2.0 * self.photon_dist[2]
-
-    @property
-    def g2_zero(self):
-        """<n(n-1)>/<n>^2 of the configured photon-number distribution."""
-        if self.mean_n == 0:
-            return 0.0
-        return 2.0 * self.photon_dist[2] / self.mean_n**2
 
 
 @dataclass(frozen=True)
@@ -123,40 +114,21 @@ def _train_duration_ps(n_pulses, rep_rate_hz):
     return int(np.rint(n_pulses * pulse_period_ps(rep_rate_hz)))
 
 
-def _source_stream(counts, rep_rate_hz, duration, delays=None):
-    """The source stream of a train with per-pulse photon `counts`: each
-    photon at its pulse time, plus its entry of `delays` when given.
-
-    `counts` is dropped before the photon-length arrays are made, so pass
-    it as a temporary where it is the largest array of the run.
-    """
-    emitting = np.nonzero(counts)[0]
-    per_pulse = counts[emitting]
-    del counts
-    pulse_times = _pulse_times(emitting, rep_rate_hz)
-    del emitting
-    times = np.repeat(pulse_times, per_pulse)
-    if delays is not None:
-        times += delays
-        times.sort()
-    times = times[:np.searchsorted(times, duration)]  # times are >= 0 and sorted
-    return TagStream(times, duration, SOURCE_CHANNEL)
-
-
-def _dot_photon_counts(model, n_pulses, rng):
-    """Photons per pulse (int8), from one uniform per pulse by inverse CDF."""
-    p0, p1, _ = model.photon_dist
-    u = rng.random(n_pulses)
-    return (u >= p0).astype(np.int8) + (u >= p0 + p1)
-
-
-def _emission_delays(model, n_photons, rng):
-    """Exponential(lifetime_ps) delays in whole ps, by inverse CDF; 0 when
-    the lifetime is 0."""
+def _emission_times(model, pulse_times, duration, rng):
+    """Each photon's time: its pulse time plus an Exponential(lifetime_ps)
+    delay in whole ps, by inverse CDF.  Photons at or past `duration` are
+    dropped."""
     if model.lifetime_ps == 0:
-        return 0
-    u = rng.random(n_photons)
-    return np.rint(-model.lifetime_ps * np.log1p(-u)).astype(np.int64)
+        return pulse_times[pulse_times < duration]
+    with np.errstate(over="ignore"):  # an infinite delay is held below
+        delays = -model.lifetime_ps * np.log1p(-rng.random(pulse_times.size))
+    # held at the run length, a float that casts exactly, so the cast cannot
+    # overflow; a held delay fails the test below and is dropped
+    delays = np.rint(np.minimum(delays, duration)).astype(np.int64)
+    # compared with the time left in the run, so no sum that can wrap is formed
+    kept = delays < duration - pulse_times
+    np.add(delays, pulse_times, out=delays, where=kept)
+    return delays[kept]
 
 
 def emit_dot_pulse_train(model, n_pulses, seed):
@@ -166,22 +138,21 @@ def emit_dot_pulse_train(model, n_pulses, seed):
     drawn from photon_dist and each photon is delayed by an independent
     Exponential(lifetime_ps) draw.
     """
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
-    rng = generator(seed)
-    duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
-    counts = _dot_photon_counts(model, n_pulses, rng)
-    delays = _emission_delays(model, int(counts.sum()), rng)
-    return _source_stream(counts, model.rep_rate_hz, duration, delays)
+    return _every_photon(model, n_pulses, seed)
 
 
 def emit_laser_pulse_train(model, n_pulses, seed):
     """Emit the Poissonian laser stream; all photons of a pulse share its timestamp."""
+    return _every_photon(model, n_pulses, seed)
+
+
+def _every_photon(model, n_pulses, seed):
+    """The source stream: `sample_detected` with every photon detected."""
     if n_pulses < 0:
         raise ValueError("n_pulses must be >= 0")
-    rng = generator(seed)
-    duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
-    return _source_stream(rng.poisson(model.mu, n_pulses), model.rep_rate_hz, duration)
+    duration, (times,) = sample_detected(model, n_pulses, [1.0], seed)
+    times.sort()
+    return TagStream(times, duration, SOURCE_CHANNEL)
 
 
 def sample_detected(model, n_pulses, probabilities, seed):
@@ -190,14 +161,17 @@ def sample_detected(model, n_pulses, probabilities, seed):
     A source photon is detected in arm i with probability probabilities[i]
     and lost otherwise (the probabilities sum to at most 1).  Returns
     (duration_ps, arms): one int64 array per arm, in no particular order,
-    of the times in [0, duration_ps) that emit_*_pulse_train would give
-    those photons.
+    of times in [0, duration_ps).  With one arm of probability 1 that arm
+    holds every photon of the source; the emit_*_pulse_train functions
+    return it sorted.
 
-    The laser's detections in arm i are Poisson(n_pulses * mu * p_i) in
-    total, each in an independent uniformly drawn pulse, so the cost is
-    that of the detections.  The dot draws one photon number per pulse and
-    one fate per photon, so the two photons of a pulse can be detected in
-    both arms, as g2(0) needs; only detected photons get an emission delay.
+    Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's
+    detections in arm i are Poisson(n_pulses * mu * p_i) in total, each in
+    an independent uniformly drawn pulse, so the cost is that of the
+    detections.  The dot draws one photon number per pulse, from one
+    uniform by inverse CDF, and one fate per photon, so the two photons of
+    a pulse can be detected in both arms, as g2(0) needs; only detected
+    photons get an emission delay.
     """
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
@@ -206,19 +180,21 @@ def sample_detected(model, n_pulses, probabilities, seed):
                                           rng.poisson(n_pulses * model.mu * p)),
                              model.rep_rate_hz)
                 for p in probabilities]
-    else:
-        counts = _dot_photon_counts(model, n_pulses, rng)
-        emitting = np.flatnonzero(counts)
-        photon_pulses = np.repeat(emitting, counts[emitting])
-        del counts, emitting
-        fates = np.searchsorted(np.cumsum(probabilities),
-                                rng.random(photon_pulses.size), side="right")
-        arms = []
-        for i in range(len(probabilities)):
-            pulses = photon_pulses[fates == i]
-            arms.append(_pulse_times(pulses, model.rep_rate_hz)
-                        + _emission_delays(model, pulses.size, rng))
-    return duration, [times[times < duration] for times in arms]
+        return duration, [times[times < duration] for times in arms]
+    p0, p1, _ = model.photon_dist
+    u = rng.random(n_pulses)
+    counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
+    del u
+    emitting = np.flatnonzero(counts)
+    photon_pulses = np.repeat(emitting, counts[emitting])
+    del counts, emitting
+    fates = np.searchsorted(np.cumsum(probabilities),
+                            rng.random(photon_pulses.size), side="right")
+    arms = []
+    for i in range(len(probabilities)):
+        pulse_times = _pulse_times(photon_pulses[fates == i], model.rep_rate_hz)
+        arms.append(_emission_times(model, pulse_times, duration, rng))
+    return duration, arms
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):

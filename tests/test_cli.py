@@ -598,6 +598,18 @@ def test_run_longer_than_int64_picoseconds_is_config_error(tmp_path, capsys, com
     assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
 
+@pytest.mark.parametrize("value", ["9223372036854775808", "1e30"])
+def test_dead_time_outside_int64_is_config_error(tmp_path, capsys, value):
+    text = TCSPC_CFG.replace("dark_rate_hz = 100\n",
+                             f"dark_rate_hz = 100\ndead_time_ps = {value}\n")
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "config error: detector.SSPD: dead_time_ps must be in [0, 2^63)\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 def test_bad_fixed_sigma_in_config_fails_before_simulating(tmp_path, capsys, value):
     text = TCSPC_CFG + f"\n[lifetime]\nfix_sigma_ps = {value}\n"
@@ -626,16 +638,21 @@ def write_decay_csv(path):
     ["de", "--sweep", "{huge_sweep}", "--f-hz", "100000"],
     ["de", "--sweep", "{sweep}", "--f-hz", "1e300"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e-200"],
+    # f_hz * mu overflows at the start point
+    ["de", "--sweep", "{wide_sweep}", "--f-hz", "1e308"],
 ], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative",
-        "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200"])
+        "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200", "f-hz-1e308-mu-100"])
 def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
     huge_sweep = tmp_path / "huge.csv"
     huge_sweep.write_text("mu,rate_hz\n0.01,1e200\n0.1,2e200\n1,5e200\n10,9e200\n")
+    wide_sweep = tmp_path / "wide.csv"
+    wide_sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n100,5000\n")
     hist = tmp_path / "decay.csv"
     write_decay_csv(hist)
-    paths = {"sweep": sweep, "huge_sweep": huge_sweep, "hist": hist}
+    paths = {"sweep": sweep, "huge_sweep": huge_sweep, "wide_sweep": wide_sweep,
+             "hist": hist}
     assert main(["analyze"] + [a.format(**paths) for a in argv]) == 4
     err = capsys.readouterr().err
     assert err.startswith("analysis error: ") and len(err.splitlines()) == 1

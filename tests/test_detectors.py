@@ -37,8 +37,9 @@ def test_model_validation():
         ideal(efficiency=1.5)
     with pytest.raises(ValueError, match="dark_rate"):
         ideal(dark_rate_hz=-1)
-    with pytest.raises(ValueError, match="dead_time"):
-        ideal(dead_time_ps=-5)
+    for dead_time in (-5, 2**63, 1e30, math.nan):
+        with pytest.raises(ValueError, match="dead_time"):
+            ideal(dead_time_ps=dead_time)
 
 
 def test_detect_blind_detector_is_silent(rng):
@@ -166,6 +167,18 @@ def test_darks_are_jittered_and_clamped():
     assert len(out) > 0
     assert out.times.min() >= 0
     assert out.times.max() < 1000
+
+
+@pytest.mark.parametrize("jitter_fwhm_ps", [1e25, 1e300])
+@pytest.mark.parametrize("duration", [10**9, 2**63 - 1])
+def test_huge_jitter_splits_tags_between_the_edges(duration, jitter_fwhm_ps):
+    # each tag is pushed far past one edge or the other, with probability
+    # 1/2, and recorded at that edge
+    photons = TagStream(np.full(1000, duration // 2), duration, 0)
+    out = detect(photons, ideal(jitter_fwhm_ps=jitter_fwhm_ps), seed=8)
+    at_start = np.count_nonzero(out.times == 0)
+    assert at_start + np.count_nonzero(out.times == duration - 1) == 1000
+    assert abs(at_start - 500) <= 5 * math.sqrt(1000 * 0.5 * 0.5)
 
 
 def test_detect_deterministic(rng):

@@ -9,13 +9,17 @@ import photon_correlator as pc
 from photon_correlator import (
     DetectorModel,
     PoissonLaserModel,
+    TagStream,
     attenuate,
+    beamsplit,
     detect,
     emit_laser_pulse_train,
     pulse_period_ps,
 )
 from photon_correlator import pipelines, sources
 from photon_correlator.rng import derive_seed, generator
+
+from reference_sources import reference_dot_times, reference_laser_times
 
 REP_HZ = 1e5
 MU0 = 10.0
@@ -44,6 +48,14 @@ pulses_per_point = 100000
 """
 
 
+def reference_stream(model, n_pulses, seed):
+    """The source stream from the reference emitters, which share no code
+    with the program's sampler."""
+    emit = (reference_laser_times if isinstance(model, PoissonLaserModel)
+            else reference_dot_times)
+    return TagStream(*emit(model, n_pulses, seed), 0)
+
+
 def per_pulse_counts(stream, n_pulses, rep_hz=REP_HZ):
     """Photons per pulse; laser photons sit exactly on their pulse time."""
     pulse_idx = np.rint(stream.times / pulse_period_ps(rep_hz)).astype(np.int64)
@@ -69,11 +81,11 @@ def pooled_table(a, b, min_expected=5.0):
 @pytest.mark.parametrize("transmission", [0.0316, 0.316, 1.0])
 def test_direct_poisson_matches_thinned_laser(transmission):
     """The DE sweep samples Poisson(mu0 * T) directly; it must match the
-    mu0 laser thinned by the attenuator, per pulse and after the detector."""
+    mu0 reference laser thinned by the attenuator, per pulse and after the
+    detector."""
     n_pulses = 200_000
-    thinned = attenuate(
-        emit_laser_pulse_train(PoissonLaserModel(REP_HZ, MU0), n_pulses, seed=11),
-        transmission, seed=12)
+    thinned = attenuate(reference_stream(PoissonLaserModel(REP_HZ, MU0), n_pulses, seed=11),
+                        transmission, seed=12)
     direct = emit_laser_pulse_train(PoissonLaserModel(REP_HZ, MU0 * transmission),
                                     n_pulses, seed=13)
     table = pooled_table(np.bincount(per_pulse_counts(thinned, n_pulses)),
@@ -133,8 +145,9 @@ def joint_counts(starts, stops, n_pulses, rep_hz):
                          ids=["laser", "dot"])
 def test_detected_photons_match_the_photon_path(source, eta_a, eta_b):
     """run_hbt draws each arm's detections directly; the joint per-pulse
-    (start, stop) counts must match emit -> beamsplit -> detect, including
-    the (1, 1) coincidences of two-photon dot pulses that g2(0) measures."""
+    (start, stop) counts must match the reference emitter -> beamsplit ->
+    detect, including the (1, 1) coincidences of two-photon dot pulses that
+    g2(0) measures."""
     n_pulses = 200_000
     cfg = pc.parse_config_text(HBT_CFG.format(n_pulses=n_pulses, source=source,
                                               eta_a=eta_a, eta_b=eta_b, **IDEAL))
@@ -142,10 +155,8 @@ def test_detected_photons_match_the_photon_path(source, eta_a, eta_b):
     new = joint_counts(result.start_detections, result.stop_detections, n_pulses,
                        cfg.source.rep_rate_hz)
 
-    emit = (pc.emit_laser_pulse_train if isinstance(cfg.source, PoissonLaserModel)
-            else pc.emit_dot_pulse_train)
-    arm_a, arm_b = pc.beamsplit(emit(cfg.source, n_pulses, seed=21), cfg.splitter,
-                                seed=22)
+    arm_a, arm_b = beamsplit(reference_stream(cfg.source, n_pulses, seed=21),
+                             cfg.splitter, seed=22)
     old = joint_counts(detect(arm_a, cfg.detectors["APD"], seed=23),
                        detect(arm_b, cfg.detectors["SSPD"], seed=24), n_pulses,
                        cfg.source.rep_rate_hz)

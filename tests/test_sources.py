@@ -14,7 +14,6 @@ from photon_correlator import (
     pulse_period_ps,
     solve_photon_stats,
 )
-from photon_correlator.rng import generator
 from photon_correlator.sources import sample_detected
 
 REP_82MHZ = 82e6
@@ -113,17 +112,36 @@ class TestDotTrain:
         assert stat < 1.628 / math.sqrt(n)  # K_alpha at the 1% level
 
     def test_empirical_g2_matches_distribution(self):
-        model = dot_model((0.9012, 0.0976, 0.0012))
-        rng = np.random.default_rng(11)
-        u = rng.random(2_000_000)
-        p0, p1, _ = model.photon_dist
-        n = (u >= p0).astype(np.int64) + (u >= p0 + p1)
+        # with no emission delay every photon sits on its pulse time, so the
+        # stream gives each pulse's photon number
+        p0, p1, p2 = 0.9012, 0.0976, 0.0012
+        s = emit_dot_pulse_train(dot_model((p0, p1, p2), lifetime_ps=0.0), 2_000_000,
+                                 seed=11)
+        pulse_idx = np.rint(s.times / pulse_period_ps(REP_82MHZ)).astype(np.int64)
+        n = np.bincount(pulse_idx, minlength=2_000_000)
         est = np.mean(n * (n - 1)) / np.mean(n) ** 2
         chunks = n.reshape(10, -1)
         se = np.std(
             [np.mean(c * (c - 1)) / np.mean(c) ** 2 for c in chunks], ddof=1
         ) / math.sqrt(10)
-        assert abs(est - model.g2_zero) < 3 * se
+        assert abs(est - 2 * p2 / (p1 + 2 * p2) ** 2) < 3 * se
+
+    @pytest.mark.parametrize("lifetime_ps", [1e20, 1e300, 1.7e308])
+    def test_delays_past_int64_are_dropped(self, lifetime_ps):
+        # a pulse every 1e15 ps over 9e18 ps, near the int64 limit, where a
+        # held delay added to a late pulse time would wrap; a photon is kept
+        # when its rounded delay is below the time left after its pulse
+        model = dot_model((0.0, 1.0, 0.0), lifetime_ps, rep=1e-3)
+        n_pulses = 9000
+        s = emit_dot_pulse_train(model, n_pulses, seed=4)
+        room = s.duration_ps - np.arange(n_pulses) * 1e15
+        expected = float(np.sum(-np.expm1(-(room - 0.5) / lifetime_ps)))
+        assert abs(len(s) - expected) <= 5 * math.sqrt(expected) + 1e-9
+        assert np.count_nonzero(s.times == 0) == 0  # expected count ~1e-20
+        # the 82 MHz run of 1e5 pulses once kept 91,100 photons at -2^63
+        duration, (times,) = sample_detected(dot_model((0.0, 1.0, 0.0), lifetime_ps),
+                                             100_000, [1.0], seed=5)
+        assert times.size == 0
 
     def test_seed_reproducibility(self):
         model = dot_model((0.9, 0.08, 0.02))
@@ -168,18 +186,6 @@ class TestLaserTrain:
         assert np.array_equal(s.times, nominal)
 
 
-def reference_laser_times(model, n_pulses, seed):
-    """The per-photon laser emission: repeat pulse indices up to photon
-    length, then compute every photon's timestamp."""
-    rng = generator(seed)
-    duration = int(np.rint(n_pulses * pulse_period_ps(model.rep_rate_hz)))
-    counts = rng.poisson(model.mu, n_pulses)
-    emitting = np.nonzero(counts)[0]
-    photon_pulse = np.repeat(emitting, counts[emitting])
-    times = np.rint(photon_pulse * pulse_period_ps(model.rep_rate_hz)).astype(np.int64)
-    return times[(times >= 0) & (times < duration)], duration
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     mu=st.floats(0.0, 20.0),
@@ -190,14 +196,15 @@ def reference_laser_times(model, n_pulses, seed):
                           st.floats(1e3, 5e12)),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_laser_train_equals_per_photon_reference(mu, n_pulses, rep_rate_hz, seed):
-    model = PoissonLaserModel(rep_rate_hz, mu)
-    s = emit_laser_pulse_train(model, n_pulses, seed)
-    times, duration = reference_laser_times(model, n_pulses, seed)
-    assert s.duration_ps == duration
-    assert s.times.dtype == times.dtype
-    assert np.array_equal(s.times, times)
-    assert s.channel == 0
+def test_laser_tags_sit_on_pulse_times(mu, n_pulses, rep_rate_hz, seed):
+    s = emit_laser_pulse_train(PoissonLaserModel(rep_rate_hz, mu), n_pulses, seed)
+    period = pulse_period_ps(rep_rate_hz)
+    assert s.duration_ps == np.rint(n_pulses * period)
+    pulse_times = np.rint(np.arange(n_pulses) * period).astype(np.int64)
+    assert np.all(np.isin(s.times, pulse_times))
+    assert np.all((s.times >= 0) & (s.times < s.duration_ps))
+    assert np.all(np.diff(s.times) >= 0)
+    assert s.times.dtype == np.int64 and s.channel == 0
 
 
 class TestSampleDetected:
