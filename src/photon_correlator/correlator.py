@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .rng import _BLOCK
 from .timetags import read_csv_rows, write_csv_rows
 
 
@@ -214,18 +215,21 @@ def reverse_start_stop(detector, clock, config, remap_period_ps=None):
     count.  With `remap_period_ps` set, each delay d is remapped to
     period - d before binning so the histogram reads as time after
     excitation.  The config's collection mode is irrelevant here (the
-    next tick is by construction the first stop).
+    next tick is by construction the first stop).  Beside the histogram it
+    holds the delays of one block of detections, at most max(2^16, n_bins).
     """
     if len(clock) == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
-    det_times = detector.times
-    idx = np.searchsorted(clock.times, det_times, side="left")
-    valid = idx < len(clock)
-    delays = clock.times[idx[valid]] - det_times[valid]
-    if remap_period_ps is not None:
-        delays = int(remap_period_ps) - delays
-    counts = _bin_delays(delays, config)
-    return Histogram(config, counts, int(det_times.size))
+    # the detections are sorted, so those up to the last tick are a prefix
+    valid = detector.times[:np.searchsorted(detector.times, clock.times[-1], "right")]
+    step = max(_BLOCK, config.n_bins)  # as each block bins into all n_bins
+    counts = np.zeros(config.n_bins, dtype=np.int64)
+    for det in (valid[i:i + step] for i in range(0, valid.size, step)):
+        delays = clock.times[np.searchsorted(clock.times, det, side="left")] - det
+        if remap_period_ps is not None:
+            delays = int(remap_period_ps) - delays
+        counts += _bin_delays(delays, config)
+    return Histogram(config, counts, len(detector))
 
 
 def merge_histograms(a, b):

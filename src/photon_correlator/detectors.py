@@ -16,7 +16,8 @@ detects into the timetags its counting module records, applying in order:
 efficiency (Bernoulli per photon), drawing both from one generator.  The
 recipes in `pipelines` feed it the detected photons they draw directly
 from the source (`sources.sample_detected`), with the detector stage's
-own generator.
+own generator.  It holds the recorded times and one block of jitter; only
+the dead-time filter holds more, a few arrays as long as the tags.
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import generator
+from .rng import _BLOCK, generator
 from .timetags import TagStream, read_csv_rows, write_csv_rows
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # 2.3548
@@ -85,14 +86,17 @@ def _record(signal_times, model, duration_ps, rng, channel):
     n_dark = rng.poisson(model.dark_rate_hz * duration_ps * 1e-12)
     dark = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
     times = np.concatenate([signal_times, dark])
-
+    bits = times.view(np.uint64)  # the same values, as every time is >= 0
     if model.jitter_fwhm_ps > 0:
-        times = np.rint(times + rng.normal(0.0, model.jitter_sigma_ps, times.size))
-        # clamped in float first, as a time outside int64 has no cast: 0 and
-        # 2^63 cast exactly to uint64, and the clip below brings every time
-        # into the window, where the uint64 and int64 bits agree
-        times = np.clip(times, 0.0, 2.0**63, out=times).astype(np.uint64)
-    times = np.clip(times, 0, duration_ps - 1).view(np.int64)
+        for start in range(0, times.size, _BLOCK):
+            jittered = times[start:start + _BLOCK] + rng.normal(
+                0.0, model.jitter_sigma_ps, min(_BLOCK, times.size - start))
+            np.rint(jittered, out=jittered)
+            # clamped in float first, as a time outside int64 has no cast: 0
+            # and 2^63 cast exactly to uint64, and the clip below brings every
+            # time into the window, where the uint64 and int64 bits agree
+            bits[start:start + _BLOCK] = np.clip(jittered, 0.0, 2.0**63, out=jittered)
+    np.clip(bits, 0, duration_ps - 1, out=bits)
     times.sort()
 
     if model.dead_time_ps > 0:

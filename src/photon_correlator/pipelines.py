@@ -80,9 +80,10 @@ def _acquire(cfg, source, n_pulses, source_stage, arms):
         source, n_pulses, [reach * model.efficiency
                            for (_, reach, _), model in zip(arms, models)],
         derive_seed(cfg.seed, source_stage))
-    return [_record(times, model, duration, generator(derive_seed(cfg.seed, stage)),
+    return [_record(signals.pop(0), model, duration,  # each freed once recorded
+                    generator(derive_seed(cfg.seed, stage)),
                     sorted(cfg.detectors).index(name) + 1)
-            for times, model, (name, _, stage) in zip(signals, models, arms)]
+            for model, (name, _, stage) in zip(models, arms)]
 
 
 def _hbt_correlator_config(cfg):

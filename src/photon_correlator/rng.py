@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 MAX_SEED = 2**64 - 1
+_BLOCK = 2**16  # elements a stage draws or computes at once; it changes no draw
 
 
 def derive_seed(master_seed, stage):

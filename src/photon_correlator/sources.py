@@ -20,7 +20,9 @@ routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 1993).  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
-sampler with one arm that detects every photon: the source stream.
+sampler with one arm that detects every photon: the source stream.  The
+sampler holds its output (8 bytes a photon), for the dot 3 bytes more a
+photon (pulse offset and fate), and one block of draws.
 """
 
 import math
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import generator
+from .rng import _BLOCK, generator
 from .timetags import TagStream
 
 SOURCE_CHANNEL = 0
@@ -111,24 +113,34 @@ def _pulse_times(pulse_indices, rep_rate_hz):
 
 
 def _train_duration_ps(n_pulses, rep_rate_hz):
-    return int(np.rint(n_pulses * pulse_period_ps(rep_rate_hz)))
+    length = n_pulses * pulse_period_ps(rep_rate_hz)
+    if not 0 <= length < 2**63:  # in float, before a cast can wrap a pulse time
+        raise ValueError(f"{n_pulses} pulses last {length} ps, outside [0, 2^63)")
+    return int(np.rint(length))
 
 
-def _emission_times(model, pulse_times, duration, rng):
-    """Each photon's time: its pulse time plus an Exponential(lifetime_ps)
-    delay in whole ps, by inverse CDF.  Photons at or past `duration` are
-    dropped."""
-    if model.lifetime_ps == 0:
-        return pulse_times[pulse_times < duration]
-    with np.errstate(over="ignore"):  # an infinite delay is held below
-        delays = -model.lifetime_ps * np.log1p(-rng.random(pulse_times.size))
-    # held at the run length, a float that casts exactly, so the cast cannot
-    # overflow; a held delay fails the test below and is dropped
-    delays = np.rint(np.minimum(delays, duration)).astype(np.int64)
-    # compared with the time left in the run, so no sum that can wrap is formed
-    kept = delays < duration - pulse_times
-    np.add(delays, pulse_times, out=delays, where=kept)
-    return delays[kept]
+def _emission_times(lifetime_ps, times, duration, rng):
+    """Each photon's time: its pulse time, read from `times`, plus an
+    Exponential(lifetime_ps) delay in whole ps, by inverse CDF.  Photons at or
+    past `duration` are dropped, the rest written over the front of `times`."""
+    n_kept = 0
+    for start in range(0, times.size, _BLOCK):
+        pulse_times = times[start:start + _BLOCK]
+        if lifetime_ps == 0:
+            kept = pulse_times[pulse_times < duration]
+        else:
+            with np.errstate(over="ignore"):  # an infinite delay is held below
+                delays = -lifetime_ps * np.log1p(-rng.random(pulse_times.size))
+            # held at the run length, a float that casts exactly, so the cast
+            # cannot overflow; a held delay fails the test below and is dropped
+            delays = np.rint(np.minimum(delays, duration)).astype(np.int64)
+            # against the time left in the run: no sum that can wrap is formed
+            in_run = delays < duration - pulse_times
+            kept = np.add(delays, pulse_times, out=delays, where=in_run)[in_run]
+        # kept is a copy, and never longer than the times read so far
+        times[n_kept:n_kept + kept.size] = kept
+        n_kept += kept.size
+    return times[:n_kept]
 
 
 def emit_dot_pulse_train(model, n_pulses, seed):
@@ -148,8 +160,6 @@ def emit_laser_pulse_train(model, n_pulses, seed):
 
 def _every_photon(model, n_pulses, seed):
     """The source stream: `sample_detected` with every photon detected."""
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
     duration, (times,) = sample_detected(model, n_pulses, [1.0], seed)
     times.sort()
     return TagStream(times, duration, SOURCE_CHANNEL)
@@ -176,25 +186,33 @@ def sample_detected(model, n_pulses, probabilities, seed):
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
-        arms = [_pulse_times(rng.integers(0, n_pulses,
-                                          rng.poisson(n_pulses * model.mu * p)),
-                             model.rep_rate_hz)
-                for p in probabilities]
-        return duration, [times[times < duration] for times in arms]
+        # one draw per arm, as `integers` split into blocks draws other numbers
+        return duration, [
+            _emission_times(0, _pulse_times(rng.integers(0, n_pulses, rng.poisson(
+                n_pulses * model.mu * p)), model.rep_rate_hz), duration, rng)
+            for p in probabilities]
     p0, p1, _ = model.photon_dist
-    u = rng.random(n_pulses)
-    counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-    del u
-    emitting = np.flatnonzero(counts)
-    photon_pulses = np.repeat(emitting, counts[emitting])
-    del counts, emitting
-    fates = np.searchsorted(np.cumsum(probabilities),
-                            rng.random(photon_pulses.size), side="right")
-    arms = []
-    for i in range(len(probabilities)):
-        pulse_times = _pulse_times(photon_pulses[fates == i], model.rep_rate_hz)
-        arms.append(_emission_times(model, pulse_times, duration, rng))
-    return duration, arms
+    # each photon's pulse, as its offset into its block of pulses: 2 bytes
+    offsets = []
+    for start in range(0, n_pulses, _BLOCK):
+        u = rng.random(min(_BLOCK, n_pulses - start))
+        counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
+        emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
+        offsets.append(np.repeat(emitting, counts[emitting]))
+    cuts = np.cumsum(probabilities)
+    first = np.cumsum([0, *map(len, offsets)])  # each block's first photon
+    photons = np.empty(first[-1], dtype=np.int64)  # their pulse times
+    fates = np.empty(first[-1], dtype=np.min_scalar_type(len(probabilities)))
+    for start, block, i in zip(range(0, n_pulses, _BLOCK), offsets, first):
+        pulses = np.add(block, start, dtype=np.int64)
+        photons[i:i + block.size] = _pulse_times(pulses, model.rep_rate_hz)
+        fates[i:i + block.size] = np.searchsorted(cuts, rng.random(block.size), "right")
+    del offsets
+    return duration, [  # an arm that takes every photon takes the array itself
+        _emission_times(model.lifetime_ps,
+                        photons if (taken := fates == i).all() else photons[taken],
+                        duration, rng)
+        for i in range(len(probabilities))]
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
@@ -203,10 +221,10 @@ def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
     Ticks shifted past the acquisition window are dropped; a negative
     offset may likewise drop leading ticks.
     """
-    if n_pulses < 0:
-        raise ValueError("n_pulses must be >= 0")
     duration = _train_duration_ps(n_pulses, rep_rate_hz)
-    times = _pulse_times(np.arange(n_pulses, dtype=np.int64), rep_rate_hz)
-    times = times + int(offset_ps)
-    times = times[(times >= 0) & (times < duration)]
-    return TagStream(times, duration, CLOCK_CHANNEL)
+    times = np.empty(n_pulses, dtype=np.int64)
+    for start in range(0, n_pulses, _BLOCK):
+        pulses = np.arange(start, min(start + _BLOCK, n_pulses), dtype=np.int64)
+        times[start:start + _BLOCK] = _pulse_times(pulses, rep_rate_hz) + int(offset_ps)
+    first, end = np.searchsorted(times, [0, duration])  # sorted: the window is a slice
+    return TagStream(times[first:end], duration, CLOCK_CHANNEL)

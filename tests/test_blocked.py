@@ -1,0 +1,234 @@
+"""The TCSPC path works in fixed-size blocks: its outputs, its draws and its
+memory.
+
+Each blocked stage must return exactly the arrays of the one-shot
+reference in `reference_oneshot.py`, also at the block edges.  That rests
+on numpy's PCG64 generator drawing the same numbers however a draw is
+split, which is checked here too, so that a numpy release that breaks it
+fails these tests instead of changing runs silently.  The memory gates
+hold each stage to its output plus a fixed allowance.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from photon_correlator import (
+    DetectorModel,
+    HistogramConfig,
+    PoissonLaserModel,
+    PulsedSourceModel,
+    TagStream,
+    emit_clock_ticks,
+    emit_dot_pulse_train,
+    emit_laser_pulse_train,
+    parse_config_text,
+    pipelines,
+    reverse_start_stop,
+)
+from photon_correlator.detectors import _record
+from photon_correlator.rng import _BLOCK
+from photon_correlator.sources import sample_detected
+
+from reference_oneshot import (
+    reference_clock_ticks,
+    reference_record,
+    reference_reverse_start_stop,
+    reference_sample_detected,
+)
+
+REP_HZ = 82e6
+SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+SOURCES = [
+    *(PulsedSourceModel(REP_HZ, lifetime, dist)
+      for dist in ((0.6, 0.4, 0.0), (0.0, 0.7, 0.3))
+      for lifetime in (0.0, 370.0, 1e20)),
+    PoissonLaserModel(REP_HZ, 0.8),
+]
+
+
+def assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_pulses", SIZES)
+@pytest.mark.parametrize("source", SOURCES, ids=repr)
+@pytest.mark.parametrize("probabilities", [[1.0], [0.3, 0.5]])
+def test_sample_detected_equals_one_shot(n_pulses, source, probabilities):
+    duration, arms = sample_detected(source, n_pulses, probabilities, seed=12)
+    ref_duration, ref_arms = reference_sample_detected(source, n_pulses, probabilities,
+                                                       seed=12)
+    assert duration == ref_duration
+    assert_same_arrays(arms, ref_arms)
+
+
+@pytest.mark.parametrize("n_signal", SIZES)
+@pytest.mark.parametrize("dark_rate_hz", [0.0, 1e7])
+@pytest.mark.parametrize("jitter_fwhm_ps", [0.0, 170.0])
+@pytest.mark.parametrize("dead_time_ps", [0, 20_000])
+def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_time_ps):
+    # without darks the tags end on the block edges; dark counts move them
+    duration = 40 * n_signal + 1000
+    signal = np.random.default_rng(n_signal).integers(0, duration, n_signal)
+    model = DetectorModel("D", 1.0, dark_rate_hz, jitter_fwhm_ps, dead_time_ps)
+    got = _record(signal.copy(), model, duration, np.random.default_rng(3), 1)
+    assert np.array_equal(got.times,
+                          reference_record(signal, model, duration,
+                                           np.random.default_rng(3)))
+
+
+def test_record_clamps_huge_jitter_like_one_shot():
+    signal = np.arange(0, 10 * (_BLOCK + 1), 10)
+    model = DetectorModel("D", 1.0, 0.0, 1e30)
+    got = _record(signal.copy(), model, 10 * signal.size, np.random.default_rng(4), 1)
+    expected = reference_record(signal, model, 10 * signal.size, np.random.default_rng(4))
+    assert np.array_equal(got.times, expected)
+    assert set(np.unique(got.times)) == {0, 10 * signal.size - 1}
+
+
+@pytest.mark.parametrize("n_pulses", SIZES)
+@pytest.mark.parametrize("offset_ps", [0, 6098, -25_000, 10**9])
+def test_clock_ticks_equal_one_shot(n_pulses, offset_ps):
+    clock = emit_clock_ticks(REP_HZ, n_pulses, offset_ps)
+    assert np.array_equal(clock.times,
+                          reference_clock_ticks(REP_HZ, n_pulses, offset_ps))
+
+
+@pytest.mark.parametrize("n_detections", SIZES[1:])
+@pytest.mark.parametrize("config", [HistogramConfig(32, 0, 12_192),
+                                    HistogramConfig(1, -5, 2 * _BLOCK - 5)],
+                         ids=["tcspc", "more_bins_than_a_block"])
+@pytest.mark.parametrize("remap_period_ps", [None, 12_195])
+def test_reverse_start_stop_equals_one_shot(n_detections, config, remap_period_ps):
+    # detections run past the last tick, where they give no count
+    rng = np.random.default_rng(n_detections)
+    period = 1e12 / REP_HZ
+    n_ticks = int(n_detections // 3) + 1
+    duration = int(np.rint(n_ticks * period)) + 5_000_000
+    clock = emit_clock_ticks(REP_HZ, n_ticks, 6098)
+    det = TagStream(np.sort(rng.integers(0, duration, n_detections)), duration, 1)
+    assert det.times[-1] > clock.times[-1]
+    hist = reverse_start_stop(det, clock, config, remap_period_ps)
+    assert np.array_equal(hist.counts,
+                          reference_reverse_start_stop(det.times, clock.times, config,
+                                                       remap_period_ps))
+    assert hist.n_starts == n_detections
+
+
+def test_reverse_start_stop_counts_a_detection_on_the_last_tick_only():
+    # the detection on the last tick has delay 0; every later one no stop
+    clock = TagStream(np.array([10, 20]), 10**6, 255)
+    det = TagStream(np.arange(20, 21 + _BLOCK + 3), 10**6, 1)
+    hist = reverse_start_stop(det, clock, HistogramConfig(1, 0, 100))
+    assert hist.counts[0] == hist.total_counts == 1
+    assert hist.n_starts == _BLOCK + 4
+
+
+# ---------------------------------------------------------------------------
+# the draw-splitting property the seeding contract rests on
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pcg64_draws_do_not_depend_on_how_they_are_split(seed):
+    """`random` and `normal` drawn in pieces of any sizes equal one draw of
+    the whole: the block size is not part of the seeding contract."""
+    n = 3 * _BLOCK + 7
+    cuts = np.sort(np.random.default_rng(seed).integers(0, n, 6)).tolist()
+    pieces = np.diff([0, *cuts, n]).tolist()  # some may be empty
+    for draw in (lambda g, k: g.random(k), lambda g, k: g.normal(0.0, 72.2, k)):
+        whole = draw(np.random.default_rng(seed), n)
+        split = np.random.default_rng(seed)
+        assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]), whole)
+
+
+# ---------------------------------------------------------------------------
+# run length
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_detected(PoissonLaserModel(1e-3, 0.5), 20_000, [1.0], 1),
+    lambda: sample_detected(PulsedSourceModel(1e-3, 370.0, (0, 1, 0)), 20_000, [1.0], 1),
+    lambda: emit_laser_pulse_train(PoissonLaserModel(1e-3, 0.5), 20_000, 1),
+    lambda: emit_dot_pulse_train(PulsedSourceModel(1e-3, 370.0, (0, 1, 0)), 20_000, 1),
+    lambda: emit_clock_ticks(1e-3, 20_000),
+])
+def test_a_run_past_int64_is_rejected_without_a_warning(call):
+    # 20,000 pulses of 1e15 ps last 2e19 ps, past 2^63 ps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="2\\^63"):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_detected(PoissonLaserModel(REP_HZ, 0.5), -1, [1.0], 1),
+    lambda: sample_detected(PulsedSourceModel(REP_HZ, 370.0, (0, 1, 0)), -1, [1.0], 1),
+    lambda: emit_laser_pulse_train(PoissonLaserModel(REP_HZ, 0.5), -1, 1),
+    lambda: emit_clock_ticks(REP_HZ, -1),
+])
+def test_a_negative_pulse_count_is_rejected(call):
+    with pytest.raises(ValueError, match="-1 pulses"):
+        call()
+
+
+# ---------------------------------------------------------------------------
+# memory gates
+
+N_PULSES = 2**19
+# block temporaries (a few float64 blocks of 2^16) and small fixed objects
+ALLOWANCE = 3 * 2**20
+
+TCSPC_CFG = f"""
+[run]
+seed = 31013
+n_pulses = {N_PULSES}
+
+[source]
+type = dot
+rep_rate_hz = 82e6
+lifetime_ps = 370
+p0 = 0
+p1 = 1
+p2 = 0
+
+[detector.DET]
+efficiency = 1.0
+dark_rate_hz = 100
+jitter_fwhm_ps = 170
+
+[tcspc]
+detector = DET
+"""
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_tcspc_holds_only_its_two_streams():
+    """One photon per pulse, all detected: the peak is the detection and
+    clock streams, 8 bytes a pulse each, plus the allowance."""
+    cfg = parse_config_text(TCSPC_CFG)
+    pipelines.run_tcspc(parse_config_text(TCSPC_CFG.replace(str(N_PULSES), "1000")))
+    peak, result = traced_peak(lambda: pipelines.run_tcspc(cfg))
+    assert result.histogram.n_starts >= N_PULSES
+    assert peak <= 16 * N_PULSES + ALLOWANCE
+
+
+def test_sample_detected_holds_its_output_and_little_per_photon():
+    """8 bytes of output a photon, and 4 of bookkeeping: the photon's pulse
+    as an offset into its block (2), its fate (1) and an arm mask (1)."""
+    source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
+    peak, (_, (times,)) = traced_peak(
+        lambda: sample_detected(source, N_PULSES, [1.0], seed=1))
+    assert times.size > 0.99 * N_PULSES
+    assert peak <= 12 * N_PULSES + ALLOWANCE
