@@ -125,8 +125,9 @@ class Histogram:
 
 
 def _bin_delays(delays, config):
-    mask = (delays >= config.range_min_ps) & (delays < config.range_max_ps)
-    idx = (delays[mask] - config.range_min_ps) // config.bin_width_ps
+    idx = delays[(delays >= config.range_min_ps) & (delays < config.range_max_ps)]
+    idx -= config.range_min_ps
+    idx //= config.bin_width_ps
     return np.bincount(idx, minlength=config.n_bins).astype(np.int64)
 
 
@@ -215,8 +216,9 @@ def reverse_start_stop(detector, clock, config, remap_period_ps=None):
     count.  With `remap_period_ps` set, each delay d is remapped to
     period - d before binning so the histogram reads as time after
     excitation.  The config's collection mode is irrelevant here (the
-    next tick is by construction the first stop).  Beside the histogram it
-    holds the delays of one block of detections, at most max(2^16, n_bins).
+    next tick is by construction the first stop; `_next_tick` finds it with
+    no binary search on a lattice clock).  Beside the histogram it holds
+    the delays of one block of detections, at most max(2^16, n_bins).
     """
     if len(clock) == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
@@ -225,11 +227,27 @@ def reverse_start_stop(detector, clock, config, remap_period_ps=None):
     step = max(_BLOCK, config.n_bins)  # as each block bins into all n_bins
     counts = np.zeros(config.n_bins, dtype=np.int64)
     for det in (valid[i:i + step] for i in range(0, valid.size, step)):
-        delays = clock.times[np.searchsorted(clock.times, det, side="left")] - det
+        delays = clock.times[_next_tick(clock.times, det)]
+        delays -= det
         if remap_period_ps is not None:
-            delays = int(remap_period_ps) - delays
+            np.subtract(int(remap_period_ps), delays, out=delays)
         counts += _bin_delays(delays, config)
     return Histogram(config, counts, len(detector))
+
+
+def _next_tick(ticks, det):
+    """np.searchsorted(ticks, det, "left") for sorted int64 `ticks`.  The
+    guess i = ceil((det - t_0) / mean spacing), clipped into the clock, is
+    kept where ticks[i-1] < det <= ticks[i] holds in int64; only the rest
+    are searched, on a lattice clock those within rounding of a tick."""
+    span = int(ticks[-1]) - int(ticks[0])
+    guess = np.subtract(det, ticks[0], dtype=np.float64)  # in float: cannot wrap
+    guess *= (ticks.size - 1) / span if span else 0.0
+    i = np.clip(np.ceil(guess, out=guess), 0, ticks.size - 1, out=guess).astype(np.int64)
+    miss = np.flatnonzero((ticks[i] < det) | (ticks[i - 1] >= det) & (i > 0))
+    if miss.size:
+        i[miss] = np.searchsorted(ticks, det[miss], "left")
+    return i
 
 
 def merge_histograms(a, b):

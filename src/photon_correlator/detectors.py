@@ -17,7 +17,8 @@ efficiency (Bernoulli per photon), drawing both from one generator.  The
 recipes in `pipelines` feed it the detected photons they draw directly
 from the source (`sources.sample_detected`), with the detector stage's
 own generator.  It holds the recorded times and one block of jitter; only
-the dead-time filter holds more, a few arrays as long as the tags.
+the dead-time filter holds more: a mask and one int64 array as long as the
+tags, then two masks and 24 bytes for each tag late in its run (below).
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -123,18 +124,21 @@ def _apply_dead_time(sorted_times, dead_time_ps):
     keep[0] = True
     np.greater_equal(np.diff(sorted_times), dead_time_ps, out=keep[1:])
     # the times are sorted, so a running maximum of the anchor times gives
-    # each tag the anchor of its run
-    anchor = np.maximum.accumulate(np.where(keep, sorted_times, sorted_times[0]))
-    late = np.flatnonzero(sorted_times - anchor >= dead_time_ps)
+    # each tag the anchor of its run; one scratch array holds the steps
+    scratch = np.where(keep, sorted_times, sorted_times[0])
+    np.maximum.accumulate(scratch, out=scratch)
+    np.subtract(sorted_times, scratch, out=scratch)
+    late = scratch >= dead_time_ps
+    del scratch
     late_times = sorted_times[late]
     # first late tag at or after t + dead time, without forming t + dead time
     following = np.searchsorted(late_times - dead_time_ps, late_times)
-    accepted = np.zeros(late.size, dtype=bool)
+    accepted = np.zeros(late_times.size, dtype=bool)
     i = 0
-    while i < late.size:
+    while i < late_times.size:
         accepted[i] = True
         i = following.item(i)
-    keep[late[accepted]] = True
+    keep[late] = accepted  # a late tag is no anchor: its keep is still False
     return sorted_times[keep]
 
 

@@ -22,7 +22,8 @@ per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 1993).  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
 sampler with one arm that detects every photon: the source stream.  The
 sampler holds its output (8 bytes a photon), for the dot 3 bytes more a
-photon (pulse offset and fate), and one block of draws.
+photon (pulse offset and fate, or 2 when one arm takes every photon and no
+fate is drawn), and one block of draws.
 """
 
 import math
@@ -181,7 +182,9 @@ def sample_detected(model, n_pulses, probabilities, seed):
     detections.  The dot draws one photon number per pulse, from one
     uniform by inverse CDF, and one fate per photon, so the two photons of
     a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.
+    photons get an emission delay.  When the first arm takes every photon
+    the generator is advanced past the fate uniforms instead: no draw
+    changes.
     """
     rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
@@ -200,19 +203,28 @@ def sample_detected(model, n_pulses, probabilities, seed):
         emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
         offsets.append(np.repeat(emitting, counts[emitting]))
     cuts = np.cumsum(probabilities)
+    # a photon's fate is the number of cuts at or below its uniform; as the
+    # uniforms are < 1, a first cut at 1 or more gives every photon to arm 0
+    every = cuts.size > 0 and cuts[0] >= 1
     first = np.cumsum([0, *map(len, offsets)])  # each block's first photon
     photons = np.empty(first[-1], dtype=np.int64)  # their pulse times
-    fates = np.empty(first[-1], dtype=np.min_scalar_type(len(probabilities)))
+    fates = np.empty(0 if every else first[-1],
+                     dtype=np.min_scalar_type(len(probabilities)))
     for start, block, i in zip(range(0, n_pulses, _BLOCK), offsets, first):
         pulses = np.add(block, start, dtype=np.int64)
         photons[i:i + block.size] = _pulse_times(pulses, model.rep_rate_hz)
-        fates[i:i + block.size] = np.searchsorted(cuts, rng.random(block.size), "right")
+        if every:  # PCG64 `random` takes one 64-bit output a number: skip them
+            rng.bit_generator.advance(block.size)
+        else:
+            u = rng.random(block.size)
+            fates[i:i + block.size] = sum(u >= cut for cut in cuts)
     del offsets
-    return duration, [  # an arm that takes every photon takes the array itself
-        _emission_times(model.lifetime_ps,
-                        photons if (taken := fates == i).all() else photons[taken],
-                        duration, rng)
-        for i in range(len(probabilities))]
+    if every:
+        arms = [photons] + [photons[:0]] * (len(probabilities) - 1)
+    else:
+        arms = (photons[fates == i] for i in range(len(probabilities)))
+    return duration, [_emission_times(model.lifetime_ps, arm, duration, rng)
+                      for arm in arms]
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):

@@ -408,15 +408,17 @@ def _dir_digest(path):
     return digest.hexdigest()
 
 
+SMALL_RUNS = [
+    ("simulate-hbt", SMALL_HBT, []),
+    ("simulate-tcspc", SMALL_TCSPC, []),
+    ("simulate-de-sweep", SMALL_DE, ["--mu", "0.01,0.1,1,10"]),
+]
+
+
 def test_criterion_7_determinism(tmp_path):
-    commands = [
-        ("simulate-hbt", SMALL_HBT, []),
-        ("simulate-tcspc", SMALL_TCSPC, []),
-        ("simulate-de-sweep", SMALL_DE, ["--mu", "0.01,0.1,1,10"]),
-    ]
     ok = True
     details = []
-    for name, cfg_text, extra in commands:
+    for name, cfg_text, extra in SMALL_RUNS:
         cfg_path = tmp_path / f"{name}.cfg"
         cfg_path.write_text(cfg_text)
         digests = []
@@ -429,6 +431,37 @@ def test_criterion_7_determinism(tmp_path):
         ok = ok and identical
         details.append(f"{name}: {'identical' if identical else 'DIFFER'}")
     report("7 (determinism)", ok, "; ".join(details))
+
+
+# SHA-256 of the data files each SMALL_* run writes at its config's seed.  A
+# change to any random draw or to the integer arithmetic changes them, and a
+# deliberate one updates them.  The fit records are left out: their last
+# digits follow the platform's libm and BLAS.
+PINNED_DATA = {
+    "simulate-hbt": {
+        "detections_APD.ttag":
+            "b92c61ede1ded22c943fbf159fff2f01e03c81c80017e5c58b6e6d92569f4412",
+        "detections_SSPD.ttag":
+            "fab9e2285030a14075c643f14e8b72efd7f9bee009c42cd297c9a477e4b9d742",
+        "histogram.csv":
+            "bb35589acb020e0e882621801fc8b9235d14d9229e2a28c36143c2612c575c7f",
+    },
+    "simulate-tcspc": {"histogram.csv":
+        "14957cc5c2e34fafc805d07ebd1c7affc6bf730ab94aeb3cf5a65f1a2f69b07f"},
+    "simulate-de-sweep": {"sweep.csv":
+        "5e917d0648644496582f65b5d2702a3d12bd65da7b5563d011ef36862ee12c97"},
+}
+
+
+@pytest.mark.parametrize("name, cfg_text, extra", SMALL_RUNS,
+                         ids=[run[0] for run in SMALL_RUNS])
+def test_simulated_data_is_pinned(tmp_path, name, cfg_text, extra):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main([name, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+    assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
+            for file in PINNED_DATA[name]} == PINNED_DATA[name]
 
 
 # ---------------------------------------------------------------------------

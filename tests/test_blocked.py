@@ -4,8 +4,9 @@ memory.
 Each blocked stage must return exactly the arrays of the one-shot
 reference in `reference_oneshot.py`, also at the block edges.  That rests
 on numpy's PCG64 generator drawing the same numbers however a draw is
-split, which is checked here too, so that a numpy release that breaks it
-fails these tests instead of changing runs silently.  The memory gates
+split, and on `advance(n)` skipping just what `random(n)` draws.  Both
+are checked here too, so that a numpy release that breaks them fails
+these tests instead of changing runs silently.  The memory gates
 hold each stage to its output plus a fixed allowance.
 """
 
@@ -14,20 +15,26 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photon_correlator import (
     DetectorModel,
     HistogramConfig,
+    Mode,
     PoissonLaserModel,
     PulsedSourceModel,
     TagStream,
+    detect,
     emit_clock_ticks,
     emit_dot_pulse_train,
     emit_laser_pulse_train,
     parse_config_text,
     pipelines,
+    pulse_period_ps,
     reverse_start_stop,
 )
+from photon_correlator.correlator import _next_tick
 from photon_correlator.detectors import _record
 from photon_correlator.rng import _BLOCK
 from photon_correlator.sources import sample_detected
@@ -57,7 +64,10 @@ def assert_same_arrays(got, expected):
 
 @pytest.mark.parametrize("n_pulses", SIZES)
 @pytest.mark.parametrize("source", SOURCES, ids=repr)
-@pytest.mark.parametrize("probabilities", [[1.0], [0.3, 0.5]])
+# the first cut at 1 skips the fate draw; [0.1] * 10 ends its cuts at
+# 0.9999999999999999, so a photon can still be lost; an arm of 0 ties two cuts
+@pytest.mark.parametrize("probabilities", [[1.0], [0.3, 0.5], [1.0, 0.0], [0.1] * 10,
+                                           [0.3, 0.0, 0.5], [0.0, 1.0]])
 def test_sample_detected_equals_one_shot(n_pulses, source, probabilities):
     duration, arms = sample_detected(source, n_pulses, probabilities, seed=12)
     ref_duration, ref_arms = reference_sample_detected(source, n_pulses, probabilities,
@@ -119,6 +129,85 @@ def test_reverse_start_stop_equals_one_shot(n_detections, config, remap_period_p
     assert hist.n_starts == n_detections
 
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def sorted_ticks(values):
+    return np.sort(np.array(values, dtype=np.int64))
+
+
+def gapped_ticks(start, gaps):
+    return start + np.cumsum(np.array(gaps, dtype=np.int64))
+
+
+CLOCKS = st.one_of(
+    # lattices: 82 MHz, sub-ps periods (so repeated ticks) and 1e15 ps periods
+    st.builds(lambda rate, n, offset: emit_clock_ticks(rate, n, offset).times,
+              st.sampled_from([REP_HZ, 1.5e12, 3e12, 1e-3]), st.integers(2, 4000),
+              st.integers(0, 10**6)),
+    # irregular, over the whole int64 range or crowded into a few values
+    st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=300).map(
+        sorted_ticks),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=300).map(sorted_ticks),
+    # bursts of close ticks with wide gaps between them
+    st.builds(gapped_ticks, st.integers(-10**12, 10**12),
+              st.lists(st.one_of(st.integers(0, 3), st.integers(10**6, 10**12)),
+                       min_size=1, max_size=300)),
+    # up against the int64 maximum
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=300).map(
+        lambda back: INT64_MAX - sorted_ticks(back)[::-1]),
+    st.integers(INT64_MIN, INT64_MAX).map(lambda t: sorted_ticks([t])),
+)
+
+
+@st.composite
+def clocks_and_detections(draw):
+    ticks = draw(CLOCKS.filter(len))
+    first, last = int(ticks[0]), int(ticks[-1])
+    near_tick = st.builds(lambda j, d: int(ticks[j]) + d,
+                          st.integers(0, ticks.size - 1), st.integers(-2, 2))
+    det = draw(st.lists(st.one_of(
+        near_tick,  # on a tick and just either side of one
+        st.integers(first - 10**6, last + 10**6),  # before, among and after the ticks
+        st.sampled_from([first - 1, first, last, last + 1, INT64_MIN, INT64_MAX]),
+    ), min_size=1, max_size=300))
+    return ticks, np.clip(np.array(det, dtype=object), INT64_MIN, INT64_MAX).astype(
+        np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clocks_and_detections())
+def test_next_tick_equals_searchsorted(clock_and_det):
+    ticks, det = clock_and_det
+    got = _next_tick(ticks, det)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(ticks, det, "left"))
+
+
+def test_next_tick_searches_few_detections_on_the_recipe_clock(monkeypatch):
+    """The TCSPC recipe's sync clock is a lattice, so reverse_start_stop
+    binary-searches under 1 % of the detections; a return to searching
+    every detection fails here, although it changes no count."""
+    n = 2**17
+    period = pulse_period_ps(REP_HZ)
+    clock = emit_clock_ticks(REP_HZ, n, offset_ps=int(round(period / 2.0)))
+    photons = emit_dot_pulse_train(PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0)),
+                                   n, seed=3)
+    det = detect(photons, DetectorModel("D", 1.0, 100.0, 170.0), seed=4)
+    config = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
+    searched = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    hist = reverse_start_stop(det, clock, config, int(round(period)))
+    assert hist.total_counts > 0.99 * n
+    assert sum(searched) < 0.01 * len(det)
+
+
 def test_reverse_start_stop_counts_a_detection_on_the_last_tick_only():
     # the detection on the last tick has delay 0; every later one no stop
     clock = TagStream(np.array([10, 20]), 10**6, 255)
@@ -143,6 +232,25 @@ def test_pcg64_draws_do_not_depend_on_how_they_are_split(seed):
         whole = draw(np.random.default_rng(seed), n)
         split = np.random.default_rng(seed)
         assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]), whole)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pcg64_advance_equals_drawing_uniforms(seed):
+    """Advancing PCG64 by n outputs leaves it where `random(n)` does, as each
+    double takes one 64-bit output, so later `random`, `normal` and
+    `integers` draws are the same.  The dot sampler skips the fate uniforms
+    of an arm that takes every photon this way.  It holds with no 32-bit
+    half-output pending, as after `random`: `advance` discards that half."""
+    n = 3 * _BLOCK + 7
+    skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (skipped, drawn):
+        rng.random(_BLOCK + 1)  # as the photon numbers before the fates
+    skipped.bit_generator.advance(n)
+    drawn.random(n)
+    for draw in (lambda g: g.random(9), lambda g: g.normal(0.0, 72.2, 9),
+                 lambda g: g.integers(0, 10**6, 9), lambda g: g.integers(0, 2**40, 9),
+                 lambda g: g.random(9)):
+        assert np.array_equal(draw(skipped), draw(drawn))
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +340,33 @@ def test_sample_detected_holds_its_output_and_little_per_photon():
         lambda: sample_detected(source, N_PULSES, [1.0], seed=1))
     assert times.size > 0.99 * N_PULSES
     assert peak <= 12 * N_PULSES + ALLOWANCE
+
+
+def test_an_arm_that_takes_every_photon_keeps_no_fates():
+    """With one arm of probability 1 the sampler skips the fate draw: 8 bytes
+    of output a photon and its pulse offset (2), no fate (1) or arm mask (1).
+    At 2^22 photons a byte a photon is more than the allowance."""
+    n = 2**22
+    source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
+    peak, (_, (times,)) = traced_peak(lambda: sample_detected(source, n, [1.0], seed=1))
+    assert times.size > 0.99 * n
+    assert peak <= 10 * n + ALLOWANCE
+
+
+@pytest.mark.parametrize(("dead_time_ps", "kept", "bytes_a_tag"),
+                         [(10_000, 1.0, 20), (30_000, 1 / 3, 35)])
+def test_dead_time_filter_holds_one_scratch_array(dead_time_ps, kept, bytes_a_tag):
+    """2e6 jittered tags 12.2 ns apart.  With a 10 ns dead time no tag is
+    late: the recorded times (8 bytes a tag), the filter's mask (1) and one
+    int64 scratch array (8), under 20 bytes a tag with the jitter block.
+    With 30 ns every tag but the first is late in one long run: the times,
+    the mask, the mask of late tags (1), and the late times, their shifted
+    copy and each one's next candidate (24), under 35 bytes a tag."""
+    n = 2_000_000
+    period = pulse_period_ps(REP_HZ)
+    signal = np.rint(np.arange(n) * period).astype(np.int64)
+    model = DetectorModel("D", 1.0, 0.0, 170.0, dead_time_ps)
+    peak, tags = traced_peak(lambda: _record(signal, model, int(n * period),
+                                             np.random.default_rng(2), 1))
+    assert abs(len(tags) - kept * n) < 0.01 * n
+    assert peak <= bytes_a_tag * n
