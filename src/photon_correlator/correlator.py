@@ -126,9 +126,11 @@ class Histogram:
 
 def _bin_delays(delays, config):
     idx = delays[(delays >= config.range_min_ps) & (delays < config.range_max_ps)]
-    idx -= config.range_min_ps
-    idx //= config.bin_width_ps
-    return np.bincount(idx, minlength=config.n_bins).astype(np.int64)
+    # delay - range_min is in [0, 2^64): exact in uint64, where int64 can wrap
+    idx = idx.view(np.uint64)
+    idx -= np.uint64(config.range_min_ps % 2**64)
+    idx //= np.uint64(config.bin_width_ps)
+    return np.bincount(idx.view(np.int64), minlength=config.n_bins).astype(np.int64)
 
 
 def _check_int64_range(start_times, config):
@@ -216,38 +218,82 @@ def reverse_start_stop(detector, clock, config, remap_period_ps=None):
     count.  With `remap_period_ps` set, each delay d is remapped to
     period - d before binning so the histogram reads as time after
     excitation.  The config's collection mode is irrelevant here (the
-    next tick is by construction the first stop; `_next_tick` finds it with
-    no binary search on a lattice clock).  Beside the histogram it holds
-    the delays of one block of detections, at most max(2^16, n_bins).
+    next tick is by construction the first stop).  It is
+    `next_tick_histogram` of the detector's times against the clock's, so
+    beside the histogram it holds the delays of at most n_bins + 2^14
+    detections.
     """
-    if len(clock) == 0:
+    return next_tick_histogram([detector.times], clock.times, config, remap_period_ps)
+
+
+def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
+    """`reverse_start_stop` of the detections in `tag_blocks`, int64 arrays
+    in any order and of any sizes, against the sorted clock `ticks`: an
+    int64 array or a `sources.clock_lattice`.  `_next_tick` finds each
+    detection's next tick, with no binary search on a lattice clock.
+    Beside the histogram it holds the delays of at most n_bins + 2^14
+    detections, binned at least n_bins at a time, as each `bincount`
+    fills all n_bins bins.
+    """
+    if ticks.size == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
-    # the detections are sorted, so those up to the last tick are a prefix
-    valid = detector.times[:np.searchsorted(detector.times, clock.times[-1], "right")]
-    step = max(_BLOCK, config.n_bins)  # as each block bins into all n_bins
     counts = np.zeros(config.n_bins, dtype=np.int64)
-    for det in (valid[i:i + step] for i in range(0, valid.size, step)):
-        delays = clock.times[_next_tick(clock.times, det)]
-        delays -= det
-        if remap_period_ps is not None:
-            np.subtract(int(remap_period_ps), delays, out=delays)
-        counts += _bin_delays(delays, config)
-    return Histogram(config, counts, len(detector))
+    pending, n_starts = [], 0
+    for tags in tag_blocks:
+        n_starts += tags.size
+        for start in range(0, tags.size, _BLOCK):
+            pending.append(_next_tick_delays(ticks, tags[start:start + _BLOCK],
+                                             remap_period_ps))
+            if sum(map(len, pending)) >= config.n_bins:
+                counts += _bin_delays(np.concatenate(pending), config)
+                pending = []
+    if pending:
+        counts += _bin_delays(np.concatenate(pending), config)
+    return Histogram(config, counts, n_starts)
+
+
+def _next_tick_delays(ticks, det, remap_period_ps):
+    """The (remapped) delay from each detection in `det` to its next tick;
+    a detection after the last tick has none."""
+    det = det[det <= ticks[ticks.size - 1]]
+    delays = _next_tick(ticks, det)
+    delays -= det
+    if remap_period_ps is not None:
+        np.subtract(int(remap_period_ps), delays, out=delays)
+    return delays
 
 
 def _next_tick(ticks, det):
-    """np.searchsorted(ticks, det, "left") for sorted int64 `ticks`.  The
-    guess i = ceil((det - t_0) / mean spacing), clipped into the clock, is
-    kept where ticks[i-1] < det <= ticks[i] holds in int64; only the rest
-    are searched, on a lattice clock those within rounding of a tick."""
-    span = int(ticks[-1]) - int(ticks[0])
-    guess = np.subtract(det, ticks[0], dtype=np.float64)  # in float: cannot wrap
-    guess *= (ticks.size - 1) / span if span else 0.0
-    i = np.clip(np.ceil(guess, out=guess), 0, ticks.size - 1, out=guess).astype(np.int64)
-    miss = np.flatnonzero((ticks[i] < det) | (ticks[i - 1] >= det) & (i > 0))
+    """The first tick at or after each detection in `det`, none after the
+    last tick, for sorted int64 `ticks` read only by index: an array or a
+    lattice (`sources.clock_lattice`).  The guess i = ceil((det - t_0) /
+    mean spacing), clipped into the clock, is kept where ticks[i-1] < det
+    <= ticks[i] holds in int64; only the rest are searched, on a lattice
+    clock those within rounding of a tick."""
+    n = ticks.size
+    first = ticks[0]
+    span = int(ticks[n - 1]) - int(first)
+    guess = np.subtract(det, first, dtype=np.float64)  # in float: cannot wrap
+    guess *= (n - 1) / span if span else 0.0
+    i = np.clip(np.ceil(guess, out=guess), 0, n - 1, out=guess).astype(np.int64)
+    at = ticks[i]
+    miss = np.flatnonzero((at < det) | (ticks[i - 1] >= det) & (i > 0))
     if miss.size:
-        i[miss] = np.searchsorted(ticks, det[miss], "left")
-    return i
+        at[miss] = ticks[_search(ticks, det[miss])]
+    return at
+
+
+def _search(ticks, det):
+    """np.searchsorted(ticks, det, "left"), by bisection on the count of
+    ticks below each detection, reading `ticks` only by index."""
+    below = np.zeros(det.size, dtype=np.int64)
+    step = 1 << ticks.size.bit_length()
+    while step:
+        # the first `below + step` ticks (at most all) are all below det?
+        j = np.minimum(below + step, ticks.size)
+        np.copyto(below, j, where=ticks[j - 1] < det)
+        step >>= 1
+    return below
 
 
 def merge_histograms(a, b):

@@ -1,7 +1,7 @@
 """Realistic single-photon detector response.
 
-One back end, `_record`, turns the times of the photons a detector
-detects into the timetags its counting module records, applying in order:
+One back end turns the times of the photons a detector detects into the
+timetags its counting module records, applying in order:
 
 1. dark counts from a homogeneous Poisson process over the run,
 2. Gaussian timing jitter (sigma = FWHM / 2.3548) on every tag, darks
@@ -12,13 +12,17 @@ detects into the timetags its counting module records, applying in order:
 4. non-paralyzable dead time: any tag closer than dead_time_ps to the
    last accepted tag is dropped (arrivals during dead time do not extend it).
 
-`detect` feeds it a photon stream thinned by the system detection
-efficiency (Bernoulli per photon), drawing both from one generator.  The
-recipes in `pipelines` feed it the detected photons they draw directly
-from the source (`sources.sample_detected`), with the detector stage's
-own generator.  It holds the recorded times and one block of jitter; only
-the dead-time filter holds more: a mask and one int64 array as long as the
-tags, then two masks and 24 bytes for each tag late in its run (below).
+`_recorded_blocks` does steps 1 and 2 on the photons a block at a time,
+holding the darks and one block of jitter; `_record` concatenates its
+blocks and does steps 3 and 4 on the whole stream.  `detect` feeds
+`_record` a photon stream thinned by the system detection efficiency
+(Bernoulli per photon), drawing both from one generator.  The recipes in
+`pipelines` feed it the detected photons they draw directly from the
+source (`sources.sample_detected`), with the detector stage's own
+generator; a TCSPC run with no dead time takes `_recorded_blocks` as they
+come.  `_record` holds the recorded times; only the dead-time filter holds
+more: a mask and one int64 array as long as the tags, then two masks and
+24 bytes for each tag late in its run (below).
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -27,6 +31,7 @@ on the emitted (observable) timestamps.  Bias-dependent operating points
 rate is constant within a run.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -82,28 +87,39 @@ def detect(photons, model, seed, channel=1):
 
 def _record(signal_times, model, duration_ps, rng, channel):
     """The tags `model` records over [0, duration_ps) when it detects photons
-    at `signal_times` (int64, any order): darks, jitter, clamp, sort and
-    dead time, drawn from `rng`."""
+    at `signal_times` (int64, any order; jittered in place): the blocks of
+    `_recorded_blocks`, concatenated, then sort and dead time."""
+    times = np.concatenate(list(_recorded_blocks([signal_times], model, duration_ps,
+                                                 rng)))
+    times.sort()
+    if model.dead_time_ps > 0:
+        # tags are whole picoseconds, so a gap reaches a fractional dead time
+        # exactly when it reaches the next whole one
+        times = _apply_dead_time(times, math.ceil(model.dead_time_ps))
+    return TagStream(times, duration_ps, channel)
+
+
+def _recorded_blocks(signal_blocks, model, duration_ps, rng):
+    """The tags `model` records from photons detected at the times in
+    `signal_blocks` (int64 arrays), before sort and dead time, drawn from
+    `rng`: the dark counts are drawn first, then each block is jittered and
+    clamped in place, in turn, and the darks last."""
     n_dark = rng.poisson(model.dark_rate_hz * duration_ps * 1e-12)
     dark = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
-    times = np.concatenate([signal_times, dark])
-    bits = times.view(np.uint64)  # the same values, as every time is >= 0
-    if model.jitter_fwhm_ps > 0:
-        for start in range(0, times.size, _BLOCK):
-            jittered = times[start:start + _BLOCK] + rng.normal(
-                0.0, model.jitter_sigma_ps, min(_BLOCK, times.size - start))
-            np.rint(jittered, out=jittered)
-            # clamped in float first, as a time outside int64 has no cast: 0
-            # and 2^63 cast exactly to uint64, and the clip below brings every
-            # time into the window, where the uint64 and int64 bits agree
-            bits[start:start + _BLOCK] = np.clip(jittered, 0.0, 2.0**63, out=jittered)
-    np.clip(bits, 0, duration_ps - 1, out=bits)
-    times.sort()
-
-    if model.dead_time_ps > 0:
-        times = _apply_dead_time(times, int(model.dead_time_ps))
-
-    return TagStream(times, duration_ps, channel)
+    for times in itertools.chain(signal_blocks, [dark]):
+        bits = times.view(np.uint64)  # the same values, as every time is >= 0
+        if model.jitter_fwhm_ps > 0:
+            for start in range(0, times.size, _BLOCK):
+                jittered = times[start:start + _BLOCK] + rng.normal(
+                    0.0, model.jitter_sigma_ps, min(_BLOCK, times.size - start))
+                np.rint(jittered, out=jittered)
+                # clamped in float first, as a time outside int64 has no cast:
+                # 0 and 2^63 cast exactly to uint64, and the clip below brings
+                # every time into the window, where uint64 and int64 bits agree
+                bits[start:start + _BLOCK] = np.clip(jittered, 0.0, 2.0**63,
+                                                     out=jittered)
+        np.clip(bits, 0, duration_ps - 1, out=bits)
+        yield times
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):

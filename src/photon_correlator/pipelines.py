@@ -16,6 +16,13 @@ photon), and each detector stage draws that detector's darks and jitter
 distribution: `emit_*_pulse_train` (the same sampler with one arm that
 detects every photon), then `beamsplit`, `attenuate` and `detect`.
 
+HBT and the DE sweep hold each detector's recorded tags.  TCSPC with no
+detector dead time holds no array as long as the run: it draws, records
+and bins one block of pulses at a time (`sources.sample_blocks`,
+`detectors._recorded_blocks`, `correlator.next_tick_histogram`), against
+the sync clock held as its lattice (`sources.clock_lattice`), with the
+same draws and histogram as a pass over whole arrays.
+
 Each recipe returns, as `result.config`, the config it ran with every
 default it resolved filled in (correlator range, g2 integration
 half-width); the effective_config.cfg written from it reruns to the same
@@ -45,23 +52,26 @@ from .correlator import (
     Histogram,
     HistogramConfig,
     Mode,
-    reverse_start_stop,
+    next_tick_histogram,
+    reverse_start_stop,  # noqa: F401
     tac_histogram,
     write_histogram_csv,
 )
-# detect, attenuate, beamsplit and the emit_*_pulse_train functions are not
-# called here but stay importable: perfbench/traced.py wraps every layer by
-# its name in this module
-from .detectors import _record, detect  # noqa: F401
+# detect, attenuate, beamsplit, the emit_* functions and reverse_start_stop
+# are not called here but stay importable: perfbench/traced.py wraps every
+# layer by its name in this module
+from .detectors import _record, _recorded_blocks, detect  # noqa: F401
 from .errors import AnalysisError, ConfigError
 from .optics import attenuate, beamsplit  # noqa: F401
 from .rng import derive_seed, generator
 from .sources import (  # noqa: F401
     PoissonLaserModel,
+    clock_lattice,
     emit_clock_ticks,
     emit_dot_pulse_train,
     emit_laser_pulse_train,
     pulse_period_ps,
+    sample_blocks,
     sample_detected,
 )
 from .timetags import write_tags
@@ -191,21 +201,38 @@ def run_tcspc(cfg):
     """
     if cfg.tcspc is None:
         raise ConfigError("tcspc: section required for simulate-tcspc")
-    period = pulse_period_ps(cfg.source.rep_rate_hz)
     cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg))
-    name = cfg.tcspc.detector
-    detections, = _acquire(cfg, cfg.source, cfg.n_pulses, "source",
-                           [(name, 1.0, f"detector.{name}")])
-    clock = emit_clock_ticks(cfg.source.rep_rate_hz, cfg.n_pulses,
-                             offset_ps=int(round(period / 2.0)))
-    hist = reverse_start_stop(detections, clock, cfg.correlator,
-                              remap_period_ps=int(round(period)))
+    hist = _tcspc_histogram(cfg)
     if cfg.tcspc.analysis == "irf":
         fit = measure_irf(hist)
     else:
         fit = fit_lifetime(hist, fix_sigma=cfg.lifetime.fix_sigma_ps,
                            weighted=cfg.lifetime.weighted)
     return TcspcResult(cfg, hist, fit)
+
+
+def _tcspc_histogram(cfg):
+    """The TCSPC histogram, made without a run-long array when the detector
+    has no dead time: each block of pulses is drawn, recorded and binned in
+    turn, in no order (the histogram does not depend on it), against the
+    clock held as its lattice.  A dead-time filter needs the whole sorted
+    stream, which is recorded as in `run_hbt`."""
+    period = pulse_period_ps(cfg.source.rep_rate_hz)
+    name = cfg.tcspc.detector
+    model, stage = cfg.detectors[name], f"detector.{name}"
+    if model.dead_time_ps > 0:
+        detections, = _acquire(cfg, cfg.source, cfg.n_pulses, "source",
+                               [(name, 1.0, stage)])
+        tags = [detections.times]
+    else:
+        duration, _, blocks = sample_blocks(cfg.source, cfg.n_pulses, [model.efficiency],
+                                            derive_seed(cfg.seed, "source"))
+        tags = _recorded_blocks((arm for arm, in blocks), model, duration,
+                                generator(derive_seed(cfg.seed, stage)))
+    clock = clock_lattice(cfg.source.rep_rate_hz, cfg.n_pulses,
+                          offset_ps=int(round(period / 2.0)))
+    return next_tick_histogram(tags, clock, cfg.correlator,
+                               remap_period_ps=int(round(period)))
 
 
 def write_tcspc_artifacts(result, out_dir):

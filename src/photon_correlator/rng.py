@@ -11,7 +11,11 @@ import hashlib
 import numpy as np
 
 MAX_SEED = 2**64 - 1
-_BLOCK = 2**16  # elements a stage draws or computes at once; it changes no draw
+# elements a stage draws or computes at once; it changes no draw.  A block of
+# 8-byte numbers is 128 KiB: it stays in cache, and glibc's malloc reuses it
+# from its heap, where it returns 512 KiB temporaries to the system and
+# page-faults them back in on the next block
+_BLOCK = 2**14
 
 
 def derive_seed(master_seed, stage):

@@ -20,10 +20,11 @@ routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 1993).  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
-sampler with one arm that detects every photon: the source stream.  The
-sampler holds its output (8 bytes a photon), for the dot 3 bytes more a
-photon (pulse offset and fate, or 2 when one arm takes every photon and no
-fate is drawn), and one block of draws.
+sampler with one arm that detects every photon: the source stream.
+`sample_blocks` is the same sampler one block of pulses at a time, and
+holds one block of draws; `sample_detected` holds its output as well (8
+bytes a detected photon).  `clock_lattice` is the sync clock held as its
+lattice, with nothing per tick.
 """
 
 import math
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlator import _search
 from .rng import _BLOCK, generator
 from .timetags import TagStream
 
@@ -110,7 +112,9 @@ def pulse_period_ps(rep_rate_hz):
 
 
 def _pulse_times(pulse_indices, rep_rate_hz):
-    return np.rint(pulse_indices * pulse_period_ps(rep_rate_hz)).astype(np.int64)
+    times = np.array(pulse_indices, dtype=np.float64)  # as `indices * period` casts
+    times *= pulse_period_ps(rep_rate_hz)
+    return np.rint(times, out=times).astype(np.int64)
 
 
 def _train_duration_ps(n_pulses, rep_rate_hz):
@@ -134,7 +138,8 @@ def _emission_times(lifetime_ps, times, duration, rng):
                 delays = -lifetime_ps * np.log1p(-rng.random(pulse_times.size))
             # held at the run length, a float that casts exactly, so the cast
             # cannot overflow; a held delay fails the test below and is dropped
-            delays = np.rint(np.minimum(delays, duration)).astype(np.int64)
+            np.minimum(delays, duration, out=delays)
+            delays = np.rint(delays, out=delays).astype(np.int64)
             # against the time left in the run: no sum that can wrap is formed
             in_run = delays < duration - pulse_times
             kept = np.add(delays, pulse_times, out=delays, where=in_run)[in_run]
@@ -174,7 +179,27 @@ def sample_detected(model, n_pulses, probabilities, seed):
     (duration_ps, arms): one int64 array per arm, in no particular order,
     of times in [0, duration_ps).  With one arm of probability 1 that arm
     holds every photon of the source; the emit_*_pulse_train functions
-    return it sorted.
+    return it sorted.  The arrays are the blocks of `sample_blocks`
+    concatenated, each arm's filled into one array of its counted size.
+    """
+    duration, sizes, blocks = sample_blocks(model, n_pulses, probabilities, seed)
+    arms = [np.empty(size, dtype=np.int64) for size in sizes]
+    ends = [0] * len(arms)
+    for block in blocks:
+        for i, times in enumerate(block):
+            arms[i][ends[i]:ends[i] + times.size] = times
+            ends[i] += times.size
+    return duration, [arm[:end] for arm, end in zip(arms, ends)]
+
+
+def sample_blocks(model, n_pulses, probabilities, seed):
+    """`sample_detected` one block of `_BLOCK` pulses at a time.
+
+    Returns (duration_ps, sizes, blocks).  `blocks` yields, for each block
+    of pulses in turn, one int64 array per arm of the times that arm
+    detects from those pulses; the laser's detections come as one block.
+    sizes[i] bounds arm i's total: it counts the photons before those past
+    the run are dropped.
 
     Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's
     detections in arm i are Poisson(n_pulses * mu * p_i) in total, each in
@@ -182,49 +207,105 @@ def sample_detected(model, n_pulses, probabilities, seed):
     detections.  The dot draws one photon number per pulse, from one
     uniform by inverse CDF, and one fate per photon, so the two photons of
     a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.  When the first arm takes every photon
-    the generator is advanced past the fate uniforms instead: no draw
-    changes.
+    photons get an emission delay.  Its uniforms sit in the PCG64 stream
+    as one pass over the run would draw them: the photon numbers from 0,
+    the fates from n_pulses, and arm i's delays from n_pulses + n_photons +
+    sum_{j<i} n_j, with n_j the photons fated to arm j.  A counting pass
+    draws and drops the photon-number and fate uniforms to find those
+    counts, and each kind of draw then reads from its own generator,
+    advanced to its position.  When the first arm takes every photon no
+    fate is drawn.  The dot holds one block of draws.
     """
-    rng = generator(seed)
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
+        rng = generator(seed)
         # one draw per arm, as `integers` split into blocks draws other numbers
-        return duration, [
-            _emission_times(0, _pulse_times(rng.integers(0, n_pulses, rng.poisson(
-                n_pulses * model.mu * p)), model.rep_rate_hz), duration, rng)
-            for p in probabilities]
-    p0, p1, _ = model.photon_dist
-    # each photon's pulse, as its offset into its block of pulses: 2 bytes
-    offsets = []
-    for start in range(0, n_pulses, _BLOCK):
-        u = rng.random(min(_BLOCK, n_pulses - start))
-        counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-        emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
-        offsets.append(np.repeat(emitting, counts[emitting]))
+        arms = [_emission_times(0, _pulse_times(rng.integers(0, n_pulses, rng.poisson(
+                    n_pulses * model.mu * p)), model.rep_rate_hz), duration, rng)
+                for p in probabilities]
+        return duration, [arm.size for arm in arms], iter([arms])
     cuts = np.cumsum(probabilities)
+    n_photons, sizes = _dot_counts(model, n_pulses, cuts, seed)
+    return duration, sizes, _dot_blocks(model, n_pulses, cuts, seed, duration,
+                                        n_photons, sizes)
+
+
+def _every_to_first_arm(cuts):
     # a photon's fate is the number of cuts at or below its uniform; as the
     # uniforms are < 1, a first cut at 1 or more gives every photon to arm 0
-    every = cuts.size > 0 and cuts[0] >= 1
-    first = np.cumsum([0, *map(len, offsets)])  # each block's first photon
-    photons = np.empty(first[-1], dtype=np.int64)  # their pulse times
-    fates = np.empty(0 if every else first[-1],
-                     dtype=np.min_scalar_type(len(probabilities)))
-    for start, block, i in zip(range(0, n_pulses, _BLOCK), offsets, first):
-        pulses = np.add(block, start, dtype=np.int64)
-        photons[i:i + block.size] = _pulse_times(pulses, model.rep_rate_hz)
-        if every:  # PCG64 `random` takes one 64-bit output a number: skip them
-            rng.bit_generator.advance(block.size)
+    return cuts.size > 0 and cuts[0] >= 1
+
+
+def _dot_counts(model, n_pulses, cuts, seed):
+    """(n_photons, sizes): the dot's photons over the run and those fated to
+    each arm, from the photon-number and fate uniforms drawn and dropped."""
+    p0, p1, _ = model.photon_dist
+    rng = generator(seed)
+    n_photons = 0
+    for start in range(0, n_pulses, _BLOCK):
+        u = rng.random(min(_BLOCK, n_pulses - start))
+        n_photons += np.count_nonzero(u >= p0) + np.count_nonzero(u >= p0 + p1)
+    if _every_to_first_arm(cuts):
+        return n_photons, [n_photons] + [0] * (cuts.size - 1)
+    per_fate = np.zeros(cuts.size + 1, dtype=np.int64)
+    for start in range(0, n_photons, _BLOCK):
+        fates = np.searchsorted(cuts, rng.random(min(_BLOCK, n_photons - start)), "right")
+        per_fate += np.bincount(fates, minlength=cuts.size + 1)
+    return n_photons, per_fate[:-1].tolist()
+
+
+def _dot_blocks(model, n_pulses, cuts, seed, duration, n_photons, sizes):
+    """Each block's detections, one int64 array per arm, each kind of draw
+    from its own generator at its position in the stream."""
+    def at(position):
+        rng = generator(seed)
+        rng.bit_generator.advance(int(position))  # `random` takes one output a number
+        return rng
+    numbers, fates = at(0), at(n_pulses)
+    delays = [at(n_pulses + n_photons + before)
+              for before in np.cumsum([0, *sizes])[:-1].tolist()]
+    p0, p1, _ = model.photon_dist
+    every = _every_to_first_arm(cuts)
+    for start in range(0, n_pulses, _BLOCK):
+        u = numbers.random(min(_BLOCK, n_pulses - start))
+        counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
+        # offsets into the block, in the smallest type, which `repeat` copies fastest
+        emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
+        photons = _pulse_times(np.add(np.repeat(emitting, counts[emitting]), start,
+                                      dtype=np.int64), model.rep_rate_hz)
+        if every:
+            arms = [photons] + [photons[:0]] * (len(delays) - 1)
         else:
-            u = rng.random(block.size)
-            fates[i:i + block.size] = sum(u >= cut for cut in cuts)
-    del offsets
-    if every:
-        arms = [photons] + [photons[:0]] * (len(probabilities) - 1)
-    else:
-        arms = (photons[fates == i] for i in range(len(probabilities)))
-    return duration, [_emission_times(model.lifetime_ps, arm, duration, rng)
-                      for arm in arms]
+            fate = np.searchsorted(cuts, fates.random(photons.size), "right")
+            arms = [photons[fate == i] for i in range(len(delays))]
+        yield [_emission_times(model.lifetime_ps, arm, duration, rng)
+               for arm, rng in zip(arms, delays)]
+
+
+@dataclass(frozen=True)
+class _Ticks:
+    """Clock ticks `_pulse_times(first + i) + offset_ps` for i in [0, size):
+    read by index like a sorted int64 array, but each computed where read."""
+
+    rep_rate_hz: float
+    offset_ps: int
+    first: int
+    size: int
+
+    def __getitem__(self, i):
+        times = _pulse_times(np.add(i, self.first, dtype=np.int64), self.rep_rate_hz)
+        times += self.offset_ps
+        return times
+
+
+def clock_lattice(rep_rate_hz, n_pulses, offset_ps=0):
+    """The ticks of `emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps)`,
+    held as their lattice: nothing per tick."""
+    duration = _train_duration_ps(n_pulses, rep_rate_hz)
+    every = _Ticks(rep_rate_hz, int(offset_ps), 0, n_pulses)
+    # the ticks are sorted, so those in [0, duration) are a window
+    first, end = _search(every, np.array([0, duration])).tolist() if n_pulses else (0, 0)
+    return _Ticks(rep_rate_hz, int(offset_ps), first, end - first)
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
@@ -233,10 +314,8 @@ def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
     Ticks shifted past the acquisition window are dropped; a negative
     offset may likewise drop leading ticks.
     """
-    duration = _train_duration_ps(n_pulses, rep_rate_hz)
-    times = np.empty(n_pulses, dtype=np.int64)
-    for start in range(0, n_pulses, _BLOCK):
-        pulses = np.arange(start, min(start + _BLOCK, n_pulses), dtype=np.int64)
-        times[start:start + _BLOCK] = _pulse_times(pulses, rep_rate_hz) + int(offset_ps)
-    first, end = np.searchsorted(times, [0, duration])  # sorted: the window is a slice
-    return TagStream(times[first:end], duration, CLOCK_CHANNEL)
+    ticks = clock_lattice(rep_rate_hz, n_pulses, offset_ps)
+    times = np.empty(ticks.size, dtype=np.int64)
+    for start in range(0, ticks.size, _BLOCK):
+        times[start:start + _BLOCK] = ticks[np.arange(start, min(start + _BLOCK, ticks.size))]
+    return TagStream(times, _train_duration_ps(n_pulses, rep_rate_hz), CLOCK_CHANNEL)

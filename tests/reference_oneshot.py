@@ -16,6 +16,8 @@ calls on whole arrays.
   returns the counts.
 """
 
+import math
+
 import numpy as np
 
 from photon_correlator import PoissonLaserModel
@@ -74,7 +76,7 @@ def reference_record(signal_times, model, duration_ps, rng):
     times = np.clip(times, 0, duration_ps - 1).view(np.int64)
     times.sort()
     if model.dead_time_ps > 0:
-        times = _apply_dead_time(times, int(model.dead_time_ps))
+        times = _apply_dead_time(times, math.ceil(model.dead_time_ps))
     return times
 
 

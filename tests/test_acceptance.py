@@ -39,6 +39,8 @@ from photon_correlator.pipelines import run_de_sweep, run_hbt, run_tcspc
 
 from conftest import (chunked_histogram, finite_difference_jacobian, poisson_stream,
                       random_stream)
+from reference_oneshot import (reference_clock_ticks, reference_record,
+                               reference_sample_detected)
 from test_analysis import convolution_oracle, relative_jacobian_error
 
 REP_HZ = 82e6
@@ -462,6 +464,40 @@ def test_simulated_data_is_pinned(tmp_path, name, cfg_text, extra):
     assert main([name, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
     assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
             for file in PINNED_DATA[name]} == PINNED_DATA[name]
+
+
+# 65535 bins of (2^64 - 1) / 65535 ps span the whole int64 range, so a
+# delay's offset into the range, delay + 2^63, is past int64
+WHOLE_INT64_RANGE = """
+[correlator]
+bin_width_ps = 281479271743489
+range_min_ps = -9223372036854775808
+range_max_ps = 9223372036854775807
+"""
+
+
+@pytest.mark.parametrize("analysis, code", [("irf", 0), ("lifetime", 4)])
+def test_simulate_tcspc_bins_a_range_wider_than_2_63(tmp_path, capsys, analysis, code):
+    """Every detection up to the last clock tick is counted, as the one-shot
+    reference chain finds.  The IRF analysis takes the histogram; the
+    lifetime fit rejects its one or two nonzero bins as an analysis error."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_TCSPC.replace("detector = DET",
+                                            f"detector = DET\nanalysis = {analysis}")
+                        + WHOLE_INT64_RANGE)
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", str(cfg_path), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("analysis error: ")
+        return
+    cfg = pc.parse_config_text(SMALL_TCSPC)
+    duration, (signal,) = reference_sample_detected(cfg.source, cfg.n_pulses, [1.0],
+                                                    derive_seed(cfg.seed, "source"))
+    tags = reference_record(signal, cfg.detectors["DET"], duration,
+                            np.random.default_rng(derive_seed(cfg.seed, "detector.DET")))
+    clock = reference_clock_ticks(REP_HZ, cfg.n_pulses, round(PERIOD / 2))
+    hist = pc.read_histogram_csv(out / "histogram.csv")
+    assert hist.total_counts == np.count_nonzero(tags <= clock[-1]) > 0.99 * cfg.n_pulses
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """The TCSPC path works in fixed-size blocks: its outputs, its draws and its
 memory.
 
-Each blocked stage must return exactly the arrays of the one-shot
-reference in `reference_oneshot.py`, also at the block edges.  That rests
-on numpy's PCG64 generator drawing the same numbers however a draw is
-split, and on `advance(n)` skipping just what `random(n)` draws.  Both
-are checked here too, so that a numpy release that breaks them fails
-these tests instead of changing runs silently.  The memory gates
-hold each stage to its output plus a fixed allowance.
+Each blocked stage, and the streamed TCSPC recipe as a whole, must return
+exactly what the one-shot reference chain in `reference_oneshot.py`
+returns, also at the block edges.  That rests on numpy's PCG64 generator
+drawing the same numbers however a draw is split, and on `advance(n)`
+skipping just what `random(n)` draws.  Both are checked here too, so that
+a numpy release that breaks them fails these tests instead of changing
+runs silently.  The memory gates hold each stage to its output plus a
+fixed allowance, and the streamed recipe to one bound at any run length.
 """
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,10 +36,11 @@ from photon_correlator import (
     pulse_period_ps,
     reverse_start_stop,
 )
-from photon_correlator.correlator import _next_tick
+from photon_correlator import correlator
+from photon_correlator.correlator import _next_tick, _search
 from photon_correlator.detectors import _record
-from photon_correlator.rng import _BLOCK
-from photon_correlator.sources import sample_detected
+from photon_correlator.rng import _BLOCK, derive_seed
+from photon_correlator.sources import clock_lattice, sample_detected
 
 from reference_oneshot import (
     reference_clock_ticks,
@@ -129,6 +132,31 @@ def test_reverse_start_stop_equals_one_shot(n_detections, config, remap_period_p
     assert hist.n_starts == n_detections
 
 
+@pytest.mark.parametrize("n_pulses", SIZES[1:])  # a run of 0 pulses has no clock tick
+@pytest.mark.parametrize("source", SOURCES, ids=repr)
+@pytest.mark.parametrize("efficiency", [1.0, 0.3])  # the fates skipped, and drawn
+@pytest.mark.parametrize("dark_rate_hz", [0.0, 1e7])
+@pytest.mark.parametrize("dead_time_ps", [0, 10_000])  # streamed, and concatenated
+def test_streamed_tcspc_equals_one_shot_chain(n_pulses, source, efficiency,
+                                              dark_rate_hz, dead_time_ps):
+    model = DetectorModel("DET", efficiency, dark_rate_hz, 170.0, dead_time_ps)
+    cfg = replace(parse_config_text(TCSPC_CFG), n_pulses=n_pulses, source=source,
+                  detectors={"DET": model})
+    cfg = replace(cfg, correlator=pipelines._tcspc_correlator_config(cfg))
+    hist = pipelines._tcspc_histogram(cfg)
+
+    duration, (signal,) = reference_sample_detected(
+        source, n_pulses, [efficiency], derive_seed(cfg.seed, "source"))
+    tags = reference_record(signal, model, duration,
+                            np.random.default_rng(derive_seed(cfg.seed, "detector.DET")))
+    period = pulse_period_ps(REP_HZ)
+    clock = reference_clock_ticks(REP_HZ, n_pulses, int(round(period / 2.0)))
+    assert np.array_equal(hist.counts,
+                          reference_reverse_start_stop(tags, clock, cfg.correlator,
+                                                       int(round(period))))
+    assert hist.n_starts == tags.size
+
+
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -141,10 +169,13 @@ def gapped_ticks(start, gaps):
 
 
 CLOCKS = st.one_of(
-    # lattices: 82 MHz, sub-ps periods (so repeated ticks) and 1e15 ps periods
-    st.builds(lambda rate, n, offset: emit_clock_ticks(rate, n, offset).times,
+    # lattices: 82 MHz, sub-ps periods (so repeated ticks) and 1e15 ps periods,
+    # with offsets that drop leading ticks; as arrays and as lattices
+    st.builds(lambda rate, n, offset, as_array: (
+        emit_clock_ticks(rate, n, offset).times if as_array
+        else clock_lattice(rate, n, offset)),
               st.sampled_from([REP_HZ, 1.5e12, 3e12, 1e-3]), st.integers(2, 4000),
-              st.integers(0, 10**6)),
+              st.integers(-10**5, 10**6), st.booleans()),
     # irregular, over the whole int64 range or crowded into a few values
     st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=300).map(
         sorted_ticks),
@@ -162,49 +193,67 @@ CLOCKS = st.one_of(
 
 @st.composite
 def clocks_and_detections(draw):
-    ticks = draw(CLOCKS.filter(len))
-    first, last = int(ticks[0]), int(ticks[-1])
-    near_tick = st.builds(lambda j, d: int(ticks[j]) + d,
-                          st.integers(0, ticks.size - 1), st.integers(-2, 2))
+    """(ticks, the same ticks as an array, detections)"""
+    ticks = draw(CLOCKS.filter(lambda ticks: ticks.size))
+    array = ticks[np.arange(ticks.size)]
+    first, last = int(array[0]), int(array[-1])
+    near_tick = st.builds(lambda j, d: int(array[j]) + d,
+                          st.integers(0, array.size - 1), st.integers(-2, 2))
     det = draw(st.lists(st.one_of(
         near_tick,  # on a tick and just either side of one
         st.integers(first - 10**6, last + 10**6),  # before, among and after the ticks
         st.sampled_from([first - 1, first, last, last + 1, INT64_MIN, INT64_MAX]),
     ), min_size=1, max_size=300))
-    return ticks, np.clip(np.array(det, dtype=object), INT64_MIN, INT64_MAX).astype(
-        np.int64)
+    return ticks, array, np.clip(np.array(det, dtype=object), INT64_MIN,
+                                 INT64_MAX).astype(np.int64)
 
 
 @settings(max_examples=300, deadline=None)
 @given(clocks_and_detections())
 def test_next_tick_equals_searchsorted(clock_and_det):
-    ticks, det = clock_and_det
+    ticks, array, det = clock_and_det
+    det = det[det <= array[-1]]  # after the last tick there is no next tick
     got = _next_tick(ticks, det)
     assert got.dtype == np.int64
-    assert np.array_equal(got, np.searchsorted(ticks, det, "left"))
+    assert np.array_equal(got, array[np.searchsorted(array, det, "left")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(clocks_and_detections())
+def test_search_equals_searchsorted(clock_and_det):
+    ticks, array, det = clock_and_det
+    got = _search(ticks, det)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.searchsorted(array, det, "left"))
 
 
 def test_next_tick_searches_few_detections_on_the_recipe_clock(monkeypatch):
-    """The TCSPC recipe's sync clock is a lattice, so reverse_start_stop
-    binary-searches under 1 % of the detections; a return to searching
-    every detection fails here, although it changes no count."""
-    n = 2**17
+    """The TCSPC recipe's sync clock is a lattice, so `_next_tick` corrects
+    the guess of under 1 % of the detections by a search, in the streamed
+    recipe and on the clock as an array; a return to searching every
+    detection fails here, although it changes no count."""
+    searched = []
+    search = correlator._search
+
+    def counting(ticks, det):
+        searched.append(det.size)
+        return search(ticks, det)
+
+    monkeypatch.setattr(correlator, "_search", counting)
+    cfg = parse_config_text(TCSPC_CFG.replace(str(N_PULSES), str(2**17)))
+    hist = pipelines.run_tcspc(cfg).histogram
+    assert hist.total_counts > 0.99 * 2**17
+    assert sum(searched) < 0.01 * hist.n_starts
+
+    searched.clear()
     period = pulse_period_ps(REP_HZ)
-    clock = emit_clock_ticks(REP_HZ, n, offset_ps=int(round(period / 2.0)))
+    clock = emit_clock_ticks(REP_HZ, 2**17, offset_ps=int(round(period / 2.0)))
     photons = emit_dot_pulse_train(PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0)),
-                                   n, seed=3)
+                                   2**17, seed=3)
     det = detect(photons, DetectorModel("D", 1.0, 100.0, 170.0), seed=4)
     config = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
-    searched = []
-    searchsorted = np.searchsorted
-
-    def counting(a, v, *args, **kwargs):
-        searched.append(np.size(v))
-        return searchsorted(a, v, *args, **kwargs)
-
-    monkeypatch.setattr(np, "searchsorted", counting)
     hist = reverse_start_stop(det, clock, config, int(round(period)))
-    assert hist.total_counts > 0.99 * n
+    assert hist.total_counts > 0.99 * 2**17
     assert sum(searched) < 0.01 * len(det)
 
 
@@ -287,7 +336,7 @@ def test_a_negative_pulse_count_is_rejected(call):
 # memory gates
 
 N_PULSES = 2**19
-# block temporaries (a few float64 blocks of 2^16) and small fixed objects
+# block temporaries (a few float64 blocks of `_BLOCK`) and small fixed objects
 ALLOWANCE = 3 * 2**20
 
 TCSPC_CFG = f"""
@@ -322,19 +371,21 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_run_tcspc_holds_only_its_two_streams():
-    """One photon per pulse, all detected: the peak is the detection and
-    clock streams, 8 bytes a pulse each, plus the allowance."""
-    cfg = parse_config_text(TCSPC_CFG)
+@pytest.mark.parametrize("n_pulses", [N_PULSES, 4 * N_PULSES])
+def test_run_tcspc_holds_a_fixed_amount(n_pulses):
+    """One photon per pulse, all detected, and no dead time: each block of
+    pulses is drawn, recorded and binned in turn, against the clock held as
+    its lattice, so the peak is the same at any run length: the allowance,
+    and no array as long as the run (8 bytes a pulse would be 4 MiB)."""
+    cfg = parse_config_text(TCSPC_CFG.replace(str(N_PULSES), str(n_pulses)))
     pipelines.run_tcspc(parse_config_text(TCSPC_CFG.replace(str(N_PULSES), "1000")))
     peak, result = traced_peak(lambda: pipelines.run_tcspc(cfg))
-    assert result.histogram.n_starts >= N_PULSES
-    assert peak <= 16 * N_PULSES + ALLOWANCE
+    assert result.histogram.n_starts >= n_pulses
+    assert peak <= ALLOWANCE
 
 
 def test_sample_detected_holds_its_output_and_little_per_photon():
-    """8 bytes of output a photon, and 4 of bookkeeping: the photon's pulse
-    as an offset into its block (2), its fate (1) and an arm mask (1)."""
+    """8 bytes of output a photon, and block temporaries."""
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
     peak, (_, (times,)) = traced_peak(
         lambda: sample_detected(source, N_PULSES, [1.0], seed=1))
@@ -344,13 +395,27 @@ def test_sample_detected_holds_its_output_and_little_per_photon():
 
 def test_an_arm_that_takes_every_photon_keeps_no_fates():
     """With one arm of probability 1 the sampler skips the fate draw: 8 bytes
-    of output a photon and its pulse offset (2), no fate (1) or arm mask (1).
-    At 2^22 photons a byte a photon is more than the allowance."""
+    of output a photon, and no fate (1) or arm mask (1).  At 2^22 photons a
+    byte a photon is more than the allowance."""
     n = 2**22
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
     peak, (_, (times,)) = traced_peak(lambda: sample_detected(source, n, [1.0], seed=1))
     assert times.size > 0.99 * n
     assert peak <= 10 * n + ALLOWANCE
+
+
+def test_sample_detected_holds_8_bytes_a_detected_photon():
+    """A dim two-arm dot HBT: 4.2e5 photons, of which 3 % are detected.  Each
+    block's fates are drawn with its photons, so only the detected photons
+    are held, 8 bytes each, not the 8-byte pulse time of every emitted
+    photon (4 MB here, more than the allowance)."""
+    n = 2**22
+    source = PulsedSourceModel(REP_HZ, 370.0, (0.9, 0.1, 0.0))
+    peak, (_, arms) = traced_peak(lambda: sample_detected(source, n, [0.01, 0.02],
+                                                          seed=1))
+    detected = sum(arm.size for arm in arms)
+    assert abs(detected - 0.03 * 0.1 * n) < 0.05 * 0.03 * 0.1 * n
+    assert peak <= 8 * detected + ALLOWANCE
 
 
 @pytest.mark.parametrize(("dead_time_ps", "kept", "bytes_a_tag"),

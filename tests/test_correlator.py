@@ -351,6 +351,26 @@ def test_range_up_to_int64_max_is_accepted(mode):
     assert hist.total_counts == 0 and hist.n_starts == 2
 
 
+# 65535 bins over [-2^63, 2^63 - 1): delay - range_min reaches 2^64 - 2
+WHOLE_INT64 = HistogramConfig((2**64 - 1) // 65535, -2**63, 2**63 - 1)
+
+
+def whole_int64_bin(delay):
+    return (delay + 2**63) // WHOLE_INT64.bin_width_ps
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_range_wider_than_2_63_bins_every_delay(mode):
+    config = HistogramConfig(WHOLE_INT64.bin_width_ps, -2**63, 2**63 - 1, mode)
+    hist = tac_histogram(stream([0]), stream([7]), config)
+    assert hist.total_counts == hist.counts[whole_int64_bin(7)] == 1
+
+
+def test_reverse_start_stop_range_wider_than_2_63():
+    hist = reverse_start_stop(stream([0, 3]), stream([7], 100), WHOLE_INT64)
+    assert hist.total_counts == hist.counts[whole_int64_bin(7)] == 2
+
+
 def test_chunked_equals_single_pass(rng):
     starts = poisson_stream(rng, 5e7, 10**8)
     stops = poisson_stream(rng, 8e7, 10**8)

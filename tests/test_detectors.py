@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +75,26 @@ def test_dead_time_matches_greedy_reference(times, dead_time):
     photons = TagStream(times, 1000, 0)
     out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
     assert out.times.tolist() == kept
+
+
+def test_fractional_dead_time_is_the_next_whole_picosecond():
+    """Tags are whole picoseconds, so a gap reaches a 0.5 ps dead time when it
+    reaches 1 ps, and a 1.5 ps one when it reaches 2.  A dead time below 1 ps
+    once sent the filter into an endless loop: the run is a subprocess, so
+    such a relapse fails on the timeout instead of hanging the suite."""
+    code = ("from photon_correlator import DetectorModel, TagStream, detect\n"
+            "for dead_time in (0.5, 1.5):\n"
+            "    out = detect(TagStream([0, 1, 1, 2, 3, 5], 10, 0),\n"
+            "                 DetectorModel('D', 1.0, 0.0, 0.0, dead_time), seed=1)\n"
+            "    print(out.times.tolist())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 1, 2, 3, 5]", "[0, 2, 5]"]
 
 
 @pytest.mark.parametrize("rate_tau", [0.1, 1.0])
