@@ -230,19 +230,20 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     """`reverse_start_stop` of the detections in `tag_blocks`, int64 arrays
     in any order and of any sizes, against the sorted clock `ticks`: an
     int64 array or a `sources.clock_lattice`.  `_next_tick` finds each
-    detection's next tick, with no binary search on a lattice clock.
-    Beside the histogram it holds the delays of at most n_bins + 2^14
-    detections, binned at least n_bins at a time, as each `bincount`
-    fills all n_bins bins.
+    detection's next tick, with no binary search on a lattice clock, and
+    the clock's ends and spacing bound are read once.  Beside the histogram
+    it holds the delays of at most n_bins + 2^14 detections, binned at
+    least n_bins at a time, as each `bincount` fills all n_bins bins.
     """
     if ticks.size == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
+    frame = _clock_frame(ticks)
     counts = np.zeros(config.n_bins, dtype=np.int64)
     pending, n_starts = [], 0
     for tags in tag_blocks:
         n_starts += tags.size
         for start in range(0, tags.size, _BLOCK):
-            pending.append(_next_tick_delays(ticks, tags[start:start + _BLOCK],
+            pending.append(_next_tick_delays(ticks, frame, tags[start:start + _BLOCK],
                                              remap_period_ps))
             if sum(map(len, pending)) >= config.n_bins:
                 counts += _bin_delays(np.concatenate(pending), config)
@@ -252,35 +253,60 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     return Histogram(config, counts, n_starts)
 
 
-def _next_tick_delays(ticks, det, remap_period_ps):
+def _clock_frame(ticks):
+    """(first, last, gap) for the nonempty sorted clock `ticks`: its first
+    and last ticks as ints, and a lower bound on the spacing of consecutive
+    ticks, `min_gap_ps` on a lattice and the least spacing, found a block
+    at a time, on an array.  The gap is 0 where the ticks span 2^63 ps or
+    more, as `_next_tick` needs, and where an int64 spacing could wrap."""
+    first, last = ticks[np.array([0, ticks.size - 1])].tolist()
+    if last - first >= 2**63:
+        return first, last, 0
+    if isinstance(ticks, np.ndarray):
+        return first, last, min((int(np.diff(ticks[start:start + _BLOCK + 1]).min())
+                                 for start in range(0, ticks.size - 1, _BLOCK)),
+                                default=0)
+    return first, last, ticks.min_gap_ps
+
+
+def _next_tick_delays(ticks, frame, det, remap_period_ps):
     """The (remapped) delay from each detection in `det` to its next tick;
     a detection after the last tick has none."""
-    det = det[det <= ticks[ticks.size - 1]]
-    delays = _next_tick(ticks, det)
-    delays -= det
+    delays = _next_tick(ticks, det[det <= frame[1]], frame)
     if remap_period_ps is not None:
         np.subtract(int(remap_period_ps), delays, out=delays)
     return delays
 
 
-def _next_tick(ticks, det):
-    """The first tick at or after each detection in `det`, none after the
-    last tick, for sorted int64 `ticks` read only by index: an array or a
-    lattice (`sources.clock_lattice`).  The guess i = ceil((det - t_0) /
-    mean spacing), clipped into the clock, is kept where ticks[i-1] < det
-    <= ticks[i] holds in int64; only the rest are searched, on a lattice
-    clock those within rounding of a tick."""
+def _next_tick(ticks, det, frame):
+    """The delay from each detection in `det` to the first tick at or after
+    it, for sorted int64 `ticks` read only by index, an array or a lattice
+    (`sources.clock_lattice`), `frame` = `_clock_frame(ticks)`, and no
+    detection after the last tick.  The guess i = ceil((det - t_0) / mean
+    spacing), clipped into the clock, is kept where 0 <= ticks[i] - det <
+    gap, as then ticks[i-1] <= ticks[i] - gap < det; ticks[i] - det is the
+    delay returned, so this reads one tick a detection.  The rest are kept
+    where ticks[i-1] < det <= ticks[i] holds in int64, and only those that
+    fail it are searched, on a lattice clock those within rounding of a
+    tick."""
+    first, last, gap = frame
     n = ticks.size
-    first = ticks[0]
-    span = int(ticks[n - 1]) - int(first)
+    span = last - first
     guess = np.subtract(det, first, dtype=np.float64)  # in float: cannot wrap
     guess *= (n - 1) / span if span else 0.0
     i = np.clip(np.ceil(guess, out=guess), 0, n - 1, out=guess).astype(np.int64)
-    at = ticks[i]
-    miss = np.flatnonzero((at < det) | (ticks[i - 1] >= det) & (i > 0))
+    delays = ticks[i]
+    delays -= det
+    # gap > 0 only where the span is under 2^63.  Then, as det <= last, a
+    # delay wraps only if it is past 2^63 - 1, to below 0, so one unsigned
+    # test finds 0 <= delay < gap
+    rest = np.flatnonzero(delays.view(np.uint64) >= np.uint64(gap))
+    i, d = i[rest], det[rest]
+    at = delays[rest] + d  # ticks[i], as the int64 sum undoes the difference
+    miss = rest[(at < d) | (ticks[i - 1] >= d) & (i > 0)]
     if miss.size:
-        at[miss] = ticks[_search(ticks, det[miss])]
-    return at
+        delays[miss] = ticks[_search(ticks, det[miss])] - det[miss]
+    return delays
 
 
 def _search(ticks, det):

@@ -213,8 +213,11 @@ def sample_blocks(model, n_pulses, probabilities, seed):
     sum_{j<i} n_j, with n_j the photons fated to arm j.  A counting pass
     draws and drops the photon-number and fate uniforms to find those
     counts, and each kind of draw then reads from its own generator,
-    advanced to its position.  When the first arm takes every photon no
-    fate is drawn.  The dot holds one block of draws.
+    advanced to its position.  When the photon number is fixed (neither
+    cut p0 nor p0 + p1 inside (0, 1)) no photon-number uniform is drawn,
+    and when the first arm takes every photon no fate is drawn: the
+    generators are advanced past the skipped uniforms, so no other draw
+    moves.  The dot holds one block of draws.
     """
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
@@ -236,15 +239,34 @@ def _every_to_first_arm(cuts):
     return cuts.size > 0 and cuts[0] >= 1
 
 
+def _fixed_photon_number(model):
+    """The photons every pulse emits, or None if the number varies.  A
+    pulse's number is the count of the cuts p0, p0 + p1 at or below its
+    uniform, which is in [0, 1): with no cut inside (0, 1) it is the count
+    of cuts at or below 0, whatever the uniform."""
+    p0, p1, _ = model.photon_dist
+    cuts = (p0, p0 + p1)
+    if any(0 < cut < 1 for cut in cuts):
+        return None
+    return sum(cut <= 0 for cut in cuts)
+
+
 def _dot_counts(model, n_pulses, cuts, seed):
     """(n_photons, sizes): the dot's photons over the run and those fated to
-    each arm, from the photon-number and fate uniforms drawn and dropped."""
+    each arm, from the photon-number and fate uniforms drawn and dropped.
+    A fixed photon number draws no photon-number uniform: the generator is
+    advanced past them, so the fates still start at n_pulses."""
     p0, p1, _ = model.photon_dist
     rng = generator(seed)
-    n_photons = 0
-    for start in range(0, n_pulses, _BLOCK):
-        u = rng.random(min(_BLOCK, n_pulses - start))
-        n_photons += np.count_nonzero(u >= p0) + np.count_nonzero(u >= p0 + p1)
+    fixed = _fixed_photon_number(model)
+    if fixed is None:
+        n_photons = 0
+        for start in range(0, n_pulses, _BLOCK):
+            u = rng.random(min(_BLOCK, n_pulses - start))
+            n_photons += np.count_nonzero(u >= p0) + np.count_nonzero(u >= p0 + p1)
+    else:
+        rng.bit_generator.advance(n_pulses)  # `random` takes one output a number
+        n_photons = fixed * n_pulses
     if _every_to_first_arm(cuts):
         return n_photons, [n_photons] + [0] * (cuts.size - 1)
     per_fate = np.zeros(cuts.size + 1, dtype=np.int64)
@@ -256,7 +278,8 @@ def _dot_counts(model, n_pulses, cuts, seed):
 
 def _dot_blocks(model, n_pulses, cuts, seed, duration, n_photons, sizes):
     """Each block's detections, one int64 array per arm, each kind of draw
-    from its own generator at its position in the stream."""
+    from its own generator at its position in the stream.  A fixed photon
+    number takes each pulse that many times, with no photon-number draw."""
     def at(position):
         rng = generator(seed)
         rng.bit_generator.advance(int(position))  # `random` takes one output a number
@@ -265,14 +288,19 @@ def _dot_blocks(model, n_pulses, cuts, seed, duration, n_photons, sizes):
     delays = [at(n_pulses + n_photons + before)
               for before in np.cumsum([0, *sizes])[:-1].tolist()]
     p0, p1, _ = model.photon_dist
+    fixed = _fixed_photon_number(model)
     every = _every_to_first_arm(cuts)
     for start in range(0, n_pulses, _BLOCK):
-        u = numbers.random(min(_BLOCK, n_pulses - start))
-        counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-        # offsets into the block, in the smallest type, which `repeat` copies fastest
-        emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
-        photons = _pulse_times(np.add(np.repeat(emitting, counts[emitting]), start,
-                                      dtype=np.int64), model.rep_rate_hz)
+        end = min(start + _BLOCK, n_pulses)
+        if fixed is None:
+            u = numbers.random(end - start)
+            counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
+            # offsets into the block, in the smallest type, which `repeat` copies fastest
+            emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
+            pulses = np.add(np.repeat(emitting, counts[emitting]), start, dtype=np.int64)
+        else:
+            pulses = np.arange(start, end, dtype=np.int64).repeat(fixed)
+        photons = _pulse_times(pulses, model.rep_rate_hz)
         if every:
             arms = [photons] + [photons[:0]] * (len(delays) - 1)
         else:
@@ -296,6 +324,26 @@ class _Ticks:
         times = _pulse_times(np.add(i, self.first, dtype=np.int64), self.rep_rate_hz)
         times += self.offset_ps
         return times
+
+    @property
+    def min_gap_ps(self):
+        """A lower bound on the spacing of consecutive ticks, at least 0.
+
+        Tick k is rint(y_k) + offset_ps with y_k = fl(k * P), P the float
+        period.  For k < 2^53 the float k is exact, and y_k is within s/2
+        of k * P, s the float spacing at the window's last y (y grows with
+        k); rint moves it by at most 1/2 more.  So t_{k+1} - t_k >= P - 1 -
+        s, and, as ticks are whole ps, >= floor(P) - 1 - ceil(s).  From 2^53
+        on the index itself rounds and two ticks can coincide, so the bound
+        is 0 there.  s is 1024 ps near 2^63 ps, where at 82 MHz (P = 12195
+        ps) the spacing ranges over 11264-12288 ps: ceil(P) - 2 fails there.
+        """
+        last = self.first + self.size - 1
+        if last >= 2**53:
+            return 0
+        period = pulse_period_ps(self.rep_rate_hz)
+        spacing = float(np.spacing(np.float64(last) * period))
+        return max(0, math.floor(period) - 1 - math.ceil(spacing))
 
 
 def clock_lattice(rep_rate_hz, n_pulses, offset_ps=0):

@@ -36,11 +36,11 @@ from photon_correlator import (
     pulse_period_ps,
     reverse_start_stop,
 )
-from photon_correlator import correlator
-from photon_correlator.correlator import _next_tick, _search
+from photon_correlator import correlator, sources
+from photon_correlator.correlator import _clock_frame, _next_tick, _search
 from photon_correlator.detectors import _record
-from photon_correlator.rng import _BLOCK, derive_seed
-from photon_correlator.sources import clock_lattice, sample_detected
+from photon_correlator.rng import _BLOCK, derive_seed, generator
+from photon_correlator.sources import _Ticks, clock_lattice, sample_detected
 
 from reference_oneshot import (
     reference_clock_ticks,
@@ -55,6 +55,9 @@ SOURCES = [
     *(PulsedSourceModel(REP_HZ, lifetime, dist)
       for dist in ((0.6, 0.4, 0.0), (0.0, 0.7, 0.3))
       for lifetime in (0.0, 370.0, 1e20)),
+    # a fixed photon number, which the sampler takes without a number draw
+    *(PulsedSourceModel(REP_HZ, 370.0, dist)
+      for dist in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))),
     PoissonLaserModel(REP_HZ, 0.8),
 ]
 
@@ -168,6 +171,13 @@ def gapped_ticks(start, gaps):
     return start + np.cumsum(np.array(gaps, dtype=np.int64))
 
 
+def top_window(rate, size, back):
+    """A lattice window of `size` ticks ending `back` pulses before 2^63 ps,
+    or, with a sub-ps period, before pulse 2^63 - 1."""
+    first = min(int(2**63 / pulse_period_ps(rate)), INT64_MAX) - back - size
+    return _Ticks(rate, 0, first, size)
+
+
 CLOCKS = st.one_of(
     # lattices: 82 MHz, sub-ps periods (so repeated ticks) and 1e15 ps periods,
     # with offsets that drop leading ticks; as arrays and as lattices
@@ -176,6 +186,9 @@ CLOCKS = st.one_of(
         else clock_lattice(rate, n, offset)),
               st.sampled_from([REP_HZ, 1.5e12, 3e12, 1e-3]), st.integers(2, 4000),
               st.integers(-10**5, 10**6), st.booleans()),
+    # lattice windows near 2^63 ps, where tick times round to 1024 ps
+    st.builds(top_window, st.sampled_from([REP_HZ, 76e6]), st.integers(2, 4000),
+              st.integers(1, 10**6)),
     # irregular, over the whole int64 range or crowded into a few values
     st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=300).map(
         sorted_ticks),
@@ -213,9 +226,10 @@ def clocks_and_detections(draw):
 def test_next_tick_equals_searchsorted(clock_and_det):
     ticks, array, det = clock_and_det
     det = det[det <= array[-1]]  # after the last tick there is no next tick
-    got = _next_tick(ticks, det)
+    got = _next_tick(ticks, det, _clock_frame(ticks))
     assert got.dtype == np.int64
-    assert np.array_equal(got, array[np.searchsorted(array, det, "left")])
+    # the delays, wrapping in int64 as `_next_tick` subtracts
+    assert np.array_equal(got, array[np.searchsorted(array, det, "left")] - det)
 
 
 @settings(max_examples=300, deadline=None)
@@ -225,6 +239,81 @@ def test_search_equals_searchsorted(clock_and_det):
     got = _search(ticks, det)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.searchsorted(array, det, "left"))
+
+
+@st.composite
+def lattice_windows(draw):
+    rate = draw(st.sampled_from([REP_HZ, 76e6, 1e9, 1.5e12, 1e-3]))
+    size = draw(st.integers(2, 4000))
+    top = top_window(rate, size, 0).first  # the window at back = 0 starts here
+    back = draw(st.one_of(st.integers(1, 10**6), st.integers(1, top)))
+    return top_window(rate, size, min(back, top))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_windows())
+def test_lattice_spacing_bound_holds(window):
+    """Every spacing of consecutive ticks is at least the lattice's bound,
+    which `_next_tick` settles a detection by; the windows reach up to 2^63
+    ps, where the float tick times are 1024 ps apart."""
+    times = window[np.arange(window.size)]
+    assert window.min_gap_ps >= 0
+    assert np.diff(times).min() >= window.min_gap_ps
+
+
+@pytest.mark.parametrize("rate", [REP_HZ, 76e6])
+def test_lattice_spacing_bound_allows_for_rounding_near_2_63(rate):
+    """Near 2^63 ps some spacings are below ceil(P) - 2, so that is no bound
+    there; the bound is floor(P) - 2 at the start of the run, and floor(P)
+    - 1 - 1024 near 2^63 ps."""
+    period = pulse_period_ps(rate)
+    window = top_window(rate, 4000, 1)
+    assert np.diff(window[np.arange(window.size)]).min() < np.ceil(period) - 2
+    assert window.min_gap_ps == np.floor(period) - 1 - 1024
+    assert _Ticks(rate, 0, 0, 4000).min_gap_ps == np.floor(period) - 2
+
+
+def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
+        monkeypatch):
+    """On the streamed recipe (one photon a pulse, all detected) `_next_tick`
+    reads about one lattice tick a detection, as 0 <= ticks[i] - det <
+    `min_gap_ps` settles all but a few, and the clock's ends are read once;
+    and the source stage draws no photon-number uniform (those at stream
+    positions below n_pulses), only one delay a photon.  Reading ticks[i-1]
+    for every detection, or drawing the numbers, fails here."""
+    reads = []
+    getitem = sources._Ticks.__getitem__
+
+    def counting(self, i):
+        reads.append(np.size(i))
+        return getitem(self, i)
+
+    drawn = []  # (stream position, count) of each uniform draw of the source
+
+    class Positioned:
+        def __init__(self, seed):
+            self.rng, self.position, self.bit_generator = generator(seed), 0, self
+
+        def advance(self, n):
+            self.rng.bit_generator.advance(n)
+            self.position += n
+
+        def random(self, size):
+            drawn.append((self.position, size))
+            self.position += size
+            return self.rng.random(size)
+
+    monkeypatch.setattr(sources._Ticks, "__getitem__", counting)
+    monkeypatch.setattr(sources, "generator", Positioned)
+    n_pulses = 2**17
+    cfg = parse_config_text(TCSPC_CFG.replace(str(N_PULSES), str(n_pulses)))
+    hist = pipelines.run_tcspc(cfg).histogram
+    assert hist.total_counts > 0.99 * n_pulses
+    n_blocks = n_pulses // _BLOCK + 1  # and the dark counts' block
+    assert sum(reads) <= 1.01 * hist.n_starts + n_blocks
+    assert sum(max(0, min(start + size, n_pulses) - start)
+               for start, size in drawn) == 0
+    assert sum(size for _, size in drawn) == n_pulses
 
 
 def test_next_tick_searches_few_detections_on_the_recipe_clock(monkeypatch):
