@@ -346,6 +346,24 @@ def decay_model(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     return float(out[0]) if scalar else out
 
 
+# above this z, `decay_model_jacobian` takes 1/sqrt(pi) - z erfcx(z) from
+# its series, as the difference cancels to ~1e-16 z^2 relative
+_SERIES_Z = 30.0
+
+
+def _erfcx_gap(z):
+    """1/sqrt(pi) - z * erfcx(z) for z >= `_SERIES_Z`, from the asymptotic
+    series of erfc (Abramowitz and Stegun 7.1.23): x/sqrt(pi) * (1 - 3x +
+    15x^2 - 105x^3 + ...), x = 1/(2 z^2).  At z = 30 the ninth term is below
+    1e-18 of the sum."""
+    x = 0.5 / z / z  # z * z can overflow
+    total, term = 0.0, 1.0
+    for k in range(1, 9):
+        total += term
+        term *= -(2 * k + 1) * x
+    return x * total / _SQRT_PI
+
+
 def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     """Analytic partial derivatives of `decay_model`.
 
@@ -378,6 +396,19 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
                - gw / (_SQRT2 * _SQRT_PI * sigma_ps)) * amplitude
     J[:, 2] = S
     J[:, 3] = (S / tau_ps - K / (_SQRT2 * sigma_ps)) * amplitude
+    # past _SERIES_Z the tau, sigma and t0 columns above are differences
+    # that cancel to rounding noise.  There they follow from D = 1/sqrt(pi) -
+    # z erfcx(z) and w = u/sigma: the t0 column is T = g (w/(sqrt(pi) a) - D)
+    # / (2 tau z), the tau column a g D / (sqrt(2) tau) and the sigma column
+    # w T - g D / (sqrt(2) tau).  g > 0 bounds |w| by 39, so then a > 3
+    far = (z > _SERIES_Z) & (g > 0)
+    if far.any():
+        z, g, w = z[far], g[far], u[far] / sigma_ps
+        D = _erfcx_gap(z)
+        T = g * (w / (_SQRT_PI * a) - D) / z / (2.0 * tau_ps)
+        J[far, 0] = a * g * D / (_SQRT2 * tau_ps) * amplitude
+        J[far, 1] = (w * T - g * D / (_SQRT2 * tau_ps)) * amplitude
+        J[far, 3] = T * amplitude
     return J
 
 

@@ -17,12 +17,13 @@ holding the darks and one block of jitter; `_record` concatenates its
 blocks and does steps 3 and 4 on the whole stream.  `detect` feeds
 `_record` a photon stream thinned by the system detection efficiency
 (Bernoulli per photon), drawing both from one generator.  The recipes in
-`pipelines` feed it the detected photons they draw directly from the
-source (`sources.sample_detected`), with the detector stage's own
-generator; a TCSPC run with no dead time takes `_recorded_blocks` as they
-come.  `_record` holds the recorded times; only the dead-time filter holds
-more: a mask and one int64 array as long as the tags, then two masks and
-24 bytes for each tag late in its run (below).
+`pipelines` feed it each arm's blocks of the detected photons they draw
+directly from the source (`sources.sample_blocks`), with the detector
+stage's own generator; a TCSPC run with no dead time takes
+`_recorded_blocks` as they come.  `_record` holds the recorded times;
+only the dead-time filter holds more: a mask and one int64 array as long
+as the tags, then two masks and 24 bytes for each tag late in its run
+(below).
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -82,14 +83,15 @@ def detect(photons, model, seed, channel=1):
         raise ValueError("detect requires a stream with duration_ps > 0")
     rng = generator(seed)
     kept = photons.times[rng.random(len(photons)) < model.efficiency]
-    return _record(kept, model, photons.duration_ps, rng, channel)
+    return _record([kept], model, photons.duration_ps, rng, channel)
 
 
-def _record(signal_times, model, duration_ps, rng, channel):
+def _record(signal_blocks, model, duration_ps, rng, channel):
     """The tags `model` records over [0, duration_ps) when it detects photons
-    at `signal_times` (int64, any order; jittered in place): the blocks of
-    `_recorded_blocks`, concatenated, then sort and dead time."""
-    times = np.concatenate(list(_recorded_blocks([signal_times], model, duration_ps,
+    at the times in `signal_blocks` (int64 arrays, any order; jittered in
+    place): the blocks of `_recorded_blocks`, concatenated, then sort and
+    dead time."""
+    times = np.concatenate(list(_recorded_blocks(signal_blocks, model, duration_ps,
                                                  rng)))
     times.sort()
     if model.dead_time_ps > 0:

@@ -9,19 +9,20 @@ or TCSPC run uses, and "de.point<i>.source" and "de.point<i>.detector"
 for sweep point i.
 
 A recipe never makes the source's photon stream: its source stage draws
-only the photons each detector detects (`sources.sample_detected`, with
+only the photons each detector detects (`sources.sample_blocks`, with
 the beamsplitter, attenuator and efficiency folded into one fate per
 photon), and each detector stage draws that detector's darks and jitter
 (`detectors._record`).  The photon-level path gives the same tags in
 distribution: `emit_*_pulse_train` (the same sampler with one arm that
 detects every photon), then `beamsplit`, `attenuate` and `detect`.
 
-HBT and the DE sweep hold each detector's recorded tags.  TCSPC with no
-detector dead time holds no array as long as the run: it draws, records
-and bins one block of pulses at a time (`sources.sample_blocks`,
-`detectors._recorded_blocks`, `correlator.next_tick_histogram`), against
-the sync clock held as its lattice (`sources.clock_lattice`), with the
-same draws and histogram as a pass over whole arrays.
+HBT, the DE sweep and TCSPC with detector dead time hold each arm's
+detected photons, as the sampler's blocks, and each detector's recorded
+tags.  TCSPC with no detector dead time holds no array as long as the
+run: it draws, records and bins one block of pulses at a time
+(`sources.sample_blocks`, `detectors._recorded_blocks`,
+`correlator.next_tick_histogram`), against the sync clock held as its
+lattice (`sources.clock_lattice`).
 
 Each recipe returns, as `result.config`, the config it ran with every
 default it resolved filled in (correlator range, g2 integration
@@ -72,7 +73,6 @@ from .sources import (  # noqa: F401
     emit_laser_pulse_train,
     pulse_period_ps,
     sample_blocks,
-    sample_detected,
 )
 from .timetags import write_tags
 
@@ -86,10 +86,12 @@ def _acquire(cfg, source, n_pulses, source_stage, arms):
     its own stage.
     """
     models = [cfg.detectors[name] for name, _, _ in arms]
-    duration, signals = sample_detected(
+    duration, blocks = sample_blocks(
         source, n_pulses, [reach * model.efficiency
                            for (_, reach, _), model in zip(arms, models)],
         derive_seed(cfg.seed, source_stage))
+    # each arm's blocks; a dot run of no pulses yields no block
+    signals = list(zip(*blocks)) or [()] * len(arms)
     return [_record(signals.pop(0), model, duration,  # each freed once recorded
                     generator(derive_seed(cfg.seed, stage)),
                     sorted(cfg.detectors).index(name) + 1)
@@ -216,19 +218,18 @@ def _tcspc_histogram(cfg):
     has no dead time: each block of pulses is drawn, recorded and binned in
     turn, in no order (the histogram does not depend on it), against the
     clock held as its lattice.  A dead-time filter needs the whole sorted
-    stream, which is recorded as in `run_hbt`."""
+    stream, which `_record` makes of the blocks."""
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     name = cfg.tcspc.detector
-    model, stage = cfg.detectors[name], f"detector.{name}"
+    model = cfg.detectors[name]
+    duration, blocks = sample_blocks(cfg.source, cfg.n_pulses, [model.efficiency],
+                                     derive_seed(cfg.seed, "source"))
+    signal = (arm for arm, in blocks)
+    rng = generator(derive_seed(cfg.seed, f"detector.{name}"))
     if model.dead_time_ps > 0:
-        detections, = _acquire(cfg, cfg.source, cfg.n_pulses, "source",
-                               [(name, 1.0, stage)])
-        tags = [detections.times]
+        tags = [_record(signal, model, duration, rng, channel=1).times]
     else:
-        duration, _, blocks = sample_blocks(cfg.source, cfg.n_pulses, [model.efficiency],
-                                            derive_seed(cfg.seed, "source"))
-        tags = _recorded_blocks((arm for arm, in blocks), model, duration,
-                                generator(derive_seed(cfg.seed, stage)))
+        tags = _recorded_blocks(signal, model, duration, rng)
     clock = clock_lattice(cfg.source.rep_rate_hz, cfg.n_pulses,
                           offset_ps=int(round(period / 2.0)))
     return next_tick_histogram(tags, clock, cfg.correlator,

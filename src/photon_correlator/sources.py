@@ -14,17 +14,16 @@ the observation window (possible only for delays longer than the
 remaining acquisition time) are dropped so streams always satisfy
 0 <= t < duration_ps.
 
-`sample_detected` is the one sampler.  It draws, for each detector arm,
+`sample_blocks` is the one sampler.  It draws, for each detector arm,
 only the photons that arm detects, without making the source stream: the
 routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
-1993).  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
+1993).  It works one block of pulses at a time and holds one block of
+draws.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
 sampler with one arm that detects every photon: the source stream.
-`sample_blocks` is the same sampler one block of pulses at a time, and
-holds one block of draws; `sample_detected` holds its output as well (8
-bytes a detected photon).  `clock_lattice` is the sync clock held as its
-lattice, with nothing per tick.
+`clock_lattice` is the sync clock held as its lattice, with nothing per
+tick.
 """
 
 import math
@@ -165,41 +164,23 @@ def emit_laser_pulse_train(model, n_pulses, seed):
 
 
 def _every_photon(model, n_pulses, seed):
-    """The source stream: `sample_detected` with every photon detected."""
-    duration, (times,) = sample_detected(model, n_pulses, [1.0], seed)
+    """The source stream: `sample_blocks` with every photon detected."""
+    duration, blocks = sample_blocks(model, n_pulses, [1.0], seed)
+    times = np.concatenate([np.empty(0, dtype=np.int64), *(arm for arm, in blocks)])
     times.sort()
     return TagStream(times, duration, SOURCE_CHANNEL)
 
 
-def sample_detected(model, n_pulses, probabilities, seed):
-    """Times of the photons each arm detects over `n_pulses` pulses of `model`.
+def sample_blocks(model, n_pulses, probabilities, seed):
+    """Times of the photons each arm detects over `n_pulses` pulses of
+    `model`, one block of `_BLOCK` pulses at a time.
 
     A source photon is detected in arm i with probability probabilities[i]
     and lost otherwise (the probabilities sum to at most 1).  Returns
-    (duration_ps, arms): one int64 array per arm, in no particular order,
-    of times in [0, duration_ps).  With one arm of probability 1 that arm
-    holds every photon of the source; the emit_*_pulse_train functions
-    return it sorted.  The arrays are the blocks of `sample_blocks`
-    concatenated, each arm's filled into one array of its counted size.
-    """
-    duration, sizes, blocks = sample_blocks(model, n_pulses, probabilities, seed)
-    arms = [np.empty(size, dtype=np.int64) for size in sizes]
-    ends = [0] * len(arms)
-    for block in blocks:
-        for i, times in enumerate(block):
-            arms[i][ends[i]:ends[i] + times.size] = times
-            ends[i] += times.size
-    return duration, [arm[:end] for arm, end in zip(arms, ends)]
-
-
-def sample_blocks(model, n_pulses, probabilities, seed):
-    """`sample_detected` one block of `_BLOCK` pulses at a time.
-
-    Returns (duration_ps, sizes, blocks).  `blocks` yields, for each block
-    of pulses in turn, one int64 array per arm of the times that arm
-    detects from those pulses; the laser's detections come as one block.
-    sizes[i] bounds arm i's total: it counts the photons before those past
-    the run are dropped.
+    (duration_ps, blocks).  `blocks` yields, for each block of pulses in
+    turn, one int64 array per arm, in no particular order, of the times in
+    [0, duration_ps) that arm detects from those pulses; the laser's
+    detections come as one block, and a dot run of no pulses yields none.
 
     Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's
     detections in arm i are Poisson(n_pulses * mu * p_i) in total, each in
@@ -207,17 +188,13 @@ def sample_blocks(model, n_pulses, probabilities, seed):
     detections.  The dot draws one photon number per pulse, from one
     uniform by inverse CDF, and one fate per photon, so the two photons of
     a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.  Its uniforms sit in the PCG64 stream
-    as one pass over the run would draw them: the photon numbers from 0,
-    the fates from n_pulses, and arm i's delays from n_pulses + n_photons +
-    sum_{j<i} n_j, with n_j the photons fated to arm j.  A counting pass
-    draws and drops the photon-number and fate uniforms to find those
-    counts, and each kind of draw then reads from its own generator,
-    advanced to its position.  When the photon number is fixed (neither
-    cut p0 nor p0 + p1 inside (0, 1)) no photon-number uniform is drawn,
-    and when the first arm takes every photon no fate is drawn: the
-    generators are advanced past the skipped uniforms, so no other draw
-    moves.  The dot holds one block of draws.
+    photons get an emission delay.  Each kind of dot draw reads its own
+    stream (`_stream`) in the order its values are used: the photon
+    numbers stream 0, the fates stream 1 and arm i's delays stream 2 + i.
+    No draw depends on how many another kind makes, so a fixed photon
+    number (neither cut p0 nor p0 + p1 inside (0, 1)) draws no
+    photon-number uniform, and when the first arm takes every photon no
+    fate is drawn.
     """
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
@@ -226,70 +203,29 @@ def sample_blocks(model, n_pulses, probabilities, seed):
         arms = [_emission_times(0, _pulse_times(rng.integers(0, n_pulses, rng.poisson(
                     n_pulses * model.mu * p)), model.rep_rate_hz), duration, rng)
                 for p in probabilities]
-        return duration, [arm.size for arm in arms], iter([arms])
-    cuts = np.cumsum(probabilities)
-    n_photons, sizes = _dot_counts(model, n_pulses, cuts, seed)
-    return duration, sizes, _dot_blocks(model, n_pulses, cuts, seed, duration,
-                                        n_photons, sizes)
+        return duration, iter([arms])
+    return duration, _dot_blocks(model, n_pulses, np.cumsum(probabilities), seed,
+                                 duration)
 
 
-def _every_to_first_arm(cuts):
+def _stream(seed, jumps):
+    """The stage's generator with its PCG64 state jumped `jumps` times (0 is
+    `generator(seed)`): streams of different jumps lie far apart in PCG64's
+    2^128 period, so none reads another's numbers."""
+    return np.random.Generator(generator(seed).bit_generator.jumped(jumps))
+
+
+def _dot_blocks(model, n_pulses, cuts, seed, duration):
+    """Each block's detections, one int64 array per arm."""
+    numbers, fates, *delays = [_stream(seed, k) for k in range(2 + cuts.size)]
+    p0, p1, _ = model.photon_dist
+    # a pulse's photon number is the count of the cuts p0, p0 + p1 at or below
+    # its uniform, which is in [0, 1): with no cut inside (0, 1) it is the
+    # count of cuts at or below 0, whatever the uniform, and none is drawn
+    fixed = None if 0 < p0 < 1 or 0 < p0 + p1 < 1 else (p0 <= 0) + (p0 + p1 <= 0)
     # a photon's fate is the number of cuts at or below its uniform; as the
     # uniforms are < 1, a first cut at 1 or more gives every photon to arm 0
-    return cuts.size > 0 and cuts[0] >= 1
-
-
-def _fixed_photon_number(model):
-    """The photons every pulse emits, or None if the number varies.  A
-    pulse's number is the count of the cuts p0, p0 + p1 at or below its
-    uniform, which is in [0, 1): with no cut inside (0, 1) it is the count
-    of cuts at or below 0, whatever the uniform."""
-    p0, p1, _ = model.photon_dist
-    cuts = (p0, p0 + p1)
-    if any(0 < cut < 1 for cut in cuts):
-        return None
-    return sum(cut <= 0 for cut in cuts)
-
-
-def _dot_counts(model, n_pulses, cuts, seed):
-    """(n_photons, sizes): the dot's photons over the run and those fated to
-    each arm, from the photon-number and fate uniforms drawn and dropped.
-    A fixed photon number draws no photon-number uniform: the generator is
-    advanced past them, so the fates still start at n_pulses."""
-    p0, p1, _ = model.photon_dist
-    rng = generator(seed)
-    fixed = _fixed_photon_number(model)
-    if fixed is None:
-        n_photons = 0
-        for start in range(0, n_pulses, _BLOCK):
-            u = rng.random(min(_BLOCK, n_pulses - start))
-            n_photons += np.count_nonzero(u >= p0) + np.count_nonzero(u >= p0 + p1)
-    else:
-        rng.bit_generator.advance(n_pulses)  # `random` takes one output a number
-        n_photons = fixed * n_pulses
-    if _every_to_first_arm(cuts):
-        return n_photons, [n_photons] + [0] * (cuts.size - 1)
-    per_fate = np.zeros(cuts.size + 1, dtype=np.int64)
-    for start in range(0, n_photons, _BLOCK):
-        fates = np.searchsorted(cuts, rng.random(min(_BLOCK, n_photons - start)), "right")
-        per_fate += np.bincount(fates, minlength=cuts.size + 1)
-    return n_photons, per_fate[:-1].tolist()
-
-
-def _dot_blocks(model, n_pulses, cuts, seed, duration, n_photons, sizes):
-    """Each block's detections, one int64 array per arm, each kind of draw
-    from its own generator at its position in the stream.  A fixed photon
-    number takes each pulse that many times, with no photon-number draw."""
-    def at(position):
-        rng = generator(seed)
-        rng.bit_generator.advance(int(position))  # `random` takes one output a number
-        return rng
-    numbers, fates = at(0), at(n_pulses)
-    delays = [at(n_pulses + n_photons + before)
-              for before in np.cumsum([0, *sizes])[:-1].tolist()]
-    p0, p1, _ = model.photon_dist
-    fixed = _fixed_photon_number(model)
-    every = _every_to_first_arm(cuts)
+    every = cuts.size > 0 and cuts[0] >= 1
     for start in range(0, n_pulses, _BLOCK):
         end = min(start + _BLOCK, n_pulses)
         if fixed is None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photon_correlator import TagStream, merge_histograms, tac_histogram
+from photon_correlator.sources import sample_blocks
 
 
 def empty_stream(duration_ps=0):
@@ -32,6 +33,23 @@ def chunked_histogram(starts, stops, config, n_chunks):
     return functools.reduce(merge_histograms, (
         tac_histogram(starts.subset(slice(a, b)), stops, config)
         for a, b in zip(bounds[:-1], bounds[1:])))
+
+
+def arm_blocks(model, n_pulses, probabilities, seed):
+    """(duration_ps, arms): the blocks of `sources.sample_blocks` gathered
+    into one list per arm, as `pipelines._acquire` holds them."""
+    duration, blocks = sample_blocks(model, n_pulses, probabilities, seed)
+    arms = [[] for _ in probabilities]
+    for block in blocks:
+        for arm, times in zip(arms, block):
+            arm.append(times)
+    return duration, arms
+
+
+def sample_arms(model, n_pulses, probabilities, seed):
+    """`arm_blocks` with each arm's blocks concatenated into one array."""
+    duration, arms = arm_blocks(model, n_pulses, probabilities, seed)
+    return duration, [np.concatenate([np.empty(0, np.int64), *arm]) for arm in arms]
 
 
 def finite_difference_jacobian(fn, x, rel_step=1e-6):

@@ -1,0 +1,81 @@
+"""Expected histograms from the model parameters, for chi-square gates on the
+simulated data.
+
+These judge a simulated histogram bin by bin against what the physics
+predicts.  They read only the fields of a resolved run config and compute
+with scipy's distributions, so they share no code with
+`photon_correlator.analysis.decay_model`, the samplers or the correlator:
+a wrong jitter width, a remap offset or a wrong lifetime in the program
+shows as a chi-square the model does not allow.
+
+* `expected_tcspc_counts`: reverse start-stop TCSPC of a dot source
+  against the sync clock (W. Becker, *Advanced Time-Correlated Single
+  Photon Counting Techniques*, Springer, 2005);
+* `pearson_chi2`: Pearson's statistic with low expectations merged.
+"""
+
+import math
+
+import numpy as np
+from scipy import stats
+
+
+def expected_tcspc_counts(cfg):
+    """Expected counts in each bin of `simulate-tcspc` on `cfg`, a run config
+    with its correlator range resolved, for a dot source.
+
+    Pulse k fires at p_k = round(k P), P = 1e12 / rep_rate_hz, and the clock
+    ticks at p_k + h, h = round(P / 2).  A photon at p_k + s, with s an
+    Exponential(tau) delay plus Gaussian(sigma) jitter, is timed against
+    the first tick at or after it, tick k + j, and binned at R - (p_{k+j} +
+    h - p_k - s) = s + R - h - jP, R = round(P).  So the binned value is
+    the exponentially modified Gaussian of s shifted by R - h, plus its
+    images shifted by multiples of P (photons delayed past the next tick,
+    or jittered before the previous one).  The delay and the jitter are
+    each rounded to whole ps, so an integer bin [lo, hi) takes s in
+    [lo - 1/2, hi - 1/2) shifted.  Dark counts fall uniformly over the
+    period: a flat floor.  The run's first and last pulses, where a
+    photon is clamped to the run or has no later tick, are left out: they
+    move a few counts at most.
+    """
+    source, corr = cfg.source, cfg.correlator
+    detector = cfg.detectors[cfg.tcspc.detector]
+    period = 1e12 / source.rep_rate_hz
+    shift = round(period) - round(period / 2.0)
+    sigma = detector.jitter_fwhm_ps / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    tau = source.lifetime_ps
+    _, p1, p2 = source.photon_dist
+    n_signal = cfg.n_pulses * (p1 + 2.0 * p2) * detector.efficiency
+    n_dark = detector.dark_rate_hz * round(cfg.n_pulses * period) * 1e-12
+
+    edges = (np.arange(corr.n_bins + 1) * corr.bin_width_ps + corr.range_min_ps
+             - shift - 0.5)
+    delay = stats.exponnorm(tau / sigma, scale=sigma)
+    reach = 40.0 * (tau + sigma)  # past it, the delay's tail is below 1e-17
+    images = range(-1 - int(reach // period), 2 + int(reach // period))
+    signal = sum(np.diff(delay.cdf(edges + j * period)) for j in images)
+    return n_signal * signal + n_dark * corr.bin_width_ps / period
+
+
+def pearson_chi2(observed, expected, min_expected=5.0):
+    """(statistic, dof, p) of Pearson's chi-square for the counts `observed`
+    against `expected`, whose total is fixed by the run.
+
+    Adjacent bins are merged from the first on until each group expects at
+    least `min_expected`; a short remainder joins the last group.
+    """
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    starts, total = [0], 0.0
+    for i, e in enumerate(expected[:-1], 1):
+        total += e
+        if total >= min_expected:
+            starts.append(i)
+            total = 0.0
+    if len(starts) > 1 and expected[starts[-1]:].sum() < min_expected:
+        starts.pop()
+    o = np.add.reduceat(observed, starts)
+    e = np.add.reduceat(expected, starts)
+    statistic = float(np.sum((o - e) ** 2 / e))
+    dof = len(starts) - 1
+    return statistic, dof, float(stats.chi2.sf(statistic, dof))

@@ -3,12 +3,14 @@
 `photon_correlator` draws and computes in fixed-size blocks so that each
 stage holds only its output plus one block of temporaries.  These are the
 same stages done in one pass over whole arrays, kept to check that the
-blocked versions return the same arrays exactly: they draw from a
-generator seeded the same way, in the same order, with the same numpy
-calls on whole arrays.
+blocked versions return the same arrays exactly: they draw from
+generators seeded the same way, each read in the same order, with the
+same numpy calls on whole arrays.
 
-* `reference_sample_detected` is `sources.sample_detected`: returns
-  (duration_ps, arms);
+* `reference_sample_blocks` is `sources.sample_blocks` with each arm's
+  blocks concatenated: returns (duration_ps, arms).  The dot draws its
+  photon numbers, its fates and arm i's emission delays from the stage's
+  PCG64 jumped 0, 1 and 2 + i times;
 * `reference_record` is `detectors._record`: returns the recorded times;
 * `reference_clock_ticks` is `sources.emit_clock_ticks`: returns the
   tick times;
@@ -43,26 +45,30 @@ def _emission_times(model, pulse_times, duration, rng):
     return delays[kept]
 
 
-def reference_sample_detected(model, n_pulses, probabilities, seed):
-    rng = np.random.default_rng(int(seed))
+def _jumped(seed, jumps):
+    return np.random.Generator(np.random.PCG64(int(seed)).jumped(jumps))
+
+
+def reference_sample_blocks(model, n_pulses, probabilities, seed):
     duration = _duration(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
+        rng = np.random.default_rng(int(seed))
         arms = [_pulse_times(rng.integers(0, n_pulses,
                                           rng.poisson(n_pulses * model.mu * p)),
                              model.rep_rate_hz)
                 for p in probabilities]
         return duration, [times[times < duration] for times in arms]
     p0, p1, _ = model.photon_dist
-    u = rng.random(n_pulses)
+    u = _jumped(seed, 0).random(n_pulses)
     counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
     emitting = np.flatnonzero(counts)
     photon_pulses = np.repeat(emitting, counts[emitting])
     fates = np.searchsorted(np.cumsum(probabilities),
-                            rng.random(photon_pulses.size), side="right")
+                            _jumped(seed, 1).random(photon_pulses.size), side="right")
     arms = []
     for i in range(len(probabilities)):
         pulse_times = _pulse_times(photon_pulses[fates == i], model.rep_rate_hz)
-        arms.append(_emission_times(model, pulse_times, duration, rng))
+        arms.append(_emission_times(model, pulse_times, duration, _jumped(seed, 2 + i)))
     return duration, arms
 
 

@@ -39,8 +39,9 @@ from photon_correlator.pipelines import run_de_sweep, run_hbt, run_tcspc
 
 from conftest import (chunked_histogram, finite_difference_jacobian, poisson_stream,
                       random_stream)
+from oracle_histograms import expected_tcspc_counts, pearson_chi2
 from reference_oneshot import (reference_clock_ticks, reference_record,
-                               reference_sample_detected)
+                               reference_sample_blocks)
 from test_analysis import convolution_oracle, relative_jacobian_error
 
 REP_HZ = 82e6
@@ -442,14 +443,14 @@ def test_criterion_7_determinism(tmp_path):
 PINNED_DATA = {
     "simulate-hbt": {
         "detections_APD.ttag":
-            "b92c61ede1ded22c943fbf159fff2f01e03c81c80017e5c58b6e6d92569f4412",
+            "9dffac2706a23139e442c6bd9eaff31481cee6b7bd6564db41efd9b7e591ea49",
         "detections_SSPD.ttag":
-            "fab9e2285030a14075c643f14e8b72efd7f9bee009c42cd297c9a477e4b9d742",
+            "f06e9b38a9825f66a43c8251a79ffc13218fdcbd69de63f5832b54dcb45a6786",
         "histogram.csv":
-            "bb35589acb020e0e882621801fc8b9235d14d9229e2a28c36143c2612c575c7f",
+            "30fcc3720047203740005e04c0dc898e4beda955f925da51eb9b283240aaf184",
     },
     "simulate-tcspc": {"histogram.csv":
-        "14957cc5c2e34fafc805d07ebd1c7affc6bf730ab94aeb3cf5a65f1a2f69b07f"},
+        "160765c6e1966a03fa556ae911dc5a3ebbc4c7b5bbd121b9d60403fbc4b9ad74"},
     "simulate-de-sweep": {"sweep.csv":
         "5e917d0648644496582f65b5d2702a3d12bd65da7b5563d011ef36862ee12c97"},
 }
@@ -464,6 +465,26 @@ def test_simulated_data_is_pinned(tmp_path, name, cfg_text, extra):
     assert main([name, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
     assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
             for file in PINNED_DATA[name]} == PINNED_DATA[name]
+
+
+def test_tcspc_histograms_match_the_expected_histogram():
+    """SMALL_TCSPC at five seeds, bin by bin, against the counts the model
+    expects (`oracle_histograms`), by Pearson's chi-square: the shape check
+    that the pinned digests cannot make.  Each seed is checked, and so is
+    the sum of the five, which is one run of five times the pulses: at one
+    seed a jitter sigma 5 % off or a lifetime 2 % off moves the statistic
+    by about its own spread, while the sum fails them, and the remap one
+    bin off fails every seed."""
+    runs = [run_tcspc(pc.parse_config_text(
+        SMALL_TCSPC.replace("seed = 31013", f"seed = {seed}"))) for seed in range(1, 6)]
+    expected = expected_tcspc_counts(runs[0].config)
+    checks = [(f"seed {seed}", run.histogram.counts, expected)
+              for seed, run in enumerate(runs, 1)]
+    checks.append(("the five seeds", sum(run.histogram.counts for run in runs),
+                   len(runs) * expected))
+    for label, counts, mean in checks:
+        statistic, dof, p = pearson_chi2(counts, mean)
+        assert p > 1e-3, f"{label}: chi2 = {statistic:.1f} on {dof} dof"
 
 
 # 65535 bins of (2^64 - 1) / 65535 ps span the whole int64 range, so a
@@ -491,8 +512,8 @@ def test_simulate_tcspc_bins_a_range_wider_than_2_63(tmp_path, capsys, analysis,
         assert capsys.readouterr().err.startswith("analysis error: ")
         return
     cfg = pc.parse_config_text(SMALL_TCSPC)
-    duration, (signal,) = reference_sample_detected(cfg.source, cfg.n_pulses, [1.0],
-                                                    derive_seed(cfg.seed, "source"))
+    duration, (signal,) = reference_sample_blocks(cfg.source, cfg.n_pulses, [1.0],
+                                                  derive_seed(cfg.seed, "source"))
     tags = reference_record(signal, cfg.detectors["DET"], duration,
                             np.random.default_rng(derive_seed(cfg.seed, "detector.DET")))
     clock = reference_clock_ticks(REP_HZ, cfg.n_pulses, round(PERIOD / 2))

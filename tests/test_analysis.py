@@ -314,6 +314,7 @@ class TestJacobians:
 
     def test_decay_jacobian_vs_central_differences(self):
         rng = np.random.default_rng(7)
+        cases = []
         for _ in range(10):
             p = np.array([
                 rng.uniform(150, 800),    # tau
@@ -322,10 +323,21 @@ class TestJacobians:
                 rng.uniform(-200, 800),   # t0
                 rng.uniform(0, 50),       # background
             ])
-            t = p[3] + np.linspace(-3 * p[1], 4 * p[0], 37)
+            cases.append((p, p[3] + np.linspace(-3 * p[1], 4 * p[0], 37)))
+        # sigma/tau up to 1e6, where the tau and sigma columns are differences
+        # that cancel unless evaluated directly.  The amplitude keeps the peak
+        # ~400 counts over the background, t0 ~ sigma keeps its difference
+        # step (1e-6 t0) in proportion to the curve, and 36 points miss the
+        # zeros of the sigma and t0 columns, where the differences' rounding
+        # would show
+        for ratio in (1e2, 1e4, 1e6):
+            sigma = 100.0 * ratio
+            p = np.array([100.0, sigma, 1e3 * ratio, 0.5 * sigma, 2.0])
+            cases.append((p, p[3] + np.linspace(-3 * sigma, 3 * sigma, 36)))
+        for p, t in cases:
             J = decay_model_jacobian(t, *p)
             J_fd = finite_difference_jacobian(lambda q: decay_model(t, *q), p)
-            assert relative_jacobian_error(J, J_fd) < 1e-5
+            assert relative_jacobian_error(J, J_fd) < 1e-5, p
 
     def test_gaussian_jacobian_vs_central_differences(self):
         rng = np.random.default_rng(8)

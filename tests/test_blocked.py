@@ -4,11 +4,11 @@ memory.
 Each blocked stage, and the streamed TCSPC recipe as a whole, must return
 exactly what the one-shot reference chain in `reference_oneshot.py`
 returns, also at the block edges.  That rests on numpy's PCG64 generator
-drawing the same numbers however a draw is split, and on `advance(n)`
-skipping just what `random(n)` draws.  Both are checked here too, so that
-a numpy release that breaks them fails these tests instead of changing
-runs silently.  The memory gates hold each stage to its output plus a
-fixed allowance, and the streamed recipe to one bound at any run length.
+drawing the same numbers however a draw is split.  That is checked here
+too, so that a numpy release that breaks it fails these tests instead of
+changing runs silently.  The memory gates hold each stage to its output
+plus a fixed allowance, and the streamed recipe to one bound at any run
+length.
 """
 
 import tracemalloc
@@ -39,14 +39,15 @@ from photon_correlator import (
 from photon_correlator import correlator, sources
 from photon_correlator.correlator import _clock_frame, _next_tick, _search
 from photon_correlator.detectors import _record
-from photon_correlator.rng import _BLOCK, derive_seed, generator
-from photon_correlator.sources import _Ticks, clock_lattice, sample_detected
+from photon_correlator.rng import _BLOCK, derive_seed
+from photon_correlator.sources import _Ticks, clock_lattice, sample_blocks
 
+from conftest import arm_blocks, sample_arms
 from reference_oneshot import (
     reference_clock_ticks,
     reference_record,
     reference_reverse_start_stop,
-    reference_sample_detected,
+    reference_sample_blocks,
 )
 
 REP_HZ = 82e6
@@ -74,10 +75,10 @@ def assert_same_arrays(got, expected):
 # 0.9999999999999999, so a photon can still be lost; an arm of 0 ties two cuts
 @pytest.mark.parametrize("probabilities", [[1.0], [0.3, 0.5], [1.0, 0.0], [0.1] * 10,
                                            [0.3, 0.0, 0.5], [0.0, 1.0]])
-def test_sample_detected_equals_one_shot(n_pulses, source, probabilities):
-    duration, arms = sample_detected(source, n_pulses, probabilities, seed=12)
-    ref_duration, ref_arms = reference_sample_detected(source, n_pulses, probabilities,
-                                                       seed=12)
+def test_sample_blocks_equals_one_shot(n_pulses, source, probabilities):
+    duration, arms = sample_arms(source, n_pulses, probabilities, seed=12)
+    ref_duration, ref_arms = reference_sample_blocks(source, n_pulses, probabilities,
+                                                     seed=12)
     assert duration == ref_duration
     assert_same_arrays(arms, ref_arms)
 
@@ -87,11 +88,13 @@ def test_sample_detected_equals_one_shot(n_pulses, source, probabilities):
 @pytest.mark.parametrize("jitter_fwhm_ps", [0.0, 170.0])
 @pytest.mark.parametrize("dead_time_ps", [0, 20_000])
 def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_time_ps):
-    # without darks the tags end on the block edges; dark counts move them
+    # without darks the tags end on the block edges; dark counts move them.
+    # The signal comes in three blocks, as a recipe feeds each arm's blocks
     duration = 40 * n_signal + 1000
     signal = np.random.default_rng(n_signal).integers(0, duration, n_signal)
     model = DetectorModel("D", 1.0, dark_rate_hz, jitter_fwhm_ps, dead_time_ps)
-    got = _record(signal.copy(), model, duration, np.random.default_rng(3), 1)
+    got = _record(np.array_split(signal.copy(), 3), model, duration,
+                  np.random.default_rng(3), 1)
     assert np.array_equal(got.times,
                           reference_record(signal, model, duration,
                                            np.random.default_rng(3)))
@@ -100,7 +103,7 @@ def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_tim
 def test_record_clamps_huge_jitter_like_one_shot():
     signal = np.arange(0, 10 * (_BLOCK + 1), 10)
     model = DetectorModel("D", 1.0, 0.0, 1e30)
-    got = _record(signal.copy(), model, 10 * signal.size, np.random.default_rng(4), 1)
+    got = _record([signal.copy()], model, 10 * signal.size, np.random.default_rng(4), 1)
     expected = reference_record(signal, model, 10 * signal.size, np.random.default_rng(4))
     assert np.array_equal(got.times, expected)
     assert set(np.unique(got.times)) == {0, 10 * signal.size - 1}
@@ -148,7 +151,7 @@ def test_streamed_tcspc_equals_one_shot_chain(n_pulses, source, efficiency,
     cfg = replace(cfg, correlator=pipelines._tcspc_correlator_config(cfg))
     hist = pipelines._tcspc_histogram(cfg)
 
-    duration, (signal,) = reference_sample_detected(
+    duration, (signal,) = reference_sample_blocks(
         source, n_pulses, [efficiency], derive_seed(cfg.seed, "source"))
     tags = reference_record(signal, model, duration,
                             np.random.default_rng(derive_seed(cfg.seed, "detector.DET")))
@@ -278,9 +281,10 @@ def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
     """On the streamed recipe (one photon a pulse, all detected) `_next_tick`
     reads about one lattice tick a detection, as 0 <= ticks[i] - det <
     `min_gap_ps` settles all but a few, and the clock's ends are read once;
-    and the source stage draws no photon-number uniform (those at stream
-    positions below n_pulses), only one delay a photon.  Reading ticks[i-1]
-    for every detection, or drawing the numbers, fails here."""
+    and the source stage draws no photon-number uniform (stream 0 of
+    `sources._stream`) and no fate (stream 1), only one delay a photon
+    (stream 2).  Reading ticks[i-1] for every detection, or drawing the
+    numbers or the fates, fails here."""
     reads = []
     getitem = sources._Ticks.__getitem__
 
@@ -288,32 +292,27 @@ def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
         reads.append(np.size(i))
         return getitem(self, i)
 
-    drawn = []  # (stream position, count) of each uniform draw of the source
+    drawn = {}  # uniforms drawn from each stream of the source, by its jumps
+    stream = sources._stream
 
-    class Positioned:
-        def __init__(self, seed):
-            self.rng, self.position, self.bit_generator = generator(seed), 0, self
-
-        def advance(self, n):
-            self.rng.bit_generator.advance(n)
-            self.position += n
+    class Counted:
+        def __init__(self, seed, jumps):
+            self.rng, self.jumps = stream(seed, jumps), jumps
+            drawn[jumps] = 0
 
         def random(self, size):
-            drawn.append((self.position, size))
-            self.position += size
+            drawn[self.jumps] += size
             return self.rng.random(size)
 
     monkeypatch.setattr(sources._Ticks, "__getitem__", counting)
-    monkeypatch.setattr(sources, "generator", Positioned)
+    monkeypatch.setattr(sources, "_stream", Counted)
     n_pulses = 2**17
     cfg = parse_config_text(TCSPC_CFG.replace(str(N_PULSES), str(n_pulses)))
     hist = pipelines.run_tcspc(cfg).histogram
     assert hist.total_counts > 0.99 * n_pulses
     n_blocks = n_pulses // _BLOCK + 1  # and the dark counts' block
     assert sum(reads) <= 1.01 * hist.n_starts + n_blocks
-    assert sum(max(0, min(start + size, n_pulses) - start)
-               for start, size in drawn) == 0
-    assert sum(size for _, size in drawn) == n_pulses
+    assert drawn == {0: 0, 1: 0, 2: n_pulses}
 
 
 def test_next_tick_searches_few_detections_on_the_recipe_clock(monkeypatch):
@@ -372,32 +371,13 @@ def test_pcg64_draws_do_not_depend_on_how_they_are_split(seed):
         assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]), whole)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_pcg64_advance_equals_drawing_uniforms(seed):
-    """Advancing PCG64 by n outputs leaves it where `random(n)` does, as each
-    double takes one 64-bit output, so later `random`, `normal` and
-    `integers` draws are the same.  The dot sampler skips the fate uniforms
-    of an arm that takes every photon this way.  It holds with no 32-bit
-    half-output pending, as after `random`: `advance` discards that half."""
-    n = 3 * _BLOCK + 7
-    skipped, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
-    for rng in (skipped, drawn):
-        rng.random(_BLOCK + 1)  # as the photon numbers before the fates
-    skipped.bit_generator.advance(n)
-    drawn.random(n)
-    for draw in (lambda g: g.random(9), lambda g: g.normal(0.0, 72.2, 9),
-                 lambda g: g.integers(0, 10**6, 9), lambda g: g.integers(0, 2**40, 9),
-                 lambda g: g.random(9)):
-        assert np.array_equal(draw(skipped), draw(drawn))
-
-
 # ---------------------------------------------------------------------------
 # run length
 
 
 @pytest.mark.parametrize("call", [
-    lambda: sample_detected(PoissonLaserModel(1e-3, 0.5), 20_000, [1.0], 1),
-    lambda: sample_detected(PulsedSourceModel(1e-3, 370.0, (0, 1, 0)), 20_000, [1.0], 1),
+    lambda: sample_blocks(PoissonLaserModel(1e-3, 0.5), 20_000, [1.0], 1),
+    lambda: sample_blocks(PulsedSourceModel(1e-3, 370.0, (0, 1, 0)), 20_000, [1.0], 1),
     lambda: emit_laser_pulse_train(PoissonLaserModel(1e-3, 0.5), 20_000, 1),
     lambda: emit_dot_pulse_train(PulsedSourceModel(1e-3, 370.0, (0, 1, 0)), 20_000, 1),
     lambda: emit_clock_ticks(1e-3, 20_000),
@@ -411,8 +391,8 @@ def test_a_run_past_int64_is_rejected_without_a_warning(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: sample_detected(PoissonLaserModel(REP_HZ, 0.5), -1, [1.0], 1),
-    lambda: sample_detected(PulsedSourceModel(REP_HZ, 370.0, (0, 1, 0)), -1, [1.0], 1),
+    lambda: sample_blocks(PoissonLaserModel(REP_HZ, 0.5), -1, [1.0], 1),
+    lambda: sample_blocks(PulsedSourceModel(REP_HZ, 370.0, (0, 1, 0)), -1, [1.0], 1),
     lambda: emit_laser_pulse_train(PoissonLaserModel(REP_HZ, 0.5), -1, 1),
     lambda: emit_clock_ticks(REP_HZ, -1),
 ])
@@ -473,12 +453,17 @@ def test_run_tcspc_holds_a_fixed_amount(n_pulses):
     assert peak <= ALLOWANCE
 
 
-def test_sample_detected_holds_its_output_and_little_per_photon():
-    """8 bytes of output a photon, and block temporaries."""
+def size(blocks):
+    return sum(times.size for times in blocks)
+
+
+def test_sampled_arms_hold_their_output_and_little_per_photon():
+    """The blocks of one arm, as `pipelines._acquire` holds them: 8 bytes of
+    output a photon, and block temporaries."""
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
-    peak, (_, (times,)) = traced_peak(
-        lambda: sample_detected(source, N_PULSES, [1.0], seed=1))
-    assert times.size > 0.99 * N_PULSES
+    peak, (_, (blocks,)) = traced_peak(
+        lambda: arm_blocks(source, N_PULSES, [1.0], seed=1))
+    assert size(blocks) > 0.99 * N_PULSES
     assert peak <= 12 * N_PULSES + ALLOWANCE
 
 
@@ -488,21 +473,20 @@ def test_an_arm_that_takes_every_photon_keeps_no_fates():
     byte a photon is more than the allowance."""
     n = 2**22
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
-    peak, (_, (times,)) = traced_peak(lambda: sample_detected(source, n, [1.0], seed=1))
-    assert times.size > 0.99 * n
+    peak, (_, (blocks,)) = traced_peak(lambda: arm_blocks(source, n, [1.0], seed=1))
+    assert size(blocks) > 0.99 * n
     assert peak <= 10 * n + ALLOWANCE
 
 
-def test_sample_detected_holds_8_bytes_a_detected_photon():
+def test_sampled_arms_hold_8_bytes_a_detected_photon():
     """A dim two-arm dot HBT: 4.2e5 photons, of which 3 % are detected.  Each
     block's fates are drawn with its photons, so only the detected photons
     are held, 8 bytes each, not the 8-byte pulse time of every emitted
     photon (4 MB here, more than the allowance)."""
     n = 2**22
     source = PulsedSourceModel(REP_HZ, 370.0, (0.9, 0.1, 0.0))
-    peak, (_, arms) = traced_peak(lambda: sample_detected(source, n, [0.01, 0.02],
-                                                          seed=1))
-    detected = sum(arm.size for arm in arms)
+    peak, (_, arms) = traced_peak(lambda: arm_blocks(source, n, [0.01, 0.02], seed=1))
+    detected = sum(size(blocks) for blocks in arms)
     assert abs(detected - 0.03 * 0.1 * n) < 0.05 * 0.03 * 0.1 * n
     assert peak <= 8 * detected + ALLOWANCE
 
@@ -520,7 +504,7 @@ def test_dead_time_filter_holds_one_scratch_array(dead_time_ps, kept, bytes_a_ta
     period = pulse_period_ps(REP_HZ)
     signal = np.rint(np.arange(n) * period).astype(np.int64)
     model = DetectorModel("D", 1.0, 0.0, 170.0, dead_time_ps)
-    peak, tags = traced_peak(lambda: _record(signal, model, int(n * period),
+    peak, tags = traced_peak(lambda: _record([signal], model, int(n * period),
                                              np.random.default_rng(2), 1))
     assert abs(len(tags) - kept * n) < 0.01 * n
     assert peak <= bytes_a_tag * n

@@ -14,7 +14,8 @@ from photon_correlator import (
     pulse_period_ps,
     solve_photon_stats,
 )
-from photon_correlator.sources import sample_detected
+
+from conftest import sample_arms
 
 REP_82MHZ = 82e6
 
@@ -139,8 +140,8 @@ class TestDotTrain:
         assert abs(len(s) - expected) <= 5 * math.sqrt(expected) + 1e-9
         assert np.count_nonzero(s.times == 0) == 0  # expected count ~1e-20
         # the 82 MHz run of 1e5 pulses once kept 91,100 photons at -2^63
-        duration, (times,) = sample_detected(dot_model((0.0, 1.0, 0.0), lifetime_ps),
-                                             100_000, [1.0], seed=5)
+        duration, (times,) = sample_arms(dot_model((0.0, 1.0, 0.0), lifetime_ps),
+                                         100_000, [1.0], seed=5)
         assert times.size == 0
 
     def test_seed_reproducibility(self):
@@ -207,11 +208,11 @@ def test_laser_tags_sit_on_pulse_times(mu, n_pulses, rep_rate_hz, seed):
     assert s.times.dtype == np.int64 and s.channel == 0
 
 
-class TestSampleDetected:
+class TestSampleArms:
     def test_dot_fates_and_delays(self):
         n = 200_000
-        duration, (a, b) = sample_detected(dot_model((0.0, 1.0, 0.0)), n, [0.3, 0.2],
-                                           seed=5)
+        duration, (a, b) = sample_arms(dot_model((0.0, 1.0, 0.0)), n, [0.3, 0.2],
+                                       seed=5)
         assert duration == round(n * pulse_period_ps(REP_82MHZ))
         for arm, p in ((a, 0.3), (b, 0.2)):
             assert abs(arm.size - n * p) <= 5 * math.sqrt(n * p * (1 - p))
@@ -222,13 +223,13 @@ class TestSampleDetected:
     def test_photons_past_the_run_are_dropped(self):
         # a lifetime of half the run pushes many delays past its end
         model = dot_model((0.0, 1.0, 0.0), lifetime_ps=6e6)
-        duration, (times,) = sample_detected(model, 1000, [1.0], seed=6)
+        duration, (times,) = sample_arms(model, 1000, [1.0], seed=6)
         assert 0 < times.size < 1000 and times.max() < duration
 
     def test_laser_detections_are_poisson_on_pulse_times(self):
         n, mu, p = 100_000, 2.0, 0.05
-        duration, (times,) = sample_detected(PoissonLaserModel(REP_82MHZ, mu), n, [p],
-                                             seed=7)
+        duration, (times,) = sample_arms(PoissonLaserModel(REP_82MHZ, mu), n, [p],
+                                         seed=7)
         assert abs(times.size - n * mu * p) <= 5 * math.sqrt(n * mu * p)
         pulse = np.rint(times / pulse_period_ps(REP_82MHZ))
         assert np.array_equal(times, np.rint(pulse * pulse_period_ps(REP_82MHZ)))
