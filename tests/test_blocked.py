@@ -371,6 +371,22 @@ def test_pcg64_draws_do_not_depend_on_how_they_are_split(seed):
         assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]), whole)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_dot_detections_do_not_depend_on_the_block_size(seed, monkeypatch):
+    """Each kind of dot draw reads its own stream in the order its values are
+    used, so any block size gives each arm the same detections in the same
+    order, also with a block size that does not divide the run."""
+    source = PulsedSourceModel(REP_HZ, 370.0, (0.2, 0.5, 0.3))
+    n_pulses, probabilities = 1000, [0.3, 0.5]
+    duration, expected = sample_arms(source, n_pulses, probabilities, seed)
+    for block in (1, 7, n_pulses - 1, n_pulses, n_pulses + 1):
+        monkeypatch.setattr(sources, "_BLOCK", block)
+        got_duration, blocks = arm_blocks(source, n_pulses, probabilities, seed)
+        assert got_duration == duration
+        assert [len(arm) for arm in blocks] == [-(-n_pulses // block)] * 2
+        assert_same_arrays([np.concatenate(arm) for arm in blocks], expected)
+
+
 # ---------------------------------------------------------------------------
 # run length
 
