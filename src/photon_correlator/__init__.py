@@ -15,7 +15,6 @@ from .analysis import (
     LifetimeFit,
     de_model,
     decay_model,
-    decay_model_jacobian,
     fit_de,
     fit_lifetime,
     g2_zero,
@@ -29,7 +28,6 @@ from .correlator import (
     Histogram,
     HistogramConfig,
     Mode,
-    merge_histograms,
     read_histogram_csv,
     reverse_start_stop,
     tac_histogram,
@@ -47,7 +45,6 @@ from .detectors import (
 )
 from .errors import AnalysisError, ConfigError, FormatError
 from .optics import SplitRatio, attenuate, beamsplit
-from .rng import derive_seed
 from .sources import (
     PoissonLaserModel,
     PulsedSourceModel,
@@ -85,8 +82,6 @@ __all__ = [
     "bias_lookup",
     "de_model",
     "decay_model",
-    "decay_model_jacobian",
-    "derive_seed",
     "detect",
     "emit_clock_ticks",
     "emit_dot_pulse_train",
@@ -97,7 +92,6 @@ __all__ = [
     "g2_zero",
     "load_config",
     "measure_irf",
-    "merge_histograms",
     "parse_config_text",
     "peak_fwhm",
     "pulse_period_ps",

@@ -432,7 +432,7 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     return [amplitude, float(x[i_peak]), float(tau), background, float(sigma)]
 
 
-def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False, max_iter=200):
+def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
     """Fit `decay_model` to (x, y) samples; see `fit_lifetime`."""
     if fix_sigma is not None and not 0 <= fix_sigma < math.inf:
         raise AnalysisError(f"fix_sigma must be finite and >= 0, got {fix_sigma}")
@@ -470,7 +470,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False, max_iter
         return np.column_stack(cols) * w[:, None]
 
     p0 = guess if free_sigma else guess[:4]
-    res = levenberg_marquardt(residual, jacobian, p0, max_iter=max_iter)
+    res = levenberg_marquardt(residual, jacobian, p0)
     a, t0, tau, b, sig = unpack(res.params)
     return LifetimeFit(
         tau_ps=float(tau),
@@ -484,7 +484,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False, max_iter
     )
 
 
-def fit_lifetime(hist, fix_sigma=None, weighted=False, max_iter=200):
+def fit_lifetime(hist, fix_sigma=None, weighted=False):
     """Least-squares fit of the convolved decay model to a histogram.
 
     Free parameters are amplitude, onset t0, lifetime tau, and flat
@@ -493,8 +493,7 @@ def fit_lifetime(hist, fix_sigma=None, weighted=False, max_iter=200):
     parameters found, not an exception.
     """
     return fit_lifetime_xy(hist.bin_centers(), hist.counts.astype(float),
-                           hist.config.bin_width_ps, fix_sigma=fix_sigma,
-                           weighted=weighted, max_iter=max_iter)
+                           hist.config.bin_width_ps, fix_sigma, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +575,7 @@ def de_model_jacobian(mu, eta, dark_rate_hz, f_hz):
     return J
 
 
-def fit_de(points, f_hz, weighted=False, max_iter=200):
+def fit_de(points, f_hz, weighted=False):
     """Fit (eta, D) to an attenuation sweep at known drive frequency f_hz.
 
     Initialization: D from the smallest observed rate, eta from the
@@ -615,7 +614,7 @@ def fit_de(points, f_hz, weighted=False, max_iter=200):
     def jacobian(p):
         return de_model_jacobian(mu, p[0], p[1], f_hz) * w[:, None]
 
-    res = levenberg_marquardt(residual, jacobian, [eta0, d0], max_iter=max_iter)
+    res = levenberg_marquardt(residual, jacobian, [eta0, d0])
     eta, dark = float(res.params[0]), float(res.params[1])
     clamped = False
     if eta < 0.0 or eta > 1.0:

@@ -13,9 +13,9 @@ stop pulse while multi-stop analysis does not:
   areas are unbiased even at high per-window stop probabilities.
 
 Delay binning is floor((d - range_min)/bin_width); a delay exactly at
-range_max is excluded.  Histograms from disjoint chunks of the start
-stream can be merged; that equals a single pass only in ALL_STOPS mode
-(FIRST_STOP consumption couples starts across chunk boundaries).
+range_max is excluded.  In ALL_STOPS mode the counts of disjoint chunks
+of the start stream add up to those of a single pass; in FIRST_STOP mode
+they do not, as consumption couples starts across chunk boundaries.
 """
 
 import enum
@@ -243,8 +243,12 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     for tags in tag_blocks:
         n_starts += tags.size
         for start in range(0, tags.size, _BLOCK):
-            pending.append(_next_tick_delays(ticks, frame, tags[start:start + _BLOCK],
-                                             remap_period_ps))
+            det = tags[start:start + _BLOCK]
+            # a detection after the last tick has no delay
+            delays = _next_tick(ticks, det[det <= frame[1]], frame)
+            if remap_period_ps is not None:
+                np.subtract(int(remap_period_ps), delays, out=delays)
+            pending.append(delays)
             if sum(map(len, pending)) >= config.n_bins:
                 counts += _bin_delays(np.concatenate(pending), config)
                 pending = []
@@ -256,26 +260,13 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
 def _clock_frame(ticks):
     """(first, last, gap) for the nonempty sorted clock `ticks`: its first
     and last ticks as ints, and a lower bound on the spacing of consecutive
-    ticks, `min_gap_ps` on a lattice and the least spacing, found a block
-    at a time, on an array.  The gap is 0 where the ticks span 2^63 ps or
-    more, as `_next_tick` needs, and where an int64 spacing could wrap."""
+    ticks, `min_gap_ps` on a lattice and 0 on an array, whose guesses
+    `_next_tick` then checks on both sides.  The gap is 0 also where the
+    ticks span 2^63 ps or more, as `_next_tick` needs."""
     first, last = ticks[np.array([0, ticks.size - 1])].tolist()
-    if last - first >= 2**63:
+    if last - first >= 2**63 or isinstance(ticks, np.ndarray):
         return first, last, 0
-    if isinstance(ticks, np.ndarray):
-        return first, last, min((int(np.diff(ticks[start:start + _BLOCK + 1]).min())
-                                 for start in range(0, ticks.size - 1, _BLOCK)),
-                                default=0)
     return first, last, ticks.min_gap_ps
-
-
-def _next_tick_delays(ticks, frame, det, remap_period_ps):
-    """The (remapped) delay from each detection in `det` to its next tick;
-    a detection after the last tick has none."""
-    delays = _next_tick(ticks, det[det <= frame[1]], frame)
-    if remap_period_ps is not None:
-        np.subtract(int(remap_period_ps), delays, out=delays)
-    return delays
 
 
 def _next_tick(ticks, det, frame):
@@ -285,10 +276,10 @@ def _next_tick(ticks, det, frame):
     detection after the last tick.  The guess i = ceil((det - t_0) / mean
     spacing), clipped into the clock, is kept where 0 <= ticks[i] - det <
     gap, as then ticks[i-1] <= ticks[i] - gap < det; ticks[i] - det is the
-    delay returned, so this reads one tick a detection.  The rest are kept
-    where ticks[i-1] < det <= ticks[i] holds in int64, and only those that
-    fail it are searched, on a lattice clock those within rounding of a
-    tick."""
+    delay returned, so on a lattice this reads one tick a detection.  The
+    rest are kept where ticks[i-1] < det <= ticks[i] holds in int64, and
+    only those that fail it are searched, on a lattice clock those within
+    rounding of a tick."""
     first, last, gap = frame
     n = ticks.size
     span = last - first
@@ -322,13 +313,6 @@ def _search(ticks, det):
     return below
 
 
-def merge_histograms(a, b):
-    """Element-wise sum of two histograms with identical configs."""
-    if a.config != b.config:
-        raise ValueError(f"histogram config mismatch: {a.config} vs {b.config}")
-    return Histogram(a.config, a.counts + b.counts, a.n_starts + b.n_starts)
-
-
 HIST_CSV_HEADER = "bin_start_ps,count"
 
 
@@ -339,9 +323,9 @@ def write_histogram_csv(hist, path):
                            f"bin_width_ps={hist.config.bin_width_ps}")
 
 
-def read_histogram_csv(path, mode=Mode.ALL_STOPS):
-    """Read a histogram CSV.  The collection mode is not stored on disk;
-    `mode` only fills in the reconstructed config."""
+def read_histogram_csv(path):
+    """Read a histogram CSV.  The collection mode is not stored on disk, so
+    the reconstructed config has the default, ALL_STOPS."""
     header, rows = read_csv_rows(path, HIST_CSV_HEADER)
     try:
         n_starts = int(np.int64(header["n_starts"]))
@@ -364,7 +348,7 @@ def read_histogram_csv(path, mode=Mode.ALL_STOPS):
                 f"(expected {prev + bin_width})"
             )
     try:
-        config = HistogramConfig(bin_width, starts[0], starts[-1] + bin_width, mode)
+        config = HistogramConfig(bin_width, starts[0], starts[-1] + bin_width)
         return Histogram(config, rows[:, 1], n_starts)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc

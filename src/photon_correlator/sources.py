@@ -228,14 +228,11 @@ def _dot_blocks(model, n_pulses, cuts, seed, duration):
     every = cuts.size > 0 and cuts[0] >= 1
     for start in range(0, n_pulses, _BLOCK):
         end = min(start + _BLOCK, n_pulses)
+        counts = fixed
         if fixed is None:
             u = numbers.random(end - start)
             counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-            # offsets into the block, in the smallest type, which `repeat` copies fastest
-            emitting = np.flatnonzero(counts).astype(np.min_scalar_type(_BLOCK - 1))
-            pulses = np.add(np.repeat(emitting, counts[emitting]), start, dtype=np.int64)
-        else:
-            pulses = np.arange(start, end, dtype=np.int64).repeat(fixed)
+        pulses = np.arange(start, end, dtype=np.int64).repeat(counts)
         photons = _pulse_times(pulses, model.rep_rate_hz)
         if every:
             arms = [photons] + [photons[:0]] * (len(delays) - 1)

@@ -130,7 +130,7 @@ def _write_binary(stream, path):
     records["t"] = stream.times
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(records.tobytes())
+        fh.write(records)  # through the buffer protocol: no copy
 
 
 def _read_binary(path):

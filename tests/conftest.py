@@ -1,9 +1,7 @@
-import functools
-
 import numpy as np
 import pytest
 
-from photon_correlator import TagStream, merge_histograms, tac_histogram
+from photon_correlator import Histogram, TagStream, tac_histogram
 from photon_correlator.sources import sample_blocks
 
 
@@ -27,12 +25,13 @@ def poisson_stream(rng, rate_hz, duration_ps, channel=0, t_min=0, t_max=None):
 
 
 def chunked_histogram(starts, stops, config, n_chunks):
-    """`tac_histogram` of `n_chunks` consecutive slices of the starts, summed
-    with `merge_histograms`; equal to a single pass in ALL_STOPS mode."""
+    """`tac_histogram` of `n_chunks` consecutive slices of the starts, their
+    counts and starts summed; equal to a single pass in ALL_STOPS mode."""
     bounds = np.linspace(0, len(starts), n_chunks + 1).astype(int)
-    return functools.reduce(merge_histograms, (
-        tac_histogram(starts.subset(slice(a, b)), stops, config)
-        for a, b in zip(bounds[:-1], bounds[1:])))
+    chunks = [tac_histogram(starts.subset(slice(a, b)), stops, config)
+              for a, b in zip(bounds[:-1], bounds[1:])]
+    return Histogram(config, sum(h.counts for h in chunks),
+                     sum(h.n_starts for h in chunks))
 
 
 def arm_blocks(model, n_pulses, probabilities, seed):

@@ -1,7 +1,7 @@
 """Reference emitters: every photon of a source, drawn pulse by pulse.
 
 These are the photon path that the gates in test_pipelines.py compare
-the program's sampler (`photon_correlator.sources.sample_detected`)
+the program's sampler (`photon_correlator.sources.sample_blocks`)
 against.  They share no code with it: they read only the fields of the
 source models, and draw each pulse's photon number and each photon's
 delay from numpy's own distributions, so a fault in the program's draws

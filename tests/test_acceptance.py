@@ -22,8 +22,6 @@ from photon_correlator import (
     SplitRatio,
     beamsplit,
     decay_model,
-    decay_model_jacobian,
-    derive_seed,
     detect,
     emit_dot_pulse_train,
     peak_fwhm,
@@ -33,13 +31,14 @@ from photon_correlator import (
     tac_histogram,
     write_tags,
 )
-from photon_correlator.analysis import de_model, de_model_jacobian
+from photon_correlator.analysis import de_model, de_model_jacobian, decay_model_jacobian
 from photon_correlator.cli import main
 from photon_correlator.pipelines import run_de_sweep, run_hbt, run_tcspc
+from photon_correlator.rng import derive_seed
 
 from conftest import (chunked_histogram, finite_difference_jacobian, poisson_stream,
                       random_stream)
-from oracle_histograms import expected_tcspc_counts, pearson_chi2
+from oracle_histograms import expected_hbt_counts, expected_tcspc_counts, pearson_chi2
 from reference_oneshot import (reference_clock_ticks, reference_record,
                                reference_sample_blocks)
 from test_analysis import convolution_oracle, relative_jacobian_error
@@ -478,6 +477,42 @@ def test_tcspc_histograms_match_the_expected_histogram():
     runs = [run_tcspc(pc.parse_config_text(
         SMALL_TCSPC.replace("seed = 31013", f"seed = {seed}"))) for seed in range(1, 6)]
     expected = expected_tcspc_counts(runs[0].config)
+    checks = [(f"seed {seed}", run.histogram.counts, expected)
+              for seed, run in enumerate(runs, 1)]
+    checks.append(("the five seeds", sum(run.histogram.counts for run in runs),
+                   len(runs) * expected))
+    for label, counts, mean in checks:
+        statistic, dof, p = pearson_chi2(counts, mean)
+        assert p > 1e-3, f"{label}: chi2 = {statistic:.1f} on {dof} dof"
+
+
+# SMALL_HBT in ALL_STOPS with no dead time, with more photons a pulse and
+# darks enough to see.  Two photons of one pulse in one arm can put two
+# pairs into one bin together, which spreads the counts past Poisson: by
+# about 0.4 % for this dot, whose delays part them, and by 3 % for the
+# laser at mu = 0.5, so the laser runs at mu = 0.1
+SMALL_HBT_DOT = (SMALL_HBT.replace("n_pulses = 200000", "n_pulses = 2000000")
+                 .replace("mean_n = 0.1", "mean_n = 0.5")
+                 .replace("efficiency = 0.38", "efficiency = 0.8")
+                 .replace("efficiency = 0.02", "efficiency = 0.9")
+                 .replace("dark_rate_hz = 100", "dark_rate_hz = 100000")
+                 .replace("dead_time_ps = 10000", "dead_time_ps = 0"))
+SMALL_HBT_LASER = (SMALL_HBT_DOT
+                   .replace("type = dot\nrep_rate_hz = 82e6\nlifetime_ps = 370\n"
+                            "g2_target = 0.24\nmean_n = 0.5\n",
+                            "type = laser\nrep_rate_hz = 82e6\nmu = 0.1\n"))
+
+
+@pytest.mark.parametrize("text", [SMALL_HBT_DOT, SMALL_HBT_LASER], ids=["dot", "laser"])
+def test_hbt_histograms_match_the_expected_histogram(text):
+    """An HBT comb at five seeds, bin by bin, against the counts the model
+    expects (`oracle_histograms.expected_hbt_counts`), by Pearson's
+    chi-square, at each seed and for the sum of the five: a jitter sigma
+    5 % off or the comb one bin off fails both sources, and the dot's
+    centre-peak area 10 % off fails the dot's sum."""
+    runs = [run_hbt(pc.parse_config_text(text.replace("seed = 20240917", f"seed = {seed}")))
+            for seed in range(1, 6)]
+    expected = expected_hbt_counts(runs[0].config)
     checks = [(f"seed {seed}", run.histogram.counts, expected)
               for seed, run in enumerate(runs, 1)]
     checks.append(("the five seeds", sum(run.histogram.counts for run in runs),

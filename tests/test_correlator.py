@@ -17,7 +17,6 @@ from photon_correlator import (
     DetectorModel,
     emit_clock_ticks,
     emit_dot_pulse_train,
-    merge_histograms,
     read_histogram_csv,
     reverse_start_stop,
     tac_histogram,
@@ -222,36 +221,6 @@ class TestReverseStartStop:
         ecdf = np.searchsorted(np.sort(after_excitation), ks, side="right") / n
         model_cdf = 1.0 - np.exp(-(ks + 0.5) / 370.0)
         assert np.max(np.abs(ecdf - model_cdf)) < 1.628 / math.sqrt(n)
-
-
-class TestMergeHistograms:
-    CFG = HistogramConfig(10, 0, 100, Mode.ALL_STOPS)
-
-    def histo(self, counts, n_starts):
-        return Histogram(self.CFG, np.asarray(counts, np.int64), n_starts)
-
-    def test_identity(self):
-        h = self.histo(range(10), 55)
-        zero = self.histo([0] * 10, 0)
-        merged = merge_histograms(h, zero)
-        assert np.array_equal(merged.counts, h.counts)
-        assert merged.n_starts == 55
-
-    def test_commutative_associative(self):
-        a = self.histo(range(10), 5)
-        b = self.histo(range(10, 20), 7)
-        c = self.histo([1] * 10, 2)
-        ab = merge_histograms(a, b)
-        assert np.array_equal(ab.counts, merge_histograms(b, a).counts)
-        abc1 = merge_histograms(ab, c)
-        abc2 = merge_histograms(a, merge_histograms(b, c))
-        assert np.array_equal(abc1.counts, abc2.counts)
-        assert abc1.n_starts == abc2.n_starts == 14
-
-    def test_config_mismatch(self):
-        other = Histogram(HistogramConfig(10, 0, 200), np.zeros(20, np.int64), 0)
-        with pytest.raises(ValueError, match="config mismatch"):
-            merge_histograms(self.histo([0] * 10, 0), other)
 
 
 def brute_force_counts(start_times, stop_times, config):
