@@ -23,7 +23,7 @@ from .analysis import (
     read_de_sweep,
     write_de_sweep,
 )
-from .config import RunConfig, load_config, parse_config_text
+from .config import RunConfig, SplitRatio, load_config, parse_config_text
 from .correlator import (
     Histogram,
     HistogramConfig,
@@ -37,20 +37,15 @@ from .detectors import (
     BiasCurvePoint,
     DetectorModel,
     bias_lookup,
-    detect,
     fwhm_to_sigma,
     read_bias_curve,
     sigma_to_fwhm,
     write_bias_curve,
 )
 from .errors import AnalysisError, ConfigError, FormatError
-from .optics import SplitRatio, attenuate, beamsplit
 from .sources import (
     PoissonLaserModel,
     PulsedSourceModel,
-    emit_clock_ticks,
-    emit_dot_pulse_train,
-    emit_laser_pulse_train,
     pulse_period_ps,
     solve_photon_stats,
 )
@@ -77,15 +72,9 @@ __all__ = [
     "RunConfig",
     "SplitRatio",
     "TagStream",
-    "attenuate",
-    "beamsplit",
     "bias_lookup",
     "de_model",
     "decay_model",
-    "detect",
-    "emit_clock_ticks",
-    "emit_dot_pulse_train",
-    "emit_laser_pulse_train",
     "fit_de",
     "fit_lifetime",
     "fwhm_to_sigma",

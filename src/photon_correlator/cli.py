@@ -105,7 +105,11 @@ SIMULATIONS = {
 def _cmd_simulate(args):
     run, write = SIMULATIONS[args.command]
     result = run(_load_run_config(args))
-    paths = write(result, args.out)
+    try:
+        paths = write(result, args.out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or args.out}: "
+                          f"{exc.strerror or exc}") from exc
     code = _report(result.record())
     print(f"wrote {len(paths)} files to {args.out}")
     return code

@@ -43,11 +43,21 @@ from typing import get_args
 from .correlator import HistogramConfig, Mode
 from .detectors import DetectorModel
 from .errors import ConfigError
-from .optics import SplitRatio
 from .sources import (PoissonLaserModel, PulsedSourceModel, pulse_period_ps,
                       solve_photon_stats)
 
 DEFAULT_BIN_WIDTH_PS = 32
+
+
+@dataclass(frozen=True)
+class SplitRatio:
+    """Probability that a photon exits arm B (arm A gets the rest)."""
+
+    transmission: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.transmission <= 1.0:
+            raise ValueError(f"transmission {self.transmission} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -301,9 +311,9 @@ def parse_config_text(text, origin="<config>"):
 
 def load_config(path):
     try:
-        with open(path, "r") as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))
 

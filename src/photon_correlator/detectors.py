@@ -16,7 +16,8 @@ timetags its counting module records, applying in order:
 holding the darks and one block of jitter; `_record` concatenates its
 blocks and does steps 3 and 4 on the whole stream.  `detect` feeds
 `_record` a photon stream thinned by the system detection efficiency
-(Bernoulli per photon), drawing both from one generator.  The recipes in
+(Bernoulli per photon), drawing both from one generator; it is internal,
+kept only while perfbench/traced.py wraps it.  The recipes in
 `pipelines` feed it each arm's blocks of the detected photons they draw
 directly from the source (`sources.sample_blocks`), with the detector
 stage's own generator; a TCSPC run with no dead time takes

@@ -1,31 +1,19 @@
-"""Passive linear optics between source and detectors.
+"""Passive linear optics between source and detectors, photon by photon.
 
 Routing is classical and probabilistic: intensity-correlation measurements
 only need photon bookkeeping, not two-photon interference.  The collection
 optics and monochromator are folded into a single effective transmission
-applied with `attenuate`.
+applied with `attenuate`.  No recipe calls either function (the
+sampler folds both into one fate per photon): they are internal, kept
+only while perfbench/traced.py wraps them.
 """
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from .rng import generator
 
 
-@dataclass(frozen=True)
-class SplitRatio:
-    """Probability that a photon exits arm B (arm A gets the rest)."""
-
-    transmission: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission {self.transmission} outside [0, 1]")
-
-
 def beamsplit(stream, ratio, seed):
-    """Route every tag independently to arm A or arm B.
+    """Route every tag independently to arm A or arm B by `ratio`, a
+    `config.SplitRatio`.
 
     Returns (arm_a, arm_b); each input tag appears in exactly one arm and
     both outputs keep the input ordering and duration.

@@ -14,7 +14,8 @@ the beamsplitter, attenuator and efficiency folded into one fate per
 photon), and each detector stage draws that detector's darks and jitter
 (`detectors._record`).  The photon-level path gives the same tags in
 distribution: `emit_*_pulse_train` (the same sampler with one arm that
-detects every photon), then `beamsplit`, `attenuate` and `detect`.
+detects every photon), then `beamsplit`, `attenuate` and `detect`; that
+path and `emit_clock_ticks` are internal, kept only for perfbench/traced.py.
 
 HBT, the DE sweep and TCSPC with detector dead time hold each arm's
 detected photons, as the sampler's blocks, and each detector's recorded

@@ -23,7 +23,8 @@ per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 draws.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
 sampler with one arm that detects every photon: the source stream.
 `clock_lattice` is the sync clock held as its lattice, with nothing per
-tick.
+tick; `emit_clock_ticks` makes every tick.  No recipe calls the `emit_*`
+functions: they are internal, kept only while perfbench/traced.py wraps them.
 """
 
 import math

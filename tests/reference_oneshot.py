@@ -11,7 +11,9 @@ same numpy calls on whole arrays.
   blocks concatenated: returns (duration_ps, arms).  The dot draws its
   photon numbers, its fates and arm i's emission delays from the stage's
   PCG64 jumped 0, 1 and 2 + i times;
-* `reference_record` is `detectors._record`: returns the recorded times;
+* `reference_record` is `detectors._record`: returns the recorded times.
+  Its dead time is its own greedy scan, tag by tag, not the program's
+  filter;
 * `reference_clock_ticks` is `sources.emit_clock_ticks`: returns the
   tick times;
 * `reference_reverse_start_stop` is `correlator.reverse_start_stop`:
@@ -23,7 +25,6 @@ import math
 import numpy as np
 
 from photon_correlator import PoissonLaserModel
-from photon_correlator.detectors import _apply_dead_time  # not blocked
 
 
 def _pulse_times(pulse_indices, rep_rate_hz):
@@ -82,8 +83,18 @@ def reference_record(signal_times, model, duration_ps, rng):
     times = np.clip(times, 0, duration_ps - 1).view(np.int64)
     times.sort()
     if model.dead_time_ps > 0:
-        times = _apply_dead_time(times, math.ceil(model.dead_time_ps))
+        times = _dead_time(times, math.ceil(model.dead_time_ps))
     return times
+
+
+def _dead_time(sorted_times, dead_time_ps):
+    """Non-paralyzable dead time: a tag is kept when it is at least
+    dead_time_ps after the last kept tag."""
+    kept = []
+    for t in sorted_times.tolist():  # Python ints: no difference wraps
+        if not kept or t - kept[-1] >= dead_time_ps:
+            kept.append(t)
+    return np.array(kept, dtype=np.int64)
 
 
 def reference_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):

@@ -1,4 +1,5 @@
-"""Reference emitters: every photon of a source, drawn pulse by pulse.
+"""Reference emitters and optics: every photon of a source, drawn pulse
+by pulse, then routed and thinned photon by photon.
 
 These are the photon path that the gates in test_pipelines.py compare
 the program's sampler (`photon_correlator.sources.sample_blocks`)
@@ -7,9 +8,12 @@ source models, and draw each pulse's photon number and each photon's
 delay from numpy's own distributions, so a fault in the program's draws
 shows as a difference between the two.
 
-Each returns (times, duration_ps): the sorted photon times in
+Each emitter returns (times, duration_ps): the sorted photon times in
 [0, duration_ps), with pulse k at round(k * 1e12 / rep_rate_hz) and the
-run round(n_pulses * 1e12 / rep_rate_hz) long.
+run round(n_pulses * 1e12 / rep_rate_hz) long.  `reference_route` (the
+beamsplitter) and `reference_thin` (an attenuator, or a detector's
+efficiency) give each photon one Bernoulli trial of its own and keep the
+order of the times.
 """
 
 import numpy as np
@@ -41,3 +45,15 @@ def reference_dot_times(model, n_pulses, seed):
     times += np.rint(rng.exponential(model.lifetime_ps, times.size)).astype(np.int64)
     times.sort()
     return _in_run(times, model, n_pulses)
+
+
+def reference_route(times, transmission, rng):
+    """(arm A, arm B): each photon leaves by arm B with probability
+    `transmission`, by arm A otherwise."""
+    to_b = rng.random(times.size) < transmission
+    return times[~to_b], times[to_b]
+
+
+def reference_thin(times, probability, rng):
+    """The photons that each pass a Bernoulli(probability) trial."""
+    return times[rng.random(times.size) < probability]

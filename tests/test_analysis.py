@@ -20,12 +20,8 @@ from photon_correlator import (
     PoissonLaserModel,
     PulsedSourceModel,
     SplitRatio,
-    beamsplit,
     de_model,
     decay_model,
-    detect,
-    emit_dot_pulse_train,
-    emit_laser_pulse_train,
     fit_de,
     fit_lifetime,
     g2_zero,
@@ -46,6 +42,9 @@ from photon_correlator.analysis import (
     gaussian_model,
     side_peak_windows,
 )
+from photon_correlator.detectors import detect
+from photon_correlator.optics import beamsplit
+from photon_correlator.sources import emit_dot_pulse_train, emit_laser_pulse_train
 
 from conftest import finite_difference_jacobian
 
@@ -491,7 +490,8 @@ class TestMeasureIrf:
     def test_sspd_irf_from_simulated_laser_run(self):
         # delta-pulse laser through a 170 ps detector, timed against the
         # sync clock: the fitted IRF is the detector jitter, 170 +/- 4 ps
-        from photon_correlator import emit_clock_ticks, reverse_start_stop
+        from photon_correlator import reverse_start_stop
+        from photon_correlator.sources import emit_clock_ticks
 
         rep = 1e8
         laser = emit_laser_pulse_train(PoissonLaserModel(rep, 0.5), 400_000, seed=41)

@@ -27,10 +27,6 @@ from photon_correlator import (
     PoissonLaserModel,
     PulsedSourceModel,
     TagStream,
-    detect,
-    emit_clock_ticks,
-    emit_dot_pulse_train,
-    emit_laser_pulse_train,
     parse_config_text,
     pipelines,
     pulse_period_ps,
@@ -38,9 +34,11 @@ from photon_correlator import (
 )
 from photon_correlator import correlator, sources
 from photon_correlator.correlator import _clock_frame, _next_tick, _search
-from photon_correlator.detectors import _record
+from photon_correlator.detectors import _record, detect
 from photon_correlator.rng import _BLOCK, derive_seed
-from photon_correlator.sources import _Ticks, clock_lattice, sample_blocks
+from photon_correlator.sources import (_Ticks, clock_lattice, emit_clock_ticks,
+                                       emit_dot_pulse_train, emit_laser_pulse_train,
+                                       sample_blocks)
 
 from conftest import arm_blocks, sample_arms
 from reference_oneshot import (

@@ -545,6 +545,28 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"[run]\nseed = 1\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["simulate-hbt", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {path}: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, out):
+    (tmp_path / "file").touch()
+    path = tmp_path / out
+    assert main(["simulate-de-sweep", "--config", write_cfg(tmp_path, DE_CFG),
+                 "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {path}: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 CONFIGS = {"simulate-hbt": HBT_CFG, "simulate-tcspc": TCSPC_CFG,
            "simulate-de-sweep": DE_CFG}
 

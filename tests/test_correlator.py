@@ -13,16 +13,15 @@ from photon_correlator import (
     Mode,
     PulsedSourceModel,
     TagStream,
-    detect,
     DetectorModel,
-    emit_clock_ticks,
-    emit_dot_pulse_train,
     read_histogram_csv,
     reverse_start_stop,
     tac_histogram,
     write_histogram_csv,
 )
 from photon_correlator.correlator import MAX_BINS
+from photon_correlator.detectors import detect
+from photon_correlator.sources import emit_clock_ticks, emit_dot_pulse_train
 
 from conftest import chunked_histogram, empty_stream, poisson_stream
 

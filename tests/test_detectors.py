@@ -14,12 +14,12 @@ from photon_correlator import (
     DetectorModel,
     TagStream,
     bias_lookup,
-    detect,
     fwhm_to_sigma,
     read_bias_curve,
     sigma_to_fwhm,
     write_bias_curve,
 )
+from photon_correlator.detectors import detect
 
 from conftest import empty_stream, poisson_stream, random_stream
 
@@ -82,7 +82,8 @@ def test_fractional_dead_time_is_the_next_whole_picosecond():
     reaches 1 ps, and a 1.5 ps one when it reaches 2.  A dead time below 1 ps
     once sent the filter into an endless loop: the run is a subprocess, so
     such a relapse fails on the timeout instead of hanging the suite."""
-    code = ("from photon_correlator import DetectorModel, TagStream, detect\n"
+    code = ("from photon_correlator import DetectorModel, TagStream\n"
+            "from photon_correlator.detectors import detect\n"
             "for dead_time in (0.5, 1.5):\n"
             "    out = detect(TagStream([0, 1, 1, 2, 3, 5], 10, 0),\n"
             "                 DetectorModel('D', 1.0, 0.0, 0.0, dead_time), seed=1)\n"

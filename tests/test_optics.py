@@ -8,11 +8,10 @@ from photon_correlator import (
     PoissonLaserModel,
     SplitRatio,
     TagStream,
-    attenuate,
-    beamsplit,
-    emit_laser_pulse_train,
     pulse_period_ps,
 )
+from photon_correlator.optics import attenuate, beamsplit
+from photon_correlator.sources import emit_laser_pulse_train
 
 from conftest import random_stream
 

@@ -6,20 +6,15 @@ import pytest
 from scipy.stats import chi2_contingency
 
 import photon_correlator as pc
-from photon_correlator import (
-    DetectorModel,
-    PoissonLaserModel,
-    TagStream,
-    attenuate,
-    beamsplit,
-    detect,
-    emit_laser_pulse_train,
-    pulse_period_ps,
-)
+from photon_correlator import DetectorModel, PoissonLaserModel, pulse_period_ps
 from photon_correlator import pipelines, sources
+from photon_correlator.detectors import detect
 from photon_correlator.rng import derive_seed, generator
+from photon_correlator.sources import emit_laser_pulse_train
 
-from reference_sources import reference_dot_times, reference_laser_times
+from reference_oneshot import reference_record
+from reference_sources import (reference_dot_times, reference_laser_times,
+                               reference_route, reference_thin)
 
 REP_HZ = 1e5
 MU0 = 10.0
@@ -49,16 +44,25 @@ pulses_per_point = 100000
 
 
 def reference_stream(model, n_pulses, seed):
-    """The source stream from the reference emitters, which share no code
-    with the program's sampler."""
+    """(times, duration_ps) of the source from the reference emitters,
+    which share no code with the program's sampler."""
     emit = (reference_laser_times if isinstance(model, PoissonLaserModel)
             else reference_dot_times)
-    return TagStream(*emit(model, n_pulses, seed), 0)
+    return emit(model, n_pulses, seed)
 
 
-def per_pulse_counts(stream, n_pulses, rep_hz=REP_HZ):
+def reference_detect(times, duration_ps, model, seed):
+    """The times `model` records from photons at `times`, by the reference
+    path: each photon kept with the efficiency, then darks, jitter, sort
+    and dead time, all from one generator."""
+    rng = np.random.default_rng(seed)
+    return reference_record(reference_thin(times, model.efficiency, rng), model,
+                            duration_ps, rng)
+
+
+def per_pulse_counts(times, n_pulses, rep_hz=REP_HZ):
     """Photons per pulse; laser photons sit exactly on their pulse time."""
-    pulse_idx = np.rint(stream.times / pulse_period_ps(rep_hz)).astype(np.int64)
+    pulse_idx = np.rint(times / pulse_period_ps(rep_hz)).astype(np.int64)
     return np.bincount(pulse_idx, minlength=n_pulses)
 
 
@@ -84,15 +88,15 @@ def test_direct_poisson_matches_thinned_laser(transmission):
     mu0 reference laser thinned by the attenuator, per pulse and after the
     detector."""
     n_pulses = 200_000
-    thinned = attenuate(reference_stream(PoissonLaserModel(REP_HZ, MU0), n_pulses, seed=11),
-                        transmission, seed=12)
+    times, duration = reference_stream(PoissonLaserModel(REP_HZ, MU0), n_pulses, seed=11)
+    thinned = reference_thin(times, transmission, np.random.default_rng(12))
     direct = emit_laser_pulse_train(PoissonLaserModel(REP_HZ, MU0 * transmission),
                                     n_pulses, seed=13)
     table = pooled_table(np.bincount(per_pulse_counts(thinned, n_pulses)),
-                         np.bincount(per_pulse_counts(direct, n_pulses)))
+                         np.bincount(per_pulse_counts(direct.times, n_pulses)))
     assert chi2_contingency(table)[1] > 0.01
 
-    n_old = len(detect(thinned, SSPD, seed=14))
+    n_old = len(reference_detect(thinned, duration, SSPD, seed=14))
     n_new = len(detect(direct, SSPD, seed=15))
     # detected counts are binomial (sub-Poisson with dead time): var <= mean
     assert abs(n_old - n_new) <= 4 * math.sqrt(n_old + n_new)
@@ -135,8 +139,8 @@ IDEAL = dict(dark=0, jitter=0, dead=0)
 
 
 def joint_counts(starts, stops, n_pulses, rep_hz):
-    """How many pulses had (a, b) detections in the start and stop arms, for
-    a, b in 0, 1, 2+, as a flat array of 9; tags sit on their pulse times."""
+    """How many pulses had (a, b) detections at the `starts` and `stops` times,
+    for a, b in 0, 1, 2+, as a flat array of 9; tags sit on their pulse times."""
     a, b = (np.minimum(per_pulse_counts(s, n_pulses, rep_hz), 2) for s in (starts, stops))
     return np.bincount(3 * a + b, minlength=9)
 
@@ -145,21 +149,22 @@ def joint_counts(starts, stops, n_pulses, rep_hz):
                          ids=["laser", "dot"])
 def test_detected_photons_match_the_photon_path(source, eta_a, eta_b):
     """run_hbt draws each arm's detections directly; the joint per-pulse
-    (start, stop) counts must match the reference emitter -> beamsplit ->
-    detect, including the (1, 1) coincidences of two-photon dot pulses that
+    (start, stop) counts must match the reference emitter, beamsplitter and
+    detectors, including the (1, 1) coincidences of two-photon dot pulses that
     g2(0) measures."""
     n_pulses = 200_000
     cfg = pc.parse_config_text(HBT_CFG.format(n_pulses=n_pulses, source=source,
                                               eta_a=eta_a, eta_b=eta_b, **IDEAL))
     result = pipelines.run_hbt(cfg)
-    new = joint_counts(result.start_detections, result.stop_detections, n_pulses,
-                       cfg.source.rep_rate_hz)
+    new = joint_counts(result.start_detections.times, result.stop_detections.times,
+                       n_pulses, cfg.source.rep_rate_hz)
 
-    arm_a, arm_b = beamsplit(reference_stream(cfg.source, n_pulses, seed=21),
-                             cfg.splitter, seed=22)
-    old = joint_counts(detect(arm_a, cfg.detectors["APD"], seed=23),
-                       detect(arm_b, cfg.detectors["SSPD"], seed=24), n_pulses,
-                       cfg.source.rep_rate_hz)
+    times, duration = reference_stream(cfg.source, n_pulses, seed=21)
+    arm_a, arm_b = reference_route(times, cfg.splitter.transmission,
+                                   np.random.default_rng(22))
+    old = joint_counts(reference_detect(arm_a, duration, cfg.detectors["APD"], seed=23),
+                       reference_detect(arm_b, duration, cfg.detectors["SSPD"], seed=24),
+                       n_pulses, cfg.source.rep_rate_hz)
 
     assert new[4] > 1000 and old[4] > 1000  # the (1, 1) cell
     order = np.argsort(-(new + old), kind="stable")  # rare cells last, then pooled

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from photon_correlator import (
     PoissonLaserModel,
     PulsedSourceModel,
-    emit_clock_ticks,
-    emit_dot_pulse_train,
-    emit_laser_pulse_train,
     pulse_period_ps,
     solve_photon_stats,
 )
+from photon_correlator.sources import (emit_clock_ticks, emit_dot_pulse_train,
+                                       emit_laser_pulse_train)
 
 from conftest import sample_arms
 
