@@ -9,8 +9,7 @@ Covers the three measurements the simulated instrument exists for:
 * detection-efficiency / dark-rate calibration from a Poissonian
   attenuation sweep via R(mu) = D + f*(1 - exp(-eta*mu)).
 
-All fits are unweighted least squares by default; pass ``weighted=True``
-for 1/max(count, 1) Poisson weighting.
+All fits are unweighted least squares.
 """
 
 import math
@@ -432,7 +431,7 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     return [amplitude, float(x[i_peak]), float(tau), background, float(sigma)]
 
 
-def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
+def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None):
     """Fit `decay_model` to (x, y) samples; see `fit_lifetime`."""
     if fix_sigma is not None and not 0 <= fix_sigma < math.inf:
         raise AnalysisError(f"fix_sigma must be finite and >= 0, got {fix_sigma}")
@@ -446,7 +445,6 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
         raise AnalysisError("need at least 20 nonzero bins to fit a decay")
 
     guess = _decay_initial_guess(x, y, bin_width_ps, fix_sigma)
-    w = 1.0 / np.sqrt(np.maximum(y, 1.0)) if weighted else np.ones_like(y)
     free_sigma = fix_sigma is None
 
     def unpack(p):
@@ -458,7 +456,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
         a, t0, tau, b, sig = unpack(p)
         if tau <= 0:
             return np.full(y.size, np.inf)
-        return (decay_model(x, tau, sig, a, t0, b) - y) * w
+        return decay_model(x, tau, sig, a, t0, b) - y
 
     def jacobian(p):
         a, t0, tau, b, sig = unpack(p)
@@ -467,7 +465,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
         if free_sigma:
             sign = 1.0 if p[4] >= 0 else -1.0
             cols.append(full[:, 1] * sign)
-        return np.column_stack(cols) * w[:, None]
+        return np.column_stack(cols)
 
     p0 = guess if free_sigma else guess[:4]
     res = levenberg_marquardt(residual, jacobian, p0)
@@ -484,7 +482,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None, weighted=False):
     )
 
 
-def fit_lifetime(hist, fix_sigma=None, weighted=False):
+def fit_lifetime(hist, fix_sigma=None):
     """Least-squares fit of the convolved decay model to a histogram.
 
     Free parameters are amplitude, onset t0, lifetime tau, and flat
@@ -493,7 +491,7 @@ def fit_lifetime(hist, fix_sigma=None, weighted=False):
     parameters found, not an exception.
     """
     return fit_lifetime_xy(hist.bin_centers(), hist.counts.astype(float),
-                           hist.config.bin_width_ps, fix_sigma, weighted)
+                           hist.config.bin_width_ps, fix_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +573,7 @@ def de_model_jacobian(mu, eta, dark_rate_hz, f_hz):
     return J
 
 
-def fit_de(points, f_hz, weighted=False):
+def fit_de(points, f_hz):
     """Fit (eta, D) to an attenuation sweep at known drive frequency f_hz.
 
     Initialization: D from the smallest observed rate, eta from the
@@ -600,19 +598,17 @@ def fit_de(points, f_hz, weighted=False):
 
     d0 = float(rate.min())
     i_max = int(np.argmax(rate))
-    # in Python floats, where a product past the float range is inf without
-    # an overflow warning, and the start then takes the floor below
-    eta0 = ((rate[i_max] - d0) / (float(f_hz) * float(mu[i_max])) if mu[i_max] > 0
-            else 0.5)
+    # in Python floats, where a product or quotient past the float range is
+    # inf without an overflow warning, and the clamp below then bounds it
+    eta0 = ((float(rate[i_max]) - d0) / (float(f_hz) * float(mu[i_max]))
+            if mu[i_max] > 0 else 0.5)
     eta0 = min(max(eta0, 1e-12), 1.0)
 
-    w = 1.0 / np.sqrt(np.maximum(rate, 1.0)) if weighted else np.ones_like(rate)
-
     def residual(p):
-        return (de_model(mu, p[0], p[1], f_hz) - rate) * w
+        return de_model(mu, p[0], p[1], f_hz) - rate
 
     def jacobian(p):
-        return de_model_jacobian(mu, p[0], p[1], f_hz) * w[:, None]
+        return de_model_jacobian(mu, p[0], p[1], f_hz)
 
     res = levenberg_marquardt(residual, jacobian, [eta0, d0])
     eta, dark = float(res.params[0]), float(res.params[1])

@@ -6,15 +6,15 @@ cannot use).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
 from .analysis import fit_de, fit_lifetime, g2_zero, measure_irf, read_de_sweep
-from .config import load_config, parse_float_list
+from .config import format_value, load_config, parse_float_list
 from .correlator import read_histogram_csv
 from .errors import AnalysisError, ConfigError, FormatError
 from .pipelines import (
-    format_record,
     run_de_sweep,
     run_hbt,
     run_tcspc,
@@ -66,12 +66,10 @@ def build_parser():
     lp = asub.add_parser("lifetime", help="decay fit of a histogram CSV")
     lp.add_argument("--hist", required=True)
     lp.add_argument("--fix-sigma-ps", type=float, default=None)
-    lp.add_argument("--weighted", action="store_true")
 
     dp = asub.add_parser("de", help="efficiency/dark fit of a sweep CSV")
     dp.add_argument("--sweep", required=True)
     dp.add_argument("--f-hz", type=float, required=True)
-    dp.add_argument("--weighted", action="store_true")
 
     ip = asub.add_parser("irf", help="Gaussian IRF fit of a histogram CSV")
     ip.add_argument("--hist", required=True)
@@ -90,8 +88,9 @@ def _load_run_config(args):
 
 
 def _report(record):
-    """Print `record`; the exit code is 4 when it says the fit did not converge."""
-    sys.stdout.write(format_record(record))
+    """Print `record` as key=value lines; exit code 4 if its fit did not converge."""
+    for key, value in record.items():
+        print(f"{key}={format_value(value)}")
     return EXIT_OK if record.get("converged", True) else EXIT_FIT
 
 
@@ -104,6 +103,13 @@ SIMULATIONS = {
 
 def _cmd_simulate(args):
     run, write = SIMULATIONS[args.command]
+    # an --out that cannot become a directory fails before the run, creating
+    # nothing; a write that fails later, on a full disk say, is caught below
+    path = os.path.abspath(args.out)
+    while not os.path.lexists(path):  # up to its nearest existing ancestor
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write {args.out}: {path} is not a directory")
     result = run(_load_run_config(args))
     try:
         paths = write(result, args.out)
@@ -125,7 +131,7 @@ def _read_input(reader, path):
 def _cmd_analyze(args):
     if args.analysis == "de":
         points = _read_input(read_de_sweep, args.sweep)
-        fit = fit_de(points, args.f_hz, weighted=args.weighted)
+        fit = fit_de(points, args.f_hz)
         return _report(fit.record())
     hist = _read_input(read_histogram_csv, args.hist)
     if args.analysis == "g2":
@@ -134,7 +140,7 @@ def _cmd_analyze(args):
                            n_side_peaks=args.side_peaks)
         return _report(estimate.record())
     if args.analysis == "lifetime":
-        fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps, weighted=args.weighted)
+        fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps)
         return _report(fit.record())
     return _report(measure_irf(hist).record())
 

@@ -108,17 +108,11 @@ class G2Settings:
 @dataclass(frozen=True)
 class LifetimeSettings:
     fix_sigma_ps: float | None = None
-    weighted: bool = False
 
     def __post_init__(self):
         if self.fix_sigma_ps is not None and not 0 <= self.fix_sigma_ps < math.inf:
             raise ConfigError("lifetime.fix_sigma_ps: must be finite and >= 0, "
                               f"got {self.fix_sigma_ps}")
-
-
-@dataclass(frozen=True)
-class DeSettings:
-    weighted: bool = False
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,6 @@ class RunConfig:
     de_sweep: DeSweepSettings | None = None
     g2: G2Settings = G2Settings()
     lifetime: LifetimeSettings = LifetimeSettings()
-    de: DeSettings = DeSettings()
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -191,7 +184,6 @@ _SETTINGS = {
     "de_sweep": DeSweepSettings,
     "g2": G2Settings,
     "lifetime": LifetimeSettings,
-    "de": DeSettings,
 }
 
 
@@ -214,8 +206,6 @@ def _parse_int(text):
 _PARSERS = {
     int: (_parse_int, "an integer"),
     float: (float, "a number"),
-    bool: (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
-           "a boolean"),
     str: (str, "a string"),
     tuple: (parse_float_list, "a comma-separated list"),
     Mode: (Mode.parse, "FIRST_STOP or ALL_STOPS"),
@@ -248,7 +238,7 @@ class _Section:
         parse, what = _PARSERS[kind]
         try:
             return parse(text)
-        except (KeyError, ValueError):
+        except ValueError:
             raise ConfigError(
                 f"{self.name}.{key}: expected {what}, got {text!r}"
             ) from None

@@ -17,6 +17,7 @@ STEP_TOL = 1e-8  # relative step size that counts as converged
 LAM0 = 1e-3  # initial damping
 LAM_FACTOR = 10.0  # damping grows by this on a rejected step, shrinks on success
 LAM_MAX = 1e14  # damping above this without an accepted step ends the fit
+MAX_ITER = 200  # iterations after which a fit ends unconverged
 
 
 @dataclass
@@ -28,7 +29,7 @@ class LeastSquaresResult:
     cost: float
 
 
-def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
+def levenberg_marquardt(residual, jacobian, x0):
     """Minimize sum(residual(x)**2).
 
     `residual(x)` returns the residual vector, `jacobian(x)` its Jacobian
@@ -37,7 +38,7 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
     cost falls 24 orders of magnitude below its initial value (an exact
     fit; a parameter with no residual left to constrain it, e.g. a
     Gaussian width collapsing onto a single hot bin, may otherwise drift
-    forever).  Hitting `max_iter`, or damping escalating past `LAM_MAX`
+    forever).  Hitting `MAX_ITER`, or damping escalating past `LAM_MAX`
     without improvement, returns converged=False with the best parameters
     found.  Non-finite trial costs are treated as rejected steps, so the
     solver backs away from invalid parameter regions on its own.  Normal
@@ -55,7 +56,7 @@ def levenberg_marquardt(residual, jacobian, x0, max_iter=200):
     lam = LAM0
     n_iter = 0
     converged = False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         J = np.asarray(jacobian(x), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             g = J.T @ r

@@ -49,7 +49,7 @@ from .analysis import (
     side_peak_windows,
     write_de_sweep,
 )
-from .config import DEFAULT_BIN_WIDTH_PS, RunConfig, format_config, format_value
+from .config import DEFAULT_BIN_WIDTH_PS, RunConfig, format_config
 from .correlator import (
     Histogram,
     HistogramConfig,
@@ -176,7 +176,7 @@ def write_hbt_artifacts(result, out_dir):
         paths[f"timetags_{label}"] = path
     paths["histogram"] = os.path.join(out_dir, "histogram.csv")
     write_histogram_csv(result.histogram, paths["histogram"])
-    paths.update(_write_record(result.record(), out_dir, "g2"))
+    paths["record"] = _write_record(result.record(), out_dir, "g2")
     paths["config"] = _write_effective_config(cfg, out_dir)
     return paths
 
@@ -209,8 +209,7 @@ def run_tcspc(cfg):
     if cfg.tcspc.analysis == "irf":
         fit = measure_irf(hist)
     else:
-        fit = fit_lifetime(hist, fix_sigma=cfg.lifetime.fix_sigma_ps,
-                           weighted=cfg.lifetime.weighted)
+        fit = fit_lifetime(hist, fix_sigma=cfg.lifetime.fix_sigma_ps)
     return TcspcResult(cfg, hist, fit)
 
 
@@ -242,8 +241,8 @@ def write_tcspc_artifacts(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     paths = {"histogram": os.path.join(out_dir, "histogram.csv")}
     write_histogram_csv(result.histogram, paths["histogram"])
-    # the record is named after the analysis: lifetime.* or irf.*
-    paths.update(_write_record(result.record(), out_dir, cfg.tcspc.analysis))
+    # the record is named after the analysis: lifetime.json or irf.json
+    paths["record"] = _write_record(result.record(), out_dir, cfg.tcspc.analysis)
     paths["config"] = _write_effective_config(cfg, out_dir)
     return paths
 
@@ -295,7 +294,7 @@ def run_de_sweep(cfg):
                                [(cfg.de_sweep.detector, 1.0, f"de.point{i}.detector")])
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
-    fit = fit_de(points, cfg.source.rep_rate_hz, weighted=cfg.de.weighted)
+    fit = fit_de(points, cfg.source.rep_rate_hz)
     return DeSweepResult(cfg, tuple(points), fit)
 
 
@@ -303,7 +302,7 @@ def write_de_sweep_artifacts(result, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     paths = {"sweep": os.path.join(out_dir, "sweep.csv")}
     write_de_sweep(result.points, paths["sweep"])
-    paths.update(_write_record(result.record(), out_dir, "de_fit"))
+    paths["record"] = _write_record(result.record(), out_dir, "de_fit")
     paths["config"] = _write_effective_config(result.config, out_dir)
     return paths
 
@@ -312,20 +311,12 @@ def write_de_sweep_artifacts(result, out_dir):
 # records and effective-config echo
 
 
-def format_record(record):
-    """Flat key=value text, one line per documented key."""
-    return "\n".join(f"{key}={format_value(v)}" for key, v in record.items()) + "\n"
-
-
 def _write_record(record, out_dir, stem):
-    txt = os.path.join(out_dir, f"{stem}.txt")
-    with open(txt, "w", newline="") as fh:
-        fh.write(format_record(record))
-    js = os.path.join(out_dir, f"{stem}.json")
-    with open(js, "w", newline="") as fh:
+    path = os.path.join(out_dir, f"{stem}.json")
+    with open(path, "w", newline="") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return {f"{stem}_txt": txt, f"{stem}_json": js}
+    return path
 
 
 def _write_effective_config(cfg, out_dir):

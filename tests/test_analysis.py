@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from photon_correlator import (
     tac_histogram,
     write_de_sweep,
 )
-from photon_correlator import analysis
+from photon_correlator import nlsq
 from photon_correlator.analysis import (
     _erfc_negative,
     _erfcx,
@@ -410,12 +409,6 @@ class TestFitLifetime:
         assert fit.irf_fwhm_ps == pytest.approx(sigma_to_fwhm(72.2), rel=1e-12)
         assert fit.tau_ps == pytest.approx(370.0, rel=1e-3)
 
-    def test_weighted_fit_also_recovers(self):
-        hist = model_histogram()
-        fit = fit_lifetime(hist, weighted=True)
-        assert fit.converged
-        assert fit.tau_ps == pytest.approx(370.0, rel=1e-3)
-
     def test_degenerate_histogram(self):
         cfg = HistogramConfig(10, 0, 1000, Mode.FIRST_STOP)
         hist = Histogram(cfg, np.full(100, 7, np.int64), 700)
@@ -431,8 +424,7 @@ class TestFitLifetime:
 
     def test_non_convergence_reports_best_so_far(self, monkeypatch):
         hist = model_histogram()
-        monkeypatch.setattr(analysis, "levenberg_marquardt",
-                            functools.partial(analysis.levenberg_marquardt, max_iter=1))
+        monkeypatch.setattr(nlsq, "MAX_ITER", 1)
         fit = fit_lifetime(hist)
         assert not fit.converged
         assert fit.iterations == 1

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -132,10 +133,9 @@ class TestSimulateHbt:
         assert main(["simulate-hbt", "--config", cfg, "--out", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "g2_zero=" in stdout
-        for name in ("detections_APD.ttag", "detections_SSPD.ttag",
-                     "histogram.csv", "g2.txt", "g2.json",
-                     "effective_config.cfg"):
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == [
+            "detections_APD.ttag", "detections_SSPD.ttag", "effective_config.cfg",
+            "g2.json", "histogram.csv"]
         hist = read_histogram_csv(out / "histogram.csv")
         assert hist.total_counts > 0
         tags = read_tags(out / "detections_SSPD.ttag")
@@ -518,6 +518,7 @@ def test_effective_config_reloads_to_the_run_config(tmp_path, command, text, ext
     argv = [command, "--config", write_cfg(tmp_path, text), "--out",
             str(tmp_path / "out"), *extra]
     assert main(argv) == 0
+    assert not list((tmp_path / "out").glob("*.txt"))  # the record is JSON only
     effective = tmp_path / "out" / "effective_config.cfg"
     run, _ = SIMULATIONS[command]
     assert load_config(effective) == run(_load_run_config(build_parser().parse_args(argv))).config
@@ -539,6 +540,31 @@ def test_unknown_key_is_config_error(tmp_path, capsys, section, key):
     assert err == f"config error: {section}.{key}: unknown key\n"
 
 
+# the fits are plain least squares: a config that asks for weighting, such
+# as an effective_config.cfg written when it was an option, is rejected
+@pytest.mark.parametrize("section, error", [
+    ("[lifetime]\nweighted = false", "lifetime.weighted: unknown key"),
+    ("[de]\nweighted = false", "de: unknown section"),
+], ids=["lifetime-weighted", "de-section"])
+def test_weighting_key_is_config_error(tmp_path, capsys, section, error):
+    text = TCSPC_CFG + f"\n{section}\n"
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [["lifetime", "--hist", "h.csv"],
+                                  ["de", "--sweep", "s.csv", "--f-hz", "1e5"]],
+                         ids=["lifetime", "de"])
+def test_weighted_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *argv, "--weighted"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weighted" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert main(["simulate-hbt", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2
@@ -556,15 +582,36 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def refuse_to_run(cfg):
+    raise AssertionError("the run started")
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"], ids=["a-file", "under-a-file"])
-def test_unwritable_out_is_config_error(tmp_path, capsys, out):
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, out):
+    # found before the run, which would take as long as the run takes
     (tmp_path / "file").touch()
     path = tmp_path / out
+    _, write = SIMULATIONS["simulate-de-sweep"]
+    monkeypatch.setitem(SIMULATIONS, "simulate-de-sweep", (refuse_to_run, write))
     assert main(["simulate-de-sweep", "--config", write_cfg(tmp_path, DE_CFG),
                  "--out", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {path}: ")
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_write_failure_after_the_run_is_config_error(tmp_path, capsys, monkeypatch):
+    # a full disk, say, shows only once the files are written
+    def write(result, out_dir):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), out_dir)
+
+    run, _ = SIMULATIONS["simulate-de-sweep"]
+    monkeypatch.setitem(SIMULATIONS, "simulate-de-sweep", (run, write))
+    out = tmp_path / "out"
+    assert main(["simulate-de-sweep", "--config", write_cfg(tmp_path, DE_CFG),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
 
 
 CONFIGS = {"simulate-hbt": HBT_CFG, "simulate-tcspc": TCSPC_CFG,
@@ -680,13 +727,20 @@ def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     assert err.startswith("analysis error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("sigma", ["1e-100", "1e160", "1e300"])
-def test_extreme_fixed_sigma_fits_quietly(tmp_path, capsys, sigma):
+@pytest.mark.parametrize("argv", [
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e-100"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e160"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e300"],
+    # the start's eta overflows to inf, and takes the ceiling of 1
+    ["de", "--sweep", "{sweep}", "--f-hz", "1e-320"],
+], ids=["fix-sigma-1e-100", "fix-sigma-1e160", "fix-sigma-1e300", "f-hz-1e-320"])
+def test_extreme_fit_setting_fits_quietly(tmp_path, capsys, argv):
     # each of these once raised OverflowError or a RuntimeWarning
     hist = tmp_path / "decay.csv"
     write_decay_csv(hist)
-    assert main(["analyze", "lifetime", "--hist", str(hist),
-                 "--fix-sigma-ps", sigma]) in (0, 4)
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
+    assert main(["analyze"] + [a.format(hist=hist, sweep=sweep) for a in argv]) in (0, 4)
     out, err = capsys.readouterr()
     assert err == "" and "\nconverged=" in out
 

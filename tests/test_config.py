@@ -66,9 +66,7 @@ mu = 0.01, 0.1
 n_side_peaks = 20
 
 [lifetime]
-weighted = true
-
-[de]
+fix_sigma_ps = 72.2
 """
 
 LASER = """
@@ -236,7 +234,31 @@ def test_readme_hbt_example_loads():
     assert cfg.de_sweep.detector == "SSPD"
     assert cfg.de_sweep.mu_values == (0.001, 0.01, 0.1, 1.0, 10.0)
     assert cfg.de_sweep.pulses_per_point == 1_000_000
-    assert not cfg.de.weighted
+
+    checked = [key for base, text in (("", block), (block, tcspc), (laser_hbt, de))
+               for key in commented_keys_load(base, text)]
+    assert "lifetime.fix_sigma_ps" in checked
+
+
+def commented_keys_load(base, block):
+    """Each `# key = value` line of `block`, uncommented and appended to
+    `base`, names a key its section accepts: the config loads, or fails on
+    that key's value.  Returns the `section.key` of each line checked."""
+    lines = block.splitlines(keepends=True)
+    section, checked = None, []
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip()[1:-1]
+        key = re.match(r"#\s*(\w+)\s*=", line)
+        if key:
+            where = f"{section}.{key.group(1)}"
+            text = base + "".join(lines[:i] + [line.lstrip("# ")] + lines[i + 1:])
+            try:
+                parse_config_text(text)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"{where}: expected "), str(exc)
+            checked.append(where)
+    return checked
 
 
 @pytest.mark.parametrize("text, section, key", [
@@ -252,10 +274,8 @@ def test_readme_hbt_example_loads():
     (FULL, "de_sweep", "pulses"),
     (FULL, "g2", "n_side_peak"),
     (FULL, "lifetime", "fix_sigma"),
-    (FULL, "de", "fhz"),
     # values that follow from source.rep_rate_hz are not keys
     (FULL, "g2", "rep_period_ps"),
-    (FULL, "de", "f_hz"),
     (FULL, "tcspc", "clock_delay_ps"),
 ])
 def test_unknown_key_is_rejected(text, section, key):
@@ -307,6 +327,6 @@ def test_format_config_round_trips(name):
     cfg = parse_config_text(ROUND_TRIP[name])
     text = format_config(cfg)
     assert parse_config_text(text) == cfg
-    for section in ("run", "source", "splitter", "g2", "lifetime", "de",
+    for section in ("run", "source", "splitter", "g2", "lifetime",
                     *(f"detector.{d}" for d in cfg.detectors)):
         assert f"[{section}]\n" in text

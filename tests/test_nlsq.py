@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from photon_correlator import nlsq
 from photon_correlator.errors import AnalysisError
 from photon_correlator.nlsq import LeastSquaresResult, levenberg_marquardt
 
@@ -50,7 +51,7 @@ def test_exact_start_converges_immediately():
     assert res.iterations == 1
 
 
-def test_max_iter_reports_non_convergence():
+def test_max_iter_reports_non_convergence(monkeypatch):
     t = np.linspace(0, 5, 50)
     y = 2.5 * np.exp(-1.3 * t)
 
@@ -61,7 +62,8 @@ def test_max_iter_reports_non_convergence():
         e = np.exp(-p[1] * t)
         return np.column_stack([e, -p[0] * t * e])
 
-    res = levenberg_marquardt(residual, jacobian, [100.0, 10.0], max_iter=2)
+    monkeypatch.setattr(nlsq, "MAX_ITER", 2)
+    res = levenberg_marquardt(residual, jacobian, [100.0, 10.0])
     assert not res.converged
     assert res.iterations == 2
     assert np.all(np.isfinite(res.params))
