@@ -579,7 +579,7 @@ def fit_de(points, f_hz):
     Initialization: D from the smallest observed rate, eta from the
     largest-signal point assuming the linear regime, clamped into (0, 1].
     Negative fitted parameters are clamped to their bounds and flagged via
-    converged=False rather than raising.
+    converged=False rather than raising, as is an eta the data cannot see.
     """
     points = list(points)
     if len(points) < 3:
@@ -619,12 +619,14 @@ def fit_de(points, f_hz):
     if dark < 0.0:
         dark = 0.0
         clamped = True
+    # with f * mu below rounding eta's column squares to 0: the fit cannot see eta
+    column = de_model_jacobian(mu, eta, dark, f_hz)[:, 0]
     return DEFit(
         eta=eta,
         dark_rate_hz=dark,
         f_hz=float(f_hz),
         residual_rms=res.residual_rms,
-        converged=bool(res.converged and not clamped),
+        converged=bool(res.converged and not clamped and column @ column > 0),
         iterations=res.iterations,
     )
 

@@ -16,6 +16,9 @@ Delay binning is floor((d - range_min)/bin_width); a delay exactly at
 range_max is excluded.  In ALL_STOPS mode the counts of disjoint chunks
 of the start stream add up to those of a single pass; in FIRST_STOP mode
 they do not, as consumption couples starts across chunk boundaries.
+`tac_histogram` takes the starts `rng._BLOCK` at a time: ALL_STOPS adds up
+the blocks' counts, and FIRST_STOP carries its scan pointer across blocks.
+All three correlators bin their delays through `_histogram`.
 """
 
 import enum
@@ -130,7 +133,23 @@ def _bin_delays(delays, config):
     idx = idx.view(np.uint64)
     idx -= np.uint64(config.range_min_ps % 2**64)
     idx //= np.uint64(config.bin_width_ps)
-    return np.bincount(idx.view(np.int64), minlength=config.n_bins).astype(np.int64)
+    return np.bincount(idx.view(np.int64), minlength=config.n_bins)
+
+
+def _histogram(config, blocks):
+    """The histogram of the (number of starts, int64 delays) pairs `blocks` yields,
+    binned at least n_bins delays at a time, as each `bincount` fills n_bins bins."""
+    counts = np.zeros(config.n_bins, dtype=np.int64)
+    pending, n_starts = [], 0
+    for n, delays in blocks:
+        n_starts += n
+        pending.append(delays)
+        if sum(map(len, pending)) >= config.n_bins:
+            counts += _bin_delays(np.concatenate(pending), config)
+            pending = []
+    if pending:
+        counts += _bin_delays(np.concatenate(pending), config)
+    return Histogram(config, counts, n_starts)
 
 
 def _check_int64_range(start_times, config):
@@ -147,67 +166,62 @@ def tac_histogram(starts, stops, config):
     """Histogram stop-minus-start delays in the configured mode.
 
     `n_starts` records every start processed, whether or not it produced
-    a count.
+    a count.  Beside its inputs and output it holds one block's temporaries.
     """
-    start_times = starts.times
-    stop_times = stops.times
-    _check_int64_range(start_times, config)
-    if config.mode is Mode.ALL_STOPS:
-        lo = np.searchsorted(stop_times, start_times + config.range_min_ps, "left")
-        hi = np.searchsorted(stop_times, start_times + config.range_max_ps, "left")
-        per_start = hi - lo
-        total = int(per_start.sum())
-        if total == 0:
-            counts = np.zeros(config.n_bins, dtype=np.int64)
-        else:
-            offsets = np.cumsum(per_start) - per_start
-            flat = np.repeat(lo - offsets, per_start) + np.arange(total)
-            delays = stop_times[flat] - np.repeat(start_times, per_start)
-            counts = _bin_delays(delays, config)
-        return Histogram(config, counts, int(start_times.size))
-    return Histogram(config, _first_stop_counts(start_times, stop_times, config),
-                     int(start_times.size))
+    _check_int64_range(starts.times, config)
+    # searchsorted copies a strided array whole on every call
+    stop_times = np.ascontiguousarray(stops.times)
+    return _histogram(config, _tac_delays(starts.times, stop_times, config))
 
 
-def _first_stop_counts(start_times, stop_times, config):
-    """FIRST_STOP counts, without a loop over the starts.
+def _tac_delays(start_times, stop_times, config):
+    """For each block of `_BLOCK` starts, their number and the delays they
+    count, without a loop over the starts.  The stops in range of start k
+    are c_k .. e_k - 1, c_k the first stop at or after s_k + range_min and
+    e_k the first at or after s_k + range_max.  ALL_STOPS counts them all.
 
-    Each start, in order, takes the earliest unconsumed stop at or after
-    start + range_min, if that stop is before start + range_max.  Call the
-    first stop at or after start + range_min the start's candidate.  A
-    start whose candidate is missing or not before start + range_max never
-    counts, since any stop it could take is later still.  Later starts have
-    candidates no earlier than its own, so it affects none of them, and
-    such starts are dropped.  For the rest, with candidate c_k and e_k the
-    first stop at or after s_k + range_max, every stop an earlier start
-    consumed lies before e_k, so the scan pointer after start k is
+    In FIRST_STOP each start, in order, takes the earliest unconsumed stop
+    in its range.  Call c_k the start's candidate.  A start with no stop
+    in range (c_k = e_k) never counts, since any stop it could take is
+    later still.  Later starts have candidates no earlier than its own, so
+    it affects none of them, and such starts are dropped.  For the rest,
+    every stop an earlier start consumed lies before e_k, so the scan
+    pointer after start k is
 
         j_k = min(max(j_{k-1}, c_k) + 1, e_k),    j_{-1} = 0,
 
     and start k counts stop j_k - 1 unless j_k = max(j_{k-1}, c_k).  Each
     step clamps x + 1 into [c_k + 1, e_k]; clamps compose into clamps, so
-    every j_k comes from a prefix scan by doubling.
+    the j_k of a block's starts come from a prefix scan by doubling,
+    applied to the pointer the block before left.
     """
-    n_stops = stop_times.size
-    if n_stops == 0:
-        return np.zeros(config.n_bins, dtype=np.int64)
-    cand = np.searchsorted(stop_times, start_times + config.range_min_ps, "left")
-    cand_time = stop_times[np.minimum(cand, n_stops - 1)]
-    in_range = (cand < n_stops) & (cand_time < start_times + config.range_max_ps)
-    s = start_times[in_range]
-    cand = cand[in_range]
-    # after the pass with a given step, entry k holds the clamps of starts
-    # max(0, k - 2*step + 1) .. k composed, as x -> clip(x + their count, lo, hi)
-    lo = cand + 1
-    hi = np.searchsorted(stop_times, s + config.range_max_ps, "left")
-    step = 1
-    while step < s.size:
-        lo[step:], hi[step:] = (np.clip(lo[:-step] + step, lo[step:], hi[step:]),
-                                np.clip(hi[:-step] + step, lo[step:], hi[step:]))
-        step *= 2
-    j = np.clip(np.arange(1, s.size + 1), lo, hi)
-    counted = j > np.maximum(np.concatenate(([0], j[:-1])), cand)
-    return _bin_delays(stop_times[j[counted] - 1] - s[counted], config)
+    pointer = 0
+    for begin in range(0, start_times.size, _BLOCK):
+        s = start_times[begin:begin + _BLOCK]
+        cand = np.searchsorted(stop_times, s + config.range_min_ps, "left")
+        ends = s + config.range_max_ps
+        if config.mode is Mode.ALL_STOPS:
+            per_start = np.searchsorted(stop_times, ends, "left") - cand
+            offsets = np.cumsum(per_start) - per_start
+            flat = np.repeat(cand - offsets, per_start) + np.arange(per_start.sum())
+            yield s.size, stop_times[flat] - np.repeat(s, per_start)
+            continue
+        # c_k < e_k on c_k's time: e_k is searched only for the starts that pass
+        in_range = cand < stop_times.size
+        in_range[in_range] = stop_times[cand[in_range]] < ends[in_range]
+        s, cand = s[in_range], cand[in_range]
+        # after the pass with a given step, entry k holds the clamps of starts
+        # max(0, k - 2*step + 1) .. k composed, as x -> clip(x + their count, lo, hi)
+        lo, hi = cand + 1, np.searchsorted(stop_times, ends[in_range], "left")
+        step = 1
+        while step < s.size:
+            lo[step:], hi[step:] = (np.clip(lo[:-step] + step, lo[step:], hi[step:]),
+                                    np.clip(hi[:-step] + step, lo[step:], hi[step:]))
+            step *= 2
+        j = np.clip(np.arange(pointer + 1, pointer + s.size + 1), lo, hi)
+        counted = j > np.maximum(np.concatenate(([pointer], j[:-1])), cand)
+        pointer = int(j[-1]) if j.size else pointer
+        yield in_range.size, stop_times[j[counted] - 1] - s[counted]
 
 
 def reverse_start_stop(detector, clock, config, remap_period_ps=None):
@@ -238,23 +252,18 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     if ticks.size == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
     frame = _clock_frame(ticks)
-    counts = np.zeros(config.n_bins, dtype=np.int64)
-    pending, n_starts = [], 0
-    for tags in tag_blocks:
-        n_starts += tags.size
-        for start in range(0, tags.size, _BLOCK):
-            det = tags[start:start + _BLOCK]
-            # a detection after the last tick has no delay
-            delays = _next_tick(ticks, det[det <= frame[1]], frame)
-            if remap_period_ps is not None:
-                np.subtract(int(remap_period_ps), delays, out=delays)
-            pending.append(delays)
-            if sum(map(len, pending)) >= config.n_bins:
-                counts += _bin_delays(np.concatenate(pending), config)
-                pending = []
-    if pending:
-        counts += _bin_delays(np.concatenate(pending), config)
-    return Histogram(config, counts, n_starts)
+
+    def delay_blocks():
+        for tags in tag_blocks:
+            for begin in range(0, tags.size, _BLOCK):
+                det = tags[begin:begin + _BLOCK]
+                # a detection after the last tick has no delay
+                delays = _next_tick(ticks, det[det <= frame[1]], frame)
+                if remap_period_ps is not None:
+                    np.subtract(int(remap_period_ps), delays, out=delays)
+                yield det.size, delays
+
+    return _histogram(config, delay_blocks())
 
 
 def _clock_frame(ticks):

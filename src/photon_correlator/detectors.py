@@ -22,9 +22,9 @@ kept only while perfbench/traced.py wraps it.  The recipes in
 directly from the source (`sources.sample_blocks`), with the detector
 stage's own generator; a TCSPC run with no dead time takes
 `_recorded_blocks` as they come.  `_record` holds the recorded times;
-only the dead-time filter holds more: a mask and one int64 array as long
-as the tags, then two masks and 24 bytes for each tag late in its run
-(below).
+only the dead-time filter holds more: two masks as long as the tags and
+25 bytes for each tag late in its run (below), as it works a block at a
+time and keeps the accepted tags in place.
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -94,6 +94,7 @@ def _record(signal_blocks, model, duration_ps, rng, channel):
     dead time."""
     times = np.concatenate(list(_recorded_blocks(signal_blocks, model, duration_ps,
                                                  rng)))
+    del signal_blocks  # no caller keeps the blocks: they are freed here
     times.sort()
     if model.dead_time_ps > 0:
         # tags are whole picoseconds, so a gap reaches a fractional dead time
@@ -126,7 +127,7 @@ def _recorded_blocks(signal_blocks, model, duration_ps, rng):
 
 
 def _apply_dead_time(sorted_times, dead_time_ps):
-    """Non-paralyzable dead-time filter on a sorted int64 array.
+    """Non-paralyzable dead-time filter, in place on a sorted int64 array.
 
     A tag at least a dead time after the tag before it is accepted whatever
     was accepted earlier, so such tags (and the first tag) open runs of
@@ -139,16 +140,18 @@ def _apply_dead_time(sorted_times, dead_time_ps):
     """
     if sorted_times.size == 0:
         return sorted_times
-    keep = np.empty(sorted_times.size, dtype=bool)
-    keep[0] = True
-    np.greater_equal(np.diff(sorted_times), dead_time_ps, out=keep[1:])
-    # the times are sorted, so a running maximum of the anchor times gives
-    # each tag the anchor of its run; one scratch array holds the steps
-    scratch = np.where(keep, sorted_times, sorted_times[0])
-    np.maximum.accumulate(scratch, out=scratch)
-    np.subtract(sorted_times, scratch, out=scratch)
-    late = scratch >= dead_time_ps
-    del scratch
+    keep, late = np.empty((2, sorted_times.size), dtype=bool)
+    anchor = sorted_times[0]
+    for start in range(0, sorted_times.size, _BLOCK):
+        block, gap = sorted_times[start:start + _BLOCK], keep[start:start + _BLOCK]
+        np.greater_equal(np.diff(block, prepend=sorted_times[max(start - 1, 0)]),
+                         dead_time_ps, out=gap)
+        # the times are sorted, so a running maximum of the anchor times,
+        # carried from block to block, gives each tag the anchor of its run
+        anchors = np.maximum.accumulate(np.where(gap, block, anchor))
+        anchor = anchors[-1]
+        np.greater_equal(block - anchors, dead_time_ps, out=late[start:start + _BLOCK])
+    keep[0] = True  # the first tag opens the first run, whatever its gap reads
     late_times = sorted_times[late]
     # first late tag at or after t + dead time, without forming t + dead time
     following = np.searchsorted(late_times - dead_time_ps, late_times)
@@ -158,7 +161,13 @@ def _apply_dead_time(sorted_times, dead_time_ps):
         accepted[i] = True
         i = following.item(i)
     keep[late] = accepted  # a late tag is no anchor: its keep is still False
-    return sorted_times[keep]
+    n_kept = 0
+    for start in range(0, sorted_times.size, _BLOCK):
+        kept = sorted_times[start:start + _BLOCK][keep[start:start + _BLOCK]]
+        # kept is a copy, and never longer than the tags read so far
+        sorted_times[n_kept:n_kept + kept.size] = kept
+        n_kept += kept.size
+    return sorted_times[:n_kept]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 1993).  It works one block of pulses at a time and holds one block of
-draws.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
+draws; the laser's pulse indices, one draw per arm, become its detections
+in place.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
 sampler with one arm that detects every photon: the source stream.
 `clock_lattice` is the sync clock held as its lattice, with nothing per
 tick; `emit_clock_ticks` makes every tick.  No recipe calls the `emit_*`
@@ -112,9 +113,11 @@ def pulse_period_ps(rep_rate_hz):
 
 
 def _pulse_times(pulse_indices, rep_rate_hz):
-    times = np.array(pulse_indices, dtype=np.float64)  # as `indices * period` casts
-    times *= pulse_period_ps(rep_rate_hz)
-    return np.rint(times, out=times).astype(np.int64)
+    """Pulse k's time, round(k * 1e12 / rep_rate_hz), over each int64 k."""
+    for start in range(0, pulse_indices.size, _BLOCK):
+        block = pulse_indices[start:start + _BLOCK]
+        block[...] = np.rint(block * pulse_period_ps(rep_rate_hz))  # k as a float64
+    return pulse_indices
 
 
 def _train_duration_ps(n_pulses, rep_rate_hz):
@@ -256,8 +259,7 @@ class _Ticks:
 
     def __getitem__(self, i):
         times = _pulse_times(np.add(i, self.first, dtype=np.int64), self.rep_rate_hz)
-        times += self.offset_ps
-        return times
+        return np.add(times, self.offset_ps, out=times)
 
     @property
     def min_gap_ps(self):

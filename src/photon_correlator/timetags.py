@@ -18,7 +18,8 @@ supported:
   (last tag + 1).
 
 Readers reject a file whose tags span more than one channel; a file
-without tags reads as channel 0.
+without tags reads as channel 0.  The TTAG1 writer writes one block of
+2^14 records at a time; the reader holds the file's bytes once.
 
 `read_csv_rows` and `write_csv_rows` hold the CSV layout that every text
 format of the package (also histograms, DE sweeps, bias curves) shares.
@@ -26,15 +27,18 @@ format of the package (also histograms, DE sweeps, bias curves) shares.
 
 import itertools
 import operator
+import struct
 
 import numpy as np
 
 from .errors import FormatError
+from .rng import _BLOCK
 
 TTAG_MAGIC = b"TTAG"
 TTAG_VERSION = 1
 CHANNEL_MAX = 255
 
+_HEADER = struct.Struct("<HqB")  # after the magic: version, duration, channel count
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<i8")])
 
 
@@ -119,18 +123,15 @@ def _is_csv(path, format):
 
 
 def _write_binary(stream, path):
-    header = (
-        TTAG_MAGIC
-        + TTAG_VERSION.to_bytes(2, "little")
-        + int(stream.duration_ps).to_bytes(8, "little", signed=True)
-        + min(len(stream), 1).to_bytes(1, "little")
-    )
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
+    records = np.empty(min(len(stream), _BLOCK), dtype=_RECORD_DTYPE)
     records["channel"] = stream.channel
-    records["t"] = stream.times
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records)  # through the buffer protocol: no copy
+        fh.write(TTAG_MAGIC + _HEADER.pack(TTAG_VERSION, stream.duration_ps,
+                                           min(len(stream), 1)))
+        for start in range(0, len(stream), _BLOCK):
+            block = records[:len(stream) - start]
+            block["t"] = stream.times[start:start + _BLOCK]
+            fh.write(block)  # through the buffer protocol: no copy
 
 
 def _read_binary(path):
@@ -140,22 +141,21 @@ def _read_binary(path):
         raise FormatError(f"{path}: truncated TTAG1 header ({len(raw)} bytes)")
     if raw[:4] != TTAG_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {TTAG_MAGIC!r}")
-    version = int.from_bytes(raw[4:6], "little")
+    version, duration, n_channels = _HEADER.unpack_from(raw, len(TTAG_MAGIC))
     if version != TTAG_VERSION:
         raise FormatError(f"{path}: unsupported TTAG version {version}")
-    duration = int.from_bytes(raw[6:14], "little", signed=True)
-    body = raw[15:]
-    if len(body) % _RECORD_DTYPE.itemsize:
-        raise FormatError(
-            f"{path}: truncated record ({len(body)} bytes is not a multiple of 9)"
-        )
-    records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+    if (len(raw) - 15) % _RECORD_DTYPE.itemsize:
+        raise FormatError(f"{path}: truncated record ({len(raw) - 15} bytes is "
+                          f"not a multiple of 9)")
+    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=15)  # no copy
     channel = _file_channel(path, records["channel"])
-    if raw[14] != min(records.size, 1):
-        raise FormatError(f"{path}: header says {raw[14]} channels, "
+    if n_channels != min(records.size, 1):
+        raise FormatError(f"{path}: header says {n_channels} channels, "
                           f"records hold {min(records.size, 1)}")
+    times = np.ascontiguousarray(records["t"])
+    del raw, records  # the file's bytes, freed before the tags are checked
     try:
-        return TagStream(records["t"], duration, channel)
+        return TagStream(times, duration, channel)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

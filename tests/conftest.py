@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,13 @@ def finite_difference_jacobian(fn, x, rel_step=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+def traced_peak(fn):
+    """(the peak of the memory `fn` allocates, as tracemalloc sees it, fn())"""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

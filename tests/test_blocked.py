@@ -1,18 +1,19 @@
-"""The TCSPC path works in fixed-size blocks: its outputs, its draws and its
-memory.
+"""The TCSPC and HBT paths work in fixed-size blocks: their outputs, their
+draws and their memory.
 
 Each blocked stage, and the streamed TCSPC recipe as a whole, must return
 exactly what the one-shot reference chain in `reference_oneshot.py`
-returns, also at the block edges.  That rests on numpy's PCG64 generator
-drawing the same numbers however a draw is split.  That is checked here
-too, so that a numpy release that breaks it fails these tests instead of
-changing runs silently.  The memory gates hold each stage to its output
-plus a fixed allowance, and the streamed recipe to one bound at any run
-length.
+returns, also at the block edges; the blocked TAC correlators must return
+what the plain-Python oracles of `test_correlator.py` return.  That rests
+on numpy's PCG64 generator drawing the same numbers however a draw is
+split.  That is checked here too, so that a numpy release that breaks it
+fails these tests instead of changing runs silently.  The memory gates
+hold each stage to its output plus a fixed allowance, and the streamed
+recipe to one bound at any run length.
 """
 
-import tracemalloc
 import warnings
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -28,9 +29,12 @@ from photon_correlator import (
     PulsedSourceModel,
     TagStream,
     parse_config_text,
+    load_config,
     pipelines,
     pulse_period_ps,
     reverse_start_stop,
+    tac_histogram,
+    write_tags,
 )
 from photon_correlator import correlator, sources
 from photon_correlator.correlator import _clock_frame, _next_tick, _search
@@ -40,13 +44,14 @@ from photon_correlator.sources import (_Ticks, clock_lattice, emit_clock_ticks,
                                        emit_dot_pulse_train, emit_laser_pulse_train,
                                        sample_blocks)
 
-from conftest import arm_blocks, sample_arms
+from conftest import arm_blocks, sample_arms, traced_peak
 from reference_oneshot import (
     reference_clock_ticks,
     reference_record,
     reference_reverse_start_stop,
     reference_sample_blocks,
 )
+from test_correlator import brute_force_counts, first_stop_scan
 
 REP_HZ = 82e6
 SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
@@ -353,6 +358,71 @@ def test_reverse_start_stop_counts_a_detection_on_the_last_tick_only():
 
 
 # ---------------------------------------------------------------------------
+# the TAC correlators at the block edges
+
+
+def edge_streams(n_starts):
+    """(starts, stops, duration): starts about 40 ps apart, a tenth of them
+    repeating the one before; few stops, as the brute force is O(n*m), most
+    of them within 300 ps of the first start of a block, so that the pairs
+    of a window of 600 ps straddle each block edge, and some repeated."""
+    rng = np.random.default_rng(n_starts)
+    starts = np.sort(rng.integers(0, 40 * n_starts, n_starts))
+    repeated = rng.choice(np.arange(1, n_starts), n_starts // 10, replace=False)
+    starts[repeated] = starts[repeated - 1]
+    edges = starts[_BLOCK::_BLOCK]
+    stops = np.concatenate([(edges[:, None] + rng.integers(-300, 300, (edges.size, 12)))
+                            .ravel(), rng.integers(0, 40 * n_starts, 20)])
+    stops = np.sort(np.concatenate([stops, stops[:5]]))
+    return starts, stops, 40 * n_starts + 300
+
+
+def strided(times, duration):
+    """A stream whose times are every other element of an array."""
+    pairs = np.empty((times.size, 2), dtype=np.int64)
+    pairs[:, 0] = times
+    return TagStream(pairs[:, 0], duration, 2)
+
+
+@pytest.mark.parametrize("n_starts", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_tac_histogram_equals_the_oracles_at_the_block_edges(n_starts, mode):
+    """Both modes against the brute force, FIRST_STOP also against the scan,
+    with a strided stop stream.  Each block edge has stops in range of
+    starts on both sides of it, which FIRST_STOP's starts contend for."""
+    starts, stops, duration = edge_streams(n_starts)
+    stop_stream = strided(stops, duration)
+    assert not stop_stream.times.flags.c_contiguous
+    config = HistogramConfig(8, -200, 400, mode)
+    hist = tac_histogram(TagStream(starts, duration, 1), stop_stream, config)
+    expected = brute_force_counts(starts.tolist(), stops.tolist(), config)
+    if mode is Mode.FIRST_STOP:
+        assert expected == first_stop_scan(starts.tolist(), stops.tolist(), config)
+    assert hist.counts.tolist() == expected
+    assert hist.n_starts == n_starts and hist.total_counts > 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_tac_histogram_bins_at_least_n_bins_delays_at_a_time(mode, monkeypatch):
+    """40 blocks of starts over a range of 2^20 bins: each `bincount` fills
+    all 2^20 bins, so it must not run once a block."""
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *args, **kwargs: calls.append(1) or bincount(*args, **kwargs))
+    rng = np.random.default_rng(5)
+    n_starts = 40 * _BLOCK
+    duration = 10_000 * n_starts
+    starts = np.sort(rng.integers(0, duration, n_starts))
+    stops = np.sort(rng.integers(0, duration, duration // 250_000))
+    config = HistogramConfig(1, 0, 2**20, mode)
+    hist = tac_histogram(TagStream(starts, duration, 1), TagStream(stops, duration, 2),
+                         config)
+    assert hist.total_counts > 10_000
+    assert len(calls) <= -(-hist.total_counts // config.n_bins) + 1
+
+
+# ---------------------------------------------------------------------------
 # the draw-splitting property the seeding contract rests on
 
 
@@ -445,15 +515,6 @@ detector = DET
 """
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n_pulses", [N_PULSES, 4 * N_PULSES])
 def test_run_tcspc_holds_a_fixed_amount(n_pulses):
     """One photon per pulse, all detected, and no dead time: each block of
@@ -506,14 +567,16 @@ def test_sampled_arms_hold_8_bytes_a_detected_photon():
 
 
 @pytest.mark.parametrize(("dead_time_ps", "kept", "bytes_a_tag"),
-                         [(10_000, 1.0, 20), (30_000, 1 / 3, 35)])
-def test_dead_time_filter_holds_one_scratch_array(dead_time_ps, kept, bytes_a_tag):
-    """2e6 jittered tags 12.2 ns apart.  With a 10 ns dead time no tag is
-    late: the recorded times (8 bytes a tag), the filter's mask (1) and one
-    int64 scratch array (8), under 20 bytes a tag with the jitter block.
-    With 30 ns every tag but the first is late in one long run: the times,
-    the mask, the mask of late tags (1), and the late times, their shifted
-    copy and each one's next candidate (24), under 35 bytes a tag."""
+                         [(10_000, 1.0, 10), (30_000, 1 / 3, 34)])
+def test_dead_time_filter_holds_two_masks_and_the_late_tags(dead_time_ps, kept,
+                                                            bytes_a_tag):
+    """2e6 jittered tags 12.2 ns apart.  The filter works a block at a time
+    and keeps the accepted tags in place.  With a 10 ns dead time no tag is
+    late: the recorded times (8 bytes a tag) and the filter's two masks (1
+    each).  With 30 ns every tag but the first is late in one long run: the
+    times, the two masks, and the late times, their shifted copy and each
+    one's next candidate (24).  Beside them, 1 MiB for the block
+    temporaries, the jitter block among them."""
     n = 2_000_000
     period = pulse_period_ps(REP_HZ)
     signal = np.rint(np.arange(n) * period).astype(np.int64)
@@ -521,4 +584,56 @@ def test_dead_time_filter_holds_one_scratch_array(dead_time_ps, kept, bytes_a_ta
     peak, tags = traced_peak(lambda: _record([signal], model, int(n * period),
                                              np.random.default_rng(2), 1))
     assert abs(len(tags) - kept * n) < 0.01 * n
-    assert peak <= bytes_a_tag * n
+    assert peak <= bytes_a_tag * n + 2**20
+
+
+@pytest.mark.parametrize("n_starts", [N_PULSES, 4 * N_PULSES])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_tac_histogram_holds_a_fixed_amount_beside_its_streams(n_starts, mode):
+    """The hardware-TAC HBT's window and about its rates, a stop for every
+    20 starts: the starts are taken a block at a time, so beside its streams
+    the correlator holds the allowance at any run length, and no index
+    array as long as the run (8 bytes a start would be 4 MiB here)."""
+    rng = np.random.default_rng(n_starts)
+    duration = 24_390 * n_starts
+    starts = TagStream(np.sort(rng.integers(0, duration, n_starts)), duration, 1)
+    stops = TagStream(np.sort(rng.integers(0, duration, n_starts // 20)), duration, 2)
+    config = HistogramConfig.symmetric(128_064, 32, mode)
+    peak, hist = traced_peak(lambda: tac_histogram(starts, stops, config))
+    assert hist.total_counts > 0.04 * n_starts
+    assert peak <= ALLOWANCE
+
+
+def test_laser_arms_hold_8_bytes_a_detection():
+    """The laser's one draw of pulse indices per arm becomes its pulse times,
+    then its detections, in place: 8 bytes a detection, where a float copy
+    and an int64 copy of a draw of 6e5 pulse indices are past the allowance."""
+    n = 2**22
+    peak, (_, arms) = traced_peak(lambda: arm_blocks(PoissonLaserModel(REP_HZ, 0.5), n,
+                                                     [0.1, 0.3], seed=1))
+    detected = sum(size(blocks) for blocks in arms)
+    assert abs(detected - 0.2 * n) < 0.01 * 0.2 * n
+    assert peak <= 8 * detected + ALLOWANCE
+
+
+def test_ttag1_writer_holds_one_block_of_records(tmp_path):
+    """2^20 tags, 9 MiB of records, written one block of records at a time."""
+    stream = TagStream(np.arange(2**20) * 10, 10 * 2**20, 3)
+    peak, _ = traced_peak(lambda: write_tags(stream, tmp_path / "tags.ttag"))
+    assert peak <= ALLOWANCE
+    assert (tmp_path / "tags.ttag").stat().st_size == 15 + 9 * 2**20
+
+
+HBT_TAC_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "hbt_tac.cfg"
+
+
+def test_run_hbt_holds_20_bytes_a_start_tag():
+    """hbt_tac.cfg at 2e6 pulses.  Its peak is the start detector's blocks
+    of detections (8 bytes a start tag) while they are concatenated into
+    the recorded tags (8), with the few stop tags; the dead-time filter,
+    the correlator and the writer hold less beside the tags."""
+    cfg = replace(load_config(HBT_TAC_CFG), n_pulses=2_000_000)
+    pipelines.run_hbt(replace(cfg, n_pulses=1000))
+    peak, result = traced_peak(lambda: pipelines.run_hbt(cfg))
+    assert len(result.start_detections) > 150_000
+    assert peak <= 20 * len(result.start_detections)

@@ -745,6 +745,16 @@ def test_extreme_fit_setting_fits_quietly(tmp_path, capsys, argv):
     assert err == "" and "\nconverged=" in out
 
 
+def test_de_fit_of_an_eta_the_sweep_cannot_see_is_not_converged(tmp_path, capsys):
+    # f * mu is below rounding, so eta's Jacobian column squares to 0 and the
+    # fit leaves eta at its clamped start of 1
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
+    assert main(["analyze", "de", "--sweep", str(sweep), "--f-hz", "1e-320"]) == 4
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("eta=1.0\n") and "\nconverged=false\n" in out
+
+
 def test_fit_without_finite_start_after_simulating_is_analysis_error(tmp_path, capsys):
     text = TCSPC_CFG + "\n[lifetime]\nfix_sigma_ps = 1e-200\n"
     out = tmp_path / "out"

@@ -3,7 +3,7 @@ import pytest
 
 from photon_correlator import FormatError, TagStream, read_tags, write_tags
 
-from conftest import empty_stream, random_stream
+from conftest import empty_stream, random_stream, traced_peak
 
 
 def ttag1_bytes(duration_ps, count_byte, records):
@@ -48,6 +48,29 @@ def test_binary_round_trip_empty(tmp_path):
     assert back == s
     assert back.duration_ps == 12345
     assert path.read_bytes()[14] == 0
+
+
+@pytest.mark.parametrize("n_tags", [2**14 - 1, 2**14, 2**14 + 1])
+def test_binary_round_trip_at_the_block_edges(tmp_path, n_tags):
+    # the writer fills one block of 2^14 records at a time
+    s = random_stream(np.random.default_rng(n_tags), n_tags, 10**10, channel=9)
+    path = tmp_path / "tags.ttag"
+    write_tags(s, path)
+    assert path.read_bytes() == ttag1_bytes(10**10, 1, [(9, t) for t in s.times])
+    back = read_tags(path)
+    assert back == s and back.times.flags.c_contiguous
+
+
+def test_binary_reader_holds_the_file_once(tmp_path):
+    """2^21 tags: the file's bytes (9 a tag) and the contiguous times the
+    reader returns (8), not a second copy of the records, with 1 MiB for
+    the rest."""
+    n = 2**21
+    path = tmp_path / "tags.ttag"
+    write_tags(TagStream(np.arange(n) * 10, 10 * n, 3), path)
+    peak, back = traced_peak(lambda: read_tags(path))
+    assert len(back) == n and back.times.flags.c_contiguous
+    assert peak <= (9 + 8) * n + 2**20
 
 
 def test_csv_round_trip(rng, tmp_path):
