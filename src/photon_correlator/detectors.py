@@ -12,19 +12,18 @@ timetags its counting module records, applying in order:
 4. non-paralyzable dead time: any tag closer than dead_time_ps to the
    last accepted tag is dropped (arrivals during dead time do not extend it).
 
-`_recorded_blocks` does steps 1 and 2 on the photons a block at a time,
-holding the darks and one block of jitter; `_record` concatenates its
-blocks and does steps 3 and 4 on the whole stream.  `detect` feeds
-`_record` a photon stream thinned by the system detection efficiency
-(Bernoulli per photon), drawing both from one generator; it is internal,
-kept only while perfbench/traced.py wraps it.  The recipes in
-`pipelines` feed it each arm's blocks of the detected photons they draw
-directly from the source (`sources.sample_blocks`), with the detector
-stage's own generator; a TCSPC run with no dead time takes
-`_recorded_blocks` as they come.  `_record` holds the recorded times;
-only the dead-time filter holds more: two masks as long as the tags and
-25 bytes for each tag late in its run (below), as it works a block at a
-time and keeps the accepted tags in place.
+`_dark_counts` and `_recorded_blocks` do steps 1 and 2 on the photons a
+block at a time, holding the darks and one block of jitter; `_record`
+writes their blocks in turn into one array, sized from an upper bound on
+the photons, and does steps 3 and 4 on it.  `detect` feeds `_record` a
+photon stream thinned by the system detection efficiency (Bernoulli per
+photon), drawing both from one generator; it is internal, kept only while
+perfbench/traced.py wraps it.  The recipes in `pipelines` feed it each
+arm's blocks of the detected photons they draw directly from the source
+(`sources.sample_blocks`), with the detector stage's own generator; a
+TCSPC run with no dead time takes `_recorded_blocks` as they come.
+`_record` holds the recorded times and one block of temporaries: the
+dead-time filter too works a block at a time, in place.
 
 Jitter is applied before dead-time enforcement so the dead-time gap holds
 on the emitted (observable) timestamps.  Bias-dependent operating points
@@ -84,17 +83,21 @@ def detect(photons, model, seed, channel=1):
         raise ValueError("detect requires a stream with duration_ps > 0")
     rng = generator(seed)
     kept = photons.times[rng.random(len(photons)) < model.efficiency]
-    return _record([kept], model, photons.duration_ps, rng, channel)
+    return _record(kept.size, [kept], model, photons.duration_ps, rng, channel)
 
 
-def _record(signal_blocks, model, duration_ps, rng, channel):
+def _record(n_signal_max, signal_blocks, model, duration_ps, rng, channel):
     """The tags `model` records over [0, duration_ps) when it detects photons
-    at the times in `signal_blocks` (int64 arrays, any order; jittered in
-    place): the blocks of `_recorded_blocks`, concatenated, then sort and
-    dead time."""
-    times = np.concatenate(list(_recorded_blocks(signal_blocks, model, duration_ps,
-                                                 rng)))
-    del signal_blocks  # no caller keeps the blocks: they are freed here
+    at the times in `signal_blocks` (int64 arrays, any order, at most
+    `n_signal_max` in all; jittered in place): the blocks of
+    `_recorded_blocks`, written into one array, then sort and dead time."""
+    dark = _dark_counts(model, duration_ps, rng)
+    times = np.empty(n_signal_max + dark.size, dtype=np.int64)
+    n_filled = 0
+    for block in _recorded_blocks(signal_blocks, dark, model, duration_ps, rng):
+        times[n_filled:n_filled + block.size] = block
+        n_filled += block.size
+    times = times[:n_filled]
     times.sort()
     if model.dead_time_ps > 0:
         # tags are whole picoseconds, so a gap reaches a fractional dead time
@@ -103,13 +106,17 @@ def _record(signal_blocks, model, duration_ps, rng, channel):
     return TagStream(times, duration_ps, channel)
 
 
-def _recorded_blocks(signal_blocks, model, duration_ps, rng):
-    """The tags `model` records from photons detected at the times in
-    `signal_blocks` (int64 arrays), before sort and dead time, drawn from
-    `rng`: the dark counts are drawn first, then each block is jittered and
-    clamped in place, in turn, and the darks last."""
+def _dark_counts(model, duration_ps, rng):
+    """The dark counts' times, drawn from `rng` before any tag is jittered."""
     n_dark = rng.poisson(model.dark_rate_hz * duration_ps * 1e-12)
-    dark = rng.integers(0, duration_ps, n_dark, dtype=np.int64)
+    return rng.integers(0, duration_ps, n_dark, dtype=np.int64)
+
+
+def _recorded_blocks(signal_blocks, dark, model, duration_ps, rng):
+    """The tags `model` records from photons detected at the times in
+    `signal_blocks` (int64 arrays) and its dark counts `dark`, before sort
+    and dead time, drawn from `rng`: each block is jittered and clamped in
+    place, in turn, and the darks last."""
     for times in itertools.chain(signal_blocks, [dark]):
         bits = times.view(np.uint64)  # the same values, as every time is >= 0
         if model.jitter_fwhm_ps > 0:
@@ -137,33 +144,32 @@ def _apply_dead_time(sorted_times, dead_time_ps):
     the next accepted one is the first late tag a dead time on, also when
     that tag is in a later run, since every anchor is more than a dead time
     after the tags before it.  The scan steps only over accepted late tags.
+    It works a block at a time, carrying the anchor and the time from which
+    a late tag can be accepted, and holds nothing as long as the run.
     """
-    if sorted_times.size == 0:
-        return sorted_times
-    keep, late = np.empty((2, sorted_times.size), dtype=bool)
-    anchor = sorted_times[0]
+    anchor, ready, n_kept = 0, 0, 0
     for start in range(0, sorted_times.size, _BLOCK):
-        block, gap = sorted_times[start:start + _BLOCK], keep[start:start + _BLOCK]
-        np.greater_equal(np.diff(block, prepend=sorted_times[max(start - 1, 0)]),
-                         dead_time_ps, out=gap)
+        block = sorted_times[start:start + _BLOCK]
+        # the tag before the block is still in place: it was moved only if
+        # every tag before it was kept, and so onto itself
+        keep = np.diff(block, prepend=sorted_times[max(start - 1, 0)]) >= dead_time_ps
+        keep[0] |= start == 0  # the first tag opens the first run, whatever its gap
         # the times are sorted, so a running maximum of the anchor times,
         # carried from block to block, gives each tag the anchor of its run
-        anchors = np.maximum.accumulate(np.where(gap, block, anchor))
+        anchors = np.maximum.accumulate(np.where(keep, block, anchor))
         anchor = anchors[-1]
-        np.greater_equal(block - anchors, dead_time_ps, out=late[start:start + _BLOCK])
-    keep[0] = True  # the first tag opens the first run, whatever its gap reads
-    late_times = sorted_times[late]
-    # first late tag at or after t + dead time, without forming t + dead time
-    following = np.searchsorted(late_times - dead_time_ps, late_times)
-    accepted = np.zeros(late_times.size, dtype=bool)
-    i = 0
-    while i < late_times.size:
-        accepted[i] = True
-        i = following.item(i)
-    keep[late] = accepted  # a late tag is no anchor: its keep is still False
-    n_kept = 0
-    for start in range(0, sorted_times.size, _BLOCK):
-        kept = sorted_times[start:start + _BLOCK][keep[start:start + _BLOCK]]
+        late = np.flatnonzero(block - anchors >= dead_time_ps)
+        late_times = block[late]
+        # the first late tag at or after t + dead time, held at the int64 max
+        after = dead_time_ps + np.minimum(late_times, 2**63 - 1 - dead_time_ps)
+        following = np.searchsorted(late_times, after)
+        i = np.searchsorted(late_times, ready)
+        while i < late.size:
+            keep[late.item(i)] = True  # a late tag is no anchor: its keep was False
+            i = following.item(i)
+        # the next late tag is accepted a dead time after the last accepted one
+        ready = after[keep[late]].max(initial=ready)
+        kept = block[keep]
         # kept is a copy, and never longer than the tags read so far
         sorted_times[n_kept:n_kept + kept.size] = kept
         n_kept += kept.size

@@ -17,9 +17,10 @@ distribution: `emit_*_pulse_train` (the same sampler with one arm that
 detects every photon), then `beamsplit`, `attenuate` and `detect`; that
 path and `emit_clock_ticks` are internal, kept only for perfbench/traced.py.
 
-HBT, the DE sweep and TCSPC with detector dead time hold each arm's
-detected photons, as the sampler's blocks, and each detector's recorded
-tags.  TCSPC with no detector dead time holds no array as long as the
+HBT, the DE sweep and TCSPC with detector dead time hold each detector's
+recorded tags and one block, each arm drawn as it is recorded; a dot HBT
+draws both arms at once, holding each arm's blocks until it is recorded.
+TCSPC with no detector dead time holds no array as long as the
 run: it draws, records and bins one block of pulses at a time
 (`sources.sample_blocks`, `detectors._recorded_blocks`,
 `correlator.next_tick_histogram`), against the sync clock held as its
@@ -62,7 +63,7 @@ from .correlator import (
 # detect, attenuate, beamsplit, the emit_* functions and reverse_start_stop
 # are not called here but stay importable: perfbench/traced.py wraps every
 # layer by its name in this module
-from .detectors import _record, _recorded_blocks, detect  # noqa: F401
+from .detectors import _dark_counts, _record, _recorded_blocks, detect  # noqa: F401
 from .errors import AnalysisError, ConfigError
 from .optics import attenuate, beamsplit  # noqa: F401
 from .rng import derive_seed, generator
@@ -87,16 +88,15 @@ def _acquire(cfg, source, n_pulses, source_stage, arms):
     its own stage.
     """
     models = [cfg.detectors[name] for name, _, _ in arms]
-    duration, blocks = sample_blocks(
+    duration, signals = sample_blocks(
         source, n_pulses, [reach * model.efficiency
                            for (_, reach, _), model in zip(arms, models)],
         derive_seed(cfg.seed, source_stage))
-    # each arm's blocks; a dot run of no pulses yields no block
-    signals = list(zip(*blocks)) or [()] * len(arms)
-    return [_record(signals.pop(0), model, duration,  # each freed once recorded
+    # the arms are recorded in turn, each as its blocks are taken
+    return [_record(n_max, blocks, model, duration,
                     generator(derive_seed(cfg.seed, stage)),
                     sorted(cfg.detectors).index(name) + 1)
-            for model, (name, _, stage) in zip(models, arms)]
+            for (n_max, blocks), model, (name, _, stage) in zip(signals, models, arms)]
 
 
 def _hbt_correlator_config(cfg):
@@ -222,14 +222,14 @@ def _tcspc_histogram(cfg):
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     name = cfg.tcspc.detector
     model = cfg.detectors[name]
-    duration, blocks = sample_blocks(cfg.source, cfg.n_pulses, [model.efficiency],
-                                     derive_seed(cfg.seed, "source"))
-    signal = (arm for arm, in blocks)
+    duration, ((n_max, signal),) = sample_blocks(
+        cfg.source, cfg.n_pulses, [model.efficiency], derive_seed(cfg.seed, "source"))
     rng = generator(derive_seed(cfg.seed, f"detector.{name}"))
     if model.dead_time_ps > 0:
-        tags = [_record(signal, model, duration, rng, channel=1).times]
+        tags = [_record(n_max, signal, model, duration, rng, channel=1).times]
     else:
-        tags = _recorded_blocks(signal, model, duration, rng)
+        tags = _recorded_blocks(signal, _dark_counts(model, duration, rng), model,
+                                duration, rng)
     clock = clock_lattice(cfg.source.rep_rate_hz, cfg.n_pulses,
                           offset_ps=int(round(period / 2.0)))
     return next_tick_histogram(tags, clock, cfg.correlator,

@@ -19,9 +19,9 @@ only the photons that arm detects, without making the source stream: the
 routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
-1993).  It works one block of pulses at a time and holds one block of
-draws; the laser's pulse indices, one draw per arm, become its detections
-in place.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
+1993).  It holds one block of draws: the dot's pulses, or the laser's
+pulse indices, which become its detections in place, are drawn a block at
+a time.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
 sampler with one arm that detects every photon: the source stream.
 `clock_lattice` is the sync clock held as its lattice, with nothing per
 tick; `emit_clock_ticks` makes every tick.  No recipe calls the `emit_*`
@@ -113,10 +113,8 @@ def pulse_period_ps(rep_rate_hz):
 
 
 def _pulse_times(pulse_indices, rep_rate_hz):
-    """Pulse k's time, round(k * 1e12 / rep_rate_hz), over each int64 k."""
-    for start in range(0, pulse_indices.size, _BLOCK):
-        block = pulse_indices[start:start + _BLOCK]
-        block[...] = np.rint(block * pulse_period_ps(rep_rate_hz))  # k as a float64
+    """Pulse k's time, round(k * 1e12 / rep_rate_hz), k as a float64, in place."""
+    pulse_indices[...] = np.rint(pulse_indices * pulse_period_ps(rep_rate_hz))
     return pulse_indices
 
 
@@ -127,29 +125,20 @@ def _train_duration_ps(n_pulses, rep_rate_hz):
     return int(np.rint(length))
 
 
-def _emission_times(lifetime_ps, times, duration, rng):
-    """Each photon's time: its pulse time, read from `times`, plus an
-    Exponential(lifetime_ps) delay in whole ps, by inverse CDF.  Photons at or
-    past `duration` are dropped, the rest written over the front of `times`."""
-    n_kept = 0
-    for start in range(0, times.size, _BLOCK):
-        pulse_times = times[start:start + _BLOCK]
-        if lifetime_ps == 0:
-            kept = pulse_times[pulse_times < duration]
-        else:
-            with np.errstate(over="ignore"):  # an infinite delay is held below
-                delays = -lifetime_ps * np.log1p(-rng.random(pulse_times.size))
-            # held at the run length, a float that casts exactly, so the cast
-            # cannot overflow; a held delay fails the test below and is dropped
-            np.minimum(delays, duration, out=delays)
-            delays = np.rint(delays, out=delays).astype(np.int64)
-            # against the time left in the run: no sum that can wrap is formed
-            in_run = delays < duration - pulse_times
-            kept = np.add(delays, pulse_times, out=delays, where=in_run)[in_run]
-        # kept is a copy, and never longer than the times read so far
-        times[n_kept:n_kept + kept.size] = kept
-        n_kept += kept.size
-    return times[:n_kept]
+def _emission_times(lifetime_ps, pulse_times, duration, rng):
+    """Each photon's time: its pulse time, read from `pulse_times` (a block
+    or two), plus an Exponential(lifetime_ps) delay in whole ps, by inverse
+    CDF.  Photons at or past `duration` are dropped."""
+    if lifetime_ps == 0:
+        return pulse_times[pulse_times < duration]
+    with np.errstate(over="ignore"):  # an infinite delay is held below
+        delays = -lifetime_ps * np.log1p(-rng.random(pulse_times.size))
+    # held at the run length, a float that casts exactly, so the cast
+    # cannot overflow; a held delay fails the test below and is dropped
+    delays = np.rint(delays.clip(max=duration, out=delays), out=delays).astype(np.int64)
+    # against the time left in the run: no sum that can wrap is formed
+    in_run = delays < duration - pulse_times
+    return np.add(delays, pulse_times, out=delays, where=in_run)[in_run]
 
 
 def emit_dot_pulse_train(model, n_pulses, seed):
@@ -169,47 +158,64 @@ def emit_laser_pulse_train(model, n_pulses, seed):
 
 def _every_photon(model, n_pulses, seed):
     """The source stream: `sample_blocks` with every photon detected."""
-    duration, blocks = sample_blocks(model, n_pulses, [1.0], seed)
-    times = np.concatenate([np.empty(0, dtype=np.int64), *(arm for arm, in blocks)])
+    duration, ((_, blocks),) = sample_blocks(model, n_pulses, [1.0], seed)
+    times = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
     times.sort()
     return TagStream(times, duration, SOURCE_CHANNEL)
 
 
 def sample_blocks(model, n_pulses, probabilities, seed):
     """Times of the photons each arm detects over `n_pulses` pulses of
-    `model`, one block of `_BLOCK` pulses at a time.
+    `model`, one block of `_BLOCK` draws at a time.
 
     A source photon is detected in arm i with probability probabilities[i]
     and lost otherwise (the probabilities sum to at most 1).  Returns
-    (duration_ps, blocks).  `blocks` yields, for each block of pulses in
-    turn, one int64 array per arm, in no particular order, of the times in
-    [0, duration_ps) that arm detects from those pulses; the laser's
-    detections come as one block, and a dot run of no pulses yields none.
+    (duration_ps, arms): `arms` yields, for each arm in turn, (n_max,
+    blocks), `blocks` yielding int64 arrays, in no particular order, of the
+    at most n_max times in [0, duration_ps) that arm detects.  Take each
+    arm's blocks before the next: the laser draws its arms in turn.
 
     Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's
-    detections in arm i are Poisson(n_pulses * mu * p_i) in total, each in
+    detections in arm i, n_max, are Poisson(n_pulses * mu * p_i), each in
     an independent uniformly drawn pulse, so the cost is that of the
     detections.  The dot draws one photon number per pulse, from one
     uniform by inverse CDF, and one fate per photon, so the two photons of
     a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.  Each kind of dot draw reads its own
-    stream (`_stream`) in the order its values are used: the photon
-    numbers stream 0, the fates stream 1 and arm i's delays stream 2 + i.
-    No draw depends on how many another kind makes, so a fixed photon
-    number (neither cut p0 nor p0 + p1 inside (0, 1)) draws no
-    photon-number uniform, and when the first arm takes every photon no
-    fate is drawn.
+    photons get an emission delay.  One arm is drawn as it is taken, n_max
+    the most photons the pulses hold; more are drawn at once, each held
+    until taken, n_max its size.  Each kind of dot draw reads its own stream
+    (`_stream`) in the order its values are used: the photon numbers stream
+    0, the fates stream 1 and arm i's delays stream 2 + i.  No draw depends
+    on how many another kind makes, so a fixed photon number (neither cut p0
+    nor p0 + p1 inside (0, 1)) draws no photon-number uniform, and when the
+    first arm takes every photon no fate is drawn.
     """
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
         rng = generator(seed)
-        # one draw per arm, as `integers` split into blocks draws other numbers
-        arms = [_emission_times(0, _pulse_times(rng.integers(0, n_pulses, rng.poisson(
-                    n_pulses * model.mu * p)), model.rep_rate_hz), duration, rng)
-                for p in probabilities]
-        return duration, iter([arms])
-    return duration, _dot_blocks(model, n_pulses, np.cumsum(probabilities), seed,
-                                 duration)
+        counts = (rng.poisson(n_pulses * model.mu * p) for p in probabilities)
+        return duration, ((n, _laser_blocks(model, n_pulses, n, rng, duration))
+                          for n in counts)
+    return duration, _dot_arms(model, n_pulses, np.cumsum(probabilities), seed,
+                               duration)
+
+
+def _laser_blocks(model, n_pulses, count, rng, duration):
+    """`count` detections, each in a pulse drawn uniformly, `_BLOCK` at a time."""
+    for start in range(0, count, _BLOCK):
+        pulses = rng.integers(0, n_pulses, min(_BLOCK, count - start))
+        yield _emission_times(0, _pulse_times(pulses, model.rep_rate_hz), duration, rng)
+
+
+def _dot_arms(model, n_pulses, cuts, seed, duration):
+    blocks = _dot_blocks(model, n_pulses, cuts, seed, duration)
+    if cuts.size == 1:
+        yield (n_pulses * max(n for n, p in enumerate(model.photon_dist) if p > 0),
+               (arm for arm, in blocks))
+        return
+    arms = list(zip(*blocks)) or [()] * cuts.size  # a run of no pulses has no block
+    while arms:  # each arm's blocks are freed once its taker drops them
+        yield sum(times.size for times in arms[0]), arms.pop(0)
 
 
 def _stream(seed, jumps):

@@ -18,8 +18,8 @@ supported:
   (last tag + 1).
 
 Readers reject a file whose tags span more than one channel; a file
-without tags reads as channel 0.  The TTAG1 writer writes one block of
-2^14 records at a time; the reader holds the file's bytes once.
+without tags reads as channel 0.  TTAG1 is written and read one block of
+2^14 records at a time; the reader sizes the times from the file length.
 
 `read_csv_rows` and `write_csv_rows` hold the CSV layout that every text
 format of the package (also histograms, DE sweeps, bias curves) shares.
@@ -27,6 +27,7 @@ format of the package (also histograms, DE sweeps, bias curves) shares.
 
 import itertools
 import operator
+import os
 import struct
 
 import numpy as np
@@ -62,11 +63,13 @@ class TagStream:
             raise ValueError("times must be a 1-d array")
         if not 0 <= channel <= CHANNEL_MAX:
             raise ValueError(f"channel outside [0, {CHANNEL_MAX}]: {channel}")
-        unsorted = times[1:] < times[:-1]
-        if unsorted.any():
-            idx = int(np.argmax(unsorted)) + 1
-            raise ValueError(f"tags not sorted: violation at index {idx} "
-                             f"(t={int(times[idx])})")
+        for start in range(0, times.size, _BLOCK):  # a block's mask at a time
+            block = times[start:start + _BLOCK + 1]  # and the next block's first
+            unsorted = block[1:] < block[:-1]
+            if unsorted.any():
+                idx = start + int(np.argmax(unsorted)) + 1
+                raise ValueError(f"tags not sorted: violation at index {idx} "
+                                 f"(t={int(times[idx])})")
         if times.size:
             if times[0] < 0:
                 raise ValueError(f"tag time {times[0]} < 0")
@@ -90,11 +93,8 @@ class TagStream:
     def __eq__(self, other):
         if not isinstance(other, TagStream):
             return NotImplemented
-        return (
-            self.duration_ps == other.duration_ps
-            and self.channel == other.channel
-            and np.array_equal(self.times, other.times)
-        )
+        return ((self.duration_ps, self.channel) == (other.duration_ps, other.channel)
+                and np.array_equal(self.times, other.times))
 
     def __repr__(self):
         return (f"TagStream({len(self)} tags, duration_ps={self.duration_ps}, "
@@ -136,38 +136,46 @@ def _write_binary(stream, path):
 
 def _read_binary(path):
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 15:
-        raise FormatError(f"{path}: truncated TTAG1 header ({len(raw)} bytes)")
-    if raw[:4] != TTAG_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}, expected {TTAG_MAGIC!r}")
-    version, duration, n_channels = _HEADER.unpack_from(raw, len(TTAG_MAGIC))
-    if version != TTAG_VERSION:
-        raise FormatError(f"{path}: unsupported TTAG version {version}")
-    if (len(raw) - 15) % _RECORD_DTYPE.itemsize:
-        raise FormatError(f"{path}: truncated record ({len(raw) - 15} bytes is "
-                          f"not a multiple of 9)")
-    records = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=15)  # no copy
-    channel = _file_channel(path, records["channel"])
-    if n_channels != min(records.size, 1):
+        head = fh.read(15)
+        if len(head) < 15:
+            raise FormatError(f"{path}: truncated TTAG1 header ({len(head)} bytes)")
+        if head[:4] != TTAG_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}, expected {TTAG_MAGIC!r}")
+        version, duration, n_channels = _HEADER.unpack_from(head, len(TTAG_MAGIC))
+        if version != TTAG_VERSION:
+            raise FormatError(f"{path}: unsupported TTAG version {version}")
+        n_bytes = os.fstat(fh.fileno()).st_size - 15
+        if n_bytes % _RECORD_DTYPE.itemsize:
+            raise FormatError(f"{path}: truncated record ({n_bytes} bytes is not a "
+                              f"multiple of 9)")
+        times = np.empty(n_bytes // _RECORD_DTYPE.itemsize, dtype=np.int64)
+        records = np.empty(min(times.size, _BLOCK), dtype=_RECORD_DTYPE)
+        channel = 0
+        for start in range(0, times.size, _BLOCK):
+            block = records[:times.size - start]
+            if fh.readinto(block) != block.nbytes:  # through the buffer protocol
+                raise FormatError(f"{path}: truncated record (the file shrank)")
+            channel = _file_channel(path, block["channel"], channel if start else None)
+            times[start:start + block.size] = block["t"]
+    if n_channels != min(times.size, 1):
         raise FormatError(f"{path}: header says {n_channels} channels, "
-                          f"records hold {min(records.size, 1)}")
-    times = np.ascontiguousarray(records["t"])
-    del raw, records  # the file's bytes, freed before the tags are checked
+                          f"records hold {min(times.size, 1)}")
     try:
         return TagStream(times, duration, channel)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _file_channel(path, channels):
-    """The one channel all tags of a file carry; 0 for a file without tags."""
+def _file_channel(path, channels, first=None):
+    """The one channel all tags of a file carry: those of `channels`, after
+    any tags on channel `first`; 0 for a file without tags."""
     if not channels.size:
         return 0
-    if (channels != channels[0]).any():
+    first = channels[0] if first is None else first
+    if (channels != first).any():
         raise FormatError(f"{path}: tags on more than one channel; "
                           f"a timetag file holds one channel")
-    return int(channels[0])
+    return int(first)
 
 
 CSV_HEADER = "channel,timestamp_ps"

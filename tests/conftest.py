@@ -38,13 +38,9 @@ def chunked_histogram(starts, stops, config, n_chunks):
 
 def arm_blocks(model, n_pulses, probabilities, seed):
     """(duration_ps, arms): the blocks of `sources.sample_blocks` gathered
-    into one list per arm, as `pipelines._acquire` holds them."""
-    duration, blocks = sample_blocks(model, n_pulses, probabilities, seed)
-    arms = [[] for _ in probabilities]
-    for block in blocks:
-        for arm, times in zip(arms, block):
-            arm.append(times)
-    return duration, arms
+    into one list per arm, each arm's taken before the next arm."""
+    duration, arms = sample_blocks(model, n_pulses, probabilities, seed)
+    return duration, [list(blocks) for _, blocks in arms]
 
 
 def sample_arms(model, n_pulses, probabilities, seed):

@@ -32,6 +32,7 @@ from photon_correlator import (
     load_config,
     pipelines,
     pulse_period_ps,
+    read_tags,
     reverse_start_stop,
     tac_histogram,
     write_tags,
@@ -96,7 +97,7 @@ def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_tim
     duration = 40 * n_signal + 1000
     signal = np.random.default_rng(n_signal).integers(0, duration, n_signal)
     model = DetectorModel("D", 1.0, dark_rate_hz, jitter_fwhm_ps, dead_time_ps)
-    got = _record(np.array_split(signal.copy(), 3), model, duration,
+    got = _record(n_signal, np.array_split(signal.copy(), 3), model, duration,
                   np.random.default_rng(3), 1)
     assert np.array_equal(got.times,
                           reference_record(signal, model, duration,
@@ -106,7 +107,8 @@ def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_tim
 def test_record_clamps_huge_jitter_like_one_shot():
     signal = np.arange(0, 10 * (_BLOCK + 1), 10)
     model = DetectorModel("D", 1.0, 0.0, 1e30)
-    got = _record([signal.copy()], model, 10 * signal.size, np.random.default_rng(4), 1)
+    got = _record(signal.size, [signal.copy()], model, 10 * signal.size,
+                  np.random.default_rng(4), 1)
     expected = reference_record(signal, model, 10 * signal.size, np.random.default_rng(4))
     assert np.array_equal(got.times, expected)
     assert set(np.unique(got.times)) == {0, 10 * signal.size - 1}
@@ -426,17 +428,30 @@ def test_tac_histogram_bins_at_least_n_bins_delays_at_a_time(mode, monkeypatch):
 # the draw-splitting property the seeding contract rests on
 
 
+def integers_below(high):
+    return lambda g, k: g.integers(0, high, k)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_pcg64_draws_do_not_depend_on_how_they_are_split(seed):
-    """`random` and `normal` drawn in pieces of any sizes equal one draw of
-    the whole: the block size is not part of the seeding contract."""
+    """`random`, `normal` and `integers` drawn in pieces of any sizes equal
+    one draw of the whole, and leave the generator where it leaves it, as
+    the `poisson` draw after them shows: the block size is not part of the
+    seeding contract.  `integers` draws the laser's pulse indices: numpy
+    draws a range up to 2^32 from 32-bit halves of its 64-bit outputs, so
+    an odd piece leaves a half for the next."""
     n = 3 * _BLOCK + 7
     cuts = np.sort(np.random.default_rng(seed).integers(0, n, 6)).tolist()
-    pieces = np.diff([0, *cuts, n]).tolist()  # some may be empty
-    for draw in (lambda g, k: g.random(k), lambda g, k: g.normal(0.0, 72.2, k)):
-        whole = draw(np.random.default_rng(seed), n)
-        split = np.random.default_rng(seed)
-        assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]), whole)
+    # random pieces (some may be empty), and pieces of 1 and of 7, as blocks
+    splits = (np.diff([0, *cuts, n]).tolist(), [1] * 7 + [n - 7],
+              [7] * (n // 7) + [n % 7])
+    for draw in (lambda g, k: g.random(k), lambda g, k: g.normal(0.0, 72.2, k),
+                 *(integers_below(high) for high in (1, 3, 2**32, 2**32 + 1, 2**40))):
+        for pieces in splits:
+            whole, split = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(np.concatenate([draw(split, k) for k in pieces]),
+                                  draw(whole, n))
+            assert split.poisson(1e6, 3).tolist() == whole.poisson(1e6, 3).tolist()
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -452,6 +467,25 @@ def test_dot_detections_do_not_depend_on_the_block_size(seed, monkeypatch):
         got_duration, blocks = arm_blocks(source, n_pulses, probabilities, seed)
         assert got_duration == duration
         assert [len(arm) for arm in blocks] == [-(-n_pulses // block)] * 2
+        assert_same_arrays([np.concatenate(arm) for arm in blocks], expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_laser_detections_do_not_depend_on_the_block_size(seed, monkeypatch):
+    """The laser draws each arm's pulse indices a block at a time, arm after
+    arm from one generator, so any block size gives each arm the same
+    detections in the same order, also one that does not divide an arm's
+    count, n here."""
+    source = PoissonLaserModel(REP_HZ, 0.8)
+    n_pulses, probabilities = 1000, [0.3, 0.5]
+    duration, expected = sample_arms(source, n_pulses, probabilities, seed)
+    n = expected[0].size
+    for block in (1, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(sources, "_BLOCK", block)
+        got_duration, blocks = arm_blocks(source, n_pulses, probabilities, seed)
+        assert got_duration == duration
+        assert [len(arm) for arm in blocks] == [-(-times.size // block)
+                                               for times in expected]
         assert_same_arrays([np.concatenate(arm) for arm in blocks], expected)
 
 
@@ -533,8 +567,8 @@ def size(blocks):
 
 
 def test_sampled_arms_hold_their_output_and_little_per_photon():
-    """The blocks of one arm, as `pipelines._acquire` holds them: 8 bytes of
-    output a photon, and block temporaries."""
+    """The blocks of one arm, all held: 8 bytes of output a photon, and block
+    temporaries."""
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
     peak, (_, (blocks,)) = traced_peak(
         lambda: arm_blocks(source, N_PULSES, [1.0], seed=1))
@@ -566,25 +600,36 @@ def test_sampled_arms_hold_8_bytes_a_detected_photon():
     assert peak <= 8 * detected + ALLOWANCE
 
 
-@pytest.mark.parametrize(("dead_time_ps", "kept", "bytes_a_tag"),
-                         [(10_000, 1.0, 10), (30_000, 1 / 3, 34)])
-def test_dead_time_filter_holds_two_masks_and_the_late_tags(dead_time_ps, kept,
-                                                            bytes_a_tag):
-    """2e6 jittered tags 12.2 ns apart.  The filter works a block at a time
-    and keeps the accepted tags in place.  With a 10 ns dead time no tag is
-    late: the recorded times (8 bytes a tag) and the filter's two masks (1
-    each).  With 30 ns every tag but the first is late in one long run: the
-    times, the two masks, and the late times, their shifted copy and each
-    one's next candidate (24).  Beside them, 1 MiB for the block
+@pytest.mark.parametrize(("dead_time_ps", "kept"), [(10_000, 1.0), (30_000, 1 / 3)])
+def test_dead_time_filter_holds_the_recorded_times(dead_time_ps, kept):
+    """2e6 jittered tags 12.2 ns apart.  The filter works a block at a time,
+    carrying the run's anchor and the time from which a late tag can be
+    accepted, and keeps the accepted tags in place, so it holds only the
+    recorded times (8 bytes a tag), also with 30 ns, where every tag but
+    the first is late in one long run.  Beside them, 1 MiB for the block
     temporaries, the jitter block among them."""
     n = 2_000_000
     period = pulse_period_ps(REP_HZ)
     signal = np.rint(np.arange(n) * period).astype(np.int64)
     model = DetectorModel("D", 1.0, 0.0, 170.0, dead_time_ps)
-    peak, tags = traced_peak(lambda: _record([signal], model, int(n * period),
+    peak, tags = traced_peak(lambda: _record(n, [signal], model, int(n * period),
                                              np.random.default_rng(2), 1))
     assert abs(len(tags) - kept * n) < 0.01 * n
-    assert peak <= bytes_a_tag * n + 2**20
+    assert peak <= 8 * n + 2**20
+
+
+def test_record_of_lazily_drawn_laser_blocks_holds_8_bytes_a_detection():
+    """hbt_tac's APD (jitter, darks, 10 ns dead time) records the laser's
+    lazily drawn blocks of detections into one array, without a list of the
+    blocks or their concatenation: 8 bytes a detection drawn, whatever the
+    dead time drops."""
+    model = DetectorModel("APD", 0.38, 100.0, 550.0, 10_000)
+    duration, arms = sample_blocks(PoissonLaserModel(REP_HZ, 0.5), 2**22, [0.19], 1)
+    (n_max, blocks), = arms
+    peak, tags = traced_peak(lambda: _record(n_max, blocks, model, duration,
+                                             np.random.default_rng(2), 1))
+    assert 0.9 * n_max < len(tags) < n_max
+    assert peak <= 8 * n_max + ALLOWANCE
 
 
 @pytest.mark.parametrize("n_starts", [N_PULSES, 4 * N_PULSES])
@@ -605,9 +650,10 @@ def test_tac_histogram_holds_a_fixed_amount_beside_its_streams(n_starts, mode):
 
 
 def test_laser_arms_hold_8_bytes_a_detection():
-    """The laser's one draw of pulse indices per arm becomes its pulse times,
-    then its detections, in place: 8 bytes a detection, where a float copy
-    and an int64 copy of a draw of 6e5 pulse indices are past the allowance."""
+    """The laser's pulse indices, drawn a block at a time, become pulse times,
+    then detections, in place: 8 bytes a detection, all held, where a float
+    copy and an int64 copy of an arm's 6e5 pulse indices are past the
+    allowance."""
     n = 2**22
     peak, (_, arms) = traced_peak(lambda: arm_blocks(PoissonLaserModel(REP_HZ, 0.5), n,
                                                      [0.1, 0.3], seed=1))
@@ -624,16 +670,33 @@ def test_ttag1_writer_holds_one_block_of_records(tmp_path):
     assert (tmp_path / "tags.ttag").stat().st_size == 15 + 9 * 2**20
 
 
+def test_ttag1_reader_holds_the_times_and_one_block_of_records(tmp_path):
+    """2^21 tags: the times the reader returns (8 bytes a tag), sized from
+    the file length, and one block of records read at a time, not the
+    file's 9 bytes a tag; the stream's order check, too, takes a block at a
+    time."""
+    n = 2**21
+    path = tmp_path / "tags.ttag"
+    write_tags(TagStream(np.arange(n) * 10, 10 * n, 3), path)
+    peak, back = traced_peak(lambda: read_tags(path))
+    assert back == TagStream(np.arange(n) * 10, 10 * n, 3)
+    assert back.times.flags.c_contiguous
+    assert peak <= 8 * n + ALLOWANCE
+
+
 HBT_TAC_CFG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "hbt_tac.cfg"
 
 
-def test_run_hbt_holds_20_bytes_a_start_tag():
-    """hbt_tac.cfg at 2e6 pulses.  Its peak is the start detector's blocks
-    of detections (8 bytes a start tag) while they are concatenated into
-    the recorded tags (8), with the few stop tags; the dead-time filter,
-    the correlator and the writer hold less beside the tags."""
+def test_run_hbt_holds_its_tags_and_one_block():
+    """hbt_tac.cfg at 2e6 pulses.  Each detector's detections are drawn a
+    block at a time as it records them into one array, so the run holds the
+    recorded tags of both detectors, 8 bytes each, and beside them the few
+    start tags the dead time drops and one block's temporaries, within 1
+    MiB: no list of blocks and no concatenation (8 more bytes a start tag).
+    The correlator's block temporaries, 0.7 MiB, are the most of these."""
     cfg = replace(load_config(HBT_TAC_CFG), n_pulses=2_000_000)
     pipelines.run_hbt(replace(cfg, n_pulses=1000))
     peak, result = traced_peak(lambda: pipelines.run_hbt(cfg))
+    n_tags = len(result.start_detections) + len(result.stop_detections)
     assert len(result.start_detections) > 150_000
-    assert peak <= 20 * len(result.start_detections)
+    assert peak <= 8 * n_tags + 2**20

@@ -133,6 +133,21 @@ def test_dead_time_matches_greedy_scan_at_scale(rate_tau):
     assert out.times.tolist() == greedy_dead_time(times.tolist(), dead_time)
 
 
+@pytest.mark.parametrize("dead_time", [1, 7, 2**62, 2**63 - 2])
+def test_dead_time_near_the_int64_maximum_matches_greedy_scan(dead_time):
+    # the filter carries "a late tag can be accepted from t + dead time" from
+    # block to block, held at 2^63 - 1 where the sum would wrap; the tags
+    # crowd the top of the window, in runs across a block edge
+    rng = np.random.default_rng(dead_time % 1000)
+    top = 2**63 - 1
+    times = np.sort(np.concatenate([
+        rng.integers(0, top, 50), top - 1 - rng.integers(0, 60, 20_000),
+        top - 1 - rng.integers(0, min(2 * dead_time, top), 50)]))
+    photons = TagStream(times, top, 0)
+    out = detect(photons, ideal(dead_time_ps=dead_time), seed=1)
+    assert out.times.tolist() == greedy_dead_time(times.tolist(), dead_time)
+
+
 def test_dark_counts_poisson():
     # photon-free 1 s run at 100 Hz dark rate: 100 +/- 30 tags
     empty = empty_stream(10**12)

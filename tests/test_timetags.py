@@ -3,7 +3,7 @@ import pytest
 
 from photon_correlator import FormatError, TagStream, read_tags, write_tags
 
-from conftest import empty_stream, random_stream, traced_peak
+from conftest import empty_stream, random_stream
 
 
 def ttag1_bytes(duration_ps, count_byte, records):
@@ -61,16 +61,37 @@ def test_binary_round_trip_at_the_block_edges(tmp_path, n_tags):
     assert back == s and back.times.flags.c_contiguous
 
 
-def test_binary_reader_holds_the_file_once(tmp_path):
-    """2^21 tags: the file's bytes (9 a tag) and the contiguous times the
-    reader returns (8), not a second copy of the records, with 1 MiB for
-    the rest."""
-    n = 2**21
-    path = tmp_path / "tags.ttag"
-    write_tags(TagStream(np.arange(n) * 10, 10 * n, 3), path)
-    peak, back = traced_peak(lambda: read_tags(path))
-    assert len(back) == n and back.times.flags.c_contiguous
-    assert peak <= (9 + 8) * n + 2**20
+@pytest.mark.parametrize("n_tags", [2**14 - 1, 2**14, 2**14 + 1])
+@pytest.mark.parametrize("cut", [1, 8])
+def test_binary_truncated_body_at_the_block_edges(tmp_path, n_tags, cut):
+    path = tmp_path / "trunc.ttag"
+    write_tags(TagStream(np.arange(n_tags), n_tags, 2), path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FormatError, match="truncated record"):
+        read_tags(path)
+
+
+@pytest.mark.parametrize("n_second", [1, 3])
+def test_binary_second_channel_first_in_block_2_is_a_format_error(tmp_path, n_second):
+    # the reader checks a block of 2^14 records at a time: block 2 is all on
+    # another channel, or starts with one record on it
+    records = ([(4, t) for t in range(2**14)]
+               + [(5, 2**14 + t) for t in range(n_second)] + [(4, 2**15)] * (n_second == 1))
+    path = tmp_path / "two.ttag"
+    path.write_bytes(ttag1_bytes(2**16, 1, records))
+    with pytest.raises(FormatError, match=r"two\.ttag: tags on more than one channel"):
+        read_tags(path)
+
+
+@pytest.mark.parametrize("index", [1, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 6])
+def test_stream_names_the_first_unsorted_index_at_the_block_edges(index):
+    # the order is checked a block of 2^14 tags at a time, each block against
+    # the tag before it; a second violation later must not be named instead
+    times = np.arange(3 * 2**14 + 7) * 10
+    times[index] = times[index - 1] - 1
+    times[-1] = 0
+    with pytest.raises(ValueError, match=f"violation at index {index} "):
+        TagStream(times, 10**6, 0)
 
 
 def test_csv_round_trip(rng, tmp_path):
