@@ -373,19 +373,20 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     erfc argument, rearranged so that no factor overflows and 0 * inf
     cannot occur: the columns are finite for every finite sigma >= 0.
     For sigma_ps = 0 the sigma column is zero (the one-sided limit is not
-    differentiable in sigma) and the remaining columns differentiate the
-    plain exponential.
+    differentiable in sigma) and the rest differentiate the one-sided
+    exponential, 1/2 at its jump u = 0.  There the t0 column is the slope
+    before the jump, 0: the mean slope stalls `fit_lifetime` at its guess.
     """
     t = np.atleast_1d(np.asarray(t_ps, dtype=float))
     u = t - t0_ps
     J = np.zeros((t.size, 5))
     J[:, 4] = 1.0
     if sigma_ps == 0:
-        decay = np.where(u > 0, np.exp(-np.clip(u, 0, None) / tau_ps), 0.0)
+        decay = decay_model(t, tau_ps, 0.0, 1.0, t0_ps, 0.0)  # 1/2 at u = 0
         S = amplitude * decay
         J[:, 0] = S * u / tau_ps**2
         J[:, 2] = decay
-        J[:, 3] = S / tau_ps
+        J[:, 3] = np.where(u > 0, S / tau_ps, 0.0)
         return J
     S, a, z, g, gw = _unit_decay(u, tau_ps, sigma_ps)
     K = g / _SQRT_PI

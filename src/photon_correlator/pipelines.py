@@ -12,14 +12,11 @@ A recipe never makes the source's photon stream: its source stage draws
 only the photons each detector detects (`sources.sample_blocks`, with
 the beamsplitter, attenuator and efficiency folded into one fate per
 photon), and each detector stage draws that detector's darks and jitter
-(`detectors._record`).  The photon-level path gives the same tags in
-distribution: `emit_*_pulse_train` (the same sampler with one arm that
-detects every photon), then `beamsplit`, `attenuate` and `detect`; that
-path and `emit_clock_ticks` are internal, kept only for perfbench/traced.py.
+(`detectors._record`): in distribution, the photon-by-photon path below.
 
 HBT, the DE sweep and TCSPC with detector dead time hold each detector's
-recorded tags and one block, each arm drawn as it is recorded; a dot HBT
-draws both arms at once, holding each arm's blocks until it is recorded.
+recorded tags and one block, each arm drawn as it is recorded; a dot arm's
+blocks are held until recorded, and a dot HBT draws both arms at once.
 TCSPC with no detector dead time holds no array as long as the
 run: it draws, records and bins one block of pulses at a time
 (`sources.sample_blocks`, `detectors._recorded_blocks`,
@@ -41,6 +38,8 @@ import json
 import os
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .analysis import (
     DECalibrationPoint,
     fit_de,
@@ -56,27 +55,16 @@ from .correlator import (
     HistogramConfig,
     Mode,
     next_tick_histogram,
-    reverse_start_stop,  # noqa: F401
+    reverse_start_stop,  # noqa: F401  (perfbench/traced.py wraps it by this name)
     tac_histogram,
     write_histogram_csv,
 )
-# detect, attenuate, beamsplit, the emit_* functions and reverse_start_stop
-# are not called here but stay importable: perfbench/traced.py wraps every
-# layer by its name in this module
-from .detectors import _dark_counts, _record, _recorded_blocks, detect  # noqa: F401
+from .detectors import _dark_counts, _record, _recorded_blocks
 from .errors import AnalysisError, ConfigError
-from .optics import attenuate, beamsplit  # noqa: F401
-from .rng import derive_seed, generator
-from .sources import (  # noqa: F401
-    PoissonLaserModel,
-    clock_lattice,
-    emit_clock_ticks,
-    emit_dot_pulse_train,
-    emit_laser_pulse_train,
-    pulse_period_ps,
-    sample_blocks,
-)
-from .timetags import write_tags
+from .rng import _BLOCK, derive_seed, generator
+from .sources import (PoissonLaserModel, _train_duration_ps, clock_lattice,
+                      pulse_period_ps, sample_blocks)
+from .timetags import TagStream, write_tags
 
 
 def _acquire(cfg, source, n_pulses, source_stage, arms):
@@ -93,10 +81,10 @@ def _acquire(cfg, source, n_pulses, source_stage, arms):
                            for (_, reach, _), model in zip(arms, models)],
         derive_seed(cfg.seed, source_stage))
     # the arms are recorded in turn, each as its blocks are taken
-    return [_record(n_max, blocks, model, duration,
+    return [_record(count, blocks, model, duration,
                     generator(derive_seed(cfg.seed, stage)),
                     sorted(cfg.detectors).index(name) + 1)
-            for (n_max, blocks), model, (name, _, stage) in zip(signals, models, arms)]
+            for (count, blocks), model, (name, _, stage) in zip(signals, models, arms)]
 
 
 def _hbt_correlator_config(cfg):
@@ -222,11 +210,11 @@ def _tcspc_histogram(cfg):
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     name = cfg.tcspc.detector
     model = cfg.detectors[name]
-    duration, ((n_max, signal),) = sample_blocks(
+    duration, ((count, signal),) = sample_blocks(
         cfg.source, cfg.n_pulses, [model.efficiency], derive_seed(cfg.seed, "source"))
     rng = generator(derive_seed(cfg.seed, f"detector.{name}"))
     if model.dead_time_ps > 0:
-        tags = [_record(n_max, signal, model, duration, rng, channel=1).times]
+        tags = [_record(count, signal, model, duration, rng, channel=1).times]
     else:
         tags = _recorded_blocks(signal, _dark_counts(model, duration, rng), model,
                                 duration, rng)
@@ -324,3 +312,57 @@ def _write_effective_config(cfg, out_dir):
     with open(path, "w", newline="") as fh:
         fh.write(format_config(cfg))
     return path
+
+
+# ---------------------------------------------------------------------------
+# the photon-by-photon path, each step on a whole stream; routing is classical,
+# as intensity correlations need photon bookkeeping, not two-photon
+# interference.  No recipe calls it, as the source stage folds its steps into
+# one fate per photon: it stays while perfbench/traced.py wraps it by name here.
+
+
+def emit_dot_pulse_train(model, n_pulses, seed):
+    """The source stream of `n_pulses` pulses of `model`, a dot or a laser,
+    sorted: `sample_blocks` with one arm that detects every photon."""
+    duration, ((_, blocks),) = sample_blocks(model, n_pulses, [1.0], seed)
+    times = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+    times.sort()
+    return TagStream(times, duration, channel=0)
+
+
+emit_laser_pulse_train = emit_dot_pulse_train
+
+
+def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
+    """Every tick of `sources.clock_lattice`, as a stream."""
+    ticks = clock_lattice(rep_rate_hz, n_pulses, offset_ps)
+    times = np.empty(ticks.size, dtype=np.int64)
+    for start in range(0, ticks.size, _BLOCK):
+        times[start:start + _BLOCK] = ticks[np.arange(start, min(start + _BLOCK, ticks.size))]
+    return TagStream(times, _train_duration_ps(n_pulses, rep_rate_hz), channel=255)
+
+
+def beamsplit(stream, ratio, seed):
+    """(arm_a, arm_b): each tag goes to arm B with probability `ratio.transmission`
+    (a `config.SplitRatio`), else to A; both keep the input's channel and window."""
+    to_b = generator(seed).random(len(stream)) < ratio.transmission
+    return tuple(TagStream(stream.times[arm], stream.duration_ps, stream.channel)
+                 for arm in (~to_b, to_b))
+
+
+def attenuate(stream, transmission, seed):
+    """Independent Bernoulli thinning; Poisson(mu) input stays Poisson(mu*transmission).
+    The collection optics and monochromator fold into this one transmission."""
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission {transmission} outside [0, 1]")
+    keep = generator(seed).random(len(stream)) < transmission
+    return TagStream(stream.times[keep], stream.duration_ps, stream.channel)
+
+
+def detect(photons, model, seed, channel=1):
+    """`photons` thinned by `model`'s efficiency, then `_record`ed, on one generator."""
+    if photons.duration_ps <= 0:
+        raise ValueError("detect requires a stream with duration_ps > 0")
+    rng = generator(seed)
+    kept = photons.times[rng.random(len(photons)) < model.efficiency]
+    return _record(kept.size, [kept], model, photons.duration_ps, rng, channel)

@@ -21,11 +21,7 @@ are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
 1993).  It holds one block of draws: the dot's pulses, or the laser's
 pulse indices, which become its detections in place, are drawn a block at
-a time.  `emit_dot_pulse_train` and `emit_laser_pulse_train` are that
-sampler with one arm that detects every photon: the source stream.
-`clock_lattice` is the sync clock held as its lattice, with nothing per
-tick; `emit_clock_ticks` makes every tick.  No recipe calls the `emit_*`
-functions: they are internal, kept only while perfbench/traced.py wraps them.
+a time.
 """
 
 import math
@@ -35,10 +31,6 @@ import numpy as np
 
 from .correlator import _search
 from .rng import _BLOCK, generator
-from .timetags import TagStream
-
-SOURCE_CHANNEL = 0
-CLOCK_CHANNEL = 255
 
 _PROB_SUM_TOL = 1e-9
 
@@ -141,54 +133,31 @@ def _emission_times(lifetime_ps, pulse_times, duration, rng):
     return np.add(delays, pulse_times, out=delays, where=in_run)[in_run]
 
 
-def emit_dot_pulse_train(model, n_pulses, seed):
-    """Emit the quantum-dot photon stream for `n_pulses` pump pulses.
-
-    Pulse k fires at round(k * 1e12 / rep_rate_hz); its photon count is
-    drawn from photon_dist and each photon is delayed by an independent
-    Exponential(lifetime_ps) draw.
-    """
-    return _every_photon(model, n_pulses, seed)
-
-
-def emit_laser_pulse_train(model, n_pulses, seed):
-    """Emit the Poissonian laser stream; all photons of a pulse share its timestamp."""
-    return _every_photon(model, n_pulses, seed)
-
-
-def _every_photon(model, n_pulses, seed):
-    """The source stream: `sample_blocks` with every photon detected."""
-    duration, ((_, blocks),) = sample_blocks(model, n_pulses, [1.0], seed)
-    times = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
-    times.sort()
-    return TagStream(times, duration, SOURCE_CHANNEL)
-
-
 def sample_blocks(model, n_pulses, probabilities, seed):
     """Times of the photons each arm detects over `n_pulses` pulses of
     `model`, one block of `_BLOCK` draws at a time.
 
     A source photon is detected in arm i with probability probabilities[i]
     and lost otherwise (the probabilities sum to at most 1).  Returns
-    (duration_ps, arms): `arms` yields, for each arm in turn, (n_max,
-    blocks), `blocks` yielding int64 arrays, in no particular order, of the
-    at most n_max times in [0, duration_ps) that arm detects.  Take each
-    arm's blocks before the next: the laser draws its arms in turn.
+    (duration_ps, arms): `arms` yields, for each arm in turn, (count,
+    blocks), `blocks` yielding int64 arrays of the times in [0, duration_ps)
+    that arm detects, in no order, and `count` at least their number, or
+    None if not drawn.  Take each arm's blocks before the next, as the laser
+    draws its arms in turn.
 
-    Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's
-    detections in arm i, n_max, are Poisson(n_pulses * mu * p_i), each in
-    an independent uniformly drawn pulse, so the cost is that of the
+    Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's count of
+    detections in arm i is Poisson(n_pulses * mu * p_i), each in an
+    independent uniformly drawn pulse, so the cost is that of the
     detections.  The dot draws one photon number per pulse, from one
     uniform by inverse CDF, and one fate per photon, so the two photons of
     a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.  One arm is drawn as it is taken, n_max
-    the most photons the pulses hold; more are drawn at once, each held
-    until taken, n_max its size.  Each kind of dot draw reads its own stream
-    (`_stream`) in the order its values are used: the photon numbers stream
-    0, the fates stream 1 and arm i's delays stream 2 + i.  No draw depends
-    on how many another kind makes, so a fixed photon number (neither cut p0
-    nor p0 + p1 inside (0, 1)) draws no photon-number uniform, and when the
-    first arm takes every photon no fate is drawn.
+    photons get an emission delay.  One arm is drawn as it is taken; more
+    are drawn at once, each held until taken.  Each kind of dot draw reads
+    its own stream (`_stream`) in the order its values are used: the photon
+    numbers stream 0, the fates stream 1 and arm i's delays stream 2 + i.
+    No draw depends on how many another kind makes, so a fixed photon number
+    (neither cut p0 nor p0 + p1 inside (0, 1)) draws no photon-number
+    uniform, and when the first arm takes every photon no fate is drawn.
     """
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
@@ -210,12 +179,11 @@ def _laser_blocks(model, n_pulses, count, rng, duration):
 def _dot_arms(model, n_pulses, cuts, seed, duration):
     blocks = _dot_blocks(model, n_pulses, cuts, seed, duration)
     if cuts.size == 1:
-        yield (n_pulses * max(n for n, p in enumerate(model.photon_dist) if p > 0),
-               (arm for arm, in blocks))
+        yield None, (arm for arm, in blocks)
         return
     arms = list(zip(*blocks)) or [()] * cuts.size  # a run of no pulses has no block
     while arms:  # each arm's blocks are freed once its taker drops them
-        yield sum(times.size for times in arms[0]), arms.pop(0)
+        yield None, arms.pop(0)
 
 
 def _stream(seed, jumps):
@@ -289,23 +257,11 @@ class _Ticks:
 
 
 def clock_lattice(rep_rate_hz, n_pulses, offset_ps=0):
-    """The ticks of `emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps)`,
-    held as their lattice: nothing per tick."""
+    """The run's sync ticks, one per pump pulse `offset_ps` late (dropping those
+    past either end), held as their lattice: nothing per tick."""
     duration = _train_duration_ps(n_pulses, rep_rate_hz)
     every = _Ticks(rep_rate_hz, int(offset_ps), 0, n_pulses)
     # the ticks are sorted, so those in [0, duration) are a window
     first, end = _search(every, np.array([0, duration])).tolist() if n_pulses else (0, 0)
     return _Ticks(rep_rate_hz, int(offset_ps), first, end - first)
 
-
-def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
-    """The sync photodiode: one jitterless tick per pump pulse, plus a fixed delay.
-
-    Ticks shifted past the acquisition window are dropped; a negative
-    offset may likewise drop leading ticks.
-    """
-    ticks = clock_lattice(rep_rate_hz, n_pulses, offset_ps)
-    times = np.empty(ticks.size, dtype=np.int64)
-    for start in range(0, ticks.size, _BLOCK):
-        times[start:start + _BLOCK] = ticks[np.arange(start, min(start + _BLOCK, ticks.size))]
-    return TagStream(times, _train_duration_ps(n_pulses, rep_rate_hz), CLOCK_CHANNEL)

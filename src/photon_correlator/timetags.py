@@ -82,11 +82,6 @@ class TagStream:
         self.duration_ps = duration_ps
         self.channel = channel
 
-    def subset(self, index):
-        """The tags a boolean mask or a slice selects, in order, on the same
-        channel and window."""
-        return TagStream(self.times[index], self.duration_ps, self.channel)
-
     def __len__(self):
         return int(self.times.size)
 

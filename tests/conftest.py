@@ -30,7 +30,8 @@ def chunked_histogram(starts, stops, config, n_chunks):
     """`tac_histogram` of `n_chunks` consecutive slices of the starts, their
     counts and starts summed; equal to a single pass in ALL_STOPS mode."""
     bounds = np.linspace(0, len(starts), n_chunks + 1).astype(int)
-    chunks = [tac_histogram(starts.subset(slice(a, b)), stops, config)
+    chunks = [tac_histogram(TagStream(starts.times[a:b], starts.duration_ps,
+                                      starts.channel), stops, config)
               for a, b in zip(bounds[:-1], bounds[1:])]
     return Histogram(config, sum(h.counts for h in chunks),
                      sum(h.n_starts for h in chunks))

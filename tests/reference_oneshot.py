@@ -14,7 +14,7 @@ same numpy calls on whole arrays.
 * `reference_record` is `detectors._record`: returns the recorded times.
   Its dead time is its own greedy scan, tag by tag, not the program's
   filter;
-* `reference_clock_ticks` is `sources.emit_clock_ticks`: returns the
+* `reference_clock_ticks` is `pipelines.emit_clock_ticks`: returns the
   tick times;
 * `reference_reverse_start_stop` is `correlator.reverse_start_stop`:
   returns the counts.

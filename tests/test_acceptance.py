@@ -31,11 +31,9 @@ from photon_correlator import (
 )
 from photon_correlator.analysis import de_model, de_model_jacobian, decay_model_jacobian
 from photon_correlator.cli import main
-from photon_correlator.detectors import detect
-from photon_correlator.optics import beamsplit
-from photon_correlator.pipelines import run_de_sweep, run_hbt, run_tcspc
+from photon_correlator.pipelines import (beamsplit, detect, emit_dot_pulse_train,
+                                         run_de_sweep, run_hbt, run_tcspc)
 from photon_correlator.rng import derive_seed
-from photon_correlator.sources import emit_dot_pulse_train
 
 from conftest import (chunked_histogram, finite_difference_jacobian, poisson_stream,
                       random_stream)

@@ -41,9 +41,8 @@ from photon_correlator.analysis import (
     gaussian_model,
     side_peak_windows,
 )
-from photon_correlator.detectors import detect
-from photon_correlator.optics import beamsplit
-from photon_correlator.sources import emit_dot_pulse_train, emit_laser_pulse_train
+from photon_correlator.pipelines import (beamsplit, detect, emit_dot_pulse_train,
+                                         emit_laser_pulse_train)
 
 from conftest import finite_difference_jacobian
 
@@ -339,6 +338,16 @@ class TestJacobians:
             J_fd = finite_difference_jacobian(lambda q: decay_model(t, *q), p)
             assert relative_jacobian_error(J, J_fd) < 1e-5, p
 
+    def test_decay_amplitude_column_at_zero_sigma_is_the_unit_model(self):
+        """At sigma = 0 the model is one-sided and reads B + A/2 at t0 itself,
+        so on a grid through t0 the amplitude column is the unit model, 1/2
+        there, as central differences give.  The t0 column there is the slope
+        before the jump, 0."""
+        t = 100.0 + 10.0 * np.arange(-3, 4)
+        J = decay_model_jacobian(t, 50.0, 0.0, 1000.0, 100.0, 2.0)
+        assert np.array_equal(J[:, 2], decay_model(t, 50.0, 0.0, 1.0, 100.0, 0.0))
+        assert J[3, 2] == 0.5 and J[3, 3] == 0.0
+
     def test_gaussian_jacobian_vs_central_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -483,7 +492,7 @@ class TestMeasureIrf:
         # delta-pulse laser through a 170 ps detector, timed against the
         # sync clock: the fitted IRF is the detector jitter, 170 +/- 4 ps
         from photon_correlator import reverse_start_stop
-        from photon_correlator.sources import emit_clock_ticks
+        from photon_correlator.pipelines import emit_clock_ticks
 
         rep = 1e8
         laser = emit_laser_pulse_train(PoissonLaserModel(rep, 0.5), 400_000, seed=41)

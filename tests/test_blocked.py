@@ -39,11 +39,11 @@ from photon_correlator import (
 )
 from photon_correlator import correlator, sources
 from photon_correlator.correlator import _clock_frame, _next_tick, _search
-from photon_correlator.detectors import _record, detect
+from photon_correlator.detectors import _record
+from photon_correlator.pipelines import (detect, emit_clock_ticks, emit_dot_pulse_train,
+                                         emit_laser_pulse_train)
 from photon_correlator.rng import _BLOCK, derive_seed
-from photon_correlator.sources import (_Ticks, clock_lattice, emit_clock_ticks,
-                                       emit_dot_pulse_train, emit_laser_pulse_train,
-                                       sample_blocks)
+from photon_correlator.sources import _Ticks, clock_lattice, sample_blocks
 
 from conftest import arm_blocks, sample_arms, traced_peak
 from reference_oneshot import (
@@ -630,6 +630,47 @@ def test_record_of_lazily_drawn_laser_blocks_holds_8_bytes_a_detection():
                                              np.random.default_rng(2), 1))
     assert 0.9 * n_max < len(tags) < n_max
     assert peak <= 8 * n_max + ALLOWANCE
+    # the array is shrunk in place to the kept tags, so the tags the dead
+    # time drops (more than a block here) are freed, not held behind a view
+    buffer = tags.times if tags.times.base is None else tags.times.base
+    assert n_max - len(tags) > _BLOCK
+    assert buffer.nbytes <= 8 * (len(tags) + _BLOCK)
+
+
+DIM_DOT_TCSPC_CFG = """
+[run]
+seed = 1
+n_pulses = 2097152
+
+[source]
+type = dot
+rep_rate_hz = 82e6
+lifetime_ps = 370
+g2_target = 0.24
+mean_n = 0.1
+
+[detector.SSPD]
+efficiency = 0.02
+dark_rate_hz = 100
+jitter_fwhm_ps = 170
+dead_time_ps = 10000
+
+[tcspc]
+detector = SSPD
+"""
+
+
+def test_dot_tcspc_with_dead_time_holds_16_bytes_a_recorded_tag():
+    """A dim dot through a detector with dead time: the sampler draws no
+    count, so `_record` holds the arm's blocks to count them (8 bytes a tag)
+    beside the array it fills (8 more).  A record sized for the most photons
+    the pulses can hold is 2 x 2^21 x 8 bytes, 32 MiB, for 4.2e3 tags."""
+    cfg = parse_config_text(DIM_DOT_TCSPC_CFG)
+    cfg = replace(cfg, correlator=pipelines._tcspc_correlator_config(cfg))
+    pipelines._tcspc_histogram(replace(cfg, n_pulses=1000))
+    peak, hist = traced_peak(lambda: pipelines._tcspc_histogram(cfg))
+    assert hist.n_starts > 0.9 * 0.1 * 0.02 * cfg.n_pulses
+    assert peak <= 16 * hist.n_starts + ALLOWANCE
 
 
 @pytest.mark.parametrize("n_starts", [N_PULSES, 4 * N_PULSES])

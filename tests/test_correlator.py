@@ -20,8 +20,7 @@ from photon_correlator import (
     write_histogram_csv,
 )
 from photon_correlator.correlator import MAX_BINS
-from photon_correlator.detectors import detect
-from photon_correlator.sources import emit_clock_ticks, emit_dot_pulse_train
+from photon_correlator.pipelines import detect, emit_clock_ticks, emit_dot_pulse_train
 
 from conftest import chunked_histogram, empty_stream, poisson_stream
 

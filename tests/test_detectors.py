@@ -19,7 +19,7 @@ from photon_correlator import (
     sigma_to_fwhm,
     write_bias_curve,
 )
-from photon_correlator.detectors import detect
+from photon_correlator.pipelines import detect
 
 from conftest import empty_stream, poisson_stream, random_stream
 
@@ -83,7 +83,7 @@ def test_fractional_dead_time_is_the_next_whole_picosecond():
     once sent the filter into an endless loop: the run is a subprocess, so
     such a relapse fails on the timeout instead of hanging the suite."""
     code = ("from photon_correlator import DetectorModel, TagStream\n"
-            "from photon_correlator.detectors import detect\n"
+            "from photon_correlator.pipelines import detect\n"
             "for dead_time in (0.5, 1.5):\n"
             "    out = detect(TagStream([0, 1, 1, 2, 3, 5], 10, 0),\n"
             "                 DetectorModel('D', 1.0, 0.0, 0.0, dead_time), seed=1)\n"

@@ -10,8 +10,7 @@ from photon_correlator import (
     TagStream,
     pulse_period_ps,
 )
-from photon_correlator.optics import attenuate, beamsplit
-from photon_correlator.sources import emit_laser_pulse_train
+from photon_correlator.pipelines import attenuate, beamsplit, emit_laser_pulse_train
 
 from conftest import random_stream
 

@@ -8,9 +8,8 @@ from scipy.stats import chi2_contingency
 import photon_correlator as pc
 from photon_correlator import DetectorModel, PoissonLaserModel, pulse_period_ps
 from photon_correlator import pipelines, sources
-from photon_correlator.detectors import detect
+from photon_correlator.pipelines import detect, emit_laser_pulse_train
 from photon_correlator.rng import derive_seed, generator
-from photon_correlator.sources import emit_laser_pulse_train
 
 from reference_oneshot import reference_record
 from reference_sources import (reference_dot_times, reference_laser_times,

@@ -11,8 +11,8 @@ from photon_correlator import (
     pulse_period_ps,
     solve_photon_stats,
 )
-from photon_correlator.sources import (emit_clock_ticks, emit_dot_pulse_train,
-                                       emit_laser_pulse_train)
+from photon_correlator.pipelines import (emit_clock_ticks, emit_dot_pulse_train,
+                                         emit_laser_pulse_train)
 
 from conftest import sample_arms
 

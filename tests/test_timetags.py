@@ -161,15 +161,6 @@ def test_round_trip_many_random_streams(tmp_path):
         assert read_tags(path) == s
 
 
-def test_subset_by_mask_and_slice(rng):
-    s = random_stream(rng, 1000, 10**6, channel=7)
-    mask = s.times % 3 != 0
-    assert s.subset(mask) == TagStream(s.times[mask], 10**6, 7)
-    assert s.subset(slice(100, 200)) == TagStream(s.times[100:200], 10**6, 7)
-    assert s.subset(slice(0, 0)).channel == 7
-    assert len(s.subset(slice(0, 0))) == 0
-
-
 def test_stream_keeps_equal_times_and_checks_the_window():
     s = TagStream(np.array([0, 4, 4, 9]), 10, 7)
     assert s.times.tolist() == [0, 4, 4, 9] and s.channel == 7
