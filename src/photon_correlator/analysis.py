@@ -9,7 +9,8 @@ Covers the three measurements the simulated instrument exists for:
 * detection-efficiency / dark-rate calibration from a Poissonian
   attenuation sweep via R(mu) = D + f*(1 - exp(-eta*mu)).
 
-All fits are unweighted least squares.
+All fits are unweighted least squares, each a model, its Jacobian and a
+start handed to the one fit engine, `nlsq.fit_curve`.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 
 from .detectors import FWHM_PER_SIGMA, sigma_to_fwhm
 from .errors import AnalysisError
-from .nlsq import levenberg_marquardt
+from .nlsq import fit_curve
 from .timetags import read_csv_rows, write_csv_rows
 
 _SQRT2 = math.sqrt(2.0)
@@ -415,7 +416,7 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
 def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     """Spec'd initialization: peak bin, max count, early-bin median
     background, 1/e crossing for tau, bin width (or the fixed value) for
-    sigma.  Returns [amplitude, t0, tau, background, sigma]."""
+    sigma, in the order the solver takes them."""
     i_peak = int(np.argmax(y))
     amplitude = float(y[i_peak])
     n_early = max(1, int(round(0.1 * y.size)))
@@ -429,58 +430,28 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     if tau is None or tau <= 0:
         tau = max((x[-1] - x[i_peak]) / 3.0, bin_width)
     sigma = fix_sigma_ps if fix_sigma_ps is not None else float(bin_width)
-    return [amplitude, float(x[i_peak]), float(tau), background, float(sigma)]
+    return {"amplitude": amplitude, "t0_ps": float(x[i_peak]), "tau_ps": float(tau),
+            "background": background, "sigma_ps": float(sigma)}
 
 
 def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None):
     """Fit `decay_model` to (x, y) samples; see `fit_lifetime`."""
-    if fix_sigma is not None and not 0 <= fix_sigma < math.inf:
-        raise AnalysisError(f"fix_sigma must be finite and >= 0, got {fix_sigma}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    if fix_sigma is not None and not 0 <= sigma_to_fwhm(fix_sigma) < math.inf:
+        raise AnalysisError(f"fix_sigma must be >= 0 with a finite FWHM, got {fix_sigma}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size < 5:
         raise AnalysisError("too few bins to fit a decay")
     if np.all(y == y[0]):
         raise AnalysisError("degenerate histogram: all bins equal")
     if np.count_nonzero(y) < 20:
         raise AnalysisError("need at least 20 nonzero bins to fit a decay")
-
-    guess = _decay_initial_guess(x, y, bin_width_ps, fix_sigma)
-    free_sigma = fix_sigma is None
-
-    def unpack(p):
-        a, t0, tau, b = p[0], p[1], p[2], p[3]
-        sig = abs(p[4]) if free_sigma else float(fix_sigma)
-        return a, t0, tau, b, sig
-
-    def residual(p):
-        a, t0, tau, b, sig = unpack(p)
-        if tau <= 0:
-            return np.full(y.size, np.inf)
-        return decay_model(x, tau, sig, a, t0, b) - y
-
-    def jacobian(p):
-        a, t0, tau, b, sig = unpack(p)
-        full = decay_model_jacobian(x, tau, sig, a, t0, b)
-        cols = [full[:, 2], full[:, 3], full[:, 0], full[:, 4]]
-        if free_sigma:
-            sign = 1.0 if p[4] >= 0 else -1.0
-            cols.append(full[:, 1] * sign)
-        return np.column_stack(cols)
-
-    p0 = guess if free_sigma else guess[:4]
-    res = levenberg_marquardt(residual, jacobian, p0)
-    a, t0, tau, b, sig = unpack(res.params)
-    return LifetimeFit(
-        tau_ps=float(tau),
-        irf_fwhm_ps=sigma_to_fwhm(float(sig)),
-        amplitude=float(a),
-        t0_ps=float(t0),
-        background=float(b),
-        residual_rms=res.residual_rms,
-        converged=bool(res.converged and tau > 0),
-        iterations=res.iterations,
-    )
+    res = fit_curve(decay_model, decay_model_jacobian, x, y,
+                    _decay_initial_guess(x, y, bin_width_ps, fix_sigma),
+                    fixed=() if fix_sigma is None else ("sigma_ps",),
+                    positive=("tau_ps",), widths=("sigma_ps",))
+    p = res.params
+    return LifetimeFit(p["tau_ps"], sigma_to_fwhm(p["sigma_ps"]), p["amplitude"], p["t0_ps"],
+                       p["background"], res.residual_rms, res.converged, res.iterations)
 
 
 def fit_lifetime(hist, fix_sigma=None):
@@ -537,22 +508,16 @@ def measure_irf(hist):
     width_guess = (x[above[-1]] - x[above[0]]) + hist.config.bin_width_ps
     sigma = max(width_guess / FWHM_PER_SIGMA, hist.config.bin_width_ps / 2.0)
 
-    def residual(p):
-        if p[2] == 0:
-            return np.full(y.size, np.inf)
-        return gaussian_model(x, p[0], p[1], abs(p[2]), p[3]) - y
-
-    def jacobian(p):
-        sign = 1.0 if p[2] >= 0 else -1.0
-        J = gaussian_jacobian(x, p[0], p[1], abs(p[2]), p[3])
-        J[:, 2] *= sign
-        return J
-
-    res = levenberg_marquardt(residual, jacobian, [amplitude, center, sigma, baseline])
-    amp_fit, center_fit, sigma_fit = res.params[0], res.params[1], abs(res.params[2])
-    if not res.converged or amp_fit <= 0 or sigma_fit <= 0:
+    res = fit_curve(gaussian_model, gaussian_jacobian, x, y,
+                    {"amplitude": amplitude, "center_ps": center, "sigma_ps": sigma,
+                     "baseline": baseline}, widths=("sigma_ps",))
+    p, cfg = res.params, hist.config
+    if not res.converged or p["amplitude"] <= 0:
         raise AnalysisError("Gaussian IRF fit failed to converge on a peak")
-    return IrfFit(sigma_to_fwhm(float(sigma_fit)), float(center_fit))
+    if not cfg.range_min_ps <= p["center_ps"] < cfg.range_max_ps:
+        raise AnalysisError(f"Gaussian IRF fit centred at {p['center_ps']} ps, outside "
+                            f"the histogram's [{cfg.range_min_ps}, {cfg.range_max_ps})")
+    return IrfFit(sigma_to_fwhm(p["sigma_ps"]), p["center_ps"])
 
 
 # ---------------------------------------------------------------------------
@@ -605,31 +570,12 @@ def fit_de(points, f_hz):
             if mu[i_max] > 0 else 0.5)
     eta0 = min(max(eta0, 1e-12), 1.0)
 
-    def residual(p):
-        return de_model(mu, p[0], p[1], f_hz) - rate
-
-    def jacobian(p):
-        return de_model_jacobian(mu, p[0], p[1], f_hz)
-
-    res = levenberg_marquardt(residual, jacobian, [eta0, d0])
-    eta, dark = float(res.params[0]), float(res.params[1])
-    clamped = False
-    if eta < 0.0 or eta > 1.0:
-        eta = min(max(eta, 0.0), 1.0)
-        clamped = True
-    if dark < 0.0:
-        dark = 0.0
-        clamped = True
-    # with f * mu below rounding eta's column squares to 0: the fit cannot see eta
-    column = de_model_jacobian(mu, eta, dark, f_hz)[:, 0]
-    return DEFit(
-        eta=eta,
-        dark_rate_hz=dark,
-        f_hz=float(f_hz),
-        residual_rms=res.residual_rms,
-        converged=bool(res.converged and not clamped and column @ column > 0),
-        iterations=res.iterations,
-    )
+    res = fit_curve(de_model, de_model_jacobian, mu, rate,
+                    {"eta": eta0, "dark_rate_hz": d0, "f_hz": f_hz}, fixed=("f_hz",))
+    eta, dark = res.params["eta"], res.params["dark_rate_hz"]
+    clamped = not (0.0 <= eta <= 1.0 and dark >= 0.0)
+    return DEFit(min(max(eta, 0.0), 1.0), max(dark, 0.0), res.params["f_hz"],
+                 res.residual_rms, res.converged and not clamped, res.iterations)
 
 
 DE_CSV_HEADER = "mu,rate_hz"

@@ -41,7 +41,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_args
 
 from .correlator import HistogramConfig, Mode
-from .detectors import DetectorModel
+from .detectors import DetectorModel, sigma_to_fwhm
 from .errors import ConfigError
 from .sources import (PoissonLaserModel, PulsedSourceModel, pulse_period_ps,
                       solve_photon_stats)
@@ -110,8 +110,9 @@ class LifetimeSettings:
     fix_sigma_ps: float | None = None
 
     def __post_init__(self):
-        if self.fix_sigma_ps is not None and not 0 <= self.fix_sigma_ps < math.inf:
-            raise ConfigError("lifetime.fix_sigma_ps: must be finite and >= 0, "
+        if (self.fix_sigma_ps is not None
+                and not 0 <= sigma_to_fwhm(self.fix_sigma_ps) < math.inf):
+            raise ConfigError("lifetime.fix_sigma_ps: must be >= 0 with a finite FWHM, "
                               f"got {self.fix_sigma_ps}")
 
 

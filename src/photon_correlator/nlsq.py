@@ -1,4 +1,6 @@
-"""Damped least-squares (Levenberg-Marquardt) minimizer for the fitting routines.
+"""The one fit engine, `fit_curve`: the lifetime, IRF and DE fits are each
+a model, its Jacobian and a start, fitted by a damped least-squares
+(Levenberg-Marquardt) minimizer.
 
 Small and deliberately boring: normal equations with Marquardt diagonal
 scaling, multiplicative damping adaptation, and a MINPACK-style relative
@@ -6,6 +8,7 @@ step criterion.  Fits in this package have <= 5 parameters, so solving
 the scaled normal equations directly is both fast and accurate enough.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -22,7 +25,7 @@ MAX_ITER = 200  # iterations after which a fit ends unconverged
 
 @dataclass
 class LeastSquaresResult:
-    params: np.ndarray
+    params: object  # the solver's vector, or fit_curve's name -> value dict
     converged: bool
     iterations: int
     residual_rms: float
@@ -95,3 +98,46 @@ def levenberg_marquardt(residual, jacobian, x0):
     rms = float(np.sqrt(cost / max(r.size, 1)))
     return LeastSquaresResult(x, converged, n_iter, rms, cost)
 
+
+def fit_curve(model, jacobian, x, y, start, fixed=(), positive=(), widths=()):
+    """Fit `model(x, **params)` to the float array `y` by `levenberg_marquardt`.
+
+    `jacobian(x, **params)` has a column per parameter of `model` after `x`,
+    in signature order.  `start` maps each parameter to its start; the
+    solver takes those not `fixed`, in `start`'s order.  A free `positive`
+    parameter at <= 0 or `widths` one at 0 costs inf; a width enters the
+    model as its absolute value, its column flipped to match.  The result's
+    params map each name to a float.  It is converged only if the solver
+    converged, every parameter is finite and every free Jacobian column at
+    the solution squares to > 0: a parameter the data cannot see is no fit.
+    """
+    names = list(inspect.signature(model).parameters)[1:]
+    free = [name for name in start if name not in fixed]
+    cols = [names.index(name) for name in free]
+    positives = [i for i, name in enumerate(free) if name in positive]
+    flips = [i for i, name in enumerate(free) if name in widths]
+
+    def unpack(p):
+        params = dict(start)
+        params.update((name, abs(v) if name in widths else v) for name, v in zip(free, p))
+        return params
+
+    def residual(p):
+        if any(p[i] <= 0 for i in positives) or any(p[i] == 0 for i in flips):
+            return np.full(y.size, np.inf)
+        return model(x, **unpack(p)) - y
+
+    def free_jacobian(p):
+        # C order, as the rounding of J^T J follows the layout
+        J = np.ascontiguousarray(jacobian(x, **unpack(p))[:, cols])
+        for i in flips:
+            J[:, i] *= 1.0 if p[i] >= 0 else -1.0
+        return J
+
+    res = levenberg_marquardt(residual, free_jacobian, [start[name] for name in free])
+    with np.errstate(over="ignore", invalid="ignore"):
+        seen = np.all(np.sum(free_jacobian(res.params) ** 2, axis=0) > 0)
+    params = {name: float(value) for name, value in unpack(res.params).items()}
+    finite = all(map(math.isfinite, params.values()))
+    res.params, res.converged = params, bool(res.converged and finite and seen)
+    return res

@@ -87,24 +87,26 @@ def _acquire(cfg, source, n_pulses, source_stage, arms):
             for (count, blocks), model, (name, _, stage) in zip(signals, models, arms)]
 
 
-def _hbt_correlator_config(cfg):
+def _correlator_config(cfg, default):
+    """cfg's [correlator], else `default(pulse period)`, a window that follows
+    from source.rep_rate_hz."""
     if cfg.correlator is not None:
         return cfg.correlator
     period = pulse_period_ps(cfg.source.rep_rate_hz)
-    return HistogramConfig.symmetric(4 * period, DEFAULT_BIN_WIDTH_PS,
-                                     Mode.ALL_STOPS)
+    try:
+        return default(period)
+    except ValueError as exc:
+        raise ConfigError(f"source.rep_rate_hz: the default window for a {period:g} ps "
+                          f"pulse period fails ({exc}); give the [correlator] range"
+                          ) from exc
 
 
-def _tcspc_correlator_config(cfg):
-    if cfg.correlator is not None:
-        return cfg.correlator
-    period = pulse_period_ps(cfg.source.rep_rate_hz)
+def _hbt_window(period):  # four periods each side of zero delay
+    return HistogramConfig.symmetric(4 * period, DEFAULT_BIN_WIDTH_PS, Mode.ALL_STOPS)
+
+
+def _tcspc_window(period):  # the whole bins of one period
     span = int(period // DEFAULT_BIN_WIDTH_PS) * DEFAULT_BIN_WIDTH_PS
-    if span == 0:
-        raise ConfigError(
-            f"source.rep_rate_hz: the pulse period ({period:g} ps) is shorter than "
-            f"one {DEFAULT_BIN_WIDTH_PS} ps bin, so the default TCSPC window is "
-            f"empty; give the [correlator] range")
     return HistogramConfig(DEFAULT_BIN_WIDTH_PS, 0, span, Mode.FIRST_STOP)
 
 
@@ -132,7 +134,7 @@ def run_hbt(cfg):
     """
     if cfg.hbt is None:
         raise ConfigError("hbt: section required for simulate-hbt")
-    corr_cfg = _hbt_correlator_config(cfg)
+    corr_cfg = _correlator_config(cfg, _hbt_window)
     rep_period = pulse_period_ps(cfg.source.rep_rate_hz)
     try:  # fail before simulating if the histogram cannot hold the windows
         halfwidth, _ = side_peak_windows(corr_cfg, rep_period,
@@ -192,7 +194,7 @@ def run_tcspc(cfg):
     """
     if cfg.tcspc is None:
         raise ConfigError("tcspc: section required for simulate-tcspc")
-    cfg = replace(cfg, correlator=_tcspc_correlator_config(cfg))
+    cfg = replace(cfg, correlator=_correlator_config(cfg, _tcspc_window))
     hist = _tcspc_histogram(cfg)
     if cfg.tcspc.analysis == "irf":
         fit = measure_irf(hist)
@@ -302,7 +304,7 @@ def write_de_sweep_artifacts(result, out_dir):
 def _write_record(record, out_dir, stem):
     path = os.path.join(out_dir, f"{stem}.json")
     with open(path, "w", newline="") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 

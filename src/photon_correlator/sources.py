@@ -85,7 +85,10 @@ def solve_photon_stats(g2_target, mean_n):
         raise ValueError("g2_target must be >= 0")
     if mean_n <= 0:
         raise ValueError("mean_n must be > 0")
-    p2 = g2_target * mean_n**2 / 2.0
+    try:
+        p2 = g2_target * mean_n**2 / 2.0
+    except OverflowError:  # mean_n past ~1.3e154, where p2 is out of bounds anyway
+        p2 = math.inf
     p1 = mean_n - 2.0 * p2
     p0 = 1.0 - p1 - p2
     for name, value in (("p2", p2), ("p1", p1), ("p0", p0)):

@@ -439,6 +439,17 @@ class TestFitLifetime:
         assert fit.iterations == 1
         assert np.isfinite(fit.tau_ps)
 
+    def test_fixed_sigma_that_stalls_the_fit_is_not_converged(self):
+        # at sigma = 1e300 the model is flat in tau, whose column is 0: the
+        # solver stops with tau at its guess, which is no fit
+        fit = fit_lifetime(model_histogram(), fix_sigma=1e300)
+        assert fit.tau_ps == 448.0
+        assert not fit.converged
+
+    def test_fixed_sigma_with_an_infinite_fwhm_is_rejected(self):
+        with pytest.raises(AnalysisError, match="finite FWHM"):
+            fit_lifetime(model_histogram(), fix_sigma=1e308)
+
     def test_reorder_invariance(self):
         cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
         x = cfg.bin_centers()
@@ -474,6 +485,13 @@ class TestMeasureIrf:
         assert fit.record() == {"irf_fwhm_ps": fit.irf_fwhm_ps,
                                 "irf_center_ps": fit.irf_center_ps}
         assert tuple(fit) == (fit.irf_fwhm_ps, fit.irf_center_ps)
+
+    @pytest.mark.parametrize("center, fwhm", [(13_000.0, 1178.0), (20_000.0, 7065.0)])
+    def test_centre_outside_the_histogram_is_rejected(self, center, fwhm):
+        # the tail of a peak beyond the range end fits well, but its centre
+        # is no position in the histogram
+        with pytest.raises(AnalysisError, match=r"outside the histogram's \[0, 12192\)"):
+            measure_irf(self.gaussian_histogram(fwhm=fwhm, center=center))
 
     def test_delta_peak_is_narrow(self):
         cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)

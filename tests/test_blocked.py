@@ -153,7 +153,7 @@ def test_streamed_tcspc_equals_one_shot_chain(n_pulses, source, efficiency,
     model = DetectorModel("DET", efficiency, dark_rate_hz, 170.0, dead_time_ps)
     cfg = replace(parse_config_text(TCSPC_CFG), n_pulses=n_pulses, source=source,
                   detectors={"DET": model})
-    cfg = replace(cfg, correlator=pipelines._tcspc_correlator_config(cfg))
+    cfg = replace(cfg, correlator=pipelines._correlator_config(cfg, pipelines._tcspc_window))
     hist = pipelines._tcspc_histogram(cfg)
 
     duration, (signal,) = reference_sample_blocks(
@@ -666,7 +666,7 @@ def test_dot_tcspc_with_dead_time_holds_16_bytes_a_recorded_tag():
     beside the array it fills (8 more).  A record sized for the most photons
     the pulses can hold is 2 x 2^21 x 8 bytes, 32 MiB, for 4.2e3 tags."""
     cfg = parse_config_text(DIM_DOT_TCSPC_CFG)
-    cfg = replace(cfg, correlator=pipelines._tcspc_correlator_config(cfg))
+    cfg = replace(cfg, correlator=pipelines._correlator_config(cfg, pipelines._tcspc_window))
     pipelines._tcspc_histogram(replace(cfg, n_pulses=1000))
     peak, hist = traced_peak(lambda: pipelines._tcspc_histogram(cfg))
     assert hist.n_starts > 0.9 * 0.1 * 0.02 * cfg.n_pulses

@@ -679,7 +679,7 @@ def test_dead_time_outside_int64_is_config_error(tmp_path, capsys, value):
     assert err == "config error: detector.SSPD: dead_time_ps must be in [0, 2^63)\n"
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("value", ["nan", "-1", "1e308"])  # 1e308: its FWHM overflows
 def test_bad_fixed_sigma_in_config_fails_before_simulating(tmp_path, capsys, value):
     text = TCSPC_CFG + f"\n[lifetime]\nfix_sigma_ps = {value}\n"
     out = tmp_path / "out"
@@ -704,13 +704,14 @@ def write_decay_csv(path):
     ["de", "--sweep", "{sweep}", "--f-hz", "inf"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "nan"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "-1"],
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e308"],  # its FWHM overflows
     ["de", "--sweep", "{huge_sweep}", "--f-hz", "100000"],
     ["de", "--sweep", "{sweep}", "--f-hz", "1e300"],
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e-200"],
     # f_hz * mu overflows at the start point
     ["de", "--sweep", "{wide_sweep}", "--f-hz", "1e308"],
 ], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative",
-        "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200", "f-hz-1e308-mu-100"])
+        "fix-sigma-1e308", "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200", "f-hz-1e308-mu-100"])
 def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
@@ -753,6 +754,48 @@ def test_de_fit_of_an_eta_the_sweep_cannot_see_is_not_converged(tmp_path, capsys
     assert main(["analyze", "de", "--sweep", str(sweep), "--f-hz", "1e-320"]) == 4
     out, err = capsys.readouterr()
     assert err == "" and out.startswith("eta=1.0\n") and "\nconverged=false\n" in out
+
+
+def test_fixed_sigma_that_stalls_the_fit_exits_4(tmp_path, capsys):
+    # at sigma = 1e300 the model is flat in tau: the solver stops with tau at
+    # its guess, and the fit says it did not converge
+    text = (TCSPC_CFG.replace("seed = 9", "seed = 3").replace("n_pulses = 300000",
+                                                              "n_pulses = 200000")
+            + "\n[lifetime]\nfix_sigma_ps = 1e300\n")
+    out = tmp_path / "out"
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 4
+    record = json.loads((out / "lifetime.json").read_text())
+    assert record["converged"] is False
+    assert "\nconverged=false\n" in capsys.readouterr().out
+
+
+def test_record_with_a_non_finite_value_is_refused(tmp_path):
+    # strict JSON has no Infinity or NaN
+    from photon_correlator.pipelines import _write_record
+
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _write_record({"sigma_ps": value}, str(tmp_path), "lifetime")
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate-hbt", HBT_CFG.replace("[correlator]\nbin_width_ps = 32\n"
+                                     "range_halfwidth_ps = 67073\nmode = ALL_STOPS\n", "")),
+    ("simulate-tcspc", TCSPC_CFG),
+], ids=["hbt", "tcspc"])
+def test_default_window_with_too_many_bins_is_config_error(tmp_path, capsys, command,
+                                                          text):
+    # at 1 kHz, the window that follows from the pulse period holds 31,250,000
+    # bins of 32 ps for TCSPC, and 8 times as many for HBT
+    assert "[correlator]" not in text
+    text = text.replace("rep_rate_hz = 82e6", "rep_rate_hz = 1000")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: source.rep_rate_hz: ") and "[correlator]" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_fit_without_finite_start_after_simulating_is_analysis_error(tmp_path, capsys):

@@ -159,6 +159,14 @@ def test_infeasible_photon_stats():
         parse_config_text(bad)
 
 
+def test_photon_stats_whose_square_overflows_are_infeasible():
+    # mean_n**2 is past the float range, which Python floats raise on
+    bad = GOOD.replace("g2_target = 0.24", "g2_target = 0.1").replace(
+        "mean_n = 0.1", "mean_n = 1e200")
+    with pytest.raises(ConfigError, match=r"^source: infeasible .*mean_n=1e\+200"):
+        parse_config_text(bad)
+
+
 def test_unresolved_detector_reference():
     bad = GOOD.replace("start = APD", "start = TES")
     with pytest.raises(ConfigError, match="hbt.start: unknown detector 'TES'"):

@@ -3,7 +3,7 @@ import pytest
 
 from photon_correlator import nlsq
 from photon_correlator.errors import AnalysisError
-from photon_correlator.nlsq import LeastSquaresResult, levenberg_marquardt
+from photon_correlator.nlsq import LeastSquaresResult, fit_curve, levenberg_marquardt
 
 
 def test_linear_model_one_step():
@@ -125,3 +125,115 @@ def test_result_shape():
     res = levenberg_marquardt(lambda p: np.zeros(3), lambda p: np.zeros((3, 1)), [1.0])
     assert isinstance(res, LeastSquaresResult)
     assert res.cost == 0.0
+
+
+# fit_curve: a model y = a * exp(-x / w) + c, its columns in signature order
+X = np.linspace(0.0, 10.0, 40)
+
+
+def decay(x, a, w, c):
+    return a * np.exp(-x / w) + c
+
+
+def decay_jacobian(x, a, w, c):
+    e = np.exp(-x / w)
+    return np.column_stack([e, a * x * e / w**2, np.ones_like(x)])
+
+
+def test_fit_curve_recovers_every_parameter():
+    res = fit_curve(decay, decay_jacobian, X, decay(X, 3.0, 2.0, 0.5),
+                    {"a": 1.0, "w": 1.0, "c": 0.0})
+    assert res.converged
+    assert res.params == pytest.approx({"a": 3.0, "w": 2.0, "c": 0.5}, rel=1e-8)
+    assert all(type(value) is float for value in res.params.values())
+
+
+def test_fixed_parameter_never_reaches_the_solver(monkeypatch):
+    seen = []
+
+    def solver(residual, jacobian, x0):
+        seen.append((list(x0), jacobian(np.asarray(x0, dtype=float))))
+        return levenberg_marquardt(residual, jacobian, x0)
+
+    monkeypatch.setattr(nlsq, "levenberg_marquardt", solver)
+    c = 0.1 + 0.2  # not a round number, so a trip through the solver would show
+    res = fit_curve(decay, decay_jacobian, X, decay(X, 3.0, 2.0, c),
+                    {"w": 1.5, "c": c, "a": 1.0}, fixed=("c",))
+    (x0, J0), = seen
+    assert x0 == [1.5, 1.0]  # the free parameters, in the start's order
+    # their columns, in that order, laid out in C order
+    assert J0.flags.c_contiguous
+    np.testing.assert_array_equal(J0, decay_jacobian(X, 1.0, 1.5, c)[:, [1, 0]])
+    assert res.converged
+    assert res.params["c"] == c
+    assert res.params["a"] == pytest.approx(3.0, rel=1e-8)
+
+
+def test_negative_width_start_folds():
+    # the start -1 takes the mirror image of the path from +1, step by step
+    y = decay(X, 3.0, 2.0, 0.5)
+    res = fit_curve(decay, decay_jacobian, X, y, {"a": 1.0, "w": -1.0, "c": 0.0},
+                    widths=("w",))
+    mirror = fit_curve(decay, decay_jacobian, X, y, {"a": 1.0, "w": 1.0, "c": 0.0},
+                       widths=("w",))
+    assert res.converged
+    assert res.params == pytest.approx({"a": 3.0, "w": 2.0, "c": 0.5}, rel=1e-8)
+    assert (res.params, res.iterations) == (mirror.params, mirror.iterations)
+
+
+def test_width_step_onto_zero_is_rejected():
+    # from w = 1 the first step is exactly -1: -(1 + 1e-3) / (1 + 1e-3 * 1)
+    seen = []
+
+    def model(x, w):
+        seen.append(w)
+        return w * x
+
+    fit_curve(model, lambda x, w: x[:, None], np.ones(1), np.array([-1e-3]),
+              {"w": 1.0}, widths=("w",))
+    assert len(seen) > 1 and 0.0 not in seen
+
+
+def test_positive_parameter_step_to_zero_or_below_is_rejected():
+    # the least-squares a is -1, which a positive a may not reach
+    calls = []
+
+    def model(x, a, w, c):
+        calls.append(a)
+        return decay(x, a, w, c)
+
+    res = fit_curve(model, decay_jacobian, X, decay(X, -1.0, 2.0, 0.0),
+                    {"a": 1.0, "w": 2.0, "c": 0.0}, fixed=("w", "c"),
+                    positive=("a",))
+    assert len(calls) > 1 and min(calls) > 0
+    assert 0 < res.params["a"] < 1.0
+
+
+def test_all_zero_free_column_is_not_converged():
+    # c shifts nothing, so its column is 0: the solver converges, the fit does not
+    def model(x, a, w, c):
+        return decay(x, a, w, 0.0)
+
+    def jacobian(x, a, w, c):
+        J = decay_jacobian(x, a, w, c)
+        J[:, 2] = 0.0
+        return J
+
+    start = {"a": 1.0, "w": 1.0, "c": 0.0}
+    res = fit_curve(model, jacobian, X, decay(X, 3.0, 2.0, 0.0), start)
+    assert not res.converged
+    assert res.params["a"] == pytest.approx(3.0, rel=1e-8)
+    held = fit_curve(model, jacobian, X, decay(X, 3.0, 2.0, 0.0), start, fixed=("c",))
+    assert held.converged
+
+
+def test_non_finite_parameter_is_not_converged():
+    # c is held at inf where the model ignores it: the solver converges on a
+    # and w, but a record of c could not be written
+    def model(x, a, w, c):
+        return decay(x, a, w, 0.0)
+
+    res = fit_curve(model, decay_jacobian, X, decay(X, 3.0, 2.0, 0.0),
+                    {"a": 1.0, "w": 1.0, "c": np.inf}, fixed=("c",))
+    assert res.params["a"] == pytest.approx(3.0, rel=1e-8)
+    assert not res.converged
