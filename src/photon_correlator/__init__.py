@@ -9,10 +9,7 @@ and calibrates detection efficiency from Poissonian attenuation sweeps.
 
 from .analysis import (
     DECalibrationPoint,
-    DEFit,
     G2Estimate,
-    IrfFit,
-    LifetimeFit,
     de_model,
     decay_model,
     fit_de,
@@ -58,14 +55,11 @@ __all__ = [
     "BiasCurvePoint",
     "ConfigError",
     "DECalibrationPoint",
-    "DEFit",
     "DetectorModel",
     "FormatError",
     "G2Estimate",
     "Histogram",
     "HistogramConfig",
-    "IrfFit",
-    "LifetimeFit",
     "Mode",
     "PoissonLaserModel",
     "PulsedSourceModel",

@@ -10,12 +10,11 @@ Covers the three measurements the simulated instrument exists for:
   attenuation sweep via R(mu) = D + f*(1 - exp(-eta*mu)).
 
 All fits are unweighted least squares, each a model, its Jacobian and a
-start handed to the one fit engine, `nlsq.fit_curve`.
+start for the one fit engine, `nlsq.fit_curve`, whose `Fit` each returns.
 """
 
 import math
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,45 +47,6 @@ class G2Estimate:
             "side_area_mean": float(np.mean(self.side_areas)),
             "n_side_peaks": self.n_side_peaks,
         }
-
-
-@dataclass(frozen=True)
-class LifetimeFit:
-    tau_ps: float
-    irf_fwhm_ps: float
-    amplitude: float
-    t0_ps: float
-    background: float
-    residual_rms: float
-    converged: bool
-    iterations: int
-
-    def record(self):
-        return {"tau_ps": self.tau_ps, "sigma_ps": self.irf_fwhm_ps / FWHM_PER_SIGMA,
-                **asdict(self)}
-
-
-class IrfFit(NamedTuple):
-    """Gaussian IRF fit; unpacks as (fwhm_ps, center_ps)."""
-
-    irf_fwhm_ps: float
-    irf_center_ps: float
-
-    def record(self):
-        return self._asdict()
-
-
-@dataclass(frozen=True)
-class DEFit:
-    eta: float
-    dark_rate_hz: float
-    f_hz: float
-    residual_rms: float
-    converged: bool
-    iterations: int
-
-    def record(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -372,7 +332,7 @@ def decay_model_jacobian(t_ps, tau_ps, sigma_ps, amplitude, t0_ps, background):
     unit-amplitude signal and K = exp(-(u/s)^2/2)/sqrt(pi),
     dS/dtheta = S * dp/dtheta - K * dz/dtheta for p the exponent and z the
     erfc argument, rearranged so that no factor overflows and 0 * inf
-    cannot occur: the columns are finite for every finite sigma >= 0.
+    cannot occur: the columns are finite for every finite sigma >= 0 not subnormal.
     For sigma_ps = 0 the sigma column is zero (the one-sided limit is not
     differentiable in sigma) and the rest differentiate the one-sided
     exponential, 1/2 at its jump u = 0.  There the t0 column is the slope
@@ -445,13 +405,15 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None):
         raise AnalysisError("degenerate histogram: all bins equal")
     if np.count_nonzero(y) < 20:
         raise AnalysisError("need at least 20 nonzero bins to fit a decay")
-    res = fit_curve(decay_model, decay_model_jacobian, x, y,
+    fit = fit_curve(decay_model, decay_model_jacobian, x, y,
                     _decay_initial_guess(x, y, bin_width_ps, fix_sigma),
                     fixed=() if fix_sigma is None else ("sigma_ps",),
                     positive=("tau_ps",), widths=("sigma_ps",))
-    p = res.params
-    return LifetimeFit(p["tau_ps"], sigma_to_fwhm(p["sigma_ps"]), p["amplitude"], p["t0_ps"],
-                       p["background"], res.residual_rms, res.converged, res.iterations)
+    p = fit.params
+    fwhm = sigma_to_fwhm(p["sigma_ps"])  # the record's sigma_ps is read back from it
+    return replace(fit, params={"tau_ps": p["tau_ps"], "sigma_ps": fwhm / FWHM_PER_SIGMA,
+                                "irf_fwhm_ps": fwhm, "amplitude": p["amplitude"],
+                                "t0_ps": p["t0_ps"], "background": p["background"]})
 
 
 def fit_lifetime(hist, fix_sigma=None):
@@ -491,8 +453,10 @@ def gaussian_jacobian(t_ps, amplitude, center_ps, sigma_ps, baseline):
 def measure_irf(hist):
     """Gaussian least-squares fit of a single-peak histogram.
 
-    Returns an IrfFit (fwhm_ps, center_ps).  Raises AnalysisError when the
-    fit does not converge or collapses to a non-peak.
+    Returns a `Fit` of irf_fwhm_ps and irf_center_ps, with converged=False if
+    the fit did not converge or ends on no peak: amplitude <= 0, or the centre
+    outside the histogram's range (a peak's tail beyond the range can fit
+    well).  Raises AnalysisError only if no bin rises above the baseline.
     """
     x = hist.bin_centers()
     y = hist.counts.astype(float)
@@ -508,16 +472,13 @@ def measure_irf(hist):
     width_guess = (x[above[-1]] - x[above[0]]) + hist.config.bin_width_ps
     sigma = max(width_guess / FWHM_PER_SIGMA, hist.config.bin_width_ps / 2.0)
 
-    res = fit_curve(gaussian_model, gaussian_jacobian, x, y,
+    fit = fit_curve(gaussian_model, gaussian_jacobian, x, y,
                     {"amplitude": amplitude, "center_ps": center, "sigma_ps": sigma,
                      "baseline": baseline}, widths=("sigma_ps",))
-    p, cfg = res.params, hist.config
-    if not res.converged or p["amplitude"] <= 0:
-        raise AnalysisError("Gaussian IRF fit failed to converge on a peak")
-    if not cfg.range_min_ps <= p["center_ps"] < cfg.range_max_ps:
-        raise AnalysisError(f"Gaussian IRF fit centred at {p['center_ps']} ps, outside "
-                            f"the histogram's [{cfg.range_min_ps}, {cfg.range_max_ps})")
-    return IrfFit(sigma_to_fwhm(p["sigma_ps"]), p["center_ps"])
+    p, cfg = fit.params, hist.config
+    on_peak = p["amplitude"] > 0 and cfg.range_min_ps <= p["center_ps"] < cfg.range_max_ps
+    return replace(fit, converged=fit.converged and on_peak, params={
+        "irf_fwhm_ps": sigma_to_fwhm(p["sigma_ps"]), "irf_center_ps": p["center_ps"]})
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +503,10 @@ def de_model_jacobian(mu, eta, dark_rate_hz, f_hz):
 def fit_de(points, f_hz):
     """Fit (eta, D) to an attenuation sweep at known drive frequency f_hz.
 
-    Initialization: D from the smallest observed rate, eta from the
-    largest-signal point assuming the linear regime, clamped into (0, 1].
-    Negative fitted parameters are clamped to their bounds and flagged via
-    converged=False rather than raising, as is an eta the data cannot see.
+    Returns a `Fit` of eta, dark_rate_hz and f_hz.  Initialization: D from the
+    smallest observed rate, eta from the largest-signal point assuming the
+    linear regime, clamped into (0, 1].  A fitted eta or D outside its bounds is
+    clamped and flagged via converged=False, as is an eta the data cannot see.
     """
     points = list(points)
     if len(points) < 3:
@@ -570,12 +531,13 @@ def fit_de(points, f_hz):
             if mu[i_max] > 0 else 0.5)
     eta0 = min(max(eta0, 1e-12), 1.0)
 
-    res = fit_curve(de_model, de_model_jacobian, mu, rate,
+    fit = fit_curve(de_model, de_model_jacobian, mu, rate,
                     {"eta": eta0, "dark_rate_hz": d0, "f_hz": f_hz}, fixed=("f_hz",))
-    eta, dark = res.params["eta"], res.params["dark_rate_hz"]
+    eta, dark = fit.params["eta"], fit.params["dark_rate_hz"]
     clamped = not (0.0 <= eta <= 1.0 and dark >= 0.0)
-    return DEFit(min(max(eta, 0.0), 1.0), max(dark, 0.0), res.params["f_hz"],
-                 res.residual_rms, res.converged and not clamped, res.iterations)
+    return replace(fit, converged=fit.converged and not clamped,
+                   params={**fit.params, "eta": min(max(eta, 0.0), 1.0),
+                           "dark_rate_hz": max(dark, 0.0)})
 
 
 DE_CSV_HEADER = "mu,rate_hz"

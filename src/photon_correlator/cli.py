@@ -130,18 +130,14 @@ def _read_input(reader, path):
 
 def _cmd_analyze(args):
     if args.analysis == "de":
-        points = _read_input(read_de_sweep, args.sweep)
-        fit = fit_de(points, args.f_hz)
-        return _report(fit.record())
+        return _report(fit_de(_read_input(read_de_sweep, args.sweep), args.f_hz).record())
     hist = _read_input(read_histogram_csv, args.hist)
     if args.analysis == "g2":
-        estimate = g2_zero(hist, args.rep_period_ps,
-                           integration_halfwidth_ps=args.halfwidth_ps,
-                           n_side_peaks=args.side_peaks)
-        return _report(estimate.record())
+        return _report(g2_zero(hist, args.rep_period_ps,
+                               integration_halfwidth_ps=args.halfwidth_ps,
+                               n_side_peaks=args.side_peaks).record())
     if args.analysis == "lifetime":
-        fit = fit_lifetime(hist, fix_sigma=args.fix_sigma_ps)
-        return _report(fit.record())
+        return _report(fit_lifetime(hist, fix_sigma=args.fix_sigma_ps).record())
     return _report(measure_irf(hist).record())
 
 

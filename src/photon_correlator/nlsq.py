@@ -1,6 +1,6 @@
 """The one fit engine, `fit_curve`: the lifetime, IRF and DE fits are each
 a model, its Jacobian and a start, fitted by a damped least-squares
-(Levenberg-Marquardt) minimizer.
+(Levenberg-Marquardt) minimizer, and each returns its `Fit`.
 
 Small and deliberately boring: normal equations with Marquardt diagonal
 scaling, multiplicative damping adaptation, and a MINPACK-style relative
@@ -25,11 +25,25 @@ MAX_ITER = 200  # iterations after which a fit ends unconverged
 
 @dataclass
 class LeastSquaresResult:
-    params: object  # the solver's vector, or fit_curve's name -> value dict
+    params: np.ndarray  # the solver's vector
     converged: bool
     iterations: int
     residual_rms: float
     cost: float
+
+
+@dataclass(frozen=True)
+class Fit:
+    """A fit's result: `params` maps each name to a float, in record order."""
+
+    params: dict
+    residual_rms: float
+    converged: bool
+    iterations: int
+
+    def record(self):
+        return {**self.params, "residual_rms": self.residual_rms,
+                "converged": self.converged, "iterations": self.iterations}
 
 
 def levenberg_marquardt(residual, jacobian, x0):
@@ -60,8 +74,8 @@ def levenberg_marquardt(residual, jacobian, x0):
     n_iter = 0
     converged = False
     for n_iter in range(1, MAX_ITER + 1):
-        J = np.asarray(jacobian(x), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a column may overflow
+            J = np.asarray(jacobian(x), dtype=float)
             g = J.T @ r
             H = J.T @ J
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
@@ -106,10 +120,10 @@ def fit_curve(model, jacobian, x, y, start, fixed=(), positive=(), widths=()):
     in signature order.  `start` maps each parameter to its start; the
     solver takes those not `fixed`, in `start`'s order.  A free `positive`
     parameter at <= 0 or `widths` one at 0 costs inf; a width enters the
-    model as its absolute value, its column flipped to match.  The result's
-    params map each name to a float.  It is converged only if the solver
-    converged, every parameter is finite and every free Jacobian column at
-    the solution squares to > 0: a parameter the data cannot see is no fit.
+    model as its absolute value, its column flipped to match.  The `Fit`'s
+    params map each name to a float, in `start`'s order.  It is converged only
+    if the solver converged, every parameter is finite and every free Jacobian
+    column at the solution squares to > 0: the data must see each parameter.
     """
     names = list(inspect.signature(model).parameters)[1:]
     free = [name for name in start if name not in fixed]
@@ -139,5 +153,5 @@ def fit_curve(model, jacobian, x, y, start, fixed=(), positive=(), widths=()):
         seen = np.all(np.sum(free_jacobian(res.params) ** 2, axis=0) > 0)
     params = {name: float(value) for name, value in unpack(res.params).items()}
     finite = all(map(math.isfinite, params.values()))
-    res.params, res.converged = params, bool(res.converged and finite and seen)
-    return res
+    return Fit(params, res.residual_rms, bool(res.converged and finite and seen),
+               res.iterations)

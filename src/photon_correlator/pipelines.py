@@ -67,6 +67,24 @@ from .sources import (PoissonLaserModel, _train_duration_ps, clock_lattice,
 from .timetags import TagStream, write_tags
 
 
+MAX_HELD_TAGS = 2**27  # tags a run may expect to hold per detector: 1 GiB of times
+
+
+def _check_held_tags(cfg, source, n_pulses, arms):
+    """ConfigError, before any draw, if a (detector, reach) arm expects more tags
+    than MAX_HELD_TAGS: n <n> reach efficiency and its darks (alone at reach 0)."""
+    p = getattr(source, "photon_dist", None)
+    mean_n = source.mu if p is None else p[1] + 2 * p[2]
+    for name, reach in arms:
+        model = cfg.detectors[name]
+        signal = n_pulses * mean_n * reach * model.efficiency
+        darks = model.dark_rate_hz * n_pulses / source.rep_rate_hz
+        if not signal + darks <= MAX_HELD_TAGS:
+            key = "dark_rate_hz" if darks > signal else "efficiency"
+            raise ConfigError(f"detector.{name}.{key}: {signal + darks:.3g} tags expected "
+                              f"({darks:.3g} darks), over the 2^27 a run may hold")
+
+
 def _acquire(cfg, source, n_pulses, source_stage, arms):
     """The tags each detector arm records over `n_pulses` pulses of `source`.
 
@@ -145,6 +163,7 @@ def run_hbt(cfg):
     cfg = replace(cfg, correlator=corr_cfg,
                   g2=replace(cfg.g2, integration_halfwidth_ps=halfwidth))
     start, stop, to_b = cfg.hbt.start, cfg.hbt.stop, cfg.splitter.transmission
+    _check_held_tags(cfg, cfg.source, cfg.n_pulses, [(start, 1.0 - to_b), (stop, to_b)])
     starts, stops = _acquire(cfg, cfg.source, cfg.n_pulses, "source", [
         (start, 1.0 - to_b, f"detector.{start}"), (stop, to_b, f"detector.{stop}")])
     hist = tac_histogram(starts, stops, corr_cfg)
@@ -179,7 +198,7 @@ def write_hbt_artifacts(result, out_dir):
 class TcspcResult:
     config: RunConfig
     histogram: Histogram
-    fit: object  # LifetimeFit for analysis=lifetime, IrfFit for analysis=irf
+    fit: object  # nlsq.Fit of fit_lifetime (analysis=lifetime) or measure_irf (irf)
 
     def record(self):
         return self.fit.record()
@@ -212,6 +231,7 @@ def _tcspc_histogram(cfg):
     period = pulse_period_ps(cfg.source.rep_rate_hz)
     name = cfg.tcspc.detector
     model = cfg.detectors[name]
+    _check_held_tags(cfg, cfg.source, cfg.n_pulses, [(name, float(model.dead_time_ps > 0))])
     duration, ((count, signal),) = sample_blocks(
         cfg.source, cfg.n_pulses, [model.efficiency], derive_seed(cfg.seed, "source"))
     rng = generator(derive_seed(cfg.seed, f"detector.{name}"))
@@ -268,7 +288,7 @@ def run_de_sweep(cfg):
     mu_values = cfg.de_sweep.mu_values
     if not mu_values:
         raise ConfigError("de_sweep.mu: no mu values given (config key or --mu)")
-    mu0 = cfg.source.mu
+    mu0, n_pulses = cfg.source.mu, cfg.de_sweep.pulses_per_point
     for mu in mu_values:
         if not mu >= 0:  # also NaN
             raise ConfigError(f"de_sweep.mu: {mu} is not a number >= 0")
@@ -276,7 +296,8 @@ def run_de_sweep(cfg):
             raise ConfigError(
                 f"de_sweep.mu: {mu} exceeds the unattenuated source mu {mu0}"
             )
-    n_pulses = cfg.de_sweep.pulses_per_point
+        _check_held_tags(cfg, replace(cfg.source, mu=mu), n_pulses,
+                         [(cfg.de_sweep.detector, 1.0)])
     points = []
     for i, mu in enumerate(mu_values):
         detections, = _acquire(cfg, replace(cfg.source, mu=mu), n_pulses,

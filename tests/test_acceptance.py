@@ -201,12 +201,13 @@ def test_criterion_3_lifetime_recovery():
         result = run_tcspc(cfg)
         fit = result.fit
         n_events = result.histogram.total_counts
-        tau_ok = abs(fit.tau_ps - 370.0) / 370.0 <= tau_tol
-        irf_ok = abs(fit.irf_fwhm_ps - jitter) / jitter <= 0.05
+        tau, fwhm = fit.params["tau_ps"], fit.params["irf_fwhm_ps"]
+        tau_ok = abs(tau - 370.0) / 370.0 <= tau_tol
+        irf_ok = abs(fwhm - jitter) / jitter <= 0.05
         ok = ok and fit.converged and tau_ok and irf_ok and n_events >= 1_000_000
         lines.append(
-            f"IRF {jitter:.0f} ps: tau = {fit.tau_ps:.1f} ps "
-            f"(+/-{tau_tol:.0%}), fitted IRF = {fit.irf_fwhm_ps:.1f} ps (+/-5%), "
+            f"IRF {jitter:.0f} ps: tau = {tau:.1f} ps "
+            f"(+/-{tau_tol:.0%}), fitted IRF = {fwhm:.1f} ps (+/-5%), "
             f"{n_events} events"
         )
     report("3 (lifetime recovery)", ok, "; ".join(lines))
@@ -243,14 +244,15 @@ def test_criterion_4_de_calibration():
     cfg = pc.parse_config_text(DE_SWEEP_CFG)
     result = run_de_sweep(cfg)
     fit = result.fit
-    eta_ok = abs(fit.eta - 0.01) / 0.01 <= 0.05
-    dark_ok = abs(fit.dark_rate_hz - 500.0) / 500.0 <= 0.10
+    eta, dark = fit.params["eta"], fit.params["dark_rate_hz"]
+    eta_ok = abs(eta - 0.01) / 0.01 <= 0.05
+    dark_ok = abs(dark - 500.0) / 500.0 <= 0.10
     ok = fit.converged and eta_ok and dark_ok
     report(
         "4 (DE calibration)",
         ok,
-        f"eta = {fit.eta:.5f} (0.01 +/- 5%), "
-        f"D = {fit.dark_rate_hz:.1f} Hz (500 +/- 10%), over 4 decades of mu",
+        f"eta = {eta:.5f} (0.01 +/- 5%), "
+        f"D = {dark:.1f} Hz (500 +/- 10%), over 4 decades of mu",
     )
 
 

@@ -20,6 +20,7 @@ from photon_correlator import (
     write_de_sweep,
     write_histogram_csv,
 )
+from photon_correlator import pipelines
 from photon_correlator.cli import SIMULATIONS, _load_run_config, build_parser, main
 from photon_correlator.config import load_config
 
@@ -667,6 +668,101 @@ def test_run_longer_than_int64_picoseconds_is_config_error(tmp_path, capsys, com
     assert capsys.readouterr().err.startswith(f"config error: {where}: ")
 
 
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def bench_config(name, *edits):
+    text = (BENCH_CONFIGS / f"{name}.cfg").read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class Drew(Exception):
+    pass
+
+
+def forbid_draws(monkeypatch):
+    """Every draw of a recipe raises Drew, so a run that passes the held-tags
+    check ends there, before it allocates anything."""
+    def drew(*args, **kwargs):
+        raise Drew
+
+    for name in ("sample_blocks", "_record", "_recorded_blocks", "_dark_counts"):
+        monkeypatch.setattr(pipelines, name, drew)
+
+
+DARK_2_63 = "dark_rate_hz = 9223372036854775808"
+
+
+@pytest.mark.parametrize("command, name, edits, key", [
+    # 1.82 GiB of dark counts, a MemoryError when drawn under a 1.5 GB address limit
+    ("simulate-hbt", "hbt_tac", [("n_pulses = 10000000", "n_pulses = 20000"),
+                                 ("n_side_peaks = 20", "n_side_peaks = 4"),
+                                 ("dark_rate_hz = 100\njitter_fwhm_ps = 550",
+                                  "dark_rate_hz = 1e12\njitter_fwhm_ps = 550")],
+     "detector.APD.dark_rate_hz"),
+    # 1e18 photons, under the 2^62 guard of source.mu
+    ("simulate-hbt", "hbt_tac", [("n_pulses = 10000000", "n_pulses = 1000"),
+                                 ("mu = 0.5", "mu = 1e15")], "detector.APD.efficiency"),
+    ("simulate-hbt", "hbt_tac", [("n_pulses = 10000000", "n_pulses = 1000"),
+                                 ("dark_rate_hz = 100", "dark_rate_hz = 1e15")],
+     "detector.APD.dark_rate_hz"),
+    ("simulate-tcspc", "tcspc_lifetime", [("n_pulses = 2000000", "n_pulses = 1000"),
+                                          ("dark_rate_hz = 100", "dark_rate_hz = 1e15")],
+     "detector.DET.dark_rate_hz"),
+    ("simulate-de-sweep", "de_sweep", [("pulses_per_point = 1000000",
+                                        "pulses_per_point = 1000"),
+                                       ("dark_rate_hz = 500", "dark_rate_hz = 1e15")],
+     "detector.SSPD.dark_rate_hz"),
+    ("simulate-hbt", "hbt_tac", [("n_pulses = 10000000", "n_pulses = 1000"),
+                                 ("dark_rate_hz = 100", DARK_2_63)],
+     "detector.APD.dark_rate_hz"),
+    ("simulate-tcspc", "tcspc_lifetime", [("n_pulses = 2000000", "n_pulses = 1000"),
+                                          ("dark_rate_hz = 100", DARK_2_63)],
+     "detector.DET.dark_rate_hz"),
+    ("simulate-de-sweep", "de_sweep", [("pulses_per_point = 1000000",
+                                        "pulses_per_point = 1000"),
+                                       ("dark_rate_hz = 500", DARK_2_63)],
+     "detector.SSPD.dark_rate_hz"),
+], ids=["hbt-dark-1e12", "hbt-mu-1e15", "hbt-dark-1e15", "tcspc-dark-1e15",
+        "de-dark-1e15", "hbt-dark-2^63", "tcspc-dark-2^63", "de-dark-2^63"])
+def test_run_over_the_held_tags_cap_is_config_error(tmp_path, capsys, monkeypatch,
+                                                    command, name, edits, key):
+    forbid_draws(monkeypatch)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, bench_config(name, *edits))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "2^27" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, name, edits", [
+    # ~9.5e7 APD tags
+    ("simulate-hbt", "hbt_tac", [("n_pulses = 10000000", "n_pulses = 1000000000")]),
+    # 1e9 detections, but binned a block at a time: only the darks are held
+    ("simulate-tcspc", "tcspc_lifetime", [("n_pulses = 2000000",
+                                           "n_pulses = 1000000000")]),
+], ids=["hbt-1e9-pulses", "tcspc-streamed-1e9-pulses"])
+def test_held_tags_cap_admits_large_runs(tmp_path, monkeypatch, command, name, edits):
+    forbid_draws(monkeypatch)
+    with pytest.raises(Drew):
+        main([command, "--config", write_cfg(tmp_path, bench_config(name, *edits)),
+              "--out", str(tmp_path / "out")])
+
+
+def test_held_tags_cap_counts_the_signal_a_dead_time_holds(tmp_path, capsys, monkeypatch):
+    forbid_draws(monkeypatch)
+    text = bench_config("tcspc_lifetime", ("n_pulses = 2000000", "n_pulses = 1000000000"),
+                        ("dead_time_ps = 0", "dead_time_ps = 1"))
+    assert main(["simulate-tcspc", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: detector.DET.efficiency: ")
+
+
 @pytest.mark.parametrize("value", ["9223372036854775808", "1e30"])
 def test_dead_time_outside_int64_is_config_error(tmp_path, capsys, value):
     text = TCSPC_CFG.replace("dark_rate_hz = 100\n",
@@ -710,8 +806,11 @@ def write_decay_csv(path):
     ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "1e-200"],
     # f_hz * mu overflows at the start point
     ["de", "--sweep", "{wide_sweep}", "--f-hz", "1e308"],
+    # the t0 column's 1/sigma overflows at the peak: no RuntimeWarning may leak
+    ["lifetime", "--hist", "{hist}", "--fix-sigma-ps", "5e-324"],
 ], ids=["f-hz-nan", "f-hz-inf", "fix-sigma-nan", "fix-sigma-negative",
-        "fix-sigma-1e308", "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200", "f-hz-1e308-mu-100"])
+        "fix-sigma-1e308", "rates-1e200", "f-hz-1e300", "fix-sigma-1e-200", "f-hz-1e308-mu-100",
+        "fix-sigma-5e-324"])
 def test_bad_fit_setting_is_analysis_error(tmp_path, capsys, argv):
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("mu,rate_hz\n0.01,510\n0.1,600\n1,1500\n10,5000\n")
