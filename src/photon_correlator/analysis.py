@@ -14,6 +14,7 @@ start for the one fit engine, `nlsq.fit_curve`, whose `Fit` each returns.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +82,10 @@ def side_peak_windows(config, rep_period_ps, integration_halfwidth_ps, n_side_pe
         raise AnalysisError(
             f"integration_halfwidth_ps must be in (0, rep_period/2), got {halfwidth}"
         )
+    try:
+        n_side_peaks = operator.index(n_side_peaks)
+    except TypeError:
+        raise AnalysisError(f"n_side_peaks {n_side_peaks!r} is not an integer") from None
     if n_side_peaks < 2:
         raise AnalysisError("n_side_peaks must be >= 2")
 
@@ -408,7 +413,7 @@ def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None):
     fit = fit_curve(decay_model, decay_model_jacobian, x, y,
                     _decay_initial_guess(x, y, bin_width_ps, fix_sigma),
                     fixed=() if fix_sigma is None else ("sigma_ps",),
-                    positive=("tau_ps",), widths=("sigma_ps",))
+                    positive=("tau_ps", "sigma_ps"))
     p = fit.params
     fwhm = sigma_to_fwhm(p["sigma_ps"])  # the record's sigma_ps is read back from it
     return replace(fit, params={"tau_ps": p["tau_ps"], "sigma_ps": fwhm / FWHM_PER_SIGMA,
@@ -474,7 +479,7 @@ def measure_irf(hist):
 
     fit = fit_curve(gaussian_model, gaussian_jacobian, x, y,
                     {"amplitude": amplitude, "center_ps": center, "sigma_ps": sigma,
-                     "baseline": baseline}, widths=("sigma_ps",))
+                     "baseline": baseline}, positive=("sigma_ps",))
     p, cfg = fit.params, hist.config
     on_peak = p["amplitude"] > 0 and cfg.range_min_ps <= p["center_ps"] < cfg.range_max_ps
     return replace(fit, converged=fit.converged and on_peak, params={

@@ -105,6 +105,8 @@ def _cmd_simulate(args):
     run, write = SIMULATIONS[args.command]
     # an --out that cannot become a directory fails before the run, creating
     # nothing; a write that fails later, on a full disk say, is caught below
+    if not args.out:  # abspath would make "" the working directory
+        raise ConfigError("--out must name a directory, got ''")
     path = os.path.abspath(args.out)
     while not os.path.lexists(path):  # up to its nearest existing ancestor
         path = os.path.dirname(path)

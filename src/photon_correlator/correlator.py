@@ -19,15 +19,21 @@ they do not, as consumption couples starts across chunk boundaries.
 `tac_histogram` takes the starts `rng._BLOCK` at a time: ALL_STOPS adds up
 the blocks' counts, and FIRST_STOP carries its scan pointer across blocks.
 All three correlators bin their delays through `_histogram`.
+
+Reverse start-stop stops each detection on the next tick of the sync clock,
+an int64 array or the pump's lattice (`clock_lattice`, `min_gap_ps` bounding
+its spacing below): `_next_tick` guesses it and `_search` bisects the misses.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
 from .rng import _BLOCK
+from .sources import _pulse_times, _train_duration_ps, pulse_period_ps
 from .timetags import read_csv_rows, write_csv_rows
 
 
@@ -76,10 +82,13 @@ class HistogramConfig:
     @classmethod
     def symmetric(cls, halfwidth_ps, bin_width_ps, mode=Mode.ALL_STOPS):
         """A [-H, +H) window with H rounded up to a whole number of bins."""
-        bin_width_ps = int(bin_width_ps)
+        try:
+            halfwidth_ps, bin_width_ps = int(halfwidth_ps), int(bin_width_ps)
+        except OverflowError:  # an infinity; int(NaN) raises ValueError itself
+            raise ValueError("halfwidth_ps and bin_width_ps must be finite") from None
         if bin_width_ps <= 0:
             raise ValueError("bin_width_ps must be > 0")
-        half_bins = -(-int(halfwidth_ps) // bin_width_ps)
+        half_bins = -(-halfwidth_ps // bin_width_ps)
         h = half_bins * bin_width_ps
         return cls(bin_width_ps, -h, h, mode)
 
@@ -242,23 +251,20 @@ def reverse_start_stop(detector, clock, config, remap_period_ps=None):
 
 def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     """`reverse_start_stop` of the detections in `tag_blocks`, int64 arrays
-    in any order and of any sizes, against the sorted clock `ticks`: an
-    int64 array or a `sources.clock_lattice`.  `_next_tick` finds each
-    detection's next tick, with no binary search on a lattice clock, and
-    the clock's ends and spacing bound are read once.  Beside the histogram
-    it holds the delays of at most n_bins + 2^14 detections, binned at
-    least n_bins at a time, as each `bincount` fills all n_bins bins.
+    in any order and of any sizes, against the sorted clock `ticks` (an
+    int64 array or a `clock_lattice`) by one `_next_tick`.  Beside the
+    histogram it holds the delays of at most n_bins + 2^14 detections,
+    binned n_bins or more at a time, as each `bincount` fills n_bins bins.
     """
     if ticks.size == 0:
         raise ValueError("reverse_start_stop requires a nonempty clock stream")
-    frame = _clock_frame(ticks)
+    next_tick = _next_tick(ticks)
 
     def delay_blocks():
         for tags in tag_blocks:
             for begin in range(0, tags.size, _BLOCK):
                 det = tags[begin:begin + _BLOCK]
-                # a detection after the last tick has no delay
-                delays = _next_tick(ticks, det[det <= frame[1]], frame)
+                delays = next_tick(det)
                 if remap_period_ps is not None:
                     np.subtract(int(remap_period_ps), delays, out=delays)
                 yield det.size, delays
@@ -266,47 +272,88 @@ def next_tick_histogram(tag_blocks, ticks, config, remap_period_ps=None):
     return _histogram(config, delay_blocks())
 
 
-def _clock_frame(ticks):
-    """(first, last, gap) for the nonempty sorted clock `ticks`: its first
-    and last ticks as ints, and a lower bound on the spacing of consecutive
-    ticks, `min_gap_ps` on a lattice and 0 on an array, whose guesses
-    `_next_tick` then checks on both sides.  The gap is 0 also where the
-    ticks span 2^63 ps or more, as `_next_tick` needs."""
-    first, last = ticks[np.array([0, ticks.size - 1])].tolist()
-    if last - first >= 2**63 or isinstance(ticks, np.ndarray):
-        return first, last, 0
-    return first, last, ticks.min_gap_ps
+@dataclass(frozen=True)
+class _Ticks:
+    """Clock ticks `_pulse_times(first + i) + offset_ps` for i in [0, size):
+    read by index like a sorted int64 array, but each computed where read."""
+
+    rep_rate_hz: float
+    offset_ps: int
+    first: int
+    size: int
+
+    def __getitem__(self, i):
+        times = _pulse_times(np.add(i, self.first, dtype=np.int64), self.rep_rate_hz)
+        return np.add(times, self.offset_ps, out=times)
+
+    @property
+    def min_gap_ps(self):
+        """A lower bound on the spacing of consecutive ticks, at least 0.
+
+        Tick k is rint(y_k) + offset_ps with y_k = fl(k * P), P the float
+        period.  For k < 2^53 the float k is exact, and y_k is within s/2
+        of k * P, s the float spacing at the window's last y (y grows with
+        k); rint moves it by at most 1/2 more.  So t_{k+1} - t_k >= P - 1 -
+        s, and, as ticks are whole ps, >= floor(P) - 1 - ceil(s).  From 2^53
+        on the index itself rounds and two ticks can coincide, so the bound
+        is 0 there.  s is 1024 ps near 2^63 ps, where at 82 MHz (P = 12195
+        ps) the spacing ranges over 11264-12288 ps: ceil(P) - 2 fails there.
+        """
+        last = self.first + self.size - 1
+        if last >= 2**53:
+            return 0
+        period = pulse_period_ps(self.rep_rate_hz)
+        spacing = float(np.spacing(np.float64(last) * period))
+        return max(0, math.floor(period) - 1 - math.ceil(spacing))
 
 
-def _next_tick(ticks, det, frame):
-    """The delay from each detection in `det` to the first tick at or after
-    it, for sorted int64 `ticks` read only by index, an array or a lattice
-    (`sources.clock_lattice`), `frame` = `_clock_frame(ticks)`, and no
-    detection after the last tick.  The guess i = ceil((det - t_0) / mean
-    spacing), clipped into the clock, is kept where 0 <= ticks[i] - det <
-    gap, as then ticks[i-1] <= ticks[i] - gap < det; ticks[i] - det is the
-    delay returned, so on a lattice this reads one tick a detection.  The
-    rest are kept where ticks[i-1] < det <= ticks[i] holds in int64, and
-    only those that fail it are searched, on a lattice clock those within
-    rounding of a tick."""
-    first, last, gap = frame
+def clock_lattice(rep_rate_hz, n_pulses, offset_ps=0):
+    """The run's sync ticks, one per pump pulse `offset_ps` late (dropping those
+    past either end), held as their lattice: nothing per tick."""
+    duration = _train_duration_ps(n_pulses, rep_rate_hz)
+    every = _Ticks(rep_rate_hz, int(offset_ps), 0, n_pulses)
+    # the ticks are sorted, so those in [0, duration) are a window
+    first, end = _search(every, np.array([0, duration])).tolist() if n_pulses else (0, 0)
+    return _Ticks(rep_rate_hz, int(offset_ps), first, end - first)
+
+
+def _next_tick(ticks):
+    """The function from int64 detections `det` to each one's delay to the
+    first tick at or after it, dropping those after the last tick, for the
+    nonempty sorted int64 clock `ticks` read only by index, an array or a
+    `clock_lattice`.  It reads the clock's ends and `gap`, a lower bound on
+    the spacing of consecutive ticks, once: `min_gap_ps` on a lattice, 0 on
+    an array and where the ticks span 2^63 ps or more.  The guess
+    i = ceil((det - t_0) / mean spacing), clipped into the clock, is kept
+    where 0 <= ticks[i] - det < gap, as then ticks[i-1] <= ticks[i] - gap <
+    det; ticks[i] - det is the delay returned, so on a lattice this reads
+    one tick a detection.  The rest are kept where ticks[i-1] < det <=
+    ticks[i] holds in int64, and only those that fail it are searched, on a
+    lattice clock those within rounding of a tick."""
     n = ticks.size
+    first, last = ticks[np.array([0, n - 1])].tolist()
     span = last - first
-    guess = np.subtract(det, first, dtype=np.float64)  # in float: cannot wrap
-    guess *= (n - 1) / span if span else 0.0
-    i = np.clip(np.ceil(guess, out=guess), 0, n - 1, out=guess).astype(np.int64)
-    delays = ticks[i]
-    delays -= det
-    # gap > 0 only where the span is under 2^63.  Then, as det <= last, a
-    # delay wraps only if it is past 2^63 - 1, to below 0, so one unsigned
-    # test finds 0 <= delay < gap
-    rest = np.flatnonzero(delays.view(np.uint64) >= np.uint64(gap))
-    i, d = i[rest], det[rest]
-    at = delays[rest] + d  # ticks[i], as the int64 sum undoes the difference
-    miss = rest[(at < d) | (ticks[i - 1] >= d) & (i > 0)]
-    if miss.size:
-        delays[miss] = ticks[_search(ticks, det[miss])] - det[miss]
-    return delays
+    gap = getattr(ticks, "min_gap_ps", 0) if span < 2**63 else 0
+
+    def next_tick(det):
+        det = det[det <= last]
+        guess = np.subtract(det, first, dtype=np.float64)  # in float: cannot wrap
+        guess *= (n - 1) / span if span else 0.0
+        i = np.clip(np.ceil(guess, out=guess), 0, n - 1, out=guess).astype(np.int64)
+        delays = ticks[i]
+        delays -= det
+        # gap > 0 only where the span is under 2^63.  Then, as det <= last, a
+        # delay wraps only if it is past 2^63 - 1, to below 0, so one unsigned
+        # test finds 0 <= delay < gap
+        rest = np.flatnonzero(delays.view(np.uint64) >= np.uint64(gap))
+        i, d = i[rest], det[rest]
+        at = delays[rest] + d  # ticks[i], as the int64 sum undoes the difference
+        miss = rest[(at < d) | (ticks[i - 1] >= d) & (i > 0)]
+        if miss.size:
+            delays[miss] = ticks[_search(ticks, det[miss])] - det[miss]
+        return delays
+
+    return next_tick
 
 
 def _search(ticks, det):

@@ -203,7 +203,7 @@ def bias_lookup(curve, bias_fraction):
     if any(p.dark_rate_hz <= 0 for p in curve):
         raise ValueError("log-linear dark-rate interpolation requires dark_rate_hz > 0")
     x = float(bias_fraction)
-    if x < fracs[0] or x > fracs[-1]:
+    if not fracs[0] <= x <= fracs[-1]:
         raise ValueError(
             f"bias_fraction {x} outside tabulated range [{fracs[0]}, {fracs[-1]}]"
         )

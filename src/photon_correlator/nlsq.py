@@ -113,40 +113,33 @@ def levenberg_marquardt(residual, jacobian, x0):
     return LeastSquaresResult(x, converged, n_iter, rms, cost)
 
 
-def fit_curve(model, jacobian, x, y, start, fixed=(), positive=(), widths=()):
+def fit_curve(model, jacobian, x, y, start, fixed=(), positive=()):
     """Fit `model(x, **params)` to the float array `y` by `levenberg_marquardt`.
 
     `jacobian(x, **params)` has a column per parameter of `model` after `x`,
     in signature order.  `start` maps each parameter to its start; the
-    solver takes those not `fixed`, in `start`'s order.  A free `positive`
-    parameter at <= 0 or `widths` one at 0 costs inf; a width enters the
-    model as its absolute value, its column flipped to match.  The `Fit`'s
-    params map each name to a float, in `start`'s order.  It is converged only
-    if the solver converged, every parameter is finite and every free Jacobian
+    solver takes those not `fixed`, in `start`'s order, and a free `positive`
+    one (a lifetime or a width) costs inf at <= 0.  The `Fit`'s params map
+    each name to a float, in `start`'s order.  It is converged only if the
+    solver converged, every parameter is finite and every free Jacobian
     column at the solution squares to > 0: the data must see each parameter.
     """
     names = list(inspect.signature(model).parameters)[1:]
     free = [name for name in start if name not in fixed]
     cols = [names.index(name) for name in free]
     positives = [i for i, name in enumerate(free) if name in positive]
-    flips = [i for i, name in enumerate(free) if name in widths]
 
     def unpack(p):
-        params = dict(start)
-        params.update((name, abs(v) if name in widths else v) for name, v in zip(free, p))
-        return params
+        return {**start, **dict(zip(free, p))}
 
     def residual(p):
-        if any(p[i] <= 0 for i in positives) or any(p[i] == 0 for i in flips):
+        if any(p[i] <= 0 for i in positives):
             return np.full(y.size, np.inf)
         return model(x, **unpack(p)) - y
 
     def free_jacobian(p):
         # C order, as the rounding of J^T J follows the layout
-        J = np.ascontiguousarray(jacobian(x, **unpack(p))[:, cols])
-        for i in flips:
-            J[:, i] *= 1.0 if p[i] >= 0 else -1.0
-        return J
+        return np.ascontiguousarray(jacobian(x, **unpack(p))[:, cols])
 
     res = levenberg_marquardt(residual, free_jacobian, [start[name] for name in free])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -21,7 +21,7 @@ TCSPC with no detector dead time holds no array as long as the
 run: it draws, records and bins one block of pulses at a time
 (`sources.sample_blocks`, `detectors._recorded_blocks`,
 `correlator.next_tick_histogram`), against the sync clock held as its
-lattice (`sources.clock_lattice`).
+lattice (`correlator.clock_lattice`).
 
 Each recipe returns, as `result.config`, the config it ran with every
 default it resolved filled in (correlator range, g2 integration
@@ -54,6 +54,7 @@ from .correlator import (
     Histogram,
     HistogramConfig,
     Mode,
+    clock_lattice,
     next_tick_histogram,
     reverse_start_stop,  # noqa: F401  (perfbench/traced.py wraps it by this name)
     tac_histogram,
@@ -62,8 +63,7 @@ from .correlator import (
 from .detectors import _dark_counts, _record, _recorded_blocks
 from .errors import AnalysisError, ConfigError
 from .rng import _BLOCK, derive_seed, generator
-from .sources import (PoissonLaserModel, _train_duration_ps, clock_lattice,
-                      pulse_period_ps, sample_blocks)
+from .sources import PoissonLaserModel, _train_duration_ps, pulse_period_ps, sample_blocks
 from .timetags import TagStream, write_tags
 
 
@@ -357,7 +357,7 @@ emit_laser_pulse_train = emit_dot_pulse_train
 
 
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
-    """Every tick of `sources.clock_lattice`, as a stream."""
+    """Every tick of `correlator.clock_lattice`, as a stream."""
     ticks = clock_lattice(rep_rate_hz, n_pulses, offset_ps)
     times = np.empty(ticks.size, dtype=np.int64)
     for start in range(0, ticks.size, _BLOCK):

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import _search
 from .rng import _BLOCK, generator
 
 _PROB_SUM_TOL = 1e-9
@@ -81,9 +80,9 @@ def solve_photon_stats(g2_target, mean_n):
     so p2 = g2_target*mean_n^2/2, p1 = mean_n - 2*p2, p0 = 1 - p1 - p2.
     Raises ValueError naming the violated bound if the pair is infeasible.
     """
-    if g2_target < 0:
+    if not g2_target >= 0:  # NaN-safe: NaN fails every comparison
         raise ValueError("g2_target must be >= 0")
-    if mean_n <= 0:
+    if not mean_n > 0:
         raise ValueError("mean_n must be > 0")
     try:
         p2 = g2_target * mean_n**2 / 2.0
@@ -92,7 +91,7 @@ def solve_photon_stats(g2_target, mean_n):
     p1 = mean_n - 2.0 * p2
     p0 = 1.0 - p1 - p2
     for name, value in (("p2", p2), ("p1", p1), ("p0", p0)):
-        if value < -_PROB_SUM_TOL or value > 1.0 + _PROB_SUM_TOL:
+        if not -_PROB_SUM_TOL <= value <= 1.0 + _PROB_SUM_TOL:
             raise ValueError(
                 f"infeasible (g2={g2_target}, mean_n={mean_n}): {name}={value} "
                 f"outside [0, 1]"
@@ -222,49 +221,3 @@ def _dot_blocks(model, n_pulses, cuts, seed, duration):
             arms = [photons[fate == i] for i in range(len(delays))]
         yield [_emission_times(model.lifetime_ps, arm, duration, rng)
                for arm, rng in zip(arms, delays)]
-
-
-@dataclass(frozen=True)
-class _Ticks:
-    """Clock ticks `_pulse_times(first + i) + offset_ps` for i in [0, size):
-    read by index like a sorted int64 array, but each computed where read."""
-
-    rep_rate_hz: float
-    offset_ps: int
-    first: int
-    size: int
-
-    def __getitem__(self, i):
-        times = _pulse_times(np.add(i, self.first, dtype=np.int64), self.rep_rate_hz)
-        return np.add(times, self.offset_ps, out=times)
-
-    @property
-    def min_gap_ps(self):
-        """A lower bound on the spacing of consecutive ticks, at least 0.
-
-        Tick k is rint(y_k) + offset_ps with y_k = fl(k * P), P the float
-        period.  For k < 2^53 the float k is exact, and y_k is within s/2
-        of k * P, s the float spacing at the window's last y (y grows with
-        k); rint moves it by at most 1/2 more.  So t_{k+1} - t_k >= P - 1 -
-        s, and, as ticks are whole ps, >= floor(P) - 1 - ceil(s).  From 2^53
-        on the index itself rounds and two ticks can coincide, so the bound
-        is 0 there.  s is 1024 ps near 2^63 ps, where at 82 MHz (P = 12195
-        ps) the spacing ranges over 11264-12288 ps: ceil(P) - 2 fails there.
-        """
-        last = self.first + self.size - 1
-        if last >= 2**53:
-            return 0
-        period = pulse_period_ps(self.rep_rate_hz)
-        spacing = float(np.spacing(np.float64(last) * period))
-        return max(0, math.floor(period) - 1 - math.ceil(spacing))
-
-
-def clock_lattice(rep_rate_hz, n_pulses, offset_ps=0):
-    """The run's sync ticks, one per pump pulse `offset_ps` late (dropping those
-    past either end), held as their lattice: nothing per tick."""
-    duration = _train_duration_ps(n_pulses, rep_rate_hz)
-    every = _Ticks(rep_rate_hz, int(offset_ps), 0, n_pulses)
-    # the ticks are sorted, so those in [0, duration) are a window
-    first, end = _search(every, np.array([0, duration])).tolist() if n_pulses else (0, 0)
-    return _Ticks(rep_rate_hz, int(offset_ps), first, end - first)
-

@@ -38,12 +38,12 @@ from photon_correlator import (
     write_tags,
 )
 from photon_correlator import correlator, sources
-from photon_correlator.correlator import _clock_frame, _next_tick, _search
+from photon_correlator.correlator import _Ticks, _next_tick, _search, clock_lattice
 from photon_correlator.detectors import _record
 from photon_correlator.pipelines import (detect, emit_clock_ticks, emit_dot_pulse_train,
                                          emit_laser_pulse_train)
 from photon_correlator.rng import _BLOCK, derive_seed
-from photon_correlator.sources import _Ticks, clock_lattice, sample_blocks
+from photon_correlator.sources import sample_blocks
 
 from conftest import arm_blocks, sample_arms, traced_peak
 from reference_oneshot import (
@@ -234,7 +234,7 @@ def clocks_and_detections(draw):
 def test_next_tick_equals_searchsorted(clock_and_det):
     ticks, array, det = clock_and_det
     det = det[det <= array[-1]]  # after the last tick there is no next tick
-    got = _next_tick(ticks, det, _clock_frame(ticks))
+    got = _next_tick(ticks)(det)
     assert got.dtype == np.int64
     # the delays, wrapping in int64 as `_next_tick` subtracts
     assert np.array_equal(got, array[np.searchsorted(array, det, "left")] - det)
@@ -291,7 +291,7 @@ def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
     (stream 2).  Reading ticks[i-1] for every detection, or drawing the
     numbers or the fates, fails here."""
     reads = []
-    getitem = sources._Ticks.__getitem__
+    getitem = correlator._Ticks.__getitem__
 
     def counting(self, i):
         reads.append(np.size(i))
@@ -309,7 +309,7 @@ def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
             drawn[self.jumps] += size
             return self.rng.random(size)
 
-    monkeypatch.setattr(sources._Ticks, "__getitem__", counting)
+    monkeypatch.setattr(correlator._Ticks, "__getitem__", counting)
     monkeypatch.setattr(sources, "_stream", Counted)
     n_pulses = 2**17
     cfg = parse_config_text(TCSPC_CFG.replace(str(N_PULSES), str(n_pulses)))

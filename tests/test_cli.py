@@ -601,6 +601,17 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, out):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_empty_out_is_config_error_before_the_run(tmp_path, capsys, monkeypatch):
+    # os.path.abspath("") is the working directory, but "" names no directory
+    _, write = SIMULATIONS["simulate-de-sweep"]
+    monkeypatch.setitem(SIMULATIONS, "simulate-de-sweep", (refuse_to_run, write))
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate-de-sweep", "--config", write_cfg(tmp_path, DE_CFG),
+                 "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out must name a directory, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_write_failure_after_the_run_is_config_error(tmp_path, capsys, monkeypatch):
     # a full disk, say, shows only once the files are written
     def write(result, out_dir):

@@ -19,11 +19,14 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from photon_correlator import (DetectorModel, HistogramConfig, PoissonLaserModel,
-                               PulsedSourceModel, read_histogram_csv)
+from photon_correlator import (AnalysisError, BiasCurvePoint, DetectorModel, Histogram,
+                               HistogramConfig, PoissonLaserModel, PulsedSourceModel,
+                               bias_lookup, g2_zero, read_histogram_csv,
+                               solve_photon_stats)
 from photon_correlator.cli import build_parser, main
 from photon_correlator.config import _SETTINGS
 
@@ -216,3 +219,52 @@ def _stdout_value(text):
         return int(text)
     except ValueError:
         return float(text)
+
+
+# ---------------------------------------------------------------------------
+# library entry points that take floats
+
+
+CURVE = (BiasCurvePoint(0.5, 0.1, 10.0), BiasCurvePoint(0.9, 0.8, 1000.0))
+FLAT = Histogram(HistogramConfig.symmetric(128064, 32), np.ones(8004, dtype=np.int64), 1)
+
+# name -> (call of two floats, test of its result, its documented exception)
+ENTRY_POINTS = {
+    "solve_photon_stats": (
+        solve_photon_stats,
+        lambda p: all(0 <= v <= 1 for v in p) and abs(sum(p) - 1) <= 1e-9, ValueError),
+    "bias_lookup": (
+        lambda a, b: bias_lookup(CURVE, a),
+        lambda r: 0.1 <= r[0] <= 0.8 and 10 <= r[1] <= 1000, ValueError),
+    "HistogramConfig.symmetric": (
+        HistogramConfig.symmetric,
+        lambda c: 0 < c.range_max_ps == -c.range_min_ps and c.bin_width_ps > 0, ValueError),
+    "g2_zero": (
+        lambda a, b: g2_zero(FLAT, a, n_side_peaks=b),
+        lambda e: 0 <= e.g2_zero < math.inf and 0 <= e.sigma < math.inf, AnalysisError),
+}
+ODD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 2.5, 3.0,
+                     0.1, 0.7, 12195.0, 1e308, -1e308, 2, 20]),
+    st.floats())
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), ODD_FLOATS, ODD_FLOATS)
+@example("solve_photon_stats", math.nan, 0.1)
+@example("solve_photon_stats", 0.1, math.nan)
+@example("solve_photon_stats", 0.0, math.inf)
+@example("bias_lookup", math.nan, 0.0)
+@example("HistogramConfig.symmetric", math.inf, 32)
+@example("g2_zero", 12195.0, 3.0)
+@example("g2_zero", 12195.0, 2.5)
+@example("g2_zero", 12195.0, 3)
+def test_entry_points_take_any_float(name, a, b):
+    """NaN, infinities, subnormals, -0.0 and non-integers give a valid result
+    or the entry point's documented exception, nothing else."""
+    call, valid, error = ENTRY_POINTS[name]
+    try:
+        result = call(a, b)
+    except error:
+        return
+    assert valid(result)

@@ -1,0 +1,84 @@
+"""The package's import graph, read from the source with `ast`: it has no
+cycle, and `sources` imports no package module but `rng`, so the sync
+clock, which reads the emission lattice, stays in `correlator`."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "photon_correlator"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _imported(node):
+    """The package modules one import statement reads, `__init__` for the
+    package itself."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name.split(".") for alias in node.names]
+        return {path[1] if len(path) > 1 else "__init__"
+                for path in paths if path[0] == PACKAGE.name}
+    path = node.module.split(".") if node.module else []
+    if node.level == 0:
+        if path[:1] != [PACKAGE.name]:
+            return set()
+        path = path[1:]
+    if path:
+        return {path[0]}
+    # `from . import x` reads module x, or a name the package itself exports
+    return {alias.name if alias.name in MODULES else "__init__" for alias in node.names}
+
+
+def package_imports():
+    """module -> the package modules it imports, at any depth in its code"""
+    return {path.stem: set().union(*(_imported(node)
+                                     for node in ast.walk(ast.parse(path.read_text()))
+                                     if isinstance(node, (ast.Import, ast.ImportFrom))))
+            for path in PACKAGE.glob("*.py")}
+
+
+def find_cycle(graph):
+    """A list of modules, each importing the next and the last the first,
+    or None."""
+    state, path = {}, []
+
+    def visit(module):
+        state[module] = "open"
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            if state.get(dep) == "open":
+                return path[path.index(dep):]
+            if dep not in state and (cycle := visit(dep)):
+                return cycle
+        state[module] = "done"
+        path.pop()
+        return None
+
+    for module in sorted(graph):
+        if module not in state and (cycle := visit(module)):
+            return cycle
+    return None
+
+
+def test_cycle_finder_finds_cycles():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c"]
+    assert find_cycle({"a": {"a"}}) == ["a"]
+
+
+def test_import_reader_sees_every_form():
+    tree = ast.parse("from . import rng\nfrom .correlator import x\n"
+                     "import photon_correlator.timetags\nfrom photon_correlator import y\n"
+                     "from photon_correlator.errors import z\nimport numpy\n"
+                     "def f():\n    from .sources import w\n")
+    found = set().union(*(_imported(node) for node in ast.walk(tree)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))))
+    assert found == {"rng", "correlator", "timetags", "__init__", "errors", "sources"}
+
+
+def test_package_imports_form_no_cycle():
+    graph = package_imports()
+    assert graph["pipelines"]  # the reader sees the package's imports at all
+    assert find_cycle(graph) is None
+
+
+def test_sources_imports_only_rng():
+    assert package_imports()["sources"] <= {"rng"}
