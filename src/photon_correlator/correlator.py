@@ -16,8 +16,9 @@ Delay binning is floor((d - range_min)/bin_width); a delay exactly at
 range_max is excluded.  In ALL_STOPS mode the counts of disjoint chunks
 of the start stream add up to those of a single pass; in FIRST_STOP mode
 they do not, as consumption couples starts across chunk boundaries.
-`tac_histogram` takes the starts `rng._BLOCK` at a time: ALL_STOPS adds up
-the blocks' counts, and FIRST_STOP carries its scan pointer across blocks.
+`tac_histogram` takes the starts `rng._BLOCK` at a time and searches the
+smaller of a block and the stops in its range in the larger: ALL_STOPS adds
+up the blocks' counts, and FIRST_STOP carries its scan pointer across blocks.
 All three correlators bin their delays through `_histogram`.
 
 Reverse start-stop stops each detection on the next tick of the sync clock,
@@ -81,16 +82,17 @@ class HistogramConfig:
 
     @classmethod
     def symmetric(cls, halfwidth_ps, bin_width_ps, mode=Mode.ALL_STOPS):
-        """A [-H, +H) window with H rounded up to a whole number of bins."""
-        try:
-            halfwidth_ps, bin_width_ps = int(halfwidth_ps), int(bin_width_ps)
-        except OverflowError:  # an infinity; int(NaN) raises ValueError itself
+        """A [-H, +H) window, H the halfwidth rounded up to whole bins of whole ps."""
+        try:  # ceil(x / w) = ceil(ceil(x) / w) for a whole w
+            halfwidth, bin_width = math.ceil(halfwidth_ps), int(bin_width_ps)
+        except OverflowError:  # an infinity; NaN raises ValueError itself
             raise ValueError("halfwidth_ps and bin_width_ps must be finite") from None
-        if bin_width_ps <= 0:
+        if bin_width != bin_width_ps:
+            raise ValueError(f"bin_width_ps must be a whole number of ps, got {bin_width_ps}")
+        if bin_width <= 0:
             raise ValueError("bin_width_ps must be > 0")
-        half_bins = -(-halfwidth_ps // bin_width_ps)
-        h = half_bins * bin_width_ps
-        return cls(bin_width_ps, -h, h, mode)
+        h = -(-halfwidth // bin_width) * bin_width
+        return cls(bin_width, -h, h, mode)
 
     @property
     def n_bins(self):
@@ -161,23 +163,17 @@ def _histogram(config, blocks):
     return Histogram(config, counts, n_starts)
 
 
-def _check_int64_range(start_times, config):
-    """Reject a range that would wrap start + range_max; start + range_min
-    cannot wrap, as starts are >= 0 and range_min_ps >= -2^63."""
-    if start_times.size and int(start_times[-1]) + config.range_max_ps > 2**63 - 1:
-        raise ValueError(
-            f"histogram range [{config.range_min_ps}, {config.range_max_ps}) ps "
-            f"overflows int64 for starts in [{int(start_times[0])}, "
-            f"{int(start_times[-1])}] ps")
-
-
 def tac_histogram(starts, stops, config):
     """Histogram stop-minus-start delays in the configured mode.
 
     `n_starts` records every start processed, whether or not it produced
     a count.  Beside its inputs and output it holds one block's temporaries.
     """
-    _check_int64_range(starts.times, config)
+    # start + range_max must not wrap; start + range_min cannot, as starts are >= 0
+    if starts.times.size and int(starts.times[-1]) + config.range_max_ps > 2**63 - 1:
+        raise ValueError(f"histogram range [{config.range_min_ps}, {config.range_max_ps}) ps "
+                         f"overflows int64 for starts in [{int(starts.times[0])}, "
+                         f"{int(starts.times[-1])}] ps")
     # searchsorted copies a strided array whole on every call
     stop_times = np.ascontiguousarray(stops.times)
     return _histogram(config, _tac_delays(starts.times, stop_times, config))
@@ -185,9 +181,11 @@ def tac_histogram(starts, stops, config):
 
 def _tac_delays(start_times, stop_times, config):
     """For each block of `_BLOCK` starts, their number and the delays they
-    count, without a loop over the starts.  The stops in range of start k
-    are c_k .. e_k - 1, c_k the first stop at or after s_k + range_min and
-    e_k the first at or after s_k + range_max.  ALL_STOPS counts them all.
+    count, without a loop over the starts.  Start k is in range of stops
+    c_k .. e_k - 1, the first at or after s_k + range_min and s_k +
+    range_max, and stop j of the block's `window` of starts a_j .. b_j - 1;
+    the smaller of block and window is searched in the larger, for c and e
+    or for a and b.  ALL_STOPS counts every pair.
 
     In FIRST_STOP each start, in order, takes the earliest unconsumed stop
     in its range.  Call c_k the start's candidate.  A start with no stop
@@ -202,35 +200,50 @@ def _tac_delays(start_times, stop_times, config):
     and start k counts stop j_k - 1 unless j_k = max(j_{k-1}, c_k).  Each
     step clamps x + 1 into [c_k + 1, e_k]; clamps compose into clamps, so
     the j_k of a block's starts come from a prefix scan by doubling,
-    applied to the pointer the block before left.
+    applied to the pointer the block before left.  It stops once the
+    clamps not yet composed over their prefix are constants.
     """
     pointer = 0
     for begin in range(0, start_times.size, _BLOCK):
         s = start_times[begin:begin + _BLOCK]
-        cand = np.searchsorted(stop_times, s + config.range_min_ps, "left")
-        ends = s + config.range_max_ps
+        keys, ends = s + config.range_min_ps, s + config.range_max_ps
+        first, last = np.searchsorted(stop_times, (keys[0], ends[-1])).tolist()
+        window = stop_times[first:last]
+        if stops_more := window.size >= s.size:
+            cand, hi = np.searchsorted(window, keys), np.searchsorted(window, ends)
+        else:
+            a, b = np.searchsorted(ends, window, "right"), np.searchsorted(keys, window, "right")
         if config.mode is Mode.ALL_STOPS:
-            per_start = np.searchsorted(stop_times, ends, "left") - cand
-            offsets = np.cumsum(per_start) - per_start
-            flat = np.repeat(cand - offsets, per_start) + np.arange(per_start.sum())
-            yield s.size, stop_times[flat] - np.repeat(s, per_start)
+            k, j = _pairs(cand, hi) if stops_more else _pairs(a, b)[::-1]
+            yield s.size, window[j] - s[k]
             continue
-        # c_k < e_k on c_k's time: e_k is searched only for the starts that pass
-        in_range = cand < stop_times.size
-        in_range[in_range] = stop_times[cand[in_range]] < ends[in_range]
-        s, cand = s[in_range], cand[in_range]
+        if stops_more:
+            k = np.flatnonzero(cand < hi)
+            cand, hi = cand[k], hi[k]
+        else:
+            # window stop j is the first stop in range of starts max(a_j, b_{j-1})
+            # .. b_j - 1, and the last of a_j .. min(b_j, a_{j+1}) - 1
+            cand, k = _pairs(np.maximum(a, np.append(0, b[:-1])), b)
+            hi = np.repeat(np.arange(1, a.size + 1), np.minimum(b, np.append(a[1:], s.size)) - a)
         # after the pass with a given step, entry k holds the clamps of starts
         # max(0, k - 2*step + 1) .. k composed, as x -> clip(x + their count, lo, hi)
-        lo, hi = cand + 1, np.searchsorted(stop_times, ends[in_range], "left")
-        step = 1
-        while step < s.size:
-            lo[step:], hi[step:] = (np.clip(lo[:-step] + step, lo[step:], hi[step:]),
-                                    np.clip(hi[:-step] + step, lo[step:], hi[step:]))
+        lo, pointer, step = cand + 1, pointer - first, 1
+        while step < lo.size and not np.array_equal(lo[step:], hi[step:]):
+            lo[step:], hi[step:] = (
+                np.minimum(np.maximum(lo[:-step] + step, lo[step:]), hi[step:]),
+                np.minimum(np.maximum(hi[:-step] + step, lo[step:]), hi[step:]))
             step *= 2
-        j = np.clip(np.arange(pointer + 1, pointer + s.size + 1), lo, hi)
+        j = np.minimum(np.maximum(np.arange(pointer + 1, pointer + lo.size + 1), lo), hi)
         counted = j > np.maximum(np.concatenate(([pointer], j[:-1])), cand)
-        pointer = int(j[-1]) if j.size else pointer
-        yield in_range.size, stop_times[j[counted] - 1] - s[counted]
+        pointer = first + (int(j[-1]) if j.size else pointer)
+        yield s.size, window[j[counted] - 1] - s[k[counted]]
+
+
+def _pairs(lo, hi):
+    """i and k for each i and each k in lo_i .. hi_i - 1, in order."""
+    count = hi - lo
+    i = np.repeat(np.arange(count.size), count)
+    return i, np.arange(i.size) + (lo - np.cumsum(count) + count)[i]
 
 
 def reverse_start_stop(detector, clock, config, remap_period_ps=None):

@@ -41,6 +41,7 @@ CHANNEL_MAX = 255
 
 _HEADER = struct.Struct("<HqB")  # after the magic: version, duration, channel count
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<i8")])
+_CSV_ROWS = 2**10  # tens of KiB of text: formatting more at once is slower
 
 
 class TagStream:
@@ -177,8 +178,9 @@ CSV_HEADER = "channel,timestamp_ps"
 
 
 def _write_csv(stream, path):
-    write_csv_rows(path, CSV_HEADER,
-                   zip(itertools.repeat(stream.channel), stream.times.tolist()),
+    times = itertools.chain.from_iterable(stream.times[begin:begin + _BLOCK].tolist()
+                                          for begin in range(0, len(stream), _BLOCK))
+    write_csv_rows(path, CSV_HEADER, zip(itertools.repeat(stream.channel), times),
                    comment=f"duration_ps={stream.duration_ps}")
 
 
@@ -194,15 +196,15 @@ def _read_csv(path):
 
 
 def write_csv_rows(path, header, rows, comment=None):
-    """Write `rows` (tuples of ints or floats) as CSV under `header`,
-    preceded by a ``# comment`` line when one is given."""
-    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    """Write `rows` (tuples of ints or floats, as many as `header` has fields)
+    as CSV under `header`, after a ``# comment`` line if given, `_CSV_ROWS` rows a write."""
+    line, rows = ",".join(["%s"] * (header.count(",") + 1)) + "\n", iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(line % row)
+        while block := list(itertools.islice(rows, _CSV_ROWS)):
+            fh.write(line * len(block) % tuple(itertools.chain.from_iterable(block)))
 
 
 def read_csv_rows(path, header, parse_row=None):

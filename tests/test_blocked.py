@@ -15,6 +15,7 @@ recipe to one bound at any run length.
 import warnings
 from pathlib import Path
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from reference_oneshot import (
     reference_reverse_start_stop,
     reference_sample_blocks,
 )
-from test_correlator import brute_force_counts, first_stop_scan
+from test_correlator import TAG_TIMES, brute_force_counts, first_stop_scan
 
 REP_HZ = 82e6
 SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
@@ -404,6 +405,45 @@ def test_tac_histogram_equals_the_oracles_at_the_block_edges(n_starts, mode):
     assert hist.n_starts == n_starts and hist.total_counts > 0
 
 
+TINY_BLOCKS = [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("block", TINY_BLOCKS)
+@settings(max_examples=150, deadline=None)
+@given(starts=TAG_TIMES, stops=TAG_TIMES, mode=st.sampled_from(Mode),
+       bin_width=st.integers(1, 5), range_min=st.integers(-30, 10),
+       n_bins=st.integers(1, 12))
+def test_tac_histogram_matches_brute_force_in_tiny_blocks(block, starts, stops, mode,
+                                                          bin_width, range_min, n_bins):
+    """`test_tac_histogram_matches_brute_force` with blocks of a few starts,
+    so that tiny streams reach every block edge and every edge of a block's
+    window of stops, and blocks with more stops in range than starts and
+    with fewer, whose searches run the other way."""
+    config = HistogramConfig(bin_width, range_min, range_min + n_bins * bin_width, mode)
+    with mock.patch.object(correlator, "_BLOCK", block):
+        hist = tac_histogram(TagStream(starts, 61, 1), TagStream(stops, 61, 2), config)
+    assert hist.counts.tolist() == brute_force_counts(starts, stops, config)
+    assert hist.n_starts == len(starts)
+
+
+@pytest.mark.parametrize("block", TINY_BLOCKS)
+@pytest.mark.parametrize("mode", list(Mode))
+def test_tac_histogram_carries_across_shared_and_empty_windows(block, mode, monkeypatch):
+    """Stop 25 is in range of start 10 and of start 20, which blocks of 1 or
+    2 starts put in different blocks: FIRST_STOP start 10 takes it, as its
+    earlier stop 15 went to start 0, so start 20 must find it consumed.
+    Starts 1000 and 1010 have no stop in range: with blocks of 1 to 3 their
+    block's window of stops is empty."""
+    monkeypatch.setattr(correlator, "_BLOCK", block)
+    starts, stops = [0, 10, 20, 30, 1000, 1010, 2000], [15, 25, 2005]
+    config = HistogramConfig(1, 0, 20, mode)
+    hist = tac_histogram(TagStream(starts, 3000, 1), TagStream(stops, 3000, 2), config)
+    expected = brute_force_counts(starts, stops, config)
+    assert hist.counts.tolist() == expected
+    assert sum(expected) == (3 if mode is Mode.FIRST_STOP else 5)
+    assert hist.n_starts == len(starts)
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_tac_histogram_bins_at_least_n_bins_delays_at_a_time(mode, monkeypatch):
     """40 blocks of starts over a range of 2^20 bins: each `bincount` fills
@@ -690,6 +730,23 @@ def test_tac_histogram_holds_a_fixed_amount_beside_its_streams(n_starts, mode):
     assert peak <= ALLOWANCE
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_tac_histogram_holds_a_fixed_amount_beside_20_times_the_stops(mode):
+    """The same window with the rates turned round, 20 stops to a start and
+    about 2 stops in range of each: each block of starts has 20 blocks of
+    stops in range of it, which it searches and does not copy, so the
+    allowance holds here too (2.5 MiB a copy of such a window)."""
+    n_starts = 2 * _BLOCK
+    rng = np.random.default_rng(n_starts)
+    duration = 2_560_000 * n_starts
+    starts = TagStream(np.sort(rng.integers(0, duration, n_starts)), duration, 1)
+    stops = TagStream(np.sort(rng.integers(0, duration, 20 * n_starts)), duration, 2)
+    config = HistogramConfig.symmetric(128_064, 32, mode)
+    peak, hist = traced_peak(lambda: tac_histogram(starts, stops, config))
+    assert hist.total_counts > 0.5 * n_starts
+    assert peak <= ALLOWANCE
+
+
 def test_laser_arms_hold_8_bytes_a_detection():
     """The laser's pulse indices, drawn a block at a time, become pulse times,
     then detections, in place: 8 bytes a detection, all held, where a float
@@ -709,6 +766,19 @@ def test_ttag1_writer_holds_one_block_of_records(tmp_path):
     peak, _ = traced_peak(lambda: write_tags(stream, tmp_path / "tags.ttag"))
     assert peak <= ALLOWANCE
     assert (tmp_path / "tags.ttag").stat().st_size == 15 + 9 * 2**20
+
+
+def test_csv_writer_holds_one_block_of_rows(tmp_path):
+    """2^20 tags written as CSV a block of rows at a time: neither the file's
+    14 MiB of text nor the 2^20 times as Python ints (40 MiB) is ever held.
+    The text is that of one row at a time."""
+    n = 2**20
+    stream = TagStream(np.arange(n) * 10, 10 * n, 3)
+    peak, _ = traced_peak(lambda: write_tags(stream, tmp_path / "tags.csv"))
+    assert peak <= ALLOWANCE
+    assert (tmp_path / "tags.csv").read_text() == (
+        f"# duration_ps={10 * n}\nchannel,timestamp_ps\n"
+        + "".join(f"3,{10 * i}\n" for i in range(n)))
 
 
 def test_ttag1_reader_holds_the_times_and_one_block_of_records(tmp_path):

@@ -68,6 +68,21 @@ class TestHistogramConfig:
         assert cfg.range_max_ps >= 48_780
         assert cfg.range_max_ps - 48_780 < 32
 
+    @pytest.mark.parametrize("halfwidth, expected", [
+        (32.5, 64), (32, 32), (31.5, 32), (0.25, 32), (64.0, 64), (np.float64(96.001), 128)])
+    def test_symmetric_rounds_the_exact_halfwidth_up(self, halfwidth, expected):
+        """Not the halfwidth truncated first: 32.5 ps needs a second bin."""
+        cfg = HistogramConfig.symmetric(halfwidth, 32)
+        assert (cfg.range_min_ps, cfg.range_max_ps) == (-expected, expected)
+
+    @pytest.mark.parametrize("bin_width", [2.5, 32.1, 1e-3, np.float64(31.5)])
+    def test_symmetric_rejects_a_fractional_bin_width(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width_ps must be a whole number of ps"):
+            HistogramConfig.symmetric(100, bin_width)
+
+    def test_symmetric_takes_a_whole_float_bin_width(self):
+        assert HistogramConfig.symmetric(100, 32.0) == HistogramConfig(32, -128, 128)
+
     def test_bins(self):
         cfg = HistogramConfig(100, -200, 200)
         assert cfg.n_bins == 4
