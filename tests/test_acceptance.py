@@ -7,6 +7,7 @@ so reruns within one session are free.
 
 import hashlib
 import importlib.util
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -438,8 +439,8 @@ def test_criterion_7_determinism(tmp_path):
 
 # SHA-256 of the data files each SMALL_* run writes at its config's seed.  A
 # change to any random draw or to the integer arithmetic changes them, and a
-# deliberate one updates them.  The fit records are left out: their last
-# digits follow the platform's libm and BLAS.
+# deliberate one updates them.  The fit records, whose last digits follow the
+# platform's libm and BLAS, are pinned to a tolerance below.
 PINNED_DATA = {
     "simulate-hbt": {
         "detections_APD.ttag":
@@ -465,6 +466,62 @@ def test_simulated_data_is_pinned(tmp_path, name, cfg_text, extra):
     assert main([name, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
     assert {file: hashlib.sha256((out / file).read_bytes()).hexdigest()
             for file in PINNED_DATA[name]} == PINNED_DATA[name]
+
+
+# SMALL_TCSPC with a 1 ps lifetime, so that its histogram is the IRF
+SMALL_IRF = (SMALL_TCSPC.replace("lifetime_ps = 370", "lifetime_ps = 1")
+             .replace("detector = DET", "detector = DET\nanalysis = irf"))
+RECORD_RUNS = {
+    "lifetime.json": ("simulate-tcspc", SMALL_TCSPC, []),
+    "irf.json": ("simulate-tcspc", SMALL_IRF, []),
+    "de_fit.json": ("simulate-de-sweep", SMALL_DE, ["--mu", "0.01,0.1,1,10"]),
+}
+# The fit record each run writes at two seeds.  The iterations and the
+# convergence match exactly; the floats agree to 1e-12 relative, as the
+# normal equations go through the platform's BLAS.
+PINNED_RECORDS = {
+    ("lifetime.json", 1): {
+        "amplitude": 8691.359871595301, "background": 0.06477046427007385,
+        "converged": True, "irf_fwhm_ps": 171.97390992833988, "iterations": 9,
+        "residual_rms": 15.427705274625016, "sigma_ps": 73.03059539145363,
+        "t0_ps": 6097.972959076795, "tau_ps": 368.090905948462},
+    ("lifetime.json", 7): {
+        "amplitude": 8629.780940848805, "background": -0.5071859007439714,
+        "converged": True, "irf_fwhm_ps": 174.2208014960943, "iterations": 8,
+        "residual_rms": 12.317174147377168, "sigma_ps": 73.98476238714221,
+        "t0_ps": 6097.731633487279, "tau_ps": 371.52552055192064},
+    ("irf.json", 1): {
+        "converged": True, "irf_center_ps": 6098.780542911349,
+        "irf_fwhm_ps": 171.50208460059324, "iterations": 5,
+        "residual_rms": 10.478922183864805},
+    ("irf.json", 7): {
+        "converged": True, "irf_center_ps": 6098.636814174509,
+        "irf_fwhm_ps": 170.0263031511502, "iterations": 5,
+        "residual_rms": 15.040811135707864},
+    ("de_fit.json", 1): {
+        "converged": True, "dark_rate_hz": 492.28167025962875,
+        "eta": 0.010074568387910378, "f_hz": 100000.0, "iterations": 4,
+        "residual_rms": 11.598130101256642},
+    ("de_fit.json", 7): {
+        "converged": True, "dark_rate_hz": 499.8445001090879,
+        "eta": 0.010040800114994013, "f_hz": 100000.0, "iterations": 4,
+        "residual_rms": 6.843969305593926},
+}
+
+
+@pytest.mark.parametrize("record, seed", list(PINNED_RECORDS))
+def test_fit_records_are_pinned(tmp_path, record, seed):
+    name, cfg_text, extra = RECORD_RUNS[record]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(cfg_text)
+    out = tmp_path / "out"
+    assert main([name, "--config", str(cfg_path), "--seed", str(seed), "--out", str(out),
+                 *extra]) == 0
+    got = json.loads((out / record).read_text())
+    pinned = dict(PINNED_RECORDS[record, seed])
+    for key in ("iterations", "converged"):
+        assert got.pop(key) == pinned.pop(key), key
+    assert got == pytest.approx(pinned, rel=1e-12, abs=0)
 
 
 def test_tcspc_histograms_match_the_expected_histogram():
