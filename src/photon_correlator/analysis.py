@@ -10,7 +10,7 @@ Covers the three measurements the simulated instrument exists for:
   attenuation sweep via R(mu) = D + f*(1 - exp(-eta*mu)).
 
 All fits are unweighted least squares, each a model, its Jacobian and a
-start for the one fit engine, `nlsq.fit_curve`, whose `Fit` each returns.
+start for the one fit engine, `nlsq.fit_curve`'s Levenberg-Marquardt loop.
 """
 
 import math
@@ -386,13 +386,9 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
     amplitude = float(y[i_peak])
     n_early = max(1, int(round(0.1 * y.size)))
     background = float(np.median(y[:n_early]))
-    target = amplitude / math.e
-    tau = None
-    for j in range(i_peak + 1, y.size):
-        if y[j] <= target:
-            tau = x[j] - x[i_peak]
-            break
-    if tau is None or tau <= 0:
+    below = np.nonzero(y[i_peak + 1:] <= amplitude / math.e)[0]
+    tau = x[i_peak + 1 + below[0]] - x[i_peak] if below.size else 0.0
+    if tau <= 0:
         tau = max((x[-1] - x[i_peak]) / 3.0, bin_width)
     sigma = fix_sigma_ps if fix_sigma_ps is not None else float(bin_width)
     return {"amplitude": amplitude, "t0_ps": float(x[i_peak]), "tau_ps": float(tau),

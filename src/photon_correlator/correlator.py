@@ -28,6 +28,7 @@ its spacing below): `_next_tick` guesses it and `_search` bisects the misses.
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,15 @@ class Mode(enum.Enum):
             ) from None
 
 
+def _as_ints(obj, *names):
+    """Store each named field of the frozen dataclass `obj` as an int."""
+    for name in names:
+        try:  # a numpy int passes, a float does not
+            object.__setattr__(obj, name, operator.index(getattr(obj, name)))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}") from None
+
+
 @dataclass(frozen=True)
 class HistogramConfig:
     bin_width_ps: int
@@ -64,6 +74,7 @@ class HistogramConfig:
     mode: Mode = Mode.ALL_STOPS
 
     def __post_init__(self):
+        _as_ints(self, "bin_width_ps", "range_min_ps", "range_max_ps")
         if self.bin_width_ps <= 0:
             raise ValueError("bin_width_ps must be > 0")
         if self.range_max_ps <= self.range_min_ps:
@@ -113,6 +124,7 @@ class Histogram:
     n_starts: int
 
     def __post_init__(self):
+        _as_ints(self, "n_starts")
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (self.config.n_bins,):
             raise ValueError(

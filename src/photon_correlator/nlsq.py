@@ -1,6 +1,6 @@
 """The one fit engine, `fit_curve`: the lifetime, IRF and DE fits are each
 a model, its Jacobian and a start, fitted by a damped least-squares
-(Levenberg-Marquardt) minimizer, and each returns its `Fit`.
+(Levenberg-Marquardt) loop over the free parameters into a `Fit`.
 
 Small and deliberately boring: normal equations with Marquardt diagonal
 scaling, multiplicative damping adaptation, and a MINPACK-style relative
@@ -23,15 +23,6 @@ LAM_MAX = 1e14  # damping above this without an accepted step ends the fit
 MAX_ITER = 200  # iterations after which a fit ends unconverged
 
 
-@dataclass
-class LeastSquaresResult:
-    params: np.ndarray  # the solver's vector
-    converged: bool
-    iterations: int
-    residual_rms: float
-    cost: float
-
-
 @dataclass(frozen=True)
 class Fit:
     """A fit's result: `params` maps each name to a float, in record order."""
@@ -46,83 +37,29 @@ class Fit:
                 "converged": self.converged, "iterations": self.iterations}
 
 
-def levenberg_marquardt(residual, jacobian, x0):
-    """Minimize sum(residual(x)**2).
-
-    `residual(x)` returns the residual vector, `jacobian(x)` its Jacobian
-    (n_residuals x n_params).  Convergence is declared when the accepted
-    step satisfies ||dx|| <= STEP_TOL * (STEP_TOL + ||x||), or when the
-    cost falls 24 orders of magnitude below its initial value (an exact
-    fit; a parameter with no residual left to constrain it, e.g. a
-    Gaussian width collapsing onto a single hot bin, may otherwise drift
-    forever).  Hitting `MAX_ITER`, or damping escalating past `LAM_MAX`
-    without improvement, returns converged=False with the best parameters
-    found.  Non-finite trial costs are treated as rejected steps, so the
-    solver backs away from invalid parameter regions on its own.  Normal
-    equations (J^T J, J^T r) that are not finite also end the fit with
-    converged=False; at `x0`, where there is no result yet, they or a
-    non-finite cost raise AnalysisError.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(x), dtype=float)
-    with np.errstate(over="ignore"):
-        cost = float(r @ r)
-    if not np.isfinite(cost):
-        raise AnalysisError("fit residual is not finite at the initial parameters")
-    cost_floor = 1e-24 * cost
-    lam = LAM0
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, MAX_ITER + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # a column may overflow
-            J = np.asarray(jacobian(x), dtype=float)
-            g = J.T @ r
-            H = J.T @ J
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-            if n_iter == 1:
-                raise AnalysisError(
-                    "fit normal equations are not finite at the initial parameters")
-            break
-        d = np.diag(H).copy()
-        d[d <= 0] = 1.0
-        accepted = False
-        while lam <= LAM_MAX:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                try:
-                    step = np.linalg.solve(H + lam * np.diag(d), -g)
-                except np.linalg.LinAlgError:
-                    lam *= LAM_FACTOR
-                    continue
-                x_new = x + step
-                r_new = np.asarray(residual(x_new), dtype=float)
-                cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new <= cost:
-                accepted = True
-                break
-            lam *= LAM_FACTOR
-        if not accepted:
-            break
-        lam = max(lam / LAM_FACTOR, 1e-12)
-        # hypot, unlike sqrt(x @ x), cannot overflow for components above 1e154
-        small = math.hypot(*step) <= STEP_TOL * (STEP_TOL + math.hypot(*x_new))
-        x, r, cost = x_new, r_new, cost_new
-        if small or cost <= cost_floor:
-            converged = True
-            break
-    rms = float(np.sqrt(cost / max(r.size, 1)))
-    return LeastSquaresResult(x, converged, n_iter, rms, cost)
-
-
 def fit_curve(model, jacobian, x, y, start, fixed=(), positive=()):
-    """Fit `model(x, **params)` to the float array `y` by `levenberg_marquardt`.
+    """Fit `model(x, **params)` to the float array `y` by Levenberg-Marquardt.
 
     `jacobian(x, **params)` has a column per parameter of `model` after `x`,
     in signature order.  `start` maps each parameter to its start; the
     solver takes those not `fixed`, in `start`'s order, and a free `positive`
-    one (a lifetime or a width) costs inf at <= 0.  The `Fit`'s params map
-    each name to a float, in `start`'s order.  It is converged only if the
-    solver converged, every parameter is finite and every free Jacobian
-    column at the solution squares to > 0: the data must see each parameter.
+    one (a lifetime or a width) costs inf at <= 0.
+
+    The solver converges when the accepted step dp satisfies
+    ||dp|| <= STEP_TOL * (STEP_TOL + ||p||), or when the cost falls 24
+    orders of magnitude below its start (an exact fit; a parameter with no
+    residual left to constrain it, e.g. a Gaussian width collapsing onto a
+    single hot bin, may otherwise drift forever).  Hitting `MAX_ITER`, or
+    damping escalating past `LAM_MAX` without improvement, stops it
+    unconverged at the best parameters found.  Non-finite trial costs are
+    rejected steps, so it backs away from invalid parameter regions on its
+    own.  Normal equations (J^T J, J^T r) that are not finite also stop it
+    unconverged; at the start, where there is no result yet, they or a
+    non-finite cost raise AnalysisError.
+
+    The `Fit`'s params map each name to a float, in `start`'s order.  It is
+    converged only if the solver converged, every parameter is finite and the
+    data see each one: every free Jacobian column at the solution squares to > 0.
     """
     names = list(inspect.signature(model).parameters)[1:]
     free = [name for name in start if name not in fixed]
@@ -141,10 +78,50 @@ def fit_curve(model, jacobian, x, y, start, fixed=(), positive=()):
         # C order, as the rounding of J^T J follows the layout
         return np.ascontiguousarray(jacobian(x, **unpack(p))[:, cols])
 
-    res = levenberg_marquardt(residual, free_jacobian, [start[name] for name in free])
+    p = np.array([start[name] for name in free], dtype=float)
+    r = np.asarray(residual(p), dtype=float)
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise AnalysisError("fit residual is not finite at the initial parameters")
+    cost_floor = 1e-24 * cost
+    lam, n_iter, converged = LAM0, 0, False
+    for n_iter in range(1, MAX_ITER + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # a column may overflow
+            J = np.asarray(free_jacobian(p), dtype=float)
+            g = J.T @ r
+            H = J.T @ J
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
+            if n_iter == 1:
+                raise AnalysisError(
+                    "fit normal equations are not finite at the initial parameters")
+            break
+        d = np.where(np.diag(H) > 0, np.diag(H), 1.0)
+        while lam <= LAM_MAX:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                try:
+                    step = np.linalg.solve(H + lam * np.diag(d), -g)
+                except np.linalg.LinAlgError:
+                    lam *= LAM_FACTOR
+                    continue
+                p_new = p + step
+                r_new = np.asarray(residual(p_new), dtype=float)
+                cost_new = float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost:
+                break
+            lam *= LAM_FACTOR
+        else:  # no step was accepted
+            break
+        lam = max(lam / LAM_FACTOR, 1e-12)
+        # hypot, unlike sqrt(p @ p), cannot overflow for components above 1e154
+        small = math.hypot(*step) <= STEP_TOL * (STEP_TOL + math.hypot(*p_new))
+        p, r, cost = p_new, r_new, cost_new
+        if small or cost <= cost_floor:
+            converged = True
+            break
     with np.errstate(over="ignore", invalid="ignore"):
-        seen = np.all(np.sum(free_jacobian(res.params) ** 2, axis=0) > 0)
-    params = {name: float(value) for name, value in unpack(res.params).items()}
+        seen = np.all(np.sum(free_jacobian(p) ** 2, axis=0) > 0)
+    params = {name: float(value) for name, value in unpack(p).items()}
     finite = all(map(math.isfinite, params.values()))
-    return Fit(params, res.residual_rms, bool(res.converged and finite and seen),
-               res.iterations)
+    rms = float(np.sqrt(cost / max(r.size, 1)))
+    return Fit(params, rms, bool(converged and finite and seen), n_iter)

@@ -95,6 +95,23 @@ class TestHistogramConfig:
         with pytest.raises(ValueError, match="unknown histogram mode"):
             Mode.parse("bogus")
 
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 0, 10), "bin_width_ps"),
+        ((2, 0.0, 10), "range_min_ps"),
+        ((2, 0, np.float64(10.0)), "range_max_ps"),
+        ((2, "0", 10), "range_min_ps"),
+    ])
+    def test_takes_integer_fields_only(self, args, field):
+        """A whole float is no int either: its n_bins would be a float."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            HistogramConfig(*args)
+
+    def test_takes_numpy_ints_as_ints(self):
+        cfg = HistogramConfig(np.int64(2), np.int32(-4), np.uint8(10), Mode.FIRST_STOP)
+        assert cfg == HistogramConfig(2, -4, 10, Mode.FIRST_STOP)
+        assert {type(cfg.bin_width_ps), type(cfg.range_min_ps), type(cfg.range_max_ps),
+                type(cfg.n_bins)} == {int}
+
 
 class TestTacHistogram:
     def test_no_stops(self):
@@ -480,3 +497,17 @@ def test_histogram_rejects_negative_n_starts():
     with pytest.raises(ValueError, match="n_starts"):
         Histogram(cfg, np.zeros(2, np.int64), -5)
     assert Histogram(cfg, np.zeros(2, np.int64), 0).n_starts == 0
+
+
+@pytest.mark.parametrize("n_starts", [3.0, np.float64(3.0), "3", None])
+def test_histogram_rejects_non_integer_n_starts(n_starts):
+    with pytest.raises(ValueError, match="n_starts must be an integer, got"):
+        Histogram(HistogramConfig(10, 0, 20), np.zeros(2, np.int64), n_starts)
+
+
+def test_histogram_with_numpy_int_n_starts_round_trips(tmp_path):
+    hist = Histogram(HistogramConfig(10, 0, 20), np.array([1, 2]), np.int64(3))
+    assert type(hist.n_starts) is int
+    write_histogram_csv(hist, tmp_path / "h.csv")
+    assert (tmp_path / "h.csv").read_text().startswith("# n_starts=3 bin_width_ps=10\n")
+    assert read_histogram_csv(tmp_path / "h.csv").n_starts == 3

@@ -1,6 +1,7 @@
 """The package's import graph, read from the source with `ast`: it has no
-cycle, and `sources` imports no package module but `rng`, so the sync
-clock, which reads the emission lattice, stays in `correlator`."""
+cycle; `sources` imports no package module but `rng`, so the sync clock,
+which reads the emission lattice, stays in `correlator`; and the fit
+engine, `nlsq`, imports none but `errors`, so it knows no physics model."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,7 @@ def test_package_imports_form_no_cycle():
 
 def test_sources_imports_only_rng():
     assert package_imports()["sources"] <= {"rng"}
+
+
+def test_nlsq_imports_only_errors():
+    assert package_imports()["nlsq"] <= {"errors"}

@@ -3,128 +3,106 @@ import pytest
 
 from photon_correlator import nlsq
 from photon_correlator.errors import AnalysisError
-from photon_correlator.nlsq import LeastSquaresResult, fit_curve, levenberg_marquardt
+from photon_correlator.nlsq import Fit, fit_curve
+
+T = np.linspace(0, 1, 10)
+ONE = np.zeros(1)  # the abscissa of a one-residual fit
 
 
 def test_linear_model_one_step():
     x = np.linspace(0, 10, 20)
-    y = 3.0 * x + 2.0
-
-    def residual(p):
-        return p[0] * x + p[1] - y
-
-    def jacobian(p):
-        return np.column_stack([x, np.ones_like(x)])
-
-    res = levenberg_marquardt(residual, jacobian, [0.0, 0.0])
+    res = fit_curve(lambda x, a, b: a * x + b,
+                    lambda x, a, b: np.column_stack([x, np.ones_like(x)]),
+                    x, 3.0 * x + 2.0, {"a": 0.0, "b": 0.0})
     assert res.converged
-    assert res.params == pytest.approx([3.0, 2.0], rel=1e-8)
+    assert res.params == pytest.approx({"a": 3.0, "b": 2.0}, rel=1e-8)
     assert res.residual_rms < 1e-10
+
+
+def exponential(t, a, k):
+    return a * np.exp(-k * t)
+
+
+def exponential_jacobian(t, a, k):
+    e = np.exp(-k * t)
+    return np.column_stack([e, -a * t * e])
 
 
 def test_exponential_recovery():
     t = np.linspace(0, 5, 50)
-    true = np.array([2.5, 1.3])
-    y = true[0] * np.exp(-true[1] * t)
-
-    def residual(p):
-        return p[0] * np.exp(-p[1] * t) - y
-
-    def jacobian(p):
-        e = np.exp(-p[1] * t)
-        return np.column_stack([e, -p[0] * t * e])
-
-    res = levenberg_marquardt(residual, jacobian, [1.0, 0.5])
+    res = fit_curve(exponential, exponential_jacobian, t, exponential(t, 2.5, 1.3),
+                    {"a": 1.0, "k": 0.5})
     assert res.converged
-    assert res.params == pytest.approx(true, rel=1e-7)
+    assert res.params == pytest.approx({"a": 2.5, "k": 1.3}, rel=1e-7)
 
 
 def test_exact_start_converges_immediately():
-    t = np.linspace(0, 1, 10)
-    y = 4.0 * t
-
-    def residual(p):
-        return p[0] * t - y
-
-    res = levenberg_marquardt(residual, lambda p: t[:, None], [4.0])
+    res = fit_curve(lambda t, a: a * t, lambda t, a: t[:, None], T, 4.0 * T, {"a": 4.0})
     assert res.converged
     assert res.iterations == 1
 
 
 def test_max_iter_reports_non_convergence(monkeypatch):
     t = np.linspace(0, 5, 50)
-    y = 2.5 * np.exp(-1.3 * t)
-
-    def residual(p):
-        return p[0] * np.exp(-p[1] * t) - y
-
-    def jacobian(p):
-        e = np.exp(-p[1] * t)
-        return np.column_stack([e, -p[0] * t * e])
-
     monkeypatch.setattr(nlsq, "MAX_ITER", 2)
-    res = levenberg_marquardt(residual, jacobian, [100.0, 10.0])
+    res = fit_curve(exponential, exponential_jacobian, t, exponential(t, 2.5, 1.3),
+                    {"a": 100.0, "k": 10.0})
     assert not res.converged
     assert res.iterations == 2
-    assert np.all(np.isfinite(res.params))
+    assert all(np.isfinite(list(res.params.values())))
 
 
 def test_non_finite_start_rejected():
     with pytest.raises(AnalysisError, match="not finite"):
-        levenberg_marquardt(lambda p: np.array([np.nan]), lambda p: np.eye(1), [1.0])
+        fit_curve(lambda x, a: np.full(x.size, np.nan), lambda x, a: np.eye(1),
+                  ONE, ONE, {"a": 1.0})
 
 
 def test_start_cost_that_overflows_rejected():
     with pytest.raises(AnalysisError, match="residual is not finite"):
-        levenberg_marquardt(lambda p: np.full(2, 1e200), lambda p: np.ones((2, 1)), [1.0])
+        fit_curve(lambda x, a: np.full(x.size, 1e200), lambda x, a: np.ones((x.size, 1)),
+                  np.zeros(2), np.zeros(2), {"a": 1.0})
 
 
 def test_start_normal_equations_that_overflow_rejected():
     with pytest.raises(AnalysisError, match="normal equations are not finite"):
-        levenberg_marquardt(lambda p: p - 2.0, lambda p: np.array([[1e200]]), [0.5])
+        fit_curve(lambda x, a: x + a, lambda x, a: np.array([[1e200]]),
+                  ONE, np.full(1, 2.0), {"a": 0.5})
 
 
 def test_normal_equations_that_overflow_later_end_the_fit():
-    def jacobian(p):
-        return np.array([[1.0 if p[0] == 0.5 else 1e200]])
+    def jacobian(x, a):
+        return np.array([[1.0 if a == 0.5 else 1e200]])
 
-    res = levenberg_marquardt(lambda p: p - 2.0, jacobian, [0.5])
+    res = fit_curve(lambda x, a: x + a, jacobian, ONE, np.full(1, 2.0), {"a": 0.5})
     assert not res.converged
     assert res.iterations == 2
-    assert res.params[0] == pytest.approx(2.0, rel=1e-2)
+    assert res.params["a"] == pytest.approx(2.0, rel=1e-2)
 
 
 def test_converges_with_parameters_beyond_1e154():
     # the squared norm of the step and of the parameters overflows here
-    t = np.linspace(0, 1, 10)
-    y = 4.0 * t
-
-    def residual(p):
-        return p[0] * 1e-160 * t - y
-
-    res = levenberg_marquardt(residual, lambda p: 1e-160 * t[:, None], [1e160])
+    res = fit_curve(lambda t, a: a * 1e-160 * t, lambda t, a: 1e-160 * t[:, None],
+                    T, 4.0 * T, {"a": 1e160})
     assert res.converged
-    assert res.params[0] == pytest.approx(4e160, rel=1e-8)
+    assert res.params["a"] == pytest.approx(4e160, rel=1e-8)
 
 
 def test_backs_away_from_invalid_region():
-    # residual explodes for p < 0; solver must still find p = 2
-    y = 2.0
+    # the model is inf for a < 0; the fit must still find a = 2
+    def model(x, a):
+        return np.full(x.size, np.inf if a < 0 else a)
 
-    def residual(p):
-        if p[0] < 0:
-            return np.array([np.inf])
-        return np.array([p[0] - y])
-
-    res = levenberg_marquardt(residual, lambda p: np.array([[1.0]]), [0.5])
+    res = fit_curve(model, lambda x, a: np.ones((x.size, 1)), ONE, np.full(1, 2.0),
+                    {"a": 0.5})
     assert res.converged
-    assert res.params[0] == pytest.approx(2.0, rel=1e-8)
+    assert res.params["a"] == pytest.approx(2.0, rel=1e-8)
 
 
 def test_result_shape():
-    res = levenberg_marquardt(lambda p: np.zeros(3), lambda p: np.zeros((3, 1)), [1.0])
-    assert isinstance(res, LeastSquaresResult)
-    assert res.cost == 0.0
+    res = fit_curve(lambda t, a: a * t, lambda t, a: t[:, None], T, 1.0 * T, {"a": 1.0})
+    assert isinstance(res, Fit)
+    assert res.residual_rms == 0.0
 
 
 # fit_curve: a model y = a * exp(-x / w) + c, its columns in signature order
@@ -149,21 +127,26 @@ def test_fit_curve_recovers_every_parameter():
 
 
 def test_fixed_parameter_never_reaches_the_solver(monkeypatch):
-    seen = []
+    solves = []
 
-    def solver(residual, jacobian, x0):
-        seen.append((list(x0), jacobian(np.asarray(x0, dtype=float))))
-        return levenberg_marquardt(residual, jacobian, x0)
+    def solve(a, b):
+        solves.append((a, b))
+        return np_solve(a, b)
 
-    monkeypatch.setattr(nlsq, "levenberg_marquardt", solver)
+    np_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", solve)
     c = 0.1 + 0.2  # not a round number, so a trip through the solver would show
-    res = fit_curve(decay, decay_jacobian, X, decay(X, 3.0, 2.0, c),
-                    {"w": 1.5, "c": c, "a": 1.0}, fixed=("c",))
-    (x0, J0), = seen
-    assert x0 == [1.5, 1.0]  # the free parameters, in the start's order
-    # their columns, in that order, laid out in C order
-    assert J0.flags.c_contiguous
-    np.testing.assert_array_equal(J0, decay_jacobian(X, 1.0, 1.5, c)[:, [1, 0]])
+    y = decay(X, 3.0, 2.0, c)
+    res = fit_curve(decay, decay_jacobian, X, y, {"w": 1.5, "c": c, "a": 1.0},
+                    fixed=("c",))
+    # the first step solves the damped normal equations of the free columns,
+    # in the start's order (w, a), laid out in C order: the rounding of J^T r
+    # follows the layout, and the F-ordered slice rounds differently here
+    J0 = np.ascontiguousarray(decay_jacobian(X, 1.0, 1.5, c)[:, [1, 0]])
+    H0 = J0.T @ J0
+    a0, b0 = solves[0]
+    np.testing.assert_array_equal(b0, -(J0.T @ (decay(X, 1.0, 1.5, c) - y)))
+    np.testing.assert_array_equal(a0, H0 + nlsq.LAM0 * np.diag(np.diag(H0)))
     assert res.converged
     assert res.params["c"] == c
     assert res.params["a"] == pytest.approx(3.0, rel=1e-8)
