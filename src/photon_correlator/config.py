@@ -40,7 +40,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import get_args
 
-from .correlator import HistogramConfig, Mode
+from .correlator import HistogramConfig, Mode, _as_ints
 from .detectors import DetectorModel, sigma_to_fwhm
 from .errors import ConfigError
 from .sources import (PoissonLaserModel, PulsedSourceModel, pulse_period_ps,
@@ -91,6 +91,7 @@ class DeSweepSettings:
     pulses_per_point: int = 1_000_000
 
     def __post_init__(self):
+        _as_ints(self, "pulses_per_point", error=ConfigError, where="de_sweep.")
         if self.pulses_per_point <= 0:
             raise ConfigError("de_sweep.pulses_per_point: must be > 0")
 
@@ -131,6 +132,7 @@ class RunConfig:
     lifetime: LifetimeSettings = LifetimeSettings()
 
     def __post_init__(self):
+        _as_ints(self, "seed", "n_pulses", error=ConfigError, where="run.")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"run.seed: must be in [0, 2^64), got {self.seed}")
         if self.n_pulses <= 0:
@@ -159,7 +161,7 @@ class RunConfig:
             self.detector(self.de_sweep.detector, "de_sweep.detector")
 
     def with_seed(self, seed):
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def detector(self, name, where):
         try:

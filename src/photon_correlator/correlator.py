@@ -57,13 +57,14 @@ class Mode(enum.Enum):
             ) from None
 
 
-def _as_ints(obj, *names):
-    """Store each named field of the frozen dataclass `obj` as an int."""
+def _as_ints(obj, *names, error=ValueError, where=""):
+    """Store each named field of the frozen dataclass `obj` as an int, else raise `error`."""
     for name in names:
         try:  # a numpy int passes, a float does not
             object.__setattr__(obj, name, operator.index(getattr(obj, name)))
         except TypeError:
-            raise ValueError(f"{name} must be an integer, got {getattr(obj, name)!r}") from None
+            raise error(f"{where}{name} must be an integer, "
+                        f"got {getattr(obj, name)!r}") from None
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ run: it draws, records and bins one block of pulses at a time
 `correlator.next_tick_histogram`), against the sync clock held as its
 lattice (`correlator.clock_lattice`).
 
-Each recipe returns, as `result.config`, the config it ran with every
-default it resolved filled in (correlator range, g2 integration
+Each recipe returns a `RunResult` whose `config` is the config it ran
+with, every default it resolved filled in (correlator range, g2 integration
 half-width); the effective_config.cfg written from it reruns to the same
 data.  The g2 comb period, the sync-clock delay and the DE drive
 frequency are not config keys: each follows from source.rep_rate_hz.
@@ -129,19 +129,52 @@ def _tcspc_window(period):  # the whole bins of one period
 
 
 # ---------------------------------------------------------------------------
-# HBT coincidence measurement
+# a recipe's result and its output files
 
 
 @dataclass(frozen=True)
-class HbtResult:
+class RunResult:
+    """What a recipe ran and found: the config it ran with, its analysis (a
+    G2Estimate, or the nlsq.Fit of the lifetime, IRF or DE fit) and the data
+    analysed: an HBT run's histogram and two streams, a TCSPC run's
+    histogram, a DE sweep's points."""
+
     config: RunConfig
-    start_detections: object
-    stop_detections: object
-    histogram: Histogram
-    estimate: object
+    analysis: object
+    histogram: Histogram | None = None
+    start_detections: TagStream | None = None
+    stop_detections: TagStream | None = None
+    points: tuple = ()
 
     def record(self):
-        return self.estimate.record()
+        return self.analysis.record()
+
+
+def _write_outputs(result, out_dir, stem, files):
+    """The paths written in `out_dir`: each file `name` of the `files` table
+    as writer(data, path) for its (writer, data), then the record as
+    <stem>.json and the effective_config.cfg that reruns to the same data."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, (write, data) in zip(paths, files.values()):
+        write(data, path)
+    paths.append(_write_record(result.record(), out_dir, stem))
+    paths.append(os.path.join(out_dir, "effective_config.cfg"))
+    with open(paths[-1], "w", newline="") as fh:
+        fh.write(format_config(result.config))
+    return paths
+
+
+def _write_record(record, out_dir, stem):
+    path = os.path.join(out_dir, f"{stem}.json")
+    with open(path, "w", newline="") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# HBT coincidence measurement
 
 
 def run_hbt(cfg):
@@ -169,39 +202,19 @@ def run_hbt(cfg):
     hist = tac_histogram(starts, stops, corr_cfg)
     estimate = g2_zero(hist, rep_period, integration_halfwidth_ps=halfwidth,
                        n_side_peaks=cfg.g2.n_side_peaks)
-    return HbtResult(cfg, starts, stops, hist, estimate)
+    return RunResult(cfg, estimate, hist, starts, stops)
 
 
 def write_hbt_artifacts(result, out_dir):
-    cfg = result.config
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    for label, stream in (
-        (cfg.hbt.start, result.start_detections),
-        (cfg.hbt.stop, result.stop_detections),
-    ):
-        path = os.path.join(out_dir, f"detections_{label}.ttag")
-        write_tags(stream, path, format="binary")
-        paths[f"timetags_{label}"] = path
-    paths["histogram"] = os.path.join(out_dir, "histogram.csv")
-    write_histogram_csv(result.histogram, paths["histogram"])
-    paths["record"] = _write_record(result.record(), out_dir, "g2")
-    paths["config"] = _write_effective_config(cfg, out_dir)
-    return paths
+    hbt = result.config.hbt  # each stream in TTAG1, from its .ttag suffix
+    return _write_outputs(result, out_dir, "g2", {
+        f"detections_{hbt.start}.ttag": (write_tags, result.start_detections),
+        f"detections_{hbt.stop}.ttag": (write_tags, result.stop_detections),
+        "histogram.csv": (write_histogram_csv, result.histogram)})
 
 
 # ---------------------------------------------------------------------------
 # reverse start-stop lifetime / IRF measurement
-
-
-@dataclass(frozen=True)
-class TcspcResult:
-    config: RunConfig
-    histogram: Histogram
-    fit: object  # nlsq.Fit of fit_lifetime (analysis=lifetime) or measure_irf (irf)
-
-    def record(self):
-        return self.fit.record()
 
 
 def run_tcspc(cfg):
@@ -219,7 +232,7 @@ def run_tcspc(cfg):
         fit = measure_irf(hist)
     else:
         fit = fit_lifetime(hist, fix_sigma=cfg.lifetime.fix_sigma_ps)
-    return TcspcResult(cfg, hist, fit)
+    return RunResult(cfg, fit, hist)
 
 
 def _tcspc_histogram(cfg):
@@ -246,29 +259,13 @@ def _tcspc_histogram(cfg):
                                remap_period_ps=int(round(period)))
 
 
-def write_tcspc_artifacts(result, out_dir):
-    cfg = result.config
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"histogram": os.path.join(out_dir, "histogram.csv")}
-    write_histogram_csv(result.histogram, paths["histogram"])
-    # the record is named after the analysis: lifetime.json or irf.json
-    paths["record"] = _write_record(result.record(), out_dir, cfg.tcspc.analysis)
-    paths["config"] = _write_effective_config(cfg, out_dir)
-    return paths
+def write_tcspc_artifacts(result, out_dir):  # the record: lifetime.json or irf.json
+    return _write_outputs(result, out_dir, result.config.tcspc.analysis,
+                          {"histogram.csv": (write_histogram_csv, result.histogram)})
 
 
 # ---------------------------------------------------------------------------
 # detection-efficiency sweep
-
-
-@dataclass(frozen=True)
-class DeSweepResult:
-    config: RunConfig
-    points: tuple
-    fit: object
-
-    def record(self):
-        return self.fit.record()
 
 
 def run_de_sweep(cfg):
@@ -306,35 +303,12 @@ def run_de_sweep(cfg):
         duration_s = detections.duration_ps * 1e-12
         points.append(DECalibrationPoint(mu, len(detections) / duration_s))
     fit = fit_de(points, cfg.source.rep_rate_hz)
-    return DeSweepResult(cfg, tuple(points), fit)
+    return RunResult(cfg, fit, points=tuple(points))
 
 
 def write_de_sweep_artifacts(result, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {"sweep": os.path.join(out_dir, "sweep.csv")}
-    write_de_sweep(result.points, paths["sweep"])
-    paths["record"] = _write_record(result.record(), out_dir, "de_fit")
-    paths["config"] = _write_effective_config(result.config, out_dir)
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# records and effective-config echo
-
-
-def _write_record(record, out_dir, stem):
-    path = os.path.join(out_dir, f"{stem}.json")
-    with open(path, "w", newline="") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-def _write_effective_config(cfg, out_dir):
-    path = os.path.join(out_dir, "effective_config.cfg")
-    with open(path, "w", newline="") as fh:
-        fh.write(format_config(cfg))
-    return path
+    return _write_outputs(result, out_dir, "de_fit",
+                          {"sweep.csv": (write_de_sweep, result.points)})
 
 
 # ---------------------------------------------------------------------------

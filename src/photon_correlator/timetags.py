@@ -58,8 +58,11 @@ class TagStream:
 
     def __init__(self, times, duration_ps, channel):
         times = np.asarray(times, dtype=np.int64)
-        duration_ps = int(duration_ps)
-        channel = operator.index(channel)
+        try:  # a numpy int passes, a float does not
+            duration_ps, channel = operator.index(duration_ps), operator.index(channel)
+        except TypeError:
+            raise ValueError(f"duration_ps and channel must be integers, got "
+                             f"{duration_ps!r} and {channel!r}") from None
         if times.ndim != 1:
             raise ValueError("times must be a 1-d array")
         if not 0 <= channel <= CHANNEL_MAX:

@@ -104,7 +104,7 @@ def test_criterion_1_g2_reproduction():
     assert cfg.source.photon_dist == solve_photon_stats(0.24, 0.1)
     result = run_hbt(cfg)
     elapsed = time.time() - started
-    est = result.estimate
+    est = result.analysis
     tolerance = max(0.06, 3.0 * est.sigma)
     ok = abs(est.g2_zero - 0.24) <= tolerance and elapsed < 60.0
     report(
@@ -200,7 +200,7 @@ def test_criterion_3_lifetime_recovery():
     for jitter, tau_tol in ((170.0, 0.02), (550.0, 0.05)):
         cfg = pc.parse_config_text(TCSPC_CFG_TEMPLATE.format(jitter=jitter))
         result = run_tcspc(cfg)
-        fit = result.fit
+        fit = result.analysis
         n_events = result.histogram.total_counts
         tau, fwhm = fit.params["tau_ps"], fit.params["irf_fwhm_ps"]
         tau_ok = abs(tau - 370.0) / 370.0 <= tau_tol
@@ -244,7 +244,7 @@ pulses_per_point = 1000000
 def test_criterion_4_de_calibration():
     cfg = pc.parse_config_text(DE_SWEEP_CFG)
     result = run_de_sweep(cfg)
-    fit = result.fit
+    fit = result.analysis
     eta, dark = fit.params["eta"], fit.params["dark_rate_hz"]
     eta_ok = abs(eta - 0.01) / 0.01 <= 0.05
     dark_ok = abs(dark - 500.0) / 500.0 <= 0.10
@@ -280,7 +280,7 @@ mu = 0.5
 def test_criterion_5_classical_baseline():
     cfg = pc.parse_config_text(LASER_HBT_CFG)
     result = run_hbt(cfg)
-    est = result.estimate
+    est = result.analysis
     ok = abs(est.g2_zero - 1.0) <= 0.05
     report(
         "5 (classical baseline)",

@@ -529,6 +529,19 @@ def test_effective_config_reloads_to_the_run_config(tmp_path, command, text, ext
     assert dir_digest(tmp_path / "out") == dir_digest(tmp_path / "rerun")
 
 
+@pytest.mark.parametrize("command, text", [
+    ("simulate-hbt", HBT_CFG),
+    ("simulate-tcspc", TCSPC_CFG),
+    ("simulate-tcspc", TCSPC_IRF_CFG),
+    ("simulate-de-sweep", DE_CFG),
+], ids=["hbt", "tcspc", "tcspc-irf", "de-sweep"])
+def test_wrote_line_counts_the_files_in_out(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    n_files = len(list(out.iterdir()))
+    assert capsys.readouterr().out.endswith(f"wrote {n_files} files to {out}\n")
+
+
 @pytest.mark.parametrize("section, key", [("detector.SSPD", "dead_tme_ps"),
                                           ("tcspc", "clock_dealy_ps")])
 def test_unknown_key_is_config_error(tmp_path, capsys, section, key):

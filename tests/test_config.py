@@ -1,6 +1,8 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from photon_correlator import (
@@ -192,6 +194,8 @@ def test_seed_override():
     cfg = parse_config_text(GOOD)
     assert cfg.with_seed(7).seed == 7
     assert cfg.with_seed(7).n_pulses == cfg.n_pulses
+    with pytest.raises(ConfigError, match="run.seed must be an integer, got 7.5"):
+        cfg.with_seed(7.5)  # not truncated to seed 7
 
 
 def test_tcspc_analysis_choice():
@@ -305,6 +309,24 @@ def test_integer_keys_are_exact():
     for bad in ("inf", "nan", "1.5"):
         with pytest.raises(ConfigError, match="run.seed: expected an integer"):
             parse_config_text(LASER.replace("seed = 1", f"seed = {bad}"))
+
+
+@pytest.mark.parametrize("section, key", [(None, "seed"), (None, "n_pulses"),
+                                          ("de_sweep", "pulses_per_point")])
+def test_integer_fields_must_be_integers(section, key):
+    """A float is refused, not truncated, when a config is built in code;
+    a numpy int is stored as an int, so the echo reruns."""
+    cfg = parse_config_text(test_cli.DE_CFG)
+    owner = cfg if section is None else getattr(cfg, section)
+    where = f"{section or 'run'}.{key}"
+    with pytest.raises(ConfigError, match=f"{where} must be an integer, got 1000.5"):
+        replace(owner, **{key: 1000.5})
+    with pytest.raises(ConfigError, match=where):
+        replace(owner, **{key: float("inf")})
+    owner = replace(owner, **{key: np.int64(1000)})
+    assert type(getattr(owner, key)) is int
+    cfg = owner if section is None else replace(cfg, **{section: owner})
+    assert parse_config_text(format_config(cfg)) == cfg
 
 
 def test_correlator_zero_bin_width():

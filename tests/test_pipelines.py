@@ -11,6 +11,7 @@ from photon_correlator import pipelines, sources
 from photon_correlator.pipelines import detect, emit_laser_pulse_train
 from photon_correlator.rng import derive_seed, generator
 
+import test_cli
 from reference_oneshot import reference_record
 from reference_sources import (reference_dot_times, reference_laser_times,
                                reference_route, reference_thin)
@@ -235,3 +236,28 @@ def test_de_sweep_rejects_mu_above_source():
     cfg = replace(cfg, de_sweep=replace(cfg.de_sweep, mu_values=(1.0, 10.5)))
     with pytest.raises(pc.ConfigError, match="exceeds"):
         pipelines.run_de_sweep(cfg)
+
+
+@pytest.mark.parametrize("recipe, write, text, filled", [
+    (pipelines.run_hbt, pipelines.write_hbt_artifacts, test_cli.HBT_CFG,
+     {"histogram", "start_detections", "stop_detections"}),
+    (pipelines.run_tcspc, pipelines.write_tcspc_artifacts, test_cli.TCSPC_CFG, {"histogram"}),
+    (pipelines.run_tcspc, pipelines.write_tcspc_artifacts, test_cli.TCSPC_IRF_CFG,
+     {"histogram"}),
+    (pipelines.run_de_sweep, pipelines.write_de_sweep_artifacts, DE_CFG, {"points"}),
+], ids=["hbt", "tcspc", "tcspc-irf", "de_sweep"])
+def test_each_recipe_fills_its_own_result_fields(tmp_path, recipe, write, text, filled):
+    """A RunResult holds the config run, its analysis and exactly the data
+    its recipe makes; its writer returns the path of every file it writes."""
+    result = recipe(pc.parse_config_text(text))
+    assert isinstance(result, pipelines.RunResult)
+    assert {name for name in ("histogram", "start_detections", "stop_detections", "points")
+            if getattr(result, name) not in (None, ())} == filled
+    if result.histogram is not None:
+        assert isinstance(result.histogram, pc.Histogram)
+    for stream in (result.start_detections, result.stop_detections):
+        assert stream is None or isinstance(stream, pc.TagStream)
+    assert all(isinstance(p, pc.DECalibrationPoint) for p in result.points)
+    assert result.record() == result.analysis.record()
+    paths = write(result, tmp_path / "out")
+    assert sorted(paths) == sorted(str(p) for p in (tmp_path / "out").iterdir())

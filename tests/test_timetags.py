@@ -33,6 +33,19 @@ def test_stream_rejects_out_of_range_channel(channel):
     TagStream([1], 10, 255)
 
 
+@pytest.mark.parametrize("duration", [12.9, 12.0, float("inf"), float("nan"), "12"])
+def test_stream_rejects_a_duration_that_is_not_an_integer(duration):
+    # a float window is refused, not truncated to whole picoseconds
+    with pytest.raises(ValueError, match="duration_ps and channel must be integers"):
+        TagStream([1, 2], duration, 0)
+
+
+def test_stream_takes_numpy_integers():
+    stream = TagStream([1, 2], np.int64(13), np.uint8(3))
+    assert type(stream.duration_ps) is int and type(stream.channel) is int
+    assert stream == TagStream([1, 2], 13, 3)
+
+
 def test_binary_round_trip_random(rng, tmp_path):
     s = random_stream(rng, 100_000, 10**10, channel=200)
     path = tmp_path / "tags.ttag"
