@@ -7,6 +7,8 @@ spontaneous-emission lifetimes through a Gaussian instrument response,
 and calibrates detection efficiency from Poissonian attenuation sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     DECalibrationPoint,
     G2Estimate,
@@ -49,45 +51,6 @@ from .sources import (
 from .timetags import TagStream, read_tags, write_tags
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisError",
-    "BiasCurvePoint",
-    "ConfigError",
-    "DECalibrationPoint",
-    "DetectorModel",
-    "FormatError",
-    "G2Estimate",
-    "Histogram",
-    "HistogramConfig",
-    "Mode",
-    "PoissonLaserModel",
-    "PulsedSourceModel",
-    "RunConfig",
-    "SplitRatio",
-    "TagStream",
-    "bias_lookup",
-    "de_model",
-    "decay_model",
-    "fit_de",
-    "fit_lifetime",
-    "fwhm_to_sigma",
-    "g2_zero",
-    "load_config",
-    "measure_irf",
-    "parse_config_text",
-    "peak_fwhm",
-    "pulse_period_ps",
-    "read_bias_curve",
-    "read_de_sweep",
-    "read_histogram_csv",
-    "read_tags",
-    "reverse_start_stop",
-    "sigma_to_fwhm",
-    "solve_photon_stats",
-    "tac_histogram",
-    "write_bias_curve",
-    "write_de_sweep",
-    "write_histogram_csv",
-    "write_tags",
-]
+# the public names: those bound above, less the submodules they bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -67,6 +67,9 @@ class DetectorModel:
             raise ValueError("jitter_fwhm_ps must be finite and >= 0")
         if not 0 <= self.dead_time_ps < 2**63:
             raise ValueError("dead_time_ps must be in [0, 2^63)")
+        # tags are whole picoseconds, so a gap reaches a fractional dead time
+        # exactly when it reaches the next whole one
+        object.__setattr__(self, "dead_time_ps", math.ceil(self.dead_time_ps))
 
     @property
     def jitter_sigma_ps(self):
@@ -89,9 +92,7 @@ def _record(n_signal, signal_blocks, model, duration_ps, rng, channel):
         n_kept += block.size
     times[:n_kept].sort()
     if model.dead_time_ps > 0:
-        # tags are whole picoseconds, so a gap reaches a fractional dead time
-        # exactly when it reaches the next whole one
-        n_kept = _apply_dead_time(times[:n_kept], math.ceil(model.dead_time_ps)).size
+        n_kept = _apply_dead_time(times[:n_kept], model.dead_time_ps).size
     # shrunk in place (no view dangles) when that frees over a block; a smaller
     # shrink raised the DE sweep's peak RSS by 0.3 MiB
     if times.size - n_kept > _BLOCK:

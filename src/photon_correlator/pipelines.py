@@ -151,26 +151,35 @@ class RunResult:
 
 
 def _write_outputs(result, out_dir, stem, files):
-    """The paths written in `out_dir`: each file `name` of the `files` table
-    as writer(data, path) for its (writer, data), then the record as
-    <stem>.json and the effective_config.cfg that reruns to the same data."""
+    """The paths written in `out_dir`: each file `name` of the `files` table, the
+    record as <stem>.json and effective_config.cfg, as writer(data, path) for its
+    (writer, data), each as .partial.<name> and renamed once all are written."""
     os.makedirs(out_dir, exist_ok=True)
+    files = {**files, f"{stem}.json": (_write_record, result.record()),
+             "effective_config.cfg": (_write_text, format_config(result.config))}
     paths = [os.path.join(out_dir, name) for name in files]
-    for path, (write, data) in zip(paths, files.values()):
-        write(data, path)
-    paths.append(_write_record(result.record(), out_dir, stem))
-    paths.append(os.path.join(out_dir, "effective_config.cfg"))
-    with open(paths[-1], "w", newline="") as fh:
-        fh.write(format_config(result.config))
+    temps = [os.path.join(out_dir, f".partial.{name}") for name in files]
+    try:
+        for path, temp, (write, data) in zip(paths, temps, files.values()):
+            write(data, temp)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        exc.filename = path  # the file that failed, not its temporary name
+        raise
+    finally:  # a failure leaves the directory as it was; the renames leave none
+        for temp in filter(os.path.lexists, temps):
+            os.remove(temp)
     return paths
 
 
-def _write_record(record, out_dir, stem):
-    path = os.path.join(out_dir, f"{stem}.json")
+def _write_record(record, path):  # strict JSON: no Infinity or NaN
+    _write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+
+
+def _write_text(text, path):
     with open(path, "w", newline="") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return path
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,37 @@ def test_criterion_5_classical_baseline():
 
 
 # ---------------------------------------------------------------------------
+# calibration: over seeds, (g2_zero - truth) / g2_sigma has mean 0 and sd 1
+
+
+def seed_records(text, seeds):
+    """The record `run_hbt` makes of config `text` at each seed, in process."""
+    cfg = pc.parse_config_text(text)
+    return [run_hbt(cfg.with_seed(seed)).record() for seed in seeds]
+
+
+# name -> (config, the g2(0) of its source, the config line that gives it)
+CALIBRATION = {
+    "dot": (PAPER_HBT_CFG, 0.24, "g2_target = 0.24"),
+    "laser": (LASER_HBT_CFG.replace("n_pulses = 10000000", "n_pulses = 2000000"), 1.0,
+              "type = laser"),  # Poissonian
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION))
+def test_g2_sigma_matches_the_spread_over_seeds(name):
+    text, truth, line = CALIBRATION[name]
+    assert f"\n{line}\n" in text
+    n = 30
+    pulls = np.array([(r["g2_zero"] - truth) / r["g2_sigma"]
+                      for r in seed_records(text, range(1, n + 1))])
+    mean, sd = pulls.mean(), pulls.std(ddof=1)
+    report(f"calibration ({name})", abs(mean) <= 3 / np.sqrt(n) and 0.6 <= sd <= 1.4,
+           f"pull of g2_zero over {n} seeds: mean {mean:+.2f} (|.| <= "
+           f"{3 / np.sqrt(n):.2f}), sd {sd:.2f} (in [0.6, 1.4])")
+
+
+# ---------------------------------------------------------------------------
 # 6. oracle equivalences
 
 

@@ -639,6 +639,34 @@ def test_write_failure_after_the_run_is_config_error(tmp_path, capsys, monkeypat
         f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["empty", "earlier-run"])
+def test_failed_write_leaves_the_out_directory_as_it_was(tmp_path, capsys, monkeypatch,
+                                                         earlier):
+    # the stop stream is cut at a whole record by a full disk, after the start
+    # stream is written whole: neither joins an earlier run's files
+    cfg, out = write_cfg(tmp_path, HBT_CFG), tmp_path / "out"
+    out.mkdir()
+    if earlier:
+        assert main(["simulate-hbt", "--config", cfg, "--out", str(out), "--seed", "7"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    write_tags = pipelines.write_tags
+
+    def write_part(stream, path):
+        write_tags(stream, path)
+        if path.endswith("SSPD.ttag"):
+            # a TTAG1 record is 9 bytes: the cut file still reads, a shorter stream
+            os.truncate(path, os.path.getsize(path) - 9 * (len(stream) // 2))
+            assert len(read_tags(path)) == len(stream) - len(stream) // 2
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(pipelines, "write_tags", write_part)
+    assert main(["simulate-hbt", "--config", cfg, "--out", str(out)]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert capsys.readouterr().err.endswith(
+        f"config error: cannot write {out / 'detections_SSPD.ttag'}: "
+        f"{os.strerror(errno.ENOSPC)}\n")
+
+
 CONFIGS = {"simulate-hbt": HBT_CFG, "simulate-tcspc": TCSPC_CFG,
            "simulate-de-sweep": DE_CFG}
 
@@ -899,7 +927,7 @@ def test_record_with_a_non_finite_value_is_refused(tmp_path):
 
     for value in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            _write_record({"sigma_ps": value}, str(tmp_path), "lifetime")
+            _write_record({"sigma_ps": value}, str(tmp_path / "lifetime.json"))
 
 
 @pytest.mark.parametrize("command, text", [

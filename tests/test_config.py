@@ -7,6 +7,7 @@ import pytest
 
 from photon_correlator import (
     ConfigError,
+    DetectorModel,
     Mode,
     PoissonLaserModel,
     PulsedSourceModel,
@@ -326,6 +327,17 @@ def test_integer_fields_must_be_integers(section, key):
     owner = replace(owner, **{key: np.int64(1000)})
     assert type(getattr(owner, key)) is int
     cfg = owner if section is None else replace(cfg, **{section: owner})
+    assert parse_config_text(format_config(cfg)) == cfg
+
+
+def test_fractional_dead_time_is_stored_and_echoed_rounded_up():
+    """A library model's dead time is stored as the whole picoseconds the
+    filter applies, so the effective config echoes a key that reloads."""
+    assert DetectorModel("D", 1.0, 0.0, 0.0, 2.5).dead_time_ps == 3
+    cfg = parse_config_text(GOOD)
+    cfg = replace(cfg, detectors={**cfg.detectors,
+                                  "SSPD": replace(cfg.detectors["SSPD"], dead_time_ps=2.5)})
+    assert "dead_time_ps = 3\n" in format_config(cfg)
     assert parse_config_text(format_config(cfg)) == cfg
 
 

@@ -120,7 +120,7 @@ def check_record(record, hist=None):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+@settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_every_config_key_ends_in_a_documented_exit(name, data):
@@ -188,7 +188,7 @@ SUBCOMMANDS = {
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
-@settings(max_examples=75, derandomize=True, deadline=None, database=None,
+@settings(max_examples=75, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(data=st.data())
@@ -249,7 +249,7 @@ ODD_FLOATS = st.one_of(
     st.floats())
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(ENTRY_POINTS)), ODD_FLOATS, ODD_FLOATS)
 @example("solve_photon_stats", math.nan, 0.1)
 @example("solve_photon_stats", 0.1, math.nan)

@@ -1,10 +1,14 @@
 """The package's import graph, read from the source with `ast`: it has no
 cycle; `sources` imports no package module but `rng`, so the sync clock,
 which reads the emission lattice, stays in `correlator`; and the fit
-engine, `nlsq`, imports none but `errors`, so it knows no physics model."""
+engine, `nlsq`, imports none but `errors`, so it knows no physics model.
+The package's public names are pinned here too: a name joins or leaves
+them only with a diff to this file."""
 
 import ast
 from pathlib import Path
+
+import photon_correlator
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "photon_correlator"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
@@ -87,3 +91,24 @@ def test_sources_imports_only_rng():
 
 def test_nlsq_imports_only_errors():
     assert package_imports()["nlsq"] <= {"errors"}
+
+
+PUBLIC_NAMES = {
+    "AnalysisError", "BiasCurvePoint", "ConfigError", "DECalibrationPoint",
+    "DetectorModel", "FormatError", "G2Estimate", "Histogram", "HistogramConfig",
+    "Mode", "PoissonLaserModel", "PulsedSourceModel", "RunConfig", "SplitRatio",
+    "TagStream", "bias_lookup", "de_model", "decay_model", "fit_de", "fit_lifetime",
+    "fwhm_to_sigma", "g2_zero", "load_config", "measure_irf", "parse_config_text",
+    "peak_fwhm", "pulse_period_ps", "read_bias_curve", "read_de_sweep",
+    "read_histogram_csv", "read_tags", "reverse_start_stop", "sigma_to_fwhm",
+    "solve_photon_stats", "tac_histogram", "write_bias_curve", "write_de_sweep",
+    "write_histogram_csv", "write_tags",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(photon_correlator.__all__) == PUBLIC_NAMES
+    assert len(photon_correlator.__all__) == len(PUBLIC_NAMES)  # each once
+    namespace = {}
+    exec("from photon_correlator import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == PUBLIC_NAMES
