@@ -468,9 +468,11 @@ def test_criterion_7_determinism(tmp_path):
     report("7 (determinism)", ok, "; ".join(details))
 
 
-# SHA-256 of the data files each SMALL_* run writes at its config's seed.  A
-# change to any random draw or to the integer arithmetic changes them, and a
-# deliberate one updates them.  The fit records, whose last digits follow the
+# SHA-256 of the data files each SMALL_* run writes at its config's seed, of
+# its effective_config.cfg and of the HBT run's g2.json.  A change to any
+# random draw, to the integer arithmetic or to how a config is written
+# changes them, and a deliberate one updates them.  g2.json's floats come
+# from integer peak areas; the fit records, whose last digits follow the
 # platform's libm and BLAS, are pinned to a tolerance below.
 PINNED_DATA = {
     "simulate-hbt": {
@@ -480,11 +482,23 @@ PINNED_DATA = {
             "f06e9b38a9825f66a43c8251a79ffc13218fdcbd69de63f5832b54dcb45a6786",
         "histogram.csv":
             "30fcc3720047203740005e04c0dc898e4beda955f925da51eb9b283240aaf184",
+        "g2.json":
+            "96d29b66ec0b31349786c3fa47f22e55806fcbd1d7e07a57f37348bb0dc6f4ce",
+        "effective_config.cfg":
+            "d54157d5135b1f577d5bbd0e458a223b87c03ba72be8ef0d170c6e8a7389b257",
     },
-    "simulate-tcspc": {"histogram.csv":
-        "160765c6e1966a03fa556ae911dc5a3ebbc4c7b5bbd121b9d60403fbc4b9ad74"},
-    "simulate-de-sweep": {"sweep.csv":
-        "5e917d0648644496582f65b5d2702a3d12bd65da7b5563d011ef36862ee12c97"},
+    "simulate-tcspc": {
+        "histogram.csv":
+            "160765c6e1966a03fa556ae911dc5a3ebbc4c7b5bbd121b9d60403fbc4b9ad74",
+        "effective_config.cfg":
+            "2689a188ef48b37830f15e8ff711def744a62dc2e3cb6ec37f6c77adf3e3e5b4",
+    },
+    "simulate-de-sweep": {
+        "sweep.csv":
+            "5e917d0648644496582f65b5d2702a3d12bd65da7b5563d011ef36862ee12c97",
+        "effective_config.cfg":
+            "99a560f5010aea31b1f397da69031d97c653f97c0748f8552b156cc47540a830",
+    },
 }
 
 
