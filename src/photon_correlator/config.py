@@ -152,25 +152,16 @@ class RunConfig:
         if not getattr(self.source, "mu", 0) * longest < 2**62:
             raise ConfigError(f"source.mu: {self.source.mu} photons per pulse over "
                               f"{longest} pulses reach 2^62 photons")
-        if self.hbt is not None:
-            self.detector(self.hbt.start, "hbt.start")
-            self.detector(self.hbt.stop, "hbt.stop")
-        if self.tcspc is not None:
-            self.detector(self.tcspc.detector, "tcspc.detector")
-        if self.de_sweep is not None:
-            self.detector(self.de_sweep.detector, "de_sweep.detector")
+        for section, key in [("hbt", "start"), ("hbt", "stop"), ("tcspc", "detector"),
+                             ("de_sweep", "detector")]:  # the keys naming a detector
+            settings = getattr(self, section)
+            name = getattr(settings, key, None)
+            if settings is not None and name not in self.detectors:
+                raise ConfigError(f"{section}.{key}: unknown detector {name!r} (defined: "
+                                  f"{', '.join(sorted(self.detectors)) or 'none'})")
 
     def with_seed(self, seed):
         return replace(self, seed=seed)
-
-    def detector(self, name, where):
-        try:
-            return self.detectors[name]
-        except KeyError:
-            raise ConfigError(
-                f"{where}: unknown detector {name!r} "
-                f"(defined: {', '.join(sorted(self.detectors)) or 'none'})"
-            ) from None
 
 
 # [section] -> the settings class it configures, kept in the RunConfig field
@@ -206,7 +197,7 @@ _PARSERS = {
     float: (float, "a number"),
     str: (str, "a string"),
     tuple: (parse_float_list, "a comma-separated list"),
-    Mode: (Mode.parse, "FIRST_STOP or ALL_STOPS"),
+    Mode: (lambda text: Mode[text.strip().upper()], "FIRST_STOP or ALL_STOPS"),
 }
 
 
@@ -236,7 +227,7 @@ class _Section:
         parse, what = _PARSERS[kind]
         try:
             return parse(text)
-        except ValueError:
+        except (ValueError, KeyError):  # a Mode's name is looked up
             raise ConfigError(
                 f"{self.name}.{key}: expected {what}, got {text!r}"
             ) from None
@@ -286,7 +277,7 @@ def parse_config_text(text, origin="<config>"):
             raise ConfigError(
                 f"{section}: detector name must be nonempty [A-Za-z0-9_-]"
             )
-        detectors[name] = sections.pop(section).build(DetectorModel, name=name)
+        detectors[name] = sections.pop(section).build(DetectorModel)
     correlator = (_parse_correlator(sections.pop("correlator"))
                   if "correlator" in sections else None)
     settings = {name: sections.pop(name).build(cls)
@@ -376,7 +367,7 @@ def format_config(cfg):
     stats = dict(zip(("p0", "p1", "p2"), getattr(source, "photon_dist", ())))
     parts = [f"[run]\nseed = {cfg.seed}\nn_pulses = {cfg.n_pulses}\n",
              _section_text("source", source, ("photon_dist",), type=kind, **stats)]
-    parts += [_section_text(f"detector.{name}", model, ("name",))
+    parts += [_section_text(f"detector.{name}", model)
               for name, model in sorted(cfg.detectors.items())]
     for name in ("correlator", *_SETTINGS):
         if getattr(cfg, name) is not None:

@@ -47,15 +47,6 @@ class Mode(enum.Enum):
     FIRST_STOP = "first_stop"
     ALL_STOPS = "all_stops"
 
-    @classmethod
-    def parse(cls, text):
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown histogram mode {text!r} (use FIRST_STOP or ALL_STOPS)"
-            ) from None
-
 
 def _as_ints(obj, *names, error=ValueError, where=""):
     """Store each named field of the frozen dataclass `obj` as an int, else raise `error`."""

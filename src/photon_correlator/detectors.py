@@ -50,9 +50,9 @@ def sigma_to_fwhm(sigma):
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Parametric single-photon detector (APD and SSPD use the same model)."""
+    """Parametric single-photon detector (APD and SSPD use the same model);
+    a run names each by its key in `RunConfig.detectors`."""
 
-    name: str
     efficiency: float
     dark_rate_hz: float = 0.0
     jitter_fwhm_ps: float = 0.0

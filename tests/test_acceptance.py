@@ -135,9 +135,9 @@ def narrowing_histograms():
     ]:
         photons = emit_dot_pulse_train(source, n_pulses, derive_seed(seed, "source"))
         arm_a, arm_b = beamsplit(photons, SplitRatio(0.5), derive_seed(seed, "splitter"))
-        starts = detect(arm_a, DetectorModel("start", 1.0, 0.0, j_start, 0),
+        starts = detect(arm_a, DetectorModel(1.0, 0.0, j_start, 0),
                         derive_seed(seed, "detector.start"), channel=1)
-        stops = detect(arm_b, DetectorModel("stop", 1.0, 0.0, j_stop, 0),
+        stops = detect(arm_b, DetectorModel(1.0, 0.0, j_stop, 0),
                        derive_seed(seed, "detector.stop"), channel=2)
         hists[label] = tac_histogram(starts, stops, corr)
     return hists
@@ -394,7 +394,6 @@ def test_criterion_6d_dead_time_invariant():
         duration = int(rng.integers(5_000, 5_000_000))
         photons = random_stream(rng, n, duration)
         model = DetectorModel(
-            "rnd",
             efficiency=float(rng.uniform(0.05, 1.0)),
             dark_rate_hz=float(rng.uniform(0.0, 2e6)),
             jitter_fwhm_ps=float(rng.uniform(0.0, 800.0)),

@@ -517,7 +517,7 @@ class TestMeasureIrf:
 
         rep = 1e8
         laser = emit_laser_pulse_train(PoissonLaserModel(rep, 0.5), 400_000, seed=41)
-        sspd = DetectorModel("SSPD", 1.0, 100.0, 170.0, 10_000)
+        sspd = DetectorModel(1.0, 100.0, 170.0, 10_000)
         detections = detect(laser, sspd, seed=42, channel=1)
         clock = emit_clock_ticks(rep, 400_000, offset_ps=5000)
         cfg = HistogramConfig(32, 0, 9984, Mode.FIRST_STOP)
@@ -530,7 +530,7 @@ class TestMeasureIrf:
         # peak width is the quadrature sum, sqrt(550^2 + 550^2) = 778 ps
         rep = 1e8
         laser = emit_laser_pulse_train(PoissonLaserModel(rep, 1.0), 300_000, seed=31)
-        det = DetectorModel("apd", 1.0, 0.0, 550.0, 0)
+        det = DetectorModel(1.0, 0.0, 550.0, 0)
         start = detect(laser, det, seed=32, channel=1)
         stop = detect(laser, det, seed=33, channel=2)
         cfg = HistogramConfig(32, -4992, 4992, Mode.ALL_STOPS)
@@ -624,8 +624,8 @@ class TestEndToEndBaselines:
     def hbt_estimate(self, source_stream, seed, n_side=8, jitter=(170.0, 170.0),
                      rep_period=None):
         arm_a, arm_b = beamsplit(source_stream, SplitRatio(0.5), seed=seed)
-        d1 = DetectorModel("d1", 0.8, 0.0, jitter[0], 0)
-        d2 = DetectorModel("d2", 0.8, 0.0, jitter[1], 0)
+        d1 = DetectorModel(0.8, 0.0, jitter[0], 0)
+        d2 = DetectorModel(0.8, 0.0, jitter[1], 0)
         starts = detect(arm_a, d1, seed=seed + 1, channel=1)
         stops = detect(arm_b, d2, seed=seed + 2, channel=2)
         period = rep_period or 10_000

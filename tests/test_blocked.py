@@ -97,7 +97,7 @@ def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_tim
     # The signal comes in three blocks, as a recipe feeds each arm's blocks
     duration = 40 * n_signal + 1000
     signal = np.random.default_rng(n_signal).integers(0, duration, n_signal)
-    model = DetectorModel("D", 1.0, dark_rate_hz, jitter_fwhm_ps, dead_time_ps)
+    model = DetectorModel(1.0, dark_rate_hz, jitter_fwhm_ps, dead_time_ps)
     got = _record(n_signal, np.array_split(signal.copy(), 3), model, duration,
                   np.random.default_rng(3), 1)
     assert np.array_equal(got.times,
@@ -107,7 +107,7 @@ def test_record_equals_one_shot(n_signal, dark_rate_hz, jitter_fwhm_ps, dead_tim
 
 def test_record_clamps_huge_jitter_like_one_shot():
     signal = np.arange(0, 10 * (_BLOCK + 1), 10)
-    model = DetectorModel("D", 1.0, 0.0, 1e30)
+    model = DetectorModel(1.0, 0.0, 1e30)
     got = _record(signal.size, [signal.copy()], model, 10 * signal.size,
                   np.random.default_rng(4), 1)
     expected = reference_record(signal, model, 10 * signal.size, np.random.default_rng(4))
@@ -151,7 +151,7 @@ def test_reverse_start_stop_equals_one_shot(n_detections, config, remap_period_p
 @pytest.mark.parametrize("dead_time_ps", [0, 10_000])  # streamed, and concatenated
 def test_streamed_tcspc_equals_one_shot_chain(n_pulses, source, efficiency,
                                               dark_rate_hz, dead_time_ps):
-    model = DetectorModel("DET", efficiency, dark_rate_hz, 170.0, dead_time_ps)
+    model = DetectorModel(efficiency, dark_rate_hz, 170.0, dead_time_ps)
     cfg = replace(parse_config_text(TCSPC_CFG), n_pulses=n_pulses, source=source,
                   detectors={"DET": model})
     cfg = replace(cfg, correlator=pipelines._correlator_config(cfg, pipelines._tcspc_window))
@@ -344,7 +344,7 @@ def test_next_tick_searches_few_detections_on_the_recipe_clock(monkeypatch):
     clock = emit_clock_ticks(REP_HZ, 2**17, offset_ps=int(round(period / 2.0)))
     photons = emit_dot_pulse_train(PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0)),
                                    2**17, seed=3)
-    det = detect(photons, DetectorModel("D", 1.0, 100.0, 170.0), seed=4)
+    det = detect(photons, DetectorModel(1.0, 100.0, 170.0), seed=4)
     config = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)
     hist = reverse_start_stop(det, clock, config, int(round(period)))
     assert hist.total_counts > 0.99 * 2**17
@@ -651,7 +651,7 @@ def test_dead_time_filter_holds_the_recorded_times(dead_time_ps, kept):
     n = 2_000_000
     period = pulse_period_ps(REP_HZ)
     signal = np.rint(np.arange(n) * period).astype(np.int64)
-    model = DetectorModel("D", 1.0, 0.0, 170.0, dead_time_ps)
+    model = DetectorModel(1.0, 0.0, 170.0, dead_time_ps)
     peak, tags = traced_peak(lambda: _record(n, [signal], model, int(n * period),
                                              np.random.default_rng(2), 1))
     assert abs(len(tags) - kept * n) < 0.01 * n
@@ -663,7 +663,7 @@ def test_record_of_lazily_drawn_laser_blocks_holds_8_bytes_a_detection():
     lazily drawn blocks of detections into one array, without a list of the
     blocks or their concatenation: 8 bytes a detection drawn, whatever the
     dead time drops."""
-    model = DetectorModel("APD", 0.38, 100.0, 550.0, 10_000)
+    model = DetectorModel(0.38, 100.0, 550.0, 10_000)
     duration, arms = sample_blocks(PoissonLaserModel(REP_HZ, 0.5), 2**22, [0.19], 1)
     (n_max, blocks), = arms
     peak, tags = traced_peak(lambda: _record(n_max, blocks, model, duration,

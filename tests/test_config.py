@@ -170,10 +170,46 @@ def test_photon_stats_whose_square_overflows_are_infeasible():
         parse_config_text(bad)
 
 
-def test_unresolved_detector_reference():
-    bad = GOOD.replace("start = APD", "start = TES")
-    with pytest.raises(ConfigError, match="hbt.start: unknown detector 'TES'"):
+# the line of FULL that names a detector, for each key that names one, in
+# the order RunConfig checks them
+DETECTOR_LINES = {"hbt.start": "start = APD", "hbt.stop": "stop = SSPD",
+                  "tcspc.detector": "[tcspc]\ndetector = SSPD",
+                  "de_sweep.detector": "[de_sweep]\ndetector = SSPD"}
+
+
+@pytest.mark.parametrize("first", range(len(DETECTOR_LINES)), ids=list(DETECTOR_LINES))
+def test_unresolved_detector_reference(first):
+    """With a key and every key checked after it naming no detector, the
+    error names that key."""
+    bad = FULL
+    for i, line in enumerate(list(DETECTOR_LINES.values())[first:], first):
+        assert bad.count(line) == 1
+        bad = bad.replace(line, f"{line.rsplit(' = ', 1)[0]} = TES{i}")
+    key = list(DETECTOR_LINES)[first]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{key}: unknown detector 'TES{first}' (defined: APD, SSPD)") + "$"):
         parse_config_text(bad)
+    with pytest.raises(ConfigError, match=re.escape("(defined: none)") + "$"):
+        parse_config_text(re.sub(r"\[detector\.\w+\]\n(\w+ = .*\n)*", "", bad))
+
+
+def test_a_detector_is_named_by_its_key_alone():
+    cfg = parse_config_text(GOOD)
+    cfg = replace(cfg, detectors={"DET": cfg.detectors["APD"], "SSPD": cfg.detectors["SSPD"]},
+                  hbt=replace(cfg.hbt, start="DET"))
+    assert "[detector.DET]\n" in format_config(cfg)
+    assert parse_config_text(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, mode", [("first_stop", Mode.FIRST_STOP),
+                                        ("FIRST_STOP", Mode.FIRST_STOP),
+                                        ("All_Stops", Mode.ALL_STOPS)])
+def test_mode_parse(text, mode):
+    cfg = parse_config_text(GOOD.replace("mode = ALL_STOPS", f"mode = {text}"))
+    assert cfg.correlator.mode is mode
+    with pytest.raises(ConfigError, match="^correlator.mode: expected FIRST_STOP or "
+                                          "ALL_STOPS, got 'bogus'$"):
+        parse_config_text(GOOD.replace("mode = ALL_STOPS", "mode = bogus"))
 
 
 def test_correlator_requires_range():
@@ -333,7 +369,7 @@ def test_integer_fields_must_be_integers(section, key):
 def test_fractional_dead_time_is_stored_and_echoed_rounded_up():
     """A library model's dead time is stored as the whole picoseconds the
     filter applies, so the effective config echoes a key that reloads."""
-    assert DetectorModel("D", 1.0, 0.0, 0.0, 2.5).dead_time_ps == 3
+    assert DetectorModel(1.0, 0.0, 0.0, 2.5).dead_time_ps == 3
     cfg = parse_config_text(GOOD)
     cfg = replace(cfg, detectors={**cfg.detectors,
                                   "SSPD": replace(cfg.detectors["SSPD"], dead_time_ps=2.5)})

@@ -89,12 +89,6 @@ class TestHistogramConfig:
         assert list(cfg.bin_starts()) == [-200, -100, 0, 100]
         assert list(cfg.bin_centers()) == [-150.0, -50.0, 50.0, 150.0]
 
-    def test_mode_parse(self):
-        assert Mode.parse("all_stops") is Mode.ALL_STOPS
-        assert Mode.parse("FIRST_STOP") is Mode.FIRST_STOP
-        with pytest.raises(ValueError, match="unknown histogram mode"):
-            Mode.parse("bogus")
-
     @pytest.mark.parametrize("args, field", [
         ((2.5, 0, 10), "bin_width_ps"),
         ((2, 0.0, 10), "range_min_ps"),
@@ -239,7 +233,7 @@ class TestReverseStartStop:
         period = 10_000
         model = PulsedSourceModel(rep, 370.0, (0.9, 0.1, 0.0))
         photons = emit_dot_pulse_train(model, 1_000_000, seed=13)
-        det = detect(photons, DetectorModel("ideal", 1.0, 0.0, 0.0, 0), seed=14)
+        det = detect(photons, DetectorModel(1.0, 0.0, 0.0, 0), seed=14)
         clock = emit_clock_ticks(rep, 1_000_000)
         idx = np.searchsorted(clock.times, det.times, side="left")
         ok = idx < len(clock)

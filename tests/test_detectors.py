@@ -24,10 +24,10 @@ from photon_correlator.pipelines import detect
 from conftest import empty_stream, poisson_stream, random_stream
 
 
-def ideal(name="det", **kw):
+def ideal(**kw):
     base = dict(efficiency=1.0, dark_rate_hz=0.0, jitter_fwhm_ps=0.0, dead_time_ps=0)
     base.update(kw)
-    return DetectorModel(name, **base)
+    return DetectorModel(**base)
 
 
 def test_fwhm_sigma_conversion():
@@ -86,7 +86,7 @@ def test_fractional_dead_time_is_the_next_whole_picosecond():
             "from photon_correlator.pipelines import detect\n"
             "for dead_time in (0.5, 1.5):\n"
             "    out = detect(TagStream([0, 1, 1, 2, 3, 5], 10, 0),\n"
-            "                 DetectorModel('D', 1.0, 0.0, 0.0, dead_time), seed=1)\n"
+            "                 DetectorModel(1.0, 0.0, 0.0, dead_time), seed=1)\n"
             "    print(out.times.tolist())\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

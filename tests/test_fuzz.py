@@ -52,7 +52,7 @@ SECTION_KEYS = {
     "run": ["seed", "n_pulses"],
     "source": ["type", "p0", "p1", "p2", "g2_target", "mean_n",
                *_keys(PulsedSourceModel, ("photon_dist",)), *_keys(PoissonLaserModel)],
-    "detector": _keys(DetectorModel, ("name",)),
+    "detector": _keys(DetectorModel),
     "correlator": ["range_halfwidth_ps", *_keys(HistogramConfig)],
     **{name: _keys(cls) for name, cls in _SETTINGS.items()},
 }

@@ -18,7 +18,7 @@ from reference_sources import (reference_dot_times, reference_laser_times,
 
 REP_HZ = 1e5
 MU0 = 10.0
-SSPD = DetectorModel("SSPD", 0.01, 500.0, 170.0, 10_000)
+SSPD = DetectorModel(0.01, 500.0, 170.0, 10_000)
 
 DE_CFG = """
 [run]
