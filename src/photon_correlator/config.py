@@ -102,6 +102,7 @@ class G2Settings:
     integration_halfwidth_ps: float | None = None
 
     def __post_init__(self):
+        _as_ints(self, "n_side_peaks", error=ConfigError, where="g2.")
         if self.n_side_peaks < 2:
             raise ConfigError("g2.n_side_peaks: must be >= 2")
 

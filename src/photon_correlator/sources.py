@@ -46,6 +46,8 @@ class PulsedSourceModel:
     def __post_init__(self):
         if not 0 < self.rep_rate_hz < math.inf:
             raise ValueError("rep_rate_hz must be finite and > 0")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength_nm must be finite and > 0")
         if not 0 <= self.lifetime_ps < math.inf:
             raise ValueError("lifetime_ps must be finite and >= 0")
         p = self.photon_dist
@@ -69,6 +71,8 @@ class PoissonLaserModel:
     def __post_init__(self):
         if not 0 < self.rep_rate_hz < math.inf:
             raise ValueError("rep_rate_hz must be finite and > 0")
+        if not 0 < self.wavelength_nm < math.inf:
+            raise ValueError("wavelength_nm must be finite and > 0")
         if not 0 <= self.mu < math.inf:
             raise ValueError("mu must be finite and >= 0")
 

@@ -60,15 +60,11 @@ def digest_lines(label, command, text, extra, seed, work):
     yield f"{label} {seed} stdout {hashlib.sha256(masked).hexdigest()}"
 
 
-def main_digests():
+if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, command, text, extra) in enumerate(runs()):
+            work = Path(tmp) / str(i)
+            work.mkdir()
             for seed in SEEDS:
-                work = Path(tmp) / f"{i}"
-                work.mkdir(exist_ok=True)
                 for line in digest_lines(label, command, text, extra, seed, work):
                     print(line)
-
-
-if __name__ == "__main__":
-    main_digests()

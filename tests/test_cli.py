@@ -509,6 +509,43 @@ class TestAnalyze:
         assert "analysis error" in capsys.readouterr().err
 
 
+HIST_HEAD = "# n_starts=100 bin_width_ps=10\nbin_start_ps,count\n"
+
+
+@pytest.mark.parametrize("argv, text, code, prefix", [
+    (["simulate-hbt", "--config"], HBT_CFG.replace("[run]", "[run"), 2,
+     "config error: {path}: File contains no section headers."),
+    (["simulate-tcspc", "--config"], TCSPC_CFG.replace("p0 = 0\np1 = 1\np2 = 0\n", ""), 2,
+     "config error: source: photon statistics missing"),
+    (["simulate-de-sweep", "--config"],
+     DE_CFG.replace("pulses_per_point = 100000", "pulses_per_point = 0"), 2,
+     "config error: de_sweep.pulses_per_point: must be > 0"),
+    (["simulate-tcspc", "--config"], TCSPC_CFG.split("[tcspc]")[0], 2,
+     "config error: tcspc: section required for simulate-tcspc"),
+    (["simulate-de-sweep", "--config"], DE_CFG.split("[de_sweep]")[0], 2,
+     "config error: de_sweep: section required for simulate-de-sweep"),
+    (["simulate-de-sweep", "--config"], TCSPC_CFG + "\n[de_sweep]\ndetector = SSPD\n", 2,
+     "config error: source.type: de sweep requires the laser source"),
+    (["analyze", "g2", "--rep-period-ps", "1000", "--hist"], HIST_HEAD, 3,
+     "format error: {path}: histogram has no bins"),
+    (["analyze", "lifetime", "--hist"], HIST_HEAD + "0,1\n10,5\n20,3\n30,1\n", 4,
+     "analysis error: too few bins to fit a decay"),
+    (["analyze", "irf", "--hist"],
+     HIST_HEAD + "".join(f"{10 * i},{9 * (i != 7)}\n" for i in range(20)), 4,
+     "analysis error: no peak above baseline"),
+], ids=["unclosed-header", "dot-without-statistics", "no-pulses-per-point",
+        "tcspc-without-section", "de-sweep-without-section", "de-sweep-on-a-dot",
+        "histogram-without-rows", "lifetime-on-4-bins", "irf-on-a-flat-histogram"])
+def test_malformed_input_ends_in_its_exit_code(tmp_path, capsys, argv, text, code, prefix):
+    path = write_cfg(tmp_path, text, "input")
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0].startswith("simulate-") else []
+    assert main([*argv, path, *extra]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix.format(path=path)) and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, text, extra", [
     ("simulate-hbt", HBT_CFG, []),
     ("simulate-tcspc", TCSPC_CFG, []),
@@ -694,6 +731,18 @@ def test_non_finite_parameter_is_config_error(tmp_path, capsys, command, section
     assert len(err.strip().splitlines()) == 1
     if section.startswith("detector."):  # the section is named once
         assert err == f"config error: {section}: {key} must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "-3", "0", "inf"])
+@pytest.mark.parametrize("command", ["simulate-tcspc", "simulate-de-sweep"],
+                         ids=["dot", "laser"])
+def test_wavelength_outside_its_range_is_config_error(tmp_path, capsys, command, value):
+    text = CONFIGS[command].replace("[source]\n", f"[source]\nwavelength_nm = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == ("config error: source: wavelength_nm must be "
+                                       "finite and > 0\n")
 
 
 @pytest.mark.parametrize("command, line, new, where", [

@@ -349,15 +349,18 @@ def test_integer_keys_are_exact():
 
 
 @pytest.mark.parametrize("section, key", [(None, "seed"), (None, "n_pulses"),
-                                          ("de_sweep", "pulses_per_point")])
+                                          ("de_sweep", "pulses_per_point"),
+                                          ("g2", "n_side_peaks")])
 def test_integer_fields_must_be_integers(section, key):
-    """A float is refused, not truncated, when a config is built in code;
-    a numpy int is stored as an int, so the echo reruns."""
+    """A float or a string is refused, not truncated, when a config is built
+    in code; a numpy int is stored as an int, so the echo reruns."""
     cfg = parse_config_text(test_cli.DE_CFG)
     owner = cfg if section is None else getattr(cfg, section)
     where = f"{section or 'run'}.{key}"
     with pytest.raises(ConfigError, match=f"{where} must be an integer, got 1000.5"):
         replace(owner, **{key: 1000.5})
+    with pytest.raises(ConfigError, match=f"{where} must be an integer, got '1000'"):
+        replace(owner, **{key: "1000"})
     with pytest.raises(ConfigError, match=where):
         replace(owner, **{key: float("inf")})
     owner = replace(owner, **{key: np.int64(1000)})
