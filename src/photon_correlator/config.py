@@ -256,8 +256,9 @@ def parse_config_text(text, origin="<config>"):
     parser.optionxform = str
     try:
         parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from exc
+    except configparser.Error as exc:  # on one line, as every config error is
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"{origin}: {message}") from exc
     sections = {name: _Section(name, parser[name]) for name in parser.sections()}
 
     run = sections.pop("run", None)

@@ -49,7 +49,7 @@ from .analysis import (
     side_peak_windows,
     write_de_sweep,
 )
-from .config import DEFAULT_BIN_WIDTH_PS, RunConfig, format_config
+from .config import DEFAULT_BIN_WIDTH_PS, RunConfig, SplitRatio, format_config
 from .correlator import (
     Histogram,
     HistogramConfig,
@@ -62,7 +62,7 @@ from .correlator import (
 )
 from .detectors import _dark_counts, _record, _recorded_blocks
 from .errors import AnalysisError, ConfigError
-from .rng import _BLOCK, derive_seed, generator
+from .rng import derive_seed, generator
 from .sources import PoissonLaserModel, _train_duration_ps, pulse_period_ps, sample_blocks
 from .timetags import TagStream, write_tags
 
@@ -155,7 +155,8 @@ def _write_outputs(result, out_dir, stem, files):
     record as <stem>.json and effective_config.cfg, as writer(data, path) for its
     (writer, data), each as .partial.<name> and renamed once all are written."""
     os.makedirs(out_dir, exist_ok=True)
-    files = {**files, f"{stem}.json": (_write_record, result.record()),
+    record = json.dumps(result.record(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    files = {**files, f"{stem}.json": (_write_text, record),  # strict JSON: no Infinity or NaN
              "effective_config.cfg": (_write_text, format_config(result.config))}
     paths = [os.path.join(out_dir, name) for name in files]
     temps = [os.path.join(out_dir, f".partial.{name}") for name in files]
@@ -171,10 +172,6 @@ def _write_outputs(result, out_dir, stem, files):
         for temp in filter(os.path.lexists, temps):
             os.remove(temp)
     return paths
-
-
-def _write_record(record, path):  # strict JSON: no Infinity or NaN
-    _write_text(json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _write_text(text, path):
@@ -342,10 +339,8 @@ emit_laser_pulse_train = emit_dot_pulse_train
 def emit_clock_ticks(rep_rate_hz, n_pulses, offset_ps=0):
     """Every tick of `correlator.clock_lattice`, as a stream."""
     ticks = clock_lattice(rep_rate_hz, n_pulses, offset_ps)
-    times = np.empty(ticks.size, dtype=np.int64)
-    for start in range(0, ticks.size, _BLOCK):
-        times[start:start + _BLOCK] = ticks[np.arange(start, min(start + _BLOCK, ticks.size))]
-    return TagStream(times, _train_duration_ps(n_pulses, rep_rate_hz), channel=255)
+    return TagStream(ticks[np.arange(ticks.size)], _train_duration_ps(n_pulses, rep_rate_hz),
+                     channel=255)
 
 
 def beamsplit(stream, ratio, seed):
@@ -359,10 +354,7 @@ def beamsplit(stream, ratio, seed):
 def attenuate(stream, transmission, seed):
     """Independent Bernoulli thinning; Poisson(mu) input stays Poisson(mu*transmission).
     The collection optics and monochromator fold into this one transmission."""
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission {transmission} outside [0, 1]")
-    keep = generator(seed).random(len(stream)) < transmission
-    return TagStream(stream.times[keep], stream.duration_ps, stream.channel)
+    return beamsplit(stream, SplitRatio(transmission), seed)[1]
 
 
 def detect(photons, model, seed, channel=1):

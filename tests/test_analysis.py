@@ -31,6 +31,7 @@ from photon_correlator import (
 )
 from photon_correlator import nlsq
 from photon_correlator.analysis import (
+    _decay_initial_guess,
     _erfc_negative,
     _erfcx,
     de_model_jacobian,
@@ -180,6 +181,29 @@ class TestPeakFwhm:
         hist = Histogram(cfg, counts, 1)
         with pytest.raises(AnalysisError, match="edge"):
             peak_fwhm(hist, 55, 50)
+
+    def test_window_under_five_bins_rejected(self):
+        # centers 5, 15, 25, 35 lie within 20 ps of 20 ps
+        hist = Histogram(HistogramConfig(10, 0, 100), np.arange(10), 1)
+        with pytest.raises(AnalysisError, match="smaller than 5 bins"):
+            peak_fwhm(hist, 20, 20)
+
+    def test_no_peak_above_baseline_rejected(self):
+        # the edge bins' median is 9: every bin sits at or under it
+        counts = [7, 9] + [5] * 16 + [9, 9]
+        hist = Histogram(HistogramConfig(10, 0, 200), counts, 1)
+        with pytest.raises(AnalysisError, match="no peak above baseline"):
+            peak_fwhm(hist, 100, 100)
+
+
+@pytest.mark.parametrize("y, tau", [
+    ([1, 2, 10, 9, 8, 7, 6, 5, 5, 5], 70 / 3),  # never falls to 10/e: a third of the tail
+    ([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 10.0),  # the peak is last: one bin width
+])
+def test_decay_initial_guess_without_a_1_over_e_crossing(y, tau):
+    x = 10.0 * np.arange(10)
+    guess = _decay_initial_guess(x, np.array(y, dtype=float), 10, None)
+    assert guess["tau_ps"] == pytest.approx(tau)
 
 
 def convolution_oracle(t, tau, sigma, amplitude=1.0, t0=0.0, background=0.0):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -515,6 +516,8 @@ HIST_HEAD = "# n_starts=100 bin_width_ps=10\nbin_start_ps,count\n"
 @pytest.mark.parametrize("argv, text, code, prefix", [
     (["simulate-hbt", "--config"], HBT_CFG.replace("[run]", "[run"), 2,
      "config error: {path}: File contains no section headers."),
+    (["simulate-hbt", "--config"], HBT_CFG.replace("[source]", "garbage\n[source]"), 2,
+     "config error: {path}: Source contains parsing errors:"),
     (["simulate-tcspc", "--config"], TCSPC_CFG.replace("p0 = 0\np1 = 1\np2 = 0\n", ""), 2,
      "config error: source: photon statistics missing"),
     (["simulate-de-sweep", "--config"],
@@ -533,9 +536,10 @@ HIST_HEAD = "# n_starts=100 bin_width_ps=10\nbin_start_ps,count\n"
     (["analyze", "irf", "--hist"],
      HIST_HEAD + "".join(f"{10 * i},{9 * (i != 7)}\n" for i in range(20)), 4,
      "analysis error: no peak above baseline"),
-], ids=["unclosed-header", "dot-without-statistics", "no-pulses-per-point",
-        "tcspc-without-section", "de-sweep-without-section", "de-sweep-on-a-dot",
-        "histogram-without-rows", "lifetime-on-4-bins", "irf-on-a-flat-histogram"])
+], ids=["unclosed-header", "line-without-equals", "dot-without-statistics",
+        "no-pulses-per-point", "tcspc-without-section", "de-sweep-without-section",
+        "de-sweep-on-a-dot", "histogram-without-rows", "lifetime-on-4-bins",
+        "irf-on-a-flat-histogram"])
 def test_malformed_input_ends_in_its_exit_code(tmp_path, capsys, argv, text, code, prefix):
     path = write_cfg(tmp_path, text, "input")
     out = tmp_path / "out"
@@ -543,6 +547,7 @@ def test_malformed_input_ends_in_its_exit_code(tmp_path, capsys, argv, text, cod
     assert main([*argv, path, *extra]) == code
     err = capsys.readouterr().err
     assert err.startswith(prefix.format(path=path)) and "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -970,13 +975,20 @@ def test_fixed_sigma_that_stalls_the_fit_exits_4(tmp_path, capsys):
     assert "\nconverged=false\n" in capsys.readouterr().out
 
 
-def test_record_with_a_non_finite_value_is_refused(tmp_path):
-    # strict JSON has no Infinity or NaN
-    from photon_correlator.pipelines import _write_record
-
-    for value in (float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            _write_record({"sigma_ps": value}, str(tmp_path / "lifetime.json"))
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_record_with_a_non_finite_value_is_refused(tmp_path, value):
+    # strict JSON has no Infinity or NaN: the record fails before any file of
+    # the run is written, and an earlier run's files stay as they were
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "lifetime.json").write_text('{"sigma_ps": 1.0}\n')
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    result = pipelines.RunResult(load_config(write_cfg(tmp_path, TCSPC_CFG)),
+                                 SimpleNamespace(record=lambda: {"sigma_ps": value}))
+    with pytest.raises(ValueError):
+        pipelines._write_outputs(result, str(out), "lifetime", {"histogram.csv": (
+            write_histogram_csv, Histogram(HistogramConfig(1, 0, 4), np.zeros(4), 0))})
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("command, text", [

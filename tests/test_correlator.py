@@ -486,6 +486,11 @@ class TestHistogramCsv:
         assert read_histogram_csv(path).n_starts == 0
 
 
+def test_histogram_rejects_counts_of_the_wrong_length():
+    with pytest.raises(ValueError, match="counts length 3 does not match config"):
+        Histogram(HistogramConfig(10, 0, 40), [1, 2, 3], 1)
+
+
 def test_histogram_rejects_negative_n_starts():
     cfg = HistogramConfig(10, 0, 20)
     with pytest.raises(ValueError, match="n_starts"):

@@ -279,6 +279,20 @@ class TestBiasCurve:
         with pytest.raises(FormatError, match="header"):
             read_bias_curve(path)
 
+    @pytest.mark.parametrize("bias", [0.0, 1.0, float("nan")])
+    def test_bias_fraction_outside_the_open_unit_interval_rejected(self, bias):
+        with pytest.raises(ValueError, match="bias_fraction .* outside \\(0, 1\\)"):
+            BiasCurvePoint(bias, 0.1, 10.0)
+
+    @pytest.mark.parametrize("efficiency", [-0.1, 1.1, float("nan")])
+    def test_efficiency_outside_the_unit_interval_rejected(self, efficiency):
+        with pytest.raises(ValueError, match="efficiency .* outside \\[0, 1\\]"):
+            BiasCurvePoint(0.7, efficiency, 10.0)
+
+    def test_lookup_on_an_empty_curve_rejected(self):
+        with pytest.raises(ValueError, match="bias curve is empty"):
+            bias_lookup([], 0.5)
+
     @pytest.mark.parametrize("dark", [float("nan"), float("inf"), -1.0])
     def test_non_finite_dark_rate_rejected(self, dark):
         with pytest.raises(ValueError, match="dark_rate_hz must be finite"):

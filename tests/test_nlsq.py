@@ -152,6 +152,29 @@ def test_fixed_parameter_never_reaches_the_solver(monkeypatch):
     assert res.params["a"] == pytest.approx(3.0, rel=1e-8)
 
 
+def test_a_singular_solve_grows_the_damping_and_the_fit_goes_on(monkeypatch):
+    solves = []
+
+    def solve(a, b):
+        solves.append(a)
+        if len(solves) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return np_solve(a, b)
+
+    np_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    t = np.linspace(0, 5, 50)
+    res = fit_curve(exponential, exponential_jacobian, t, exponential(t, 2.5, 1.3),
+                    {"a": 1.0, "k": 0.5})
+    # the retry solves the same normal equations, damped LAM_FACTOR times more
+    J = exponential_jacobian(t, 1.0, 0.5)
+    d = np.diag(np.diag(J.T @ J))
+    np.testing.assert_allclose(solves[1] - solves[0],
+                               nlsq.LAM0 * (nlsq.LAM_FACTOR - 1) * d, rtol=1e-12)
+    assert res.converged
+    assert res.params == pytest.approx({"a": 2.5, "k": 1.3}, rel=1e-7)
+
+
 def test_width_step_onto_zero_is_rejected():
     # from w = 1 the first step is exactly -1: -(1 + 1e-3) / (1 + 1e-3 * 1)
     seen = []

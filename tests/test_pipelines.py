@@ -231,6 +231,12 @@ def test_laser_recipes_draw_in_proportion_to_detections(monkeypatch, recipe, tex
     assert 0 < sum(tally) <= 3 * n_tags + 2 * len(stages)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_derive_seed_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        derive_seed(seed, "source")
+
+
 def test_de_sweep_rejects_mu_above_source():
     cfg = pc.parse_config_text(DE_CFG)
     cfg = replace(cfg, de_sweep=replace(cfg.de_sweep, mu_values=(1.0, 10.5)))

@@ -235,6 +235,11 @@ class TestSampleArms:
         assert times.min() >= 0 and times.max() < duration
 
 
+def test_photon_dist_without_three_probabilities_rejected():
+    with pytest.raises(ValueError, match=r"photon_dist must be \(p0, p1, p2\)"):
+        PulsedSourceModel(82e6, 370.0, (0.5, 0.5))
+
+
 def test_clock_ticks_offset_and_window():
     clock = emit_clock_ticks(1e9, 10, offset_ps=250)
     assert clock.times[0] == 250

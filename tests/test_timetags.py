@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,23 @@ def test_stream_rejects_a_duration_that_is_not_an_integer(duration):
     # a float window is refused, not truncated to whole picoseconds
     with pytest.raises(ValueError, match="duration_ps and channel must be integers"):
         TagStream([1, 2], duration, 0)
+
+
+def test_stream_rejects_two_dimensional_times():
+    with pytest.raises(ValueError, match="1-d array"):
+        TagStream(np.zeros((2, 2), np.int64), 100, 0)
+
+
+def test_stream_repr_names_its_size_window_and_channel():
+    assert repr(TagStream([1, 2, 3], 100, 7)) == "TagStream(3 tags, duration_ps=100, channel=7)"
+
+
+def test_unknown_format_rejected(tmp_path):
+    path = tmp_path / "tags.bin"
+    with pytest.raises(ValueError, match="unknown timetag format 'hdf5'"):
+        write_tags(TagStream([1], 10, 0), path, format="hdf5")
+    with pytest.raises(ValueError, match="unknown timetag format 'hdf5'"):
+        read_tags(path, format="hdf5")
 
 
 def test_stream_takes_numpy_integers():
@@ -135,6 +154,21 @@ def test_binary_truncated_record(rng, tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(FormatError, match="truncated record"):
+        read_tags(path)
+
+
+def test_binary_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    # fstat sees one record more than the file holds when it is read
+    path = tmp_path / "t.ttag"
+    write_tags(TagStream([1, 2, 3], 10, 0), path)
+    fstat = os.fstat
+
+    def grown(fd):
+        st = fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 9, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", grown)
+    with pytest.raises(FormatError, match="the file shrank"):
         read_tags(path)
 
 
