@@ -75,6 +75,8 @@ def side_peak_windows(config, rep_period_ps, integration_halfwidth_ps, n_side_pe
     keeping the first `n_side_peaks` that fit inside the histogram range
     of `config`.  Returns (halfwidth, centers).
     """
+    if not 0 < rep_period_ps < math.inf:
+        raise AnalysisError(f"rep_period_ps must be positive and finite, got {rep_period_ps}")
     halfwidth = integration_halfwidth_ps
     if halfwidth is None:
         halfwidth = rep_period_ps / 2.0 - config.bin_width_ps
@@ -395,28 +397,6 @@ def _decay_initial_guess(x, y, bin_width, fix_sigma_ps):
             "background": background, "sigma_ps": float(sigma)}
 
 
-def fit_lifetime_xy(x, y, bin_width_ps, fix_sigma=None):
-    """Fit `decay_model` to (x, y) samples; see `fit_lifetime`."""
-    if fix_sigma is not None and not 0 <= sigma_to_fwhm(fix_sigma) < math.inf:
-        raise AnalysisError(f"fix_sigma must be >= 0 with a finite FWHM, got {fix_sigma}")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.size < 5:
-        raise AnalysisError("too few bins to fit a decay")
-    if np.all(y == y[0]):
-        raise AnalysisError("degenerate histogram: all bins equal")
-    if np.count_nonzero(y) < 20:
-        raise AnalysisError("need at least 20 nonzero bins to fit a decay")
-    fit = fit_curve(decay_model, decay_model_jacobian, x, y,
-                    _decay_initial_guess(x, y, bin_width_ps, fix_sigma),
-                    fixed=() if fix_sigma is None else ("sigma_ps",),
-                    positive=("tau_ps", "sigma_ps"))
-    p = fit.params
-    fwhm = sigma_to_fwhm(p["sigma_ps"])  # the record's sigma_ps is read back from it
-    return replace(fit, params={"tau_ps": p["tau_ps"], "sigma_ps": fwhm / FWHM_PER_SIGMA,
-                                "irf_fwhm_ps": fwhm, "amplitude": p["amplitude"],
-                                "t0_ps": p["t0_ps"], "background": p["background"]})
-
-
 def fit_lifetime(hist, fix_sigma=None):
     """Least-squares fit of the convolved decay model to a histogram.
 
@@ -425,8 +405,24 @@ def fit_lifetime(hist, fix_sigma=None):
     Non-convergence is reported through `converged=False` with the best
     parameters found, not an exception.
     """
-    return fit_lifetime_xy(hist.bin_centers(), hist.counts.astype(float),
-                           hist.config.bin_width_ps, fix_sigma)
+    if fix_sigma is not None and not 0 <= sigma_to_fwhm(fix_sigma) < math.inf:
+        raise AnalysisError(f"fix_sigma must be >= 0 with a finite FWHM, got {fix_sigma}")
+    x, y = hist.bin_centers(), hist.counts.astype(float)
+    if x.size < 5:
+        raise AnalysisError("too few bins to fit a decay")
+    if np.all(y == y[0]):
+        raise AnalysisError("degenerate histogram: all bins equal")
+    if np.count_nonzero(y) < 20:
+        raise AnalysisError("need at least 20 nonzero bins to fit a decay")
+    fit = fit_curve(decay_model, decay_model_jacobian, x, y,
+                    _decay_initial_guess(x, y, hist.config.bin_width_ps, fix_sigma),
+                    fixed=() if fix_sigma is None else ("sigma_ps",),
+                    positive=("tau_ps", "sigma_ps"))
+    p = fit.params
+    fwhm = sigma_to_fwhm(p["sigma_ps"])  # the record's sigma_ps is read back from it
+    return replace(fit, params={"tau_ps": p["tau_ps"], "sigma_ps": fwhm / FWHM_PER_SIGMA,
+                                "irf_fwhm_ps": fwhm, "amplitude": p["amplitude"],
+                                "t0_ps": p["t0_ps"], "background": p["background"]})
 
 
 # ---------------------------------------------------------------------------

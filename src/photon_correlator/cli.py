@@ -118,7 +118,7 @@ def _cmd_simulate(args):
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or args.out}: "
                           f"{exc.strerror or exc}") from exc
-    code = _report(result.record())
+    code = _report(result.analysis.record())
     print(f"wrote {len(paths)} files to {args.out}")
     return code
 

@@ -146,16 +146,13 @@ class RunResult:
     stop_detections: TagStream | None = None
     points: tuple = ()
 
-    def record(self):
-        return self.analysis.record()
-
 
 def _write_outputs(result, out_dir, stem, files):
     """The paths written in `out_dir`: each file `name` of the `files` table, the
     record as <stem>.json and effective_config.cfg, as writer(data, path) for its
     (writer, data), each as .partial.<name> and renamed once all are written."""
     os.makedirs(out_dir, exist_ok=True)
-    record = json.dumps(result.record(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    record = json.dumps(result.analysis.record(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     files = {**files, f"{stem}.json": (_write_text, record),  # strict JSON: no Infinity or NaN
              "effective_config.cfg": (_write_text, format_config(result.config))}
     paths = [os.path.join(out_dir, name) for name in files]

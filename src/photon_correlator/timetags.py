@@ -213,10 +213,11 @@ def write_csv_rows(path, header, rows, comment=None):
 def read_csv_rows(path, header, parse_row=None):
     """Read a CSV file in the layout all text formats share.
 
-    The file is UTF-8.  Blank lines are skipped; ``#`` lines are comments
-    whose ``key=value`` tokens are collected into `meta`.  The first other
-    line must equal `header` (spaces ignored), and every later line must
-    have as many comma-separated fields as the header.  Each row becomes
+    The file is UTF-8, with or without a byte-order mark.  Blank lines are
+    skipped; ``#`` lines are comments whose ``key=value`` tokens are
+    collected into `meta`.  The first other line must equal `header`
+    (spaces ignored), and every later line must have as many
+    comma-separated fields as the header.  Each row becomes
     ``parse_row(fields)``; without `parse_row` all fields are integers and
     the rows come back as an (n, n_fields) int64 array.  Any malformed
     line or value raises FormatError naming the path and line.
@@ -229,7 +230,7 @@ def read_csv_rows(path, header, parse_row=None):
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8").strip()
                 if not line:
                     continue
                 if line.startswith("#"):

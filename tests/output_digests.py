@@ -4,7 +4,7 @@ and of the stdout of each `analyze` of its histogram or sweep.
     python tests/output_digests.py > digests.txt
 
 Runs the command each config names, in process, on the benchmark configs
-(`perfbench/configs/*.cfg`) and on the acceptance suite's SMALL_* configs,
+(`perfbench/configs/*.cfg`) and on the SMALL_* configs of `run_configs.py`,
 at seeds 1, 7 and 12345, with the code in the `src/` beside this directory.
 Prints `<config> <seed> <file> <sha256>` for every output file, then one
 such line for the stdout, with the output path masked.  Then, on each
@@ -14,9 +14,11 @@ sweep.csv `analyze de` at the run's rep rate, each printing
 `<config> <seed> <file> analyze <arguments> <exit code> <sha256>` of its
 stdout and stderr, the output path masked: an analysis that fails (exit 3
 or 4, a g2 of a TCSPC histogram say) is digested too.  A change that must
-keep every output byte prints the same lines as its parent: run this in
-both checkouts and `diff` the two listings.  pytest does not collect this
-file, and a `simulate-*` run that exits nonzero stops it.
+keep every output byte prints the same lines as its parent: copy this file
+and `run_configs.py` into the `tests/` of both checkouts, run it in each and
+`diff` the two listings.  It imports nothing else from `tests/`, so a change
+to the test modules cannot stop it.  pytest does not collect this file, and
+a `simulate-*` run that exits nonzero stops it.
 """
 
 import contextlib
@@ -33,7 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(TESTS)]
 from photon_correlator.cli import main  # noqa: E402
 from photon_correlator.config import parse_config_text  # noqa: E402
 from photon_correlator.sources import pulse_period_ps  # noqa: E402
-from test_acceptance import SMALL_RUNS  # noqa: E402
+from run_configs import SMALL_RUNS  # noqa: E402
 
 SEEDS = (1, 7, 12345)
 # the RunConfig field whose section a command needs -> that command

@@ -41,6 +41,8 @@ from conftest import (chunked_histogram, finite_difference_jacobian, poisson_str
 from oracle_histograms import expected_hbt_counts, expected_tcspc_counts, pearson_chi2
 from reference_oneshot import (reference_clock_ticks, reference_record,
                                reference_sample_blocks)
+from run_configs import (DE_SWEEP_CFG, PAPER_HBT_CFG, SMALL_DE, SMALL_HBT, SMALL_RUNS,
+                         SMALL_TCSPC, TCSPC_CFG_TEMPLATE)
 from test_analysis import convolution_oracle, relative_jacobian_error
 
 REP_HZ = 82e6
@@ -55,47 +57,6 @@ def report(criterion, ok, detail):
 
 # ---------------------------------------------------------------------------
 # 1. g2(0) reproduction with Table-1 detectors
-
-
-PAPER_HBT_CFG = """
-[run]
-seed = 20240917
-n_pulses = 10000000
-
-[source]
-type = dot
-rep_rate_hz = 82e6
-lifetime_ps = 370
-g2_target = 0.24
-mean_n = 0.1
-
-[splitter]
-transmission = 0.5
-
-[detector.APD]
-efficiency = 0.38
-dark_rate_hz = 100
-jitter_fwhm_ps = 550
-dead_time_ps = 0
-
-[detector.SSPD]
-efficiency = 0.02
-dark_rate_hz = 100
-jitter_fwhm_ps = 170
-dead_time_ps = 10000
-
-[correlator]
-bin_width_ps = 32
-range_halfwidth_ps = 128064
-mode = ALL_STOPS
-
-[hbt]
-start = APD
-stop = SSPD
-
-[g2]
-n_side_peaks = 20
-"""
 
 
 def test_criterion_1_g2_reproduction():
@@ -170,30 +131,6 @@ def test_criterion_2_peak_narrowing(narrowing_histograms):
 # 3. lifetime recovery through each IRF
 
 
-TCSPC_CFG_TEMPLATE = """
-[run]
-seed = 31013
-n_pulses = 2000000
-
-[source]
-type = dot
-rep_rate_hz = 82e6
-lifetime_ps = 370
-p0 = 0
-p1 = 1
-p2 = 0
-
-[detector.DET]
-efficiency = 1.0
-dark_rate_hz = 100
-jitter_fwhm_ps = {jitter}
-dead_time_ps = 0
-
-[tcspc]
-detector = DET
-"""
-
-
 def test_criterion_3_lifetime_recovery():
     lines = []
     ok = True
@@ -216,29 +153,6 @@ def test_criterion_3_lifetime_recovery():
 
 # ---------------------------------------------------------------------------
 # 4. detection-efficiency calibration
-
-
-DE_SWEEP_CFG = """
-[run]
-seed = 41041
-n_pulses = 1000000
-
-[source]
-type = laser
-rep_rate_hz = 100e3
-mu = 10
-
-[detector.SSPD]
-efficiency = 0.01
-dark_rate_hz = 500
-jitter_fwhm_ps = 170
-dead_time_ps = 10000
-
-[de_sweep]
-detector = SSPD
-mu = 0.001,0.00316,0.01,0.0316,0.1,0.316,1,3.16,10
-pulses_per_point = 1000000
-"""
 
 
 def test_criterion_4_de_calibration():
@@ -297,7 +211,7 @@ def test_criterion_5_classical_baseline():
 def seed_records(text, seeds):
     """The record `run_hbt` makes of config `text` at each seed, in process."""
     cfg = pc.parse_config_text(text)
-    return [run_hbt(cfg.with_seed(seed)).record() for seed in seeds]
+    return [run_hbt(cfg.with_seed(seed)).analysis.record() for seed in seeds]
 
 
 # name -> (config, the g2(0) of its source, the config line that gives it)
@@ -427,26 +341,12 @@ def test_criterion_6e_serialization_round_trip(tmp_path):
 # 7. byte-identical reruns of every simulate command
 
 
-SMALL_HBT = PAPER_HBT_CFG.replace("n_pulses = 10000000", "n_pulses = 200000")
-SMALL_TCSPC = TCSPC_CFG_TEMPLATE.format(jitter=170.0).replace(
-    "n_pulses = 2000000", "n_pulses = 100000")
-SMALL_DE = DE_SWEEP_CFG.replace("pulses_per_point = 1000000",
-                                "pulses_per_point = 50000")
-
-
 def _dir_digest(path):
     digest = hashlib.sha256()
     for p in sorted(path.iterdir()):
         digest.update(p.name.encode())
         digest.update(p.read_bytes())
     return digest.hexdigest()
-
-
-SMALL_RUNS = [
-    ("simulate-hbt", SMALL_HBT, []),
-    ("simulate-tcspc", SMALL_TCSPC, []),
-    ("simulate-de-sweep", SMALL_DE, ["--mu", "0.01,0.1,1,10"]),
-]
 
 
 def test_criterion_7_determinism(tmp_path):

@@ -16,6 +16,7 @@ from photon_correlator import (
     HistogramConfig,
     Mode,
     decay_model,
+    g2_zero,
     read_histogram_csv,
     read_tags,
     write_de_sweep,
@@ -23,7 +24,7 @@ from photon_correlator import (
 )
 from photon_correlator import pipelines
 from photon_correlator.cli import SIMULATIONS, _load_run_config, build_parser, main
-from photon_correlator.config import load_config
+from photon_correlator.config import format_value, load_config
 
 HBT_CFG = """
 [run]
@@ -367,9 +368,9 @@ class TestSimulateDeSweep:
 
 
 class TestAnalyze:
-    def comb_csv(self, tmp_path):
+    def comb_csv(self, tmp_path, floor=0):
         cfg = HistogramConfig(10, -10_500, 10_500, Mode.ALL_STOPS)
-        counts = np.zeros(cfg.n_bins, np.int64)
+        counts = np.full(cfg.n_bins, floor, np.int64)
         counts[(0 - cfg.range_min_ps) // 10] = 240
         for k in range(1, 11):
             counts[(k * 1000 - cfg.range_min_ps) // 10] = 1000
@@ -386,6 +387,36 @@ class TestAnalyze:
         values = dict(line.split("=") for line in out.strip().splitlines())
         assert float(values["g2_zero"]) == pytest.approx(0.24)
         assert float(values["g2_sigma"]) == pytest.approx(0.0155846, abs=1e-6)
+
+    def test_g2_halfwidth_flag(self, tmp_path, capsys):
+        # a floor of one count a bin makes every peak area follow the half-width
+        path = self.comb_csv(tmp_path, floor=1)
+        argv = ["analyze", "g2", "--hist", path, "--rep-period-ps", "1000"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--halfwidth-ps", "200"]) == 0
+        out = capsys.readouterr().out
+        record = g2_zero(read_histogram_csv(path), 1000, integration_halfwidth_ps=200).record()
+        assert out == "".join(f"{k}={format_value(v)}\n" for k, v in record.items())
+        assert out != default
+
+    @pytest.mark.parametrize("halfwidth", ["500", "600"])
+    def test_g2_halfwidth_of_half_a_period_is_analysis_error(self, tmp_path, capsys,
+                                                             halfwidth):
+        assert main(["analyze", "g2", "--hist", self.comb_csv(tmp_path),
+                     "--rep-period-ps", "1000", "--halfwidth-ps", halfwidth]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: integration_halfwidth_ps ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("period", ["nan", "0", "-5", "1e400"])
+    def test_g2_period_that_is_not_positive_and_finite_is_analysis_error(
+            self, tmp_path, capsys, period):
+        assert main(["analyze", "g2", "--hist", self.comb_csv(tmp_path),
+                     "--rep-period-ps", period]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: rep_period_ps ")
+        assert len(err.splitlines()) == 1
 
     def test_lifetime_exact_on_model_csv(self, tmp_path, capsys):
         cfg = HistogramConfig(32, 0, 12_192, Mode.FIRST_STOP)

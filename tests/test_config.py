@@ -13,7 +13,7 @@ from photon_correlator import (
     PulsedSourceModel,
     parse_config_text,
 )
-from photon_correlator.config import format_config
+from photon_correlator.config import format_config, load_config
 
 import test_acceptance
 import test_cli
@@ -411,3 +411,11 @@ def test_format_config_round_trips(name):
     for section in ("run", "source", "splitter", "g2", "lifetime",
                     *(f"detector.{d}" for d in cfg.detectors)):
         assert f"[{section}]\n" in text
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(GOOD, encoding="utf-8")
+    marked.write_text(GOOD, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_config(marked) == load_config(plain)

@@ -123,3 +123,17 @@ def test_writer_round_trip(tmp_path):
                                lambda fields: (int(fields[0]), float(fields[1])))
     assert meta == {"k": "v"}
     assert rows == [(1, 0.5), (-2, 1e-300)]
+
+
+@pytest.mark.parametrize("name, reader, text, view", [
+    ("hist.csv", read_histogram_csv,
+     "# n_starts=7 bin_width_ps=10\nbin_start_ps,count\n-10,3\n0,5\n",
+     lambda h: (h.config, h.counts.tolist(), h.n_starts)),
+    ("sweep.csv", read_de_sweep, "mu,rate_hz\n0.01,12.5\n1,830\n", list),
+], ids=["hist.csv", "sweep.csv"])
+def test_byte_order_mark_is_skipped(tmp_path, name, reader, text, view):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert view(reader(marked)) == view(reader(plain))
