@@ -80,6 +80,10 @@ def side_peak_windows(config, rep_period_ps, integration_halfwidth_ps, n_side_pe
     halfwidth = integration_halfwidth_ps
     if halfwidth is None:
         halfwidth = rep_period_ps / 2.0 - config.bin_width_ps
+        if not halfwidth > 0:
+            raise AnalysisError(f"the default integration half-width, rep_period/2 - "
+                                f"bin_width_ps = {rep_period_ps / 2.0:g} - "
+                                f"{config.bin_width_ps}, is not positive")
     if not 0 < halfwidth < rep_period_ps / 2.0:
         raise AnalysisError(
             f"integration_halfwidth_ps must be in (0, rep_period/2), got {halfwidth}"

@@ -143,10 +143,10 @@ class RunConfig:
         if self.de_sweep is not None:
             runs["de_sweep.pulses_per_point"] = self.de_sweep.pulses_per_point
         for key, n in runs.items():
-            # timestamps are int64 picoseconds; a run spans at least one of them
-            if not 1 <= n * period < 2**63:
+            # int64 ps timestamps, a run of one or more, int64 sums of the dot's gaps
+            if not (1 <= n * period < 2**63 and n < 2**62):
                 raise ConfigError(f"{key}: {n} pulses of {period} ps last outside "
-                                  "[1, 2^63) ps")
+                                  "[1, 2^63) ps, or number 2^62 or more")
         # numpy's Poisson sampler rejects means above ~9.2e18; 2^62 leaves
         # margin for the photons of a run (pipelines.MAX_HELD_TAGS bounds darks)
         longest = max(runs.values())

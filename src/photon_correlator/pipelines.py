@@ -15,8 +15,8 @@ photon), and each detector stage draws that detector's darks and jitter
 (`detectors._record`): in distribution, the photon-by-photon path below.
 
 HBT, the DE sweep and TCSPC with detector dead time hold each detector's
-recorded tags and one block, each arm drawn as it is recorded; a dot arm's
-blocks are held until recorded, and a dot HBT draws both arms at once.
+recorded tags and one block, each arm drawn as it is recorded, and no arm
+waits for another; a dot arm draws no count, so its blocks are held to count.
 TCSPC with no detector dead time holds no array as long as the
 run: it draws, records and bins one block of pulses at a time
 (`sources.sample_blocks`, `detectors._recorded_blocks`,
@@ -285,6 +285,12 @@ def run_de_sweep(cfg):
         raise ConfigError("de_sweep: section required for simulate-de-sweep")
     if not isinstance(cfg.source, PoissonLaserModel):
         raise ConfigError("source.type: de sweep requires the laser source")
+    name, period = cfg.de_sweep.detector, pulse_period_ps(cfg.source.rep_rate_hz)
+    least = max(1.0, 8 * cfg.detectors[name].jitter_sigma_ps)  # one pulse's clicks' spread
+    if not least <= cfg.detectors[name].dead_time_ps < period:
+        raise ConfigError(f"detector.{name}.dead_time_ps: {cfg.detectors[name].dead_time_ps} is "
+                          f"outside [{least:g}, {period:g}) ps: the DE fit counts at most one "
+                          f"click a pulse, so one pulse's clicks must merge, no two pulses' clicks")
     mu_values = cfg.de_sweep.mu_values
     if not mu_values:
         raise ConfigError("de_sweep.mu: no mu values given (config key or --mu)")

@@ -19,9 +19,9 @@ only the photons that arm detects, without making the source stream: the
 routing, attenuation and efficiency stages between source and detector
 are independent per-photon Bernoulli trials, so they fold into one fate
 per photon (Poisson colouring and thinning; Kingman, *Poisson Processes*,
-1993).  It holds one block of draws: the dot's pulses, or the laser's
-pulse indices, which become its detections in place, are drawn a block at
-a time.
+1993).  It holds one block of draws: the dot's detecting pulses, or the
+laser's pulse indices, which become its detections in place, are drawn a
+block at a time, each arm's as the arm is taken.
 """
 
 import math
@@ -148,22 +148,22 @@ def sample_blocks(model, n_pulses, probabilities, seed):
     (duration_ps, arms): `arms` yields, for each arm in turn, (count,
     blocks), `blocks` yielding int64 arrays of the times in [0, duration_ps)
     that arm detects, in no order, and `count` at least their number, or
-    None if not drawn.  Take each arm's blocks before the next, as the laser
-    draws its arms in turn.
+    None if not drawn.  Each arm is drawn as it is taken; take each arm's
+    blocks before the next, as the laser draws its arms in turn.
 
     Pulse k fires at round(k * 1e12 / rep_rate_hz).  The laser's count of
     detections in arm i is Poisson(n_pulses * mu * p_i), each in an
     independent uniformly drawn pulse, so the cost is that of the
-    detections.  The dot draws one photon number per pulse, from one
-    uniform by inverse CDF, and one fate per photon, so the two photons of
-    a pulse can be detected in both arms, as g2(0) needs; only detected
-    photons get an emission delay.  One arm is drawn as it is taken; more
-    are drawn at once, each held until taken.  Each kind of dot draw reads
-    its own stream (`_stream`) in the order its values are used: the photon
-    numbers stream 0, the fates stream 1 and arm i's delays stream 2 + i.
-    No draw depends on how many another kind makes, so a fixed photon number
-    (neither cut p0 nor p0 + p1 inside (0, 1)) draws no photon-number
-    uniform, and when the first arm takes every photon no fate is drawn.
+    detections.  The dot draws only the pulses that give some arm a
+    detection, as Geometric(q) gaps (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. X), and one outcome each (`_dot_blocks`), so the
+    two photons of a pulse can be detected in both arms, as g2(0) needs;
+    each detected photon gets an emission delay.  Each kind of dot draw
+    reads its own stream (`_stream`) in the order its values are used: the
+    gaps stream 0, the outcomes stream 1 and arm i's delays stream 2 + i.
+    Every arm reads the same gaps and outcomes, so no arm waits for another.
+    When q rounds to 1 or more every pulse detects and no gap is drawn, and
+    with one possible outcome none is drawn.
     """
     duration = _train_duration_ps(n_pulses, model.rep_rate_hz)
     if isinstance(model, PoissonLaserModel):
@@ -171,8 +171,8 @@ def sample_blocks(model, n_pulses, probabilities, seed):
         counts = (rng.poisson(n_pulses * model.mu * p) for p in probabilities)
         return duration, ((n, _laser_blocks(model, n_pulses, n, rng, duration))
                           for n in counts)
-    return duration, _dot_arms(model, n_pulses, np.cumsum(probabilities), seed,
-                               duration)
+    return duration, ((None, _dot_blocks(model, n_pulses, probabilities, arm, seed, duration))
+                      for arm in range(len(probabilities)))
 
 
 def _laser_blocks(model, n_pulses, count, rng, duration):
@@ -182,16 +182,6 @@ def _laser_blocks(model, n_pulses, count, rng, duration):
         yield _emission_times(0, _pulse_times(pulses, model.rep_rate_hz), duration, rng)
 
 
-def _dot_arms(model, n_pulses, cuts, seed, duration):
-    blocks = _dot_blocks(model, n_pulses, cuts, seed, duration)
-    if cuts.size == 1:
-        yield None, (arm for arm, in blocks)
-        return
-    arms = list(zip(*blocks)) or [()] * cuts.size  # a run of no pulses has no block
-    while arms:  # each arm's blocks are freed once its taker drops them
-        yield None, arms.pop(0)
-
-
 def _stream(seed, jumps):
     """The stage's generator with its PCG64 state jumped `jumps` times (0 is
     `generator(seed)`): streams of different jumps lie far apart in PCG64's
@@ -199,29 +189,29 @@ def _stream(seed, jumps):
     return np.random.Generator(generator(seed).bit_generator.jumped(jumps))
 
 
-def _dot_blocks(model, n_pulses, cuts, seed, duration):
-    """Each block's detections, one int64 array per arm."""
-    numbers, fates, *delays = [_stream(seed, k) for k in range(2 + cuts.size)]
-    p0, p1, _ = model.photon_dist
-    # a pulse's photon number is the count of the cuts p0, p0 + p1 at or below
-    # its uniform, which is in [0, 1): with no cut inside (0, 1) it is the
-    # count of cuts at or below 0, whatever the uniform, and none is drawn
-    fixed = None if 0 < p0 < 1 or 0 < p0 + p1 < 1 else (p0 <= 0) + (p0 + p1 <= 0)
-    # a photon's fate is the number of cuts at or below its uniform; as the
-    # uniforms are < 1, a first cut at 1 or more gives every photon to arm 0
-    every = cuts.size > 0 and cuts[0] >= 1
-    for start in range(0, n_pulses, _BLOCK):
-        end = min(start + _BLOCK, n_pulses)
-        counts = fixed
-        if fixed is None:
-            u = numbers.random(end - start)
-            counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-        pulses = np.arange(start, end, dtype=np.int64).repeat(counts)
-        photons = _pulse_times(pulses, model.rep_rate_hz)
-        if every:
-            arms = [photons] + [photons[:0]] * (len(delays) - 1)
-        else:
-            fate = np.searchsorted(cuts, fates.random(photons.size), "right")
-            arms = [photons[fate == i] for i in range(len(delays))]
-        yield [_emission_times(model.lifetime_ps, arm, duration, rng)
-               for arm, rng in zip(arms, delays)]
+def _dot_blocks(model, n_pulses, probabilities, arm, seed, duration):
+    """Arm `arm`'s detections, a block of `_BLOCK` detecting pulses at a time.
+    A pulse's outcome is one photon detected in arm i, or two in arms (i, j);
+    `counts` is the photons each puts in this arm, and q the weights' sum."""
+    gaps, outcomes, delays = (_stream(seed, k) for k in (0, 1, 2 + arm))
+    _, p1, p2 = model.photon_dist
+    p = np.asarray(probabilities, dtype=float)
+    hits = (np.arange(p.size) == arm).astype(np.int64)  # bools would add as OR
+    weights = np.concatenate([p * (p1 + 2 * p2 * (1 - p.sum())), p2 * np.outer(p, p).ravel()])
+    counts = np.concatenate([hits, np.add.outer(hits, hits).ravel()])[weights > 0]
+    cuts = np.cumsum(weights[weights > 0])
+    first = 0 if cuts.size else n_pulses  # the next pulse to draw; none if no outcome
+    while first < n_pulses:
+        q = cuts[-1]
+        if q < 1:  # gaps held at the pulses left, and few enough that no sum wraps
+            pulses = gaps.geometric(q, min(_BLOCK, (2**63 - 1) // (n_pulses + 1)))
+            np.minimum(pulses, n_pulses - first + 1, out=pulses).cumsum(out=pulses)
+            pulses += first - 1
+        else:  # every pulse detects
+            pulses = np.arange(first, min(first + _BLOCK, n_pulses), dtype=np.int64)
+        first = int(pulses[-1]) + 1
+        pulses = pulses[:pulses.searchsorted(n_pulses)]
+        n = counts if counts.size == 1 else counts[
+            (cuts / q).searchsorted(outcomes.random(pulses.size), "right")]
+        photons = _pulse_times(pulses.repeat(n), model.rep_rate_hz)
+        yield _emission_times(model.lifetime_ps, photons, duration, delays)

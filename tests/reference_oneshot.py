@@ -8,9 +8,10 @@ generators seeded the same way, each read in the same order, with the
 same numpy calls on whole arrays.
 
 * `reference_sample_blocks` is `sources.sample_blocks` with each arm's
-  blocks concatenated: returns (duration_ps, arms).  The dot draws its
-  photon numbers, its fates and arm i's emission delays from the stage's
-  PCG64 jumped 0, 1 and 2 + i times;
+  blocks concatenated: returns (duration_ps, arms).  The dot draws the
+  gaps between its detecting pulses, their outcomes and arm i's emission
+  delays from the stage's PCG64 jumped 0, 1 and 2 + i times; it draws
+  n_pulses + 1 gaps, one past the most the run can use;
 * `reference_record` is `detectors._record`: returns the recorded times.
   Its dead time is its own greedy scan, tag by tag, not the program's
   filter;
@@ -59,16 +60,31 @@ def reference_sample_blocks(model, n_pulses, probabilities, seed):
                              model.rep_rate_hz)
                 for p in probabilities]
         return duration, [times[times < duration] for times in arms]
-    p0, p1, _ = model.photon_dist
-    u = _jumped(seed, 0).random(n_pulses)
-    counts = (u >= p0).astype(np.int8) + (u >= p0 + p1)
-    emitting = np.flatnonzero(counts)
-    photon_pulses = np.repeat(emitting, counts[emitting])
-    fates = np.searchsorted(np.cumsum(probabilities),
-                            _jumped(seed, 1).random(photon_pulses.size), side="right")
+    _, p1, p2 = model.photon_dist
+    p = np.asarray(probabilities, dtype=float)
+    # a detecting pulse's outcomes: the arms its detected photons reach
+    outcomes = [((i,), p[i] * (p1 + 2 * p2 * (1 - p.sum()))) for i in range(p.size)]
+    outcomes += [((i, j), p2 * (p[i] * p[j])) for i in range(p.size) for j in range(p.size)]
+    outcomes = [(arms, weight) for arms, weight in outcomes if weight > 0]
+    if not outcomes:
+        return duration, [np.empty(0, dtype=np.int64) for _ in p]
+    cuts = np.cumsum([weight for _, weight in outcomes])
+    q = cuts[-1]
+    if q < 1:
+        gaps = _jumped(seed, 0).geometric(q, n_pulses + 1)
+        pulses = np.cumsum(np.minimum(gaps, n_pulses + 1)) - 1
+        pulses = pulses[pulses < n_pulses]
+    else:
+        pulses = np.arange(n_pulses, dtype=np.int64)
+    if len(outcomes) == 1:
+        drawn = np.zeros(pulses.size, dtype=np.int64)
+    else:
+        drawn = np.searchsorted(cuts / q, _jumped(seed, 1).random(pulses.size),
+                                side="right")
     arms = []
-    for i in range(len(probabilities)):
-        pulse_times = _pulse_times(photon_pulses[fates == i], model.rep_rate_hz)
+    for i in range(p.size):
+        counts = np.array([reached.count(i) for reached, _ in outcomes])
+        pulse_times = _pulse_times(np.repeat(pulses, counts[drawn]), model.rep_rate_hz)
         arms.append(_emission_times(model, pulse_times, duration, _jumped(seed, 2 + i)))
     return duration, arms
 

@@ -376,13 +376,13 @@ def test_criterion_7_determinism(tmp_path):
 PINNED_DATA = {
     "simulate-hbt": {
         "detections_APD.ttag":
-            "9dffac2706a23139e442c6bd9eaff31481cee6b7bd6564db41efd9b7e591ea49",
+            "ae57abf41ea627fa29a7143d187b57532960f115a808ae1e7b82831c7576f12c",
         "detections_SSPD.ttag":
-            "f06e9b38a9825f66a43c8251a79ffc13218fdcbd69de63f5832b54dcb45a6786",
+            "d6f07c6f4c3dcf4d0b4ccc9b5649dc89260d58b73e5a81b2adb411af990ac528",
         "histogram.csv":
-            "30fcc3720047203740005e04c0dc898e4beda955f925da51eb9b283240aaf184",
+            "1e2001a9bc21ad8f43ae757f8648678ce2f75bd6c315fed101405c6e2f8769cc",
         "g2.json":
-            "96d29b66ec0b31349786c3fa47f22e55806fcbd1d7e07a57f37348bb0dc6f4ce",
+            "0da08465072bb206121dadea318b520edcbcef2ae87bc7a4e9a604fb8e2aa102",
         "effective_config.cfg":
             "d54157d5135b1f577d5bbd0e458a223b87c03ba72be8ef0d170c6e8a7389b257",
     },

@@ -61,7 +61,7 @@ SOURCES = [
     *(PulsedSourceModel(REP_HZ, lifetime, dist)
       for dist in ((0.6, 0.4, 0.0), (0.0, 0.7, 0.3))
       for lifetime in (0.0, 370.0, 1e20)),
-    # a fixed photon number, which the sampler takes without a number draw
+    # a fixed photon number: every pulse detects in one outcome, or none does
     *(PulsedSourceModel(REP_HZ, 370.0, dist)
       for dist in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))),
     PoissonLaserModel(REP_HZ, 0.8),
@@ -76,14 +76,27 @@ def assert_same_arrays(got, expected):
 
 @pytest.mark.parametrize("n_pulses", SIZES)
 @pytest.mark.parametrize("source", SOURCES, ids=repr)
-# the first cut at 1 skips the fate draw; [0.1] * 10 ends its cuts at
-# 0.9999999999999999, so a photon can still be lost; an arm of 0 ties two cuts
+# one arm of probability 1 has one outcome, so none is drawn; [0.1] * 10
+# sums to 0.9999999999999999, so a photon can still be lost; an arm of 0
+# has outcomes of weight 0
 @pytest.mark.parametrize("probabilities", [[1.0], [0.3, 0.5], [1.0, 0.0], [0.1] * 10,
                                            [0.3, 0.0, 0.5], [0.0, 1.0]])
 def test_sample_blocks_equals_one_shot(n_pulses, source, probabilities):
     duration, arms = sample_arms(source, n_pulses, probabilities, seed=12)
     ref_duration, ref_arms = reference_sample_blocks(source, n_pulses, probabilities,
                                                      seed=12)
+    assert duration == ref_duration
+    assert_same_arrays(arms, ref_arms)
+
+
+@pytest.mark.parametrize("n_pulses", [_BLOCK - 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("source", SOURCES[:-1], ids=repr)
+# three arms that take photons, and three whose outcome weights sum past 1
+@pytest.mark.parametrize("probabilities", [[0.2, 0.3, 0.4], [0.33, 0.56, 0.11]])
+def test_three_dot_arms_equal_one_shot(n_pulses, source, probabilities):
+    duration, arms = sample_arms(source, n_pulses, probabilities, seed=13)
+    ref_duration, ref_arms = reference_sample_blocks(source, n_pulses, probabilities,
+                                                     seed=13)
     assert duration == ref_duration
     assert_same_arrays(arms, ref_arms)
 
@@ -146,7 +159,7 @@ def test_reverse_start_stop_equals_one_shot(n_detections, config, remap_period_p
 
 @pytest.mark.parametrize("n_pulses", SIZES[1:])  # a run of 0 pulses has no clock tick
 @pytest.mark.parametrize("source", SOURCES, ids=repr)
-@pytest.mark.parametrize("efficiency", [1.0, 0.3])  # the fates skipped, and drawn
+@pytest.mark.parametrize("efficiency", [1.0, 0.3])  # q = 1 at p1 = 1, and q < 1
 @pytest.mark.parametrize("dark_rate_hz", [0.0, 1e7])
 @pytest.mark.parametrize("dead_time_ps", [0, 10_000])  # streamed, and concatenated
 def test_streamed_tcspc_equals_one_shot_chain(n_pulses, source, efficiency,
@@ -287,10 +300,10 @@ def test_streamed_recipe_reads_a_tick_a_detection_and_no_fixed_photon_number(
     """On the streamed recipe (one photon a pulse, all detected) `_next_tick`
     reads about one lattice tick a detection, as 0 <= ticks[i] - det <
     `min_gap_ps` settles all but a few, and the clock's ends are read once;
-    and the source stage draws no photon-number uniform (stream 0 of
-    `sources._stream`) and no fate (stream 1), only one delay a photon
-    (stream 2).  Reading ticks[i-1] for every detection, or drawing the
-    numbers or the fates, fails here."""
+    and the source stage draws no gap (stream 0 of `sources._stream`) and
+    no outcome (stream 1), only one delay a photon (stream 2).  Reading
+    ticks[i-1] for every detection, or drawing the gaps or the outcomes,
+    fails here."""
     reads = []
     getitem = correlator._Ticks.__getitem__
 
@@ -506,7 +519,8 @@ def test_dot_detections_do_not_depend_on_the_block_size(seed, monkeypatch):
         monkeypatch.setattr(sources, "_BLOCK", block)
         got_duration, blocks = arm_blocks(source, n_pulses, probabilities, seed)
         assert got_duration == duration
-        assert [len(arm) for arm in blocks] == [-(-n_pulses // block)] * 2
+        # a block of `block` detecting pulses puts at most two photons each in an arm
+        assert all(times.size <= 2 * block for arm in blocks for times in arm)
         assert_same_arrays([np.concatenate(arm) for arm in blocks], expected)
 
 
@@ -617,9 +631,9 @@ def test_sampled_arms_hold_their_output_and_little_per_photon():
 
 
 def test_an_arm_that_takes_every_photon_keeps_no_fates():
-    """With one arm of probability 1 the sampler skips the fate draw: 8 bytes
-    of output a photon, and no fate (1) or arm mask (1).  At 2^22 photons a
-    byte a photon is more than the allowance."""
+    """With one arm of probability 1 every pulse detects in one outcome, so
+    the sampler draws no gap and no outcome: 8 bytes of output a photon.  At
+    2^22 photons a byte a photon is more than the allowance."""
     n = 2**22
     source = PulsedSourceModel(REP_HZ, 370.0, (0.0, 1.0, 0.0))
     peak, (_, (blocks,)) = traced_peak(lambda: arm_blocks(source, n, [1.0], seed=1))
@@ -628,10 +642,10 @@ def test_an_arm_that_takes_every_photon_keeps_no_fates():
 
 
 def test_sampled_arms_hold_8_bytes_a_detected_photon():
-    """A dim two-arm dot HBT: 4.2e5 photons, of which 3 % are detected.  Each
-    block's fates are drawn with its photons, so only the detected photons
-    are held, 8 bytes each, not the 8-byte pulse time of every emitted
-    photon (4 MB here, more than the allowance)."""
+    """A dim two-arm dot HBT: 4.2e5 photons, of which 3 % are detected.  Only
+    the detecting pulses are drawn, a block at a time, so only the detected
+    photons are held, 8 bytes each, not the 8-byte pulse time of every
+    emitted photon (4 MB here, more than the allowance)."""
     n = 2**22
     source = PulsedSourceModel(REP_HZ, 370.0, (0.9, 0.1, 0.0))
     peak, (_, arms) = traced_peak(lambda: arm_blocks(source, n, [0.01, 0.02], seed=1))

@@ -359,6 +359,28 @@ class TestSimulateDeSweep:
             etas.append(json.loads((out / "de_fit.json").read_text())["eta"])
         assert etas[1] == pytest.approx(etas[0], rel=0.1)
 
+    @pytest.mark.parametrize("dead_time_ps", ["0", "100", "10000000", "15000000"])
+    def test_dead_time_the_fit_cannot_describe_is_config_error(self, tmp_path, capsys,
+                                                               monkeypatch, dead_time_ps):
+        """The fit counts at most one click a pulse.  Below 8 jitter sigmas (578
+        ps here) one pulse's clicks are not merged, and from one pulse period
+        (10 us) on clicks of two pulses are: refused before any draw."""
+        forbid_draws(monkeypatch)
+        cfg = write_cfg(tmp_path, DE_CFG.replace("dead_time_ps = 10000",
+                                                 f"dead_time_ps = {dead_time_ps}"))
+        out = tmp_path / "out"
+        assert main(["simulate-de-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: detector.SSPD.dead_time_ps: {dead_time_ps} ")
+        assert len(err.splitlines()) == 1
+
+    def test_dead_time_of_10_ns_is_drawn(self, tmp_path, monkeypatch):
+        forbid_draws(monkeypatch)
+        with pytest.raises(Drew):
+            main(["simulate-de-sweep", "--config", write_cfg(tmp_path, DE_CFG),
+                  "--out", str(tmp_path / "out")])
+
     def test_reruns_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, DE_CFG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -408,6 +430,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("analysis error: integration_halfwidth_ps ")
         assert len(err.splitlines()) == 1
+
+    def test_g2_default_halfwidth_that_is_not_positive_is_analysis_error(self, tmp_path,
+                                                                         capsys):
+        # a 10 ps bin against a 15 ps period: 7.5 - 10 ps
+        assert main(["analyze", "g2", "--hist", self.comb_csv(tmp_path),
+                     "--rep-period-ps", "15"]) == 4
+        assert capsys.readouterr().err == (
+            "analysis error: the default integration half-width, rep_period/2 - "
+            "bin_width_ps = 7.5 - 10, is not positive\n")
 
     @pytest.mark.parametrize("period", ["nan", "0", "-5", "1e400"])
     def test_g2_period_that_is_not_positive_and_finite_is_analysis_error(
@@ -889,6 +920,31 @@ def test_held_tags_cap_admits_large_runs(tmp_path, monkeypatch, command, name, e
     with pytest.raises(Drew):
         main([command, "--config", write_cfg(tmp_path, bench_config(name, *edits)),
               "--out", str(tmp_path / "out")])
+
+
+def test_default_g2_halfwidth_that_is_not_positive_is_config_error(tmp_path, capsys,
+                                                                    monkeypatch):
+    """A bin wider than half a period leaves the default half-width, half a
+    period less a bin, below 0: the error names that, not a key left unset."""
+    forbid_draws(monkeypatch)
+    text = bench_config("hbt_tac", ("bin_width_ps = 32", "bin_width_ps = 8192"),
+                        ("range_halfwidth_ps = 128064", "range_halfwidth_ps = 98304"))
+    assert main(["simulate-hbt", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: g2: the default integration half-width, rep_period/2 - "
+        "bin_width_ps = 6097.56 - 8192, is not positive\n")
+
+
+def test_dot_hbt_of_2_63_pulses_is_config_error(tmp_path, capsys):
+    """A dot HBT at 1e13 Hz whose 2^63 pulses last 9.2e17 ps: its pulse
+    count is refused as the config is read, as the sampler's sums of gaps
+    between pulse indices would leave int64."""
+    text = HBT_CFG.replace("rep_rate_hz = 82e6", "rep_rate_hz = 1e13").replace(
+        "n_pulses = 100000", f"n_pulses = {2**63}")
+    assert main(["simulate-hbt", "--config", write_cfg(tmp_path, text),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: run.n_pulses: ")
 
 
 def test_held_tags_cap_counts_the_signal_a_dead_time_holds(tmp_path, capsys, monkeypatch):

@@ -139,6 +139,19 @@ def test_out_of_range_efficiency():
         parse_config_text(bad)
 
 
+@pytest.mark.parametrize(("n_pulses", "refused"), [(2**62 - 1, False), (2**62, True)])
+def test_pulse_count_is_below_2_62(n_pulses, refused):
+    """At 1e13 Hz, 2^62 pulses last 4.6e17 ps, inside int64, but the dot's
+    sums of gaps between pulse indices need fewer pulses than 2^62."""
+    text = GOOD.replace("n_pulses = 1000", f"n_pulses = {n_pulses}").replace(
+        "rep_rate_hz = 82e6", "rep_rate_hz = 1e13")
+    if refused:
+        with pytest.raises(ConfigError, match="run.n_pulses: "):
+            parse_config_text(text)
+    else:
+        assert parse_config_text(text).n_pulses == n_pulses
+
+
 def test_missing_source():
     with pytest.raises(ConfigError, match="source: section missing"):
         parse_config_text("[run]\nseed = 1\nn_pulses = 5\n")

@@ -14,7 +14,7 @@ from photon_correlator import (
 from photon_correlator.pipelines import (emit_clock_ticks, emit_dot_pulse_train,
                                          emit_laser_pulse_train)
 
-from conftest import sample_arms
+from conftest import arm_blocks, sample_arms
 
 REP_82MHZ = 82e6
 
@@ -224,6 +224,35 @@ class TestSampleArms:
         model = dot_model((0.0, 1.0, 0.0), lifetime_ps=6e6)
         duration, (times,) = sample_arms(model, 1000, [1.0], seed=6)
         assert 0 < times.size < 1000 and times.max() < duration
+
+    def test_dot_gaps_that_would_wrap_stay_in_the_run(self):
+        """9e15 pulses at 1 GHz, q ~ 1e-16: a gap reaches int64's top, so
+        only capped gaps, few enough that no sum wraps, keep every time in
+        the run.  About 0.9 tags are expected."""
+        model = PulsedSourceModel(1e9, 370.0, (1 - 1e-13, 1e-13, 0.0))
+        duration, (times,) = sample_arms(model, 9 * 10**15, [1e-3], seed=5)
+        assert times.size < 10
+        assert np.all((times >= 0) & (times < duration))
+
+    @pytest.mark.parametrize(("dist", "probabilities"), [
+        ((1.0, 0.0, 0.0), [0.5, 0.5]), ((0.2, 0.5, 0.3), [0.0, 0.0])])
+    def test_dot_that_cannot_detect_yields_no_block(self, dist, probabilities):
+        assert arm_blocks(dot_model(dist), 1000, probabilities, seed=1) == (
+            round(1000 * pulse_period_ps(REP_82MHZ)), [[], []])
+
+    # [0.7, 0.3] sums to 1 exactly, [0.33, 0.56, 0.11] to 1 + 2^-52
+    @pytest.mark.parametrize("probabilities", [[0.7, 0.3], [0.33, 0.56, 0.11]])
+    def test_dot_that_detects_every_pulse_gives_one_tag_a_pulse(self, probabilities):
+        n = 5000
+        _, arms = sample_arms(dot_model((0.0, 1.0, 0.0), lifetime_ps=0.0), n,
+                              probabilities, seed=2)
+        assert np.array_equal(np.sort(np.concatenate(arms)),
+                              np.rint(np.arange(n) * pulse_period_ps(REP_82MHZ)))
+        assert all(arm.size > 0 for arm in arms)
+
+    def test_dot_of_no_pulses_gives_empty_arms(self):
+        model = dot_model((0.2, 0.5, 0.3))
+        assert arm_blocks(model, 0, [0.3, 0.5], seed=1) == (0, [[], []])
 
     def test_laser_detections_are_poisson_on_pulse_times(self):
         n, mu, p = 100_000, 2.0, 0.05
